@@ -31,7 +31,7 @@ DEMO_CONFIG = {
         "patches": [{"cx": 32.0, "cy": 32.0, "half_size": 14}],
         "tau_s": 0.005,
     },
-    "metrics": {"window_us": 10_000, "with_edges": True},
+    "metrics": {"window_ms": 10, "edges": True},
 }
 
 

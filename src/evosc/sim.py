@@ -6,6 +6,20 @@ p - offset(t). Events follow the usual threshold-crossing model: a pixel emits
 when the latent value moves a full contrast threshold away from its stored
 reference, the reference steps by the threshold, and the event time is the
 linear-interpolated crossing instant inside the integration step.
+
+Only pixels that can ever fire are stepped. Every pixel's state is
+independent and its reference starts at its own latent value, so a pixel
+whose latent value cannot move a full threshold over the whole orbit never
+emits. A pattern may expose
+
+    bounds(xs, ys, rx, ry) -> (lo, hi)
+
+returning arrays that enclose sample(xs - du, ys - dv) for every offset with
+|du| <= rx and |dv| <= ry. Before the time loop, a pixel is culled when
+contrast * (hi - lo) < threshold * (1 - 1e-9), the margin absorbing rounding
+in the bound. Patterns without bounds keep every pixel they cover. The
+surviving pixels are stepped as one vector in raster order, so the stream is
+byte-identical to stepping the whole frame.
 """
 
 from __future__ import annotations
@@ -23,6 +37,8 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_STEP_US = 50
 DEFAULT_REFRACTORY_US = 100
 DEFAULT_THRESHOLD = 0.2
+# relative slack on the threshold when culling pixels from pattern bounds
+_CULL_MARGIN = 1e-9
 
 
 def wrap_angle(phi: float) -> float:
@@ -223,6 +239,11 @@ def camera_offset(t, cfg: OscillatorConfig):
 # scene patterns (log intensity in [0, 1] before the contrast scale)
 
 
+def _edge_ramp(signed_dist, width):
+    """Unit ramp of width `width` centred on a shape boundary."""
+    return np.clip(signed_dist / width + 0.5, 0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class Checkerboard:
     period_px: float = 16.0
@@ -256,13 +277,26 @@ class Disks:
     edge_width_px: float = 1.0
     offset_px: float | None = None
 
-    def sample(self, xs, ys):
+    def _wrapped(self, c):
+        """Signed per-axis offset of c from the nearest disk centre."""
         p = self.pitch_px
         off = 0.5 * p if self.offset_px is None else self.offset_px
-        dx = np.mod(xs - off + 0.5 * p, p) - 0.5 * p
-        dy = np.mod(ys - off + 0.5 * p, p) - 0.5 * p
-        r = np.hypot(dx, dy)
-        return np.clip((self.radius_px - r) / self.edge_width_px + 0.5, 0.0, 1.0)
+        return np.mod(c - off + 0.5 * p, p) - 0.5 * p
+
+    def sample(self, xs, ys):
+        r = np.hypot(self._wrapped(xs), self._wrapped(ys))
+        return _edge_ramp(self.radius_px - r, self.edge_width_px)
+
+    def bounds(self, xs, ys, rx, ry):
+        # Over [c - r, c + r] the wrapped distance |d| to the nearest centre
+        # spans [max(|d| - r, 0), min(|d| + r, pitch/2)]; the radius is
+        # monotone in each axis distance, so the box extremes are the corners.
+        half = 0.5 * self.pitch_px
+        dx, dy = np.abs(self._wrapped(xs)), np.abs(self._wrapped(ys))
+        near = np.hypot(np.maximum(dx - rx, 0.0), np.maximum(dy - ry, 0.0))
+        far = np.hypot(np.minimum(dx + rx, half), np.minimum(dy + ry, half))
+        return (_edge_ramp(self.radius_px - far, self.edge_width_px),
+                _edge_ramp(self.radius_px - near, self.edge_width_px))
 
 
 @dataclass(frozen=True)
@@ -274,7 +308,7 @@ class Triangle:
     radius_px: float = 12.0
     edge_width_px: float = 1.0
 
-    def sample(self, xs, ys):
+    def _inner(self, xs, ys):
         x = xs - self.center_x
         y = ys - self.center_y
         inner = np.full(np.broadcast(x, y).shape, np.inf)
@@ -283,7 +317,17 @@ class Triangle:
             nx, ny = math.cos(ang), math.sin(ang)
             # distance inward from each edge line of the inscribed-circle triangle
             inner = np.minimum(inner, 0.5 * self.radius_px - (x * nx + y * ny))
-        return np.clip(inner / self.edge_width_px + 0.5, 0.0, 1.0)
+        return inner
+
+    def sample(self, xs, ys):
+        return _edge_ramp(self._inner(xs, ys), self.edge_width_px)
+
+    def bounds(self, xs, ys, rx, ry):
+        # a minimum of unit-normal distances is 1-Lipschitz
+        inner = self._inner(xs, ys)
+        reach = math.hypot(rx, ry)
+        return (_edge_ramp(inner - reach, self.edge_width_px),
+                _edge_ramp(inner + reach, self.edge_width_px))
 
 
 @dataclass(frozen=True)
@@ -377,8 +421,30 @@ def _plane_mask(region, geometry: SensorGeometry) -> np.ndarray:
     return mask
 
 
+def _active_pixels(planes, contrast: float, threshold: float, geometry: SensorGeometry):
+    """Raster-order (ys, xs, plane index) of the pixels that can ever fire.
+
+    A later plane owns the pixels it shares with an earlier one; pixels no
+    plane covers stay dark and never fire.
+    """
+    owner = np.full((geometry.height, geometry.width), -1)
+    for i, (region, _, _) in enumerate(planes):
+        owner[_plane_mask(region, geometry)] = i
+    ys, xs = np.nonzero(owner >= 0)
+    plane_of = owner[ys, xs]
+    active = np.ones(ys.shape[0], dtype=bool)
+    for i, (_, pattern, cfg) in enumerate(planes):
+        if hasattr(pattern, "bounds"):
+            own = np.flatnonzero(plane_of == i)
+            lo, hi = pattern.bounds(xs[own].astype(float), ys[own].astype(float),
+                                    cfg.amp_x_px, cfg.amp_y_px)
+            active[own] = contrast * (hi - lo) >= threshold * (1.0 - _CULL_MARGIN)
+    return ys[active], xs[active], plane_of[active]
+
+
 def _generate(
-    samplers,
+    planes,
+    contrast: float,
     geometry: SensorGeometry,
     duration_s: float,
     threshold: float,
@@ -390,25 +456,32 @@ def _generate(
 ) -> np.ndarray:
     """Run the threshold-crossing model.
 
-    samplers: list of (mask, field_fn) where field_fn(t_s) returns the latent
-    log intensity for the whole frame; masks partition the frame.
+    planes: list of (region, pattern, cfg); the latent log intensity of a
+    plane's pixel is contrast * pattern.sample(p - camera_offset(t, cfg)).
     """
     if threshold <= 0:
         raise ConfigError(f"contrast threshold must be positive, got {threshold}")
     if duration_s <= 0:
         raise ConfigError(f"duration must be positive, got {duration_s}")
     h, w = geometry.height, geometry.width
+    ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
+    members = []
+    for i, (_, pattern, cfg) in enumerate(planes):
+        idx = np.flatnonzero(plane_of == i)
+        if idx.size:
+            members.append((idx, xs[idx].astype(float), ys[idx].astype(float), pattern, cfg))
 
     def latent(t_s: float) -> np.ndarray:
-        out = np.zeros((h, w))
-        for mask, field_fn in samplers:
-            out[mask] = field_fn(t_s)[mask]
+        out = np.empty(ys.shape[0])
+        for idx, px, py, pattern, cfg in members:
+            du, dv = camera_offset(t_s, cfg)
+            out[idx] = contrast * pattern.sample(px - du, py - dv)
         return out
 
     n_steps = int(round(duration_s * 1e6 / step_us))
     l_prev = latent(0.0)
     l_ref = l_prev.copy()
-    last_emit = np.full((h, w), -1e18)
+    last_emit = np.full(ys.shape[0], -1e18)
     ts_list, xs_list, ys_list, ps_list = [], [], [], []
 
     for i in range(n_steps):
@@ -422,17 +495,18 @@ def _generate(
             pol = np.sign(delta)
             rise = l_now - l_prev
             for k in range(1, int(n_cross.max()) + 1):
-                yy, xx = np.nonzero(n_cross >= k)
-                level = l_ref[yy, xx] + pol[yy, xx] * (k * threshold)
-                frac = (level - l_prev[yy, xx]) / rise[yy, xx]
+                idx = np.flatnonzero(n_cross >= k)
+                level = l_ref[idx] + pol[idx] * (k * threshold)
+                frac = (level - l_prev[idx]) / rise[idx]
                 t_ev = t0 + np.clip(frac, 0.0, 1.0) * step_us
-                ok = t_ev >= last_emit[yy, xx] + refractory_us
+                ok = t_ev >= last_emit[idx] + refractory_us
                 if ok.any():
+                    idx = idx[ok]
                     ts_list.append(t_ev[ok])
-                    xs_list.append(xx[ok])
-                    ys_list.append(yy[ok])
-                    ps_list.append(pol[yy, xx][ok])
-                    last_emit[yy[ok], xx[ok]] = t_ev[ok]
+                    xs_list.append(xs[idx])
+                    ys_list.append(ys[idx])
+                    ps_list.append(pol[idx])
+                    last_emit[idx] = t_ev[ok]
             l_ref += pol * n_cross * threshold
         l_prev = l_now
 
@@ -473,25 +547,17 @@ def simulate(
     other planes scale by depth_0/depth_i. Identical inputs and seed produce a
     byte-identical stream.
     """
-    xs, ys = np.meshgrid(np.arange(geometry.width, dtype=float),
-                         np.arange(geometry.height, dtype=float))
     z0 = scene.depth_planes[0].depth_m
-    samplers = []
+    planes = []
     truth = []
     for plane in scene.depth_planes:
         plane_cfg = cfg.scaled(z0 / plane.depth_m)
         pattern = plane.pattern if plane.pattern is not None else scene.pattern
-        mask = _plane_mask(plane.region, geometry)
-
-        def field_fn(t_s, pattern=pattern, plane_cfg=plane_cfg):
-            du, dv = camera_offset(t_s, plane_cfg)
-            return scene.contrast * pattern.sample(xs - du, ys - dv)
-
-        samplers.append((mask, field_fn))
+        planes.append((plane.region, pattern, plane_cfg))
         truth.append(plane_cfg)
 
     events = _generate(
-        samplers, geometry, duration_s, threshold, step_us, refractory_us,
+        planes, scene.contrast, geometry, duration_s, threshold, step_us, refractory_us,
         np.random.default_rng(seed), noise_rate_hz,
     )
     return SimOutput(events=events, truth=truth, geometry=geometry, scene=scene)
@@ -525,16 +591,8 @@ def simulate_moving_target(
         amp_x_px=path_radius_px, amp_y_px=path_radius_px,
         omega=omega, phi_x=0.0, phi_y=-math.pi / 2.0,
     )
-    xs, ys = np.meshgrid(np.arange(geometry.width, dtype=float),
-                         np.arange(geometry.height, dtype=float))
-
-    def field_fn(t_s):
-        du, dv = camera_offset(t_s, cfg)
-        return contrast * pattern.sample(xs - du, ys - dv)
-
-    mask = np.ones((geometry.height, geometry.width), dtype=bool)
     events = _generate(
-        [(mask, field_fn)], geometry, duration_s, threshold, step_us,
+        [(None, pattern, cfg)], contrast, geometry, duration_s, threshold, step_us,
         refractory_us, np.random.default_rng(seed), noise_rate_hz,
     )
     scene = SceneSpec(pattern=pattern, contrast=contrast)

@@ -81,6 +81,10 @@ class CentroidTracker:
             raise OrderingError(f"tracker fed t={t_us} after t={self._t_last}")
         if not self.patch.contains(x, y):
             return None
+        return self._step(t_us, x, y)
+
+    def _step(self, t_us: int, x: float, y: float):
+        """Update with one in-patch event that is not earlier than the last."""
         if self._t_last is None:
             decay = 1.0
             self._t_start = t_us
@@ -103,10 +107,14 @@ class CentroidTracker:
         """Run over a sorted event stream; returns emitted samples."""
         inside = self.patch.contains(events["x"], events["y"])
         sub = events[inside]
+        ts = sub["t"]
+        if ts.size and (np.any(ts[1:] < ts[:-1])
+                        or (self._t_last is not None and ts[0] < self._t_last)):
+            raise OrderingError("tracker fed an event stream out of time order")
         out = []
-        ingest = self.ingest
-        for t, x, y in zip(sub["t"].tolist(), sub["x"].tolist(), sub["y"].tolist()):
-            s = ingest(t, x, y)
+        step = self._step
+        for t, x, y in zip(ts.tolist(), sub["x"].tolist(), sub["y"].tolist()):
+            s = step(t, x, y)
             if s is not None:
                 out.append(s)
         return samples_array(out)

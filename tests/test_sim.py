@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import solve_ivp
 from evosc.core import SensorGeometry, validate_events
 from evosc.errors import BehindCameraError, ConfigError, ResonanceError
 from evosc.sim import (
+    DEFAULT_THRESHOLD,
     Bitmap,
     Checkerboard,
     DepthPlane,
@@ -20,6 +22,7 @@ from evosc.sim import (
     Stripes,
     Triangle,
     WorldMotion,
+    _active_pixels,
     camera_offset,
     motor_speed,
     project,
@@ -257,6 +260,47 @@ def test_triangle_bright_inside_dark_outside():
     assert p.sample(np.array([0.0]), np.array([-20.0]))[0] == 0.0
 
 
+# rounding slack between a bound and a sample, well inside the simulator's
+# 1e-9 relative culling margin
+BOUND_TOL = 1e-12
+unit = st.floats(-1.0, 1.0)
+reach = st.floats(0.0, 12.0)
+pixel = st.integers(-20, 120)
+
+
+@given(pitch=st.floats(2.0, 80.0), offset=st.floats(-100.0, 100.0),
+       radius=st.floats(0.2, 30.0), edge=st.floats(0.05, 8.0),
+       x=pixel, y=pixel, rx=reach, ry=reach, fu=unit, fv=unit)
+@settings(max_examples=300, deadline=None)
+def test_disks_bounds_enclose_orbit_samples(pitch, offset, radius, edge, x, y, rx, ry, fu, fv):
+    p = Disks(radius_px=radius, pitch_px=pitch, edge_width_px=edge, offset_px=offset)
+    lo, hi = p.bounds(np.array([float(x)]), np.array([float(y)]), rx, ry)
+    v = p.sample(np.array([x - fu * rx]), np.array([y - fv * ry]))[0]
+    assert lo[0] - BOUND_TOL <= v <= hi[0] + BOUND_TOL
+
+
+@given(cx=st.floats(-40.0, 40.0), cy=st.floats(-40.0, 40.0), radius=st.floats(1.0, 30.0),
+       edge=st.floats(0.05, 8.0), x=pixel, y=pixel, rx=reach, ry=reach, fu=unit, fv=unit)
+@settings(max_examples=300, deadline=None)
+def test_triangle_bounds_enclose_orbit_samples(cx, cy, radius, edge, x, y, rx, ry, fu, fv):
+    p = Triangle(center_x=cx, center_y=cy, radius_px=radius, edge_width_px=edge)
+    lo, hi = p.bounds(np.array([float(x)]), np.array([float(y)]), rx, ry)
+    v = p.sample(np.array([x - fu * rx]), np.array([y - fv * ry]))[0]
+    assert lo[0] - BOUND_TOL <= v <= hi[0] + BOUND_TOL
+
+
+def test_disks_bounds_are_attained_on_the_box():
+    """The Disks range is exact: a dense grid over the offset box reaches it."""
+    p = Disks(radius_px=3.0, pitch_px=12.0, edge_width_px=8.0, offset_px=1.5)
+    rx, ry = 2.0, 1.0
+    du, dv = np.meshgrid(np.linspace(-rx, rx, 401), np.linspace(-ry, ry, 201))
+    for x, y in [(4.0, 2.0), (7.5, 7.5), (0.0, 9.0), (13.0, 1.0)]:
+        lo, hi = p.bounds(np.array([x]), np.array([y]), rx, ry)
+        v = p.sample(x - du, y - dv)
+        assert v.min() == pytest.approx(lo[0], abs=1e-6)
+        assert v.max() == pytest.approx(hi[0], abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # event generation
 
@@ -396,3 +440,101 @@ def test_simulate_rejects_bad_duration_and_threshold():
         simulate(SceneSpec(), cfg, geom, duration_s=0.0)
     with pytest.raises(ConfigError):
         simulate(SceneSpec(), cfg, geom, duration_s=0.1, threshold=0.0)
+
+
+# ---------------------------------------------------------------------------
+# frozen streams: sha256 of simulate output as full-frame stepping produced
+# it; stepping only the active pixels must reproduce every byte. Any change to
+# event order, timing or noise draws changes a digest.
+
+
+def _circular(amp, phase=0.4):
+    return OscillatorConfig(amp_x_px=amp, amp_y_px=amp, omega=100.0 * math.pi,
+                            phi_x=phase, phi_y=phase - math.pi / 2.0)
+
+
+def _step_edge():
+    img = np.zeros((32, 32))
+    img[:, 16:] = 1.0
+    return img
+
+
+G32 = SensorGeometry(width=32, height=32)
+SMALL_DISKS = Disks(radius_px=4.0, pitch_px=16.0, offset_px=8.0)
+
+FROZEN_SCENES = {
+    "disk": lambda: simulate(
+        SceneSpec(pattern=Disks(pitch_px=1000.0, offset_px=16.0), contrast=1.0),
+        _circular(2.0), G32, duration_s=0.2, seed=0),
+    "default_disks_noise": lambda: simulate(
+        SceneSpec(pattern=Disks(), contrast=2.0), _circular(3.0, phase=-1.1), G32,
+        duration_s=0.1, seed=4, noise_rate_hz=30.0),
+    "two_planes": lambda: simulate(
+        SceneSpec(pattern=Disks(radius_px=3.0, pitch_px=24.0, offset_px=12.0), contrast=2.0,
+                  depth_planes=(DepthPlane(depth_m=1.0, region=(0, 0, 24, 48)),
+                                DepthPlane(depth_m=0.5, region=(24, 0, 48, 48)))),
+        _circular(1.2, phase=2.0), SensorGeometry(width=48, height=48), duration_s=0.1, seed=11),
+    "overlapping_planes": lambda: simulate(
+        SceneSpec(pattern=SMALL_DISKS, contrast=1.5,
+                  depth_planes=(DepthPlane(depth_m=1.0, region=(0, 0, 20, 32)),
+                                DepthPlane(depth_m=2.0, region=(12, 0, 32, 32),
+                                           pattern=Triangle(center_x=22.0, center_y=16.0,
+                                                            radius_px=10.0)))),
+        _circular(2.5), G32, duration_s=0.1, seed=1),
+    "uncovered_region": lambda: simulate(
+        SceneSpec(pattern=SMALL_DISKS, contrast=1.0,
+                  depth_planes=(DepthPlane(region=(3, 5, 27, 22)),)),
+        _circular(2.0, phase=-0.3), G32, duration_s=0.1, seed=2, noise_rate_hz=20.0),
+    "zero_amplitude": lambda: simulate(
+        SceneSpec(pattern=Disks(), contrast=1.0),
+        OscillatorConfig(amp_x_px=0.0, amp_y_px=0.0, omega=10.0), G32,
+        duration_s=0.1, seed=5, noise_rate_hz=40.0),
+    "checkerboard_noise": lambda: simulate(
+        SceneSpec(pattern=Checkerboard(), contrast=2.0), _circular(3.0, phase=1.3), G32,
+        duration_s=0.1, seed=6, noise_rate_hz=50.0),
+    # pixels on the ramp swing 1.05 thresholds from an orbit extreme: culling
+    # must keep them
+    "near_threshold": lambda: simulate(
+        SceneSpec(pattern=Disks(radius_px=8.0, pitch_px=1000.0, edge_width_px=8.0,
+                                offset_px=16.0), contrast=0.84),
+        OscillatorConfig(amp_x_px=1.0, amp_y_px=0.0, omega=100.0 * math.pi), G32,
+        duration_s=0.1, seed=0),
+    "moving_triangle": lambda: simulate_moving_target(10.0, 3.0, G32, duration_s=0.1, seed=0),
+    "bitmap": lambda: simulate(
+        SceneSpec(pattern=Bitmap(image=_step_edge()), contrast=1.0),
+        OscillatorConfig(amp_x_px=3.0, amp_y_px=0.0, omega=2.0 * math.pi * 20.0), G32,
+        duration_s=0.2, seed=0),
+}
+
+FROZEN_SHA256 = {
+    "bitmap": "fc94d44723409b136180f12df5dadfbfdf175bf33f5d9dce25e75bcb2852c382",
+    "checkerboard_noise": "54b7509b78993fe18340a32eff4c18fc78c8f465cd9b83a15d748d992efeb879",
+    "default_disks_noise": "9a8cddc497b3ccccb517065cff05d47d400f67e91a46796d1a88c5957eb85f4e",
+    "disk": "2970d35e2de4de9523aec23113358351469371d0521b67e7472de12d509c6e5a",
+    "moving_triangle": "419866e8aaa8c28e2950e604546c83a52f697aad710d507079eb3d14643c6450",
+    "near_threshold": "8408d6ec5e05910c103a7a538a64ebb69917d516db2c2e7c3967d97a28c25eac",
+    "overlapping_planes": "8c39bd6056d64cc6c44dc8b8d136870dc7dfa85262da6c09f47d2a7b930898a5",
+    "two_planes": "d98f89c1338b05dbdcfba9b2865960f4b829cbd6905aed10cc281a2f5fd9de11",
+    "uncovered_region": "aae659aac47623a6ea16ecfa3efb0264633a21be1ff6dd29b45afd6b7f8335ec",
+    "zero_amplitude": "cd963b4e036d02b4054039b4ddd349a453315e37b99c739f5a7f33839fa386dd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SCENES))
+def test_stream_matches_frozen_digest(name):
+    events = FROZEN_SCENES[name]().events
+    assert hashlib.sha256(events.tobytes()).hexdigest() == FROZEN_SHA256[name]
+
+
+def test_active_set_covers_fired_pixels_and_culls_the_rest():
+    scene = SceneSpec(pattern=Disks(pitch_px=1000.0, offset_px=16.0), contrast=1.0)
+    cfg = _circular(2.0)
+    planes = [(None, scene.pattern, cfg)]
+    ys, xs, _ = _active_pixels(planes, scene.contrast, DEFAULT_THRESHOLD, G32)
+    active = np.zeros((32, 32), dtype=bool)
+    active[ys, xs] = True
+    fired = np.zeros((32, 32), dtype=bool)
+    ev = simulate(scene, cfg, G32, duration_s=0.05).events
+    fired[ev["y"], ev["x"]] = True
+    assert not np.any(fired & ~active)
+    assert active.mean() < 0.25

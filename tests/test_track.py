@@ -95,6 +95,18 @@ class TestCentroidTracker:
         with pytest.raises(OrderingError):
             tracker.ingest(99, 16.0, 16.0)
 
+    @pytest.mark.parametrize("first, second", [([100, 99], []), ([100], [99])])
+    def test_run_rejects_backwards_in_patch_time(self, first, second):
+        def events(ts):
+            ev = np.zeros(len(ts), dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
+            ev["t"], ev["x"], ev["y"] = ts, 16, 16
+            return ev
+
+        tracker = self.make()
+        with pytest.raises(OrderingError):
+            tracker.run(events(first))
+            tracker.run(events(second))
+
     def test_min_weight_gates_emission(self):
         # events 10 tau apart: weight never accumulates past ~1
         tracker = self.make(min_weight=5.0, tau_s=0.001)
