@@ -32,13 +32,12 @@ from .errors import ConfigError, InsufficientDataError, StageError, UnreliableEs
 from .freqest import (
     DEFAULT_BAND,
     DEFAULT_GRID_POINTS,
+    DEFAULT_NUM_PEAKS,
     InitResult,
+    _axis_peaks,
     fit_sinusoid,
     fuse_axis_peaks,
     initialize,
-    normalize,
-    nudft_spectrum,
-    top_peaks,
 )
 from .io import write_events
 from .sim import (
@@ -57,8 +56,10 @@ from .track import (
     DEFAULT_EMIT_PERIOD_S,
     DEFAULT_MIN_WEIGHT,
     DEFAULT_TAU_S,
+    DEFAULT_WARMUP_TAUS,
     CentroidTracker,
     PatchSpec,
+    lowpass_gain,
     track_events,
     write_samples_csv,
 )
@@ -111,7 +112,7 @@ def estimate_motion(
     """
     noise = noise or NoiseConfig()
     if warmup_s is None:
-        warmup_s = 3.0 * tau_s
+        warmup_s = DEFAULT_WARMUP_TAUS * tau_s
     tracker = CentroidTracker(
         patch, tau_s=tau_s, emit_period_s=emit_period_s,
         min_weight=min_weight, tracker_id=tracker_id, warmup_s=warmup_s,
@@ -185,7 +186,7 @@ def estimate_scene_frequency(
     if events.shape[0] == 0:
         raise InsufficientDataError("empty event stream")
     if warmup_s is None:
-        warmup_s = 3.0 * tau_s
+        warmup_s = DEFAULT_WARMUP_TAUS * tau_s
     t0, t1 = int(events["t"][0]), int(events["t"][-1])
     if t1 <= t0:
         raise InsufficientDataError("event stream has zero time span")
@@ -203,8 +204,8 @@ def estimate_scene_frequency(
         samples = tracker.run(segment)
         if samples.shape[0] < 8:
             raise InsufficientDataError(f"trial {i} produced {samples.shape[0]} samples")
-        peaks_u = _trial_peaks(samples, "u", band, grid_points)
-        peaks_v = _trial_peaks(samples, "v", band, grid_points)
+        peaks_u = _axis_peaks(samples, "u", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
+        peaks_v = _axis_peaks(samples, "v", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
         omega = fuse_axis_peaks(peaks_u, peaks_v)
         if refine:
             omega = _refine_omega(samples, omega, band, grid_points)
@@ -224,16 +225,6 @@ def estimate_scene_frequency(
     if truth_hz is not None:
         report.abs_error_hz = float(np.mean(np.abs(np.asarray(per_trial) - truth_hz)))
     return report
-
-
-def _trial_peaks(samples, axis, band, grid_points):
-    from .errors import NoPeakError
-
-    try:
-        series = normalize(samples, axis)
-        return top_peaks(nudft_spectrum(series, band, grid_points))
-    except (InsufficientDataError, NoPeakError):
-        return []
 
 
 def _refine_omega(samples, omega, band, grid_points, span_bins: float = 2.0) -> float:
@@ -312,9 +303,8 @@ def _converged_amplitude(est: MotionEstimate) -> PlaneEstimate:
     amp_u = float(np.mean(np.hypot(est.trace_u["a"][start:], est.trace_u["b"][start:])))
     amp_v = float(np.mean(np.hypot(est.trace_v["a"][start:], est.trace_v["b"][start:])))
     omega = float(np.mean(est.trace_v["omega"][start:]))
-    gain = 1.0 / math.sqrt(1.0 + (omega * est.tracker_tau_s) ** 2)
     return PlaneEstimate(
-        amplitude_px=math.hypot(amp_u, amp_v) / gain,
+        amplitude_px=math.hypot(amp_u, amp_v) / lowpass_gain(omega, est.tracker_tau_s),
         converged_at_us=int(est.trace_u["t"][start]),
         omega=omega,
     )
@@ -600,7 +590,7 @@ def _run_stage(stage, config, ctx, out, seed, manifest):
                 emit_period_s=float(tcfg.get("emit_period_s", DEFAULT_EMIT_PERIOD_S)),
                 min_weight=float(tcfg.get("min_weight", DEFAULT_MIN_WEIGHT)),
                 tracker_id=i,
-                warmup_s=float(tcfg.get("warmup_s", 3.0 * tau)),
+                warmup_s=float(tcfg.get("warmup_s", DEFAULT_WARMUP_TAUS * tau)),
             )
             for i, p in enumerate(patches)
         ]

@@ -32,6 +32,7 @@ from .io import read_events, write_events
 from .metrics import stream_metrics, write_metrics_csv
 from .sim import simulate, simulate_moving_target
 from .track import (
+    DEFAULT_WARMUP_TAUS,
     CentroidTracker,
     PatchSpec,
     read_samples_csv,
@@ -87,6 +88,7 @@ def _cmd_track(args) -> int:
     tracker = CentroidTracker(
         _patch_from_args(args),
         tau_s=args.tau, emit_period_s=args.emit_period, min_weight=args.min_weight,
+        warmup_s=DEFAULT_WARMUP_TAUS * args.tau,
     )
     samples = track_events(events, [tracker])
     write_samples_csv(args.out, samples)

@@ -1,29 +1,35 @@
 """Per-event motion compensation.
 
 Each event is moved back into the virtual (static) camera frame by
-subtracting the predicted oscillatory offset at its timestamp. The hot path
-is fully vectorized: one phase evaluation and one cosine per axis per event.
+subtracting the predicted oscillatory offset at its timestamp: one phase
+evaluation and one cosine per axis per event, vectorized over the stream.
 Compensated coordinates are kept both real-valued and rounded; rounded
 coordinates falling outside the sensor are clamped and flagged rather than
 dropped, so event count and order are always preserved.
+
+Tracking mode maps each event with the filter state after the last sample
+strictly before it. It walks the samples once, advancing the caller's
+states in place and recording the phasor after each sample, then expands
+that table to one phasor per event by run length (events must be in time
+order, as every stream is); no events are buffered between samples. A stream
+cut into consecutive chunks, with the states carried from chunk to chunk,
+compensates bit-identically to one call over the whole stream.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import EVENT_DTYPE, SensorGeometry
-from .ekf import NoiseConfig, SinusoidState, predict, update
-from .errors import BufferOverflowError, ConfigError
+from .ekf import NoiseConfig, SinusoidState, phasor, phasor_offset, predict, update
+from .errors import ConfigError
 from .freqest import SinusoidInit
-from .sim import OscillatorConfig
+from .io import _write_lines
+from .sim import OscillatorConfig, wrap_angle
 from .track import delag_coefficients
-
-DEFAULT_BUFFER_CAPACITY = 1 << 22
 
 
 @dataclass
@@ -53,28 +59,12 @@ class CompensatedEvents:
         return out
 
 
-def _phasor(state: SinusoidState) -> tuple[float, float, float, float]:
-    """(amplitude, phase_at_theta0, omega, t0_us) for single-cosine evaluation."""
-    amp = math.hypot(state.a, state.b)
-    # a*sin(th) + b*cos(th) = amp*cos(th - psi), psi = atan2(a, b)
-    psi = math.atan2(state.a, state.b) if amp > 0 else 0.0
-    return amp, state.theta - psi, state.omega, float(state.t_us)
-
-
-def _offsets(state: SinusoidState, t: np.ndarray) -> np.ndarray:
-    amp, phase0, omega, t0 = _phasor(state)
-    return amp * np.cos(phase0 + omega * 1e-6 * (t - t0))
-
-
-def _delagged(state: SinusoidState, lag_tau_s: float | None) -> SinusoidState:
-    if not lag_tau_s:
-        return state
-    a, b = delag_coefficients(state.a, state.b, state.omega, lag_tau_s)
-    out = SinusoidState(
-        theta=state.theta, omega=state.omega, a=a, b=b, c=state.c,
-        covariance=state.covariance, t_us=state.t_us,
-    )
-    return out
+def _delagged_phasor(state: SinusoidState, lag_tau_s: float | None):
+    """phasor() of the state with the centroid window's lag removed when lag_tau_s is set."""
+    if lag_tau_s:
+        a, b = delag_coefficients(state.a, state.b, state.omega, lag_tau_s)
+        state = state.snapshot()._replace(a=a, b=b)
+    return phasor(state)
 
 
 def compensate_stream(
@@ -86,37 +76,34 @@ def compensate_stream(
     samples: np.ndarray | None = None,
     noise: NoiseConfig | None = None,
     lag_tau_s: float | None = None,
-    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
 ) -> CompensatedEvents:
     """Map events into the virtual static frame.
 
     fixed_state mode extrapolates the given filter states across the whole
-    stream. tracking mode interleaves centroid samples by timestamp, updating
-    the u/v filters as it goes, so later events use fresher states; events
-    between consecutive samples are buffered and flushed vectorized, bounded
-    by buffer_capacity. lag_tau_s, when given, removes the centroid window's
+    stream. tracking mode maps each event with the state after the last
+    sample strictly before it (the given state before the first sample), and
+    advances state_u/state_v in place through every sample: on return they
+    equal filter_samples' final states, ready to carry into the next chunk of
+    a stream. lag_tau_s, when given, removes the centroid window's
     first-order gain and phase lag from the states before they are applied.
     """
-    if mode == "fixed_state":
-        comp = _compensate_block(events, _delagged(state_u, lag_tau_s),
-                                 _delagged(state_v, lag_tau_s), geometry)
-    elif mode == "tracking":
-        if samples is None or noise is None:
-            raise ConfigError("tracking mode requires samples and noise config")
-        comp = _compensate_tracking(
-            events, state_u, state_v, geometry, samples, noise, lag_tau_s, buffer_capacity
-        )
-    else:
-        raise ConfigError(f"unknown compensation mode {mode!r}")
-    return comp
-
-
-def _compensate_block(events, state_u, state_v, geometry) -> CompensatedEvents:
     t = events["t"].astype(np.float64)
     x = events["x"].astype(np.float64)
     y = events["y"].astype(np.float64)
-    x -= _offsets(state_u, t)
-    y -= _offsets(state_v, t)
+    if mode == "fixed_state":
+        x -= phasor_offset(*_delagged_phasor(state_u, lag_tau_s), t)
+        y -= phasor_offset(*_delagged_phasor(state_v, lag_tau_s), t)
+    elif mode == "tracking":
+        if samples is None or noise is None:
+            raise ConfigError("tracking mode requires samples and noise config")
+        table = _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s)
+        # column j serves the events after sample j - 1, up to and including sample j
+        bounds = np.searchsorted(events["t"], samples["t"], side="right")
+        counts = np.diff(bounds, prepend=0, append=events.shape[0])
+        x -= phasor_offset(*np.repeat(table[:4], counts, axis=1), t)
+        y -= phasor_offset(*np.repeat(table[4:], counts, axis=1), t)
+    else:
+        raise ConfigError(f"unknown compensation mode {mode!r}")
     xi = np.rint(x).astype(np.int32)
     yi = np.rint(y).astype(np.int32)
     oob = (xi < 0) | (xi >= geometry.width) | (yi < 0) | (yi >= geometry.height)
@@ -128,67 +115,26 @@ def _compensate_block(events, state_u, state_v, geometry) -> CompensatedEvents:
     )
 
 
-def _compensate_tracking(
-    events, state_u, state_v, geometry, samples, noise, lag_tau_s, buffer_capacity
-) -> CompensatedEvents:
-    parts = []
-    t_ev = events["t"]
-    cursor = 0
-    n = events.shape[0]
-    for s in samples:
-        ts = int(s["t"])
-        stop = int(np.searchsorted(t_ev, ts, side="right"))
-        if stop - cursor > buffer_capacity:
-            raise BufferOverflowError(
-                f"{stop - cursor} events buffered between samples exceeds "
-                f"capacity {buffer_capacity}"
-            )
-        if stop > cursor:
-            parts.append(
-                _compensate_block(
-                    events[cursor:stop], _delagged(state_u, lag_tau_s),
-                    _delagged(state_v, lag_tau_s), geometry,
-                )
-            )
-            cursor = stop
-        predict(state_u, ts, noise)
-        predict(state_v, ts, noise)
-        update(state_u, float(s["u"]), noise)
-        update(state_v, float(s["v"]), noise)
-    if n - cursor > buffer_capacity:
-        raise BufferOverflowError(
-            f"{n - cursor} trailing events exceed capacity {buffer_capacity}"
-        )
-    if cursor < n:
-        parts.append(
-            _compensate_block(
-                events[cursor:], _delagged(state_u, lag_tau_s),
-                _delagged(state_v, lag_tau_s), geometry,
-            )
-        )
-    if not parts:
-        empty = _compensate_block(events[:0], state_u, state_v, geometry)
-        return empty
-    return CompensatedEvents(
-        t=np.concatenate([p.t for p in parts]),
-        x=np.concatenate([p.x for p in parts]),
-        y=np.concatenate([p.y for p in parts]),
-        xi=np.concatenate([p.xi for p in parts]),
-        yi=np.concatenate([p.yi for p in parts]),
-        polarity=np.concatenate([p.polarity for p in parts]),
-        out_of_bounds=np.concatenate([p.out_of_bounds for p in parts]),
-    )
+def _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s):
+    """(8, n_samples + 1) table, u then v phasor: column 0 from the given
+    states, column i + 1 after sample i."""
+    rows = [(*_delagged_phasor(state_u, lag_tau_s), *_delagged_phasor(state_v, lag_tau_s))]
+    for t, u, v in zip(samples["t"].tolist(), samples["u"].tolist(), samples["v"].tolist()):
+        predict(state_u, t, noise)
+        predict(state_v, t, noise)
+        update(state_u, u, noise)
+        update(state_v, v, noise)
+        rows.append((*_delagged_phasor(state_u, lag_tau_s), *_delagged_phasor(state_v, lag_tau_s)))
+    return np.array(rows, dtype=np.float64).T
 
 
 def states_from_config(cfg: OscillatorConfig, t_ref_us: int = 0) -> tuple[SinusoidState, SinusoidState]:
     """Exact filter states equivalent to a known oscillation (for closed loops)."""
 
     def mk(amp: float, phi: float) -> SinusoidState:
-        theta = cfg.omega * t_ref_us * 1e-6 + phi
-        theta -= 2.0 * math.pi * math.ceil((theta - math.pi) / (2.0 * math.pi))
         return SinusoidState(
-            theta=theta, omega=cfg.omega, a=0.0, b=amp, c=0.0,
-            covariance=np.zeros((5, 5)), t_us=int(t_ref_us),
+            theta=wrap_angle(cfg.omega * t_ref_us * 1e-6 + phi), omega=cfg.omega,
+            a=0.0, b=amp, c=0.0, covariance=np.zeros((5, 5)), t_us=int(t_ref_us),
         )
 
     return mk(cfg.amp_x_px, cfg.phi_x), mk(cfg.amp_y_px, cfg.phi_y)
@@ -213,11 +159,11 @@ def throughput_bench(
     """Time the fixed-state hot path; returns mean/std ns per event."""
     if repeats < 1:
         raise ConfigError("repeats must be at least 1")
-    _compensate_block(events, state_u, state_v, geometry)  # warm cache
+    compensate_stream(events, state_u, state_v, geometry)  # warm cache
     per_event = []
     for _ in range(repeats):
         t0 = time.perf_counter_ns()
-        _compensate_block(events, state_u, state_v, geometry)
+        compensate_stream(events, state_u, state_v, geometry)
         t1 = time.perf_counter_ns()
         per_event.append((t1 - t0) / events.shape[0])
     per_event = np.asarray(per_event)
@@ -232,14 +178,7 @@ def throughput_bench(
 
 def write_compensated_csv(dest, comp: CompensatedEvents) -> None:
     """Real-valued CSV variant: t_us,x,y,p with three decimals."""
-    lines = ["t_us,x,y,p"]
-    lines.extend(
+    _write_lines(dest, "t_us,x,y,p", (
         f"{int(t)},{x:.3f},{y:.3f},{int(p)}"
         for t, x, y, p in zip(comp.t, comp.x, comp.y, comp.polarity)
-    )
-    payload = ("\n".join(lines) + "\n").encode()
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(payload)
+    ))

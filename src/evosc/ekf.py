@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ConfigError, NumericalDegeneracyError, OrderingError
 from .freqest import SinusoidInit
+from .io import _write_lines
+from .sim import wrap_angle as wrap_theta
 
 GATE_SIGMAS = 5.0
 
@@ -80,11 +82,6 @@ class SinusoidState:
 
     def snapshot(self) -> StateSnapshot:
         return StateSnapshot(self.theta, self.omega, self.a, self.b, self.c, self.t_us)
-
-
-def wrap_theta(theta: float) -> float:
-    """Wrap the phase state to (-pi, pi]."""
-    return theta - 2.0 * math.pi * math.ceil((theta - math.pi) / (2.0 * math.pi))
 
 
 def init(
@@ -173,6 +170,23 @@ def amplitude_phase(state: SinusoidState | StateSnapshot) -> tuple[float, float]
     return amp, math.atan2(state.b, state.a)
 
 
+def phasor(state: SinusoidState | StateSnapshot) -> tuple[float, float, float, float]:
+    """(amp, phase0, omega_per_us, t0_us) of the oscillatory part of h(x).
+
+    a*sin(theta) + b*cos(theta) = amp*cos(theta - psi) with psi = atan2(a, b),
+    so the offset at time t is phasor_offset(amp, phase0, omega_per_us, t0_us, t).
+    Scalar math, so a phasor is the same to the last bit however it is batched.
+    """
+    amp = math.hypot(state.a, state.b)
+    psi = math.atan2(state.a, state.b) if amp > 0 else 0.0
+    return amp, state.theta - psi, state.omega * 1e-6, float(state.t_us)
+
+
+def phasor_offset(amp, phase0, omega_per_us, t0_us, t_us):
+    """amp*cos(phase0 + omega_per_us*(t - t0)), t in us; arguments broadcast elementwise."""
+    return amp * np.cos(phase0 + omega_per_us * (t_us - t0_us))
+
+
 def predict_offset(
     state_u: SinusoidState | StateSnapshot,
     state_v: SinusoidState | StateSnapshot,
@@ -185,11 +199,7 @@ def predict_offset(
     snapshots are passed.
     """
     t = np.asarray(t_us, dtype=np.float64)
-    th_u = state_u.theta + state_u.omega * (t - state_u.t_us) * 1e-6
-    th_v = state_v.theta + state_v.omega * (t - state_v.t_us) * 1e-6
-    du = state_u.a * np.sin(th_u) + state_u.b * np.cos(th_u)
-    dv = state_v.a * np.sin(th_v) + state_v.b * np.cos(th_v)
-    return du, dv
+    return phasor_offset(*phasor(state_u), t), phasor_offset(*phasor(state_v), t)
 
 
 def filter_samples(
@@ -208,15 +218,8 @@ def filter_samples(
 
 
 def write_trace_csv(dest, trace: np.ndarray) -> None:
-    lines = ["t_us,theta,omega,a,b,c,innovation"]
-    lines.extend(
+    _write_lines(dest, "t_us,theta,omega,a,b,c,innovation", (
         f"{int(r['t'])},{r['theta']:.9g},{r['omega']:.9g},{r['a']:.9g},"
         f"{r['b']:.9g},{r['c']:.9g},{r['innovation']:.9g}"
         for r in trace
-    )
-    payload = ("\n".join(lines) + "\n").encode()
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(payload)
+    ))

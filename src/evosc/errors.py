@@ -62,10 +62,6 @@ class UnreliableEstimateError(EvoscError):
     """Estimator failed its convergence gate; the result would be meaningless."""
 
 
-class BufferOverflowError(EvoscError):
-    """Streaming buffer exceeded its configured capacity."""
-
-
 class StageError(EvoscError):
     """Pipeline stage failure, tagged with the stage name."""
 

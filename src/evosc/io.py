@@ -17,6 +17,7 @@ event, polarity written as 1 or -1.
 from __future__ import annotations
 
 import io as _io
+import os
 import struct
 from pathlib import Path
 
@@ -49,11 +50,9 @@ def write_events(
         ) + events.astype(EVENT_DTYPE, copy=False).tobytes()
         _write_bytes(dest, payload)
     elif fmt == "csv":
-        lines = [CSV_HEADER]
-        lines.extend(
+        _write_lines(dest, CSV_HEADER, (
             f"{int(e['t'])},{int(e['x'])},{int(e['y'])},{int(e['p'])}" for e in events
-        )
-        _write_bytes(dest, ("\n".join(lines) + "\n").encode())
+        ))
     else:
         raise ConfigError(f"unknown event format {fmt!r}")
 
@@ -168,8 +167,13 @@ def _locate_csv_error(text: str, body_start: int, bad_line: int | None = None):
     raise FormatError("malformed CSV body", offset=body_start)
 
 
+def _write_lines(dest, header: str, rows) -> None:
+    """The package's text writer: a header then one row per line, each ending in a newline."""
+    _write_bytes(dest, ("\n".join([header, *rows]) + "\n").encode())
+
+
 def _write_bytes(dest, payload: bytes) -> None:
-    if isinstance(dest, (str, Path)):
+    if isinstance(dest, (str, os.PathLike)):
         Path(dest).write_bytes(payload)
     else:
         dest.write(payload)

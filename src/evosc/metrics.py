@@ -18,6 +18,7 @@ from scipy import ndimage
 
 from .core import AccumFrame, BinaryFrame, SensorGeometry, accumulate, binarize, window_starts
 from .errors import ConfigError
+from .io import _write_lines
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -218,15 +219,8 @@ def stream_metrics(
 
 
 def write_metrics_csv(dest, rows: list[WindowMetrics]) -> None:
-    lines = ["t0_us,entropy,variance,grad_mag,num_components,avg_len,junctions"]
-    lines.extend(
+    _write_lines(dest, "t0_us,entropy,variance,grad_mag,num_components,avg_len,junctions", (
         f"{r.t0},{r.entropy:.9g},{r.variance:.9g},{r.grad_mag:.9g},"
         f"{r.num_components},{r.avg_contour_length:.9g},{r.junction_count}"
         for r in rows
-    )
-    payload = ("\n".join(lines) + "\n").encode()
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(payload)
+    ))

@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OrderingError
+from .io import _write_lines
 
 DEFAULT_TAU_S = 0.005
 DEFAULT_EMIT_PERIOD_S = 0.001
 DEFAULT_MIN_WEIGHT = 5.0
+# emissions start this many tau after the first in-patch event (see warmup_s)
+DEFAULT_WARMUP_TAUS = 3.0
 
 SAMPLE_DTYPE = np.dtype([("id", "<u4"), ("t", "<u8"), ("u", "<f8"), ("v", "<f8")])
 
@@ -154,16 +157,9 @@ def delag_coefficients(a: float, b: float, omega: float, tau_s: float) -> tuple[
 
 
 def write_samples_csv(dest, samples: np.ndarray) -> None:
-    lines = ["id,t_us,u,v"]
-    lines.extend(
+    _write_lines(dest, "id,t_us,u,v", (
         f"{int(s['id'])},{int(s['t'])},{s['u']:.6f},{s['v']:.6f}" for s in samples
-    )
-    payload = ("\n".join(lines) + "\n").encode()
-    if hasattr(dest, "write"):
-        dest.write(payload)
-    else:
-        with open(dest, "wb") as fh:
-            fh.write(payload)
+    ))
 
 
 def read_samples_csv(source) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -311,6 +312,19 @@ class TestPipeline:
         run_pipeline(PIPELINE_CONFIG, tmp_path / "b", seed=3)
         da, db = digest(tmp_path / "a"), digest(tmp_path / "b")
         assert da == db
+
+    def test_tracking_compensation_matches_frozen_digest(self, tmp_path):
+        # sha256 as the per-sample buffered tracking loop wrote them; the one
+        # filter walk plus gathered cosine pass must reproduce every byte
+        run_pipeline({**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2},
+                      "stages": ["simulate", "track", "estimate", "compensate"]},
+                     tmp_path, seed=3)
+        frozen = {
+            "compensated.evt": "fc64f81e92c96c35bce6a5d5a04d9f7132356a03ed4ca5da544d4d85f95bd6d4",
+            "compensated.csv": "a3fdc4bdb3691284ae6b028d9d588a335c7f432436569d1a4fb514f1cb846a64",
+        }
+        for name, want in frozen.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     def test_stage_dependencies_enforced(self, tmp_path):
         with pytest.raises(StageError):

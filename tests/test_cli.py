@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from evosc.apps import estimate_motion
 from evosc.cli import main
 from evosc.io import read_events
-from evosc.track import read_samples_csv
+from evosc.track import PatchSpec, read_samples_csv
 
 from oracles import MIN_DETECT_D_REF
 
@@ -60,6 +61,15 @@ def test_track_samples(workdir):
     samples = read_samples_csv(workdir / "samples.csv")
     assert samples.shape[0] > 300
     assert np.all(np.abs(samples["u"] - 16.0) < 11.0)
+
+
+def test_track_drops_the_warmup_like_the_library(workdir):
+    events, _ = read_events(workdir / "events.evt")
+    patch = PatchSpec(cx=16.0, cy=16.0, half_size=10)
+    first_in_patch = int(events["t"][patch.contains(events["x"], events["y"])][0])
+    samples = read_samples_csv(workdir / "samples.csv")
+    assert samples["t"][0] >= first_in_patch + 3 * 0.005 * 1e6
+    np.testing.assert_array_equal(samples["t"], estimate_motion(events, patch).samples["t"])
 
 
 def test_estimate_states(workdir):

@@ -1,3 +1,4 @@
+import copy
 import io
 import math
 
@@ -15,11 +16,11 @@ from evosc.compensate import (
     write_compensated_csv,
 )
 from evosc.core import SensorGeometry, make_events
-from evosc.ekf import NoiseConfig, predict_offset
-from evosc.errors import BufferOverflowError, ConfigError
+from evosc.ekf import NoiseConfig, filter_samples, predict_offset
+from evosc.errors import ConfigError
 from evosc.freqest import SinusoidInit
 from evosc.sim import OscillatorConfig, camera_offset
-from evosc.track import SAMPLE_DTYPE, lowpass_gain
+from evosc.track import SAMPLE_DTYPE, delag_coefficients, lowpass_gain
 
 GEOM = SensorGeometry(width=64, height=64)
 
@@ -210,13 +211,91 @@ class TestTracking:
         assert err_tracked.mean() < 0.3 * err_fixed.mean()
         assert su_t.omega == pytest.approx(cfg.omega, rel=1e-3)
 
-    def test_buffer_capacity_enforced(self):
-        cfg, ev, samples, _, _ = self.make_noiseless_setup(n_events=5000,
-                                                           n_samples=10)
-        su, sv = states_from_config(cfg)
-        with pytest.raises(BufferOverflowError):
-            compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
-                              noise=NoiseConfig(), buffer_capacity=100)
+    def noisy_run(self, seed=4):
+        """Stale-frequency states and noisy samples, so the states change at every sample."""
+        cfg, ev, samples, _, _ = self.make_noiseless_setup(n_events=30_000, n_samples=300,
+                                                           seed=seed)
+        rng = np.random.default_rng(seed)
+        samples["u"] += rng.normal(0.0, 0.2, samples.shape[0])
+        samples["v"] += rng.normal(0.0, 0.2, samples.shape[0])
+        # events sharing a sample's timestamp must use the state before it
+        ev["t"][::50] = samples["t"][rng.integers(0, samples.shape[0], ev["t"][::50].size)]
+        ev.sort(order="t", kind="stable")
+        su, sv = states_from_config(OscillatorConfig(
+            amp_x_px=3.0, amp_y_px=2.0, omega=cfg.omega * 1.01, phi_y=-math.pi / 2.0))
+        su.c, sv.c = 32.0, 32.0
+        su.covariance = np.diag([1e-2, 1.0, 1e-2, 1e-2, 1e-2])
+        sv.covariance = su.covariance.copy()
+        return ev, samples, su, sv
+
+    @staticmethod
+    def reference(ev, samples, su, sv, noise, lag_tau_s):
+        """One filter_samples pass per axis, then each event takes the de-lagged
+        state after the last sample strictly before it (the initial state when none)."""
+        k = np.searchsorted(samples["t"], ev["t"], side="left")
+        t = ev["t"].astype(np.float64)
+        out = []
+        for state, axis, coord in ((su, "u", "x"), (sv, "v", "y")):
+            _, trace = filter_samples(samples, copy.deepcopy(state), noise, axis=axis)
+            rows = [(state.theta, state.omega, state.a, state.b, float(state.t_us))]
+            rows += [(r["theta"], r["omega"], r["a"], r["b"], float(r["t"])) for r in trace]
+            table = []
+            for theta, omega, a, b, t0 in rows:
+                if lag_tau_s:
+                    a, b = delag_coefficients(a, b, omega, lag_tau_s)
+                amp = math.hypot(a, b)
+                psi = math.atan2(a, b) if amp > 0 else 0.0
+                table.append((amp, theta - psi, omega, t0))
+            amp, phase0, omega, t0 = np.array(table).T
+            out.append(ev[coord] - amp[k] * np.cos(phase0[k] + omega[k] * 1e-6 * (t - t0[k])))
+        return out
+
+    @pytest.mark.parametrize("lag_tau_s", [None, 0.005])
+    def test_equals_one_filter_pass_and_gather(self, lag_tau_s):
+        ev, samples, su, sv = self.noisy_run()
+        noise = NoiseConfig(sigma_r=0.2)
+        ref_x, ref_y = self.reference(ev, samples, su, sv, noise, lag_tau_s)
+        comp = compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
+                                 noise=noise, lag_tau_s=lag_tau_s)
+        np.testing.assert_array_equal(comp.x, ref_x)
+        np.testing.assert_array_equal(comp.y, ref_y)
+
+    def test_chunked_run_with_carried_states_equals_one_call(self):
+        ev, samples, su, sv = self.noisy_run(seed=7)
+        noise = NoiseConfig(sigma_r=0.2)
+        whole = compensate_stream(ev, copy.deepcopy(su), copy.deepcopy(sv), GEOM,
+                                  mode="tracking", samples=samples, noise=noise,
+                                  lag_tau_s=0.005)
+        # uneven edges, one chunk without samples and one without events
+        edges = [0, 1, 7_000, 7_001, 250_000, 260_000, 261_000, 600_000, 2_000_000]
+        eb = np.searchsorted(ev["t"], edges)
+        sb = np.searchsorted(samples["t"], edges)
+        parts = [compensate_stream(ev[eb[i]:eb[i + 1]], su, sv, GEOM, mode="tracking",
+                                   samples=samples[sb[i]:sb[i + 1]], noise=noise,
+                                   lag_tau_s=0.005)
+                 for i in range(len(edges) - 1)]
+        for field in ("t", "x", "y", "xi", "yi", "polarity", "out_of_bounds"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(p, field) for p in parts]), getattr(whole, field))
+
+    def test_advances_caller_states_like_filter_samples(self):
+        ev, samples, su, sv = self.noisy_run()
+        noise = NoiseConfig(sigma_r=0.2)
+        ref_u, _ = filter_samples(samples, copy.deepcopy(su), noise, axis="u")
+        ref_v, _ = filter_samples(samples, copy.deepcopy(sv), noise, axis="v")
+        compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples, noise=noise)
+        for got, ref in ((su, ref_u), (sv, ref_v)):
+            assert got.snapshot() == ref.snapshot()
+            np.testing.assert_array_equal(got.covariance, ref.covariance)
+
+    @pytest.mark.parametrize("lag_tau_s", [None, 0.005])
+    def test_no_samples_gives_fixed_state_result(self, lag_tau_s):
+        ev, samples, su, sv = self.noisy_run()
+        fixed = compensate_stream(ev, su, sv, GEOM, lag_tau_s=lag_tau_s)
+        tracked = compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples[:0],
+                                    noise=NoiseConfig(), lag_tau_s=lag_tau_s)
+        for field in ("t", "x", "y", "xi", "yi", "polarity", "out_of_bounds"):
+            np.testing.assert_array_equal(getattr(tracked, field), getattr(fixed, field))
 
     def test_empty_stream(self):
         cfg, _, samples, _, _ = self.make_noiseless_setup(n_events=10, n_samples=5)
