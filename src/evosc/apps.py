@@ -6,14 +6,14 @@ relative_depth    amplitude ratio of two depth planes (ratio = Z2/Z1)
 min_detectable_distance    bisection on the pixel-displacement formula
 absolute_depth    stereo-style depth from a known physical motion baseline
 run_pipeline      staged artifact-producing run with a manifest
+*_stage           one function per pipeline stage, also behind the CLI subcommands
 """
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from .freqest import (
     fuse_axis_peaks,
     initialize,
 )
-from .io import write_events
+from .io import write_events, write_json
 from .sim import (
     PATTERNS,
     DepthPlane,
@@ -59,6 +59,7 @@ from .track import (
     DEFAULT_WARMUP_TAUS,
     CentroidTracker,
     PatchSpec,
+    delag_coefficients,
     lowpass_gain,
     track_events,
     write_samples_csv,
@@ -74,6 +75,7 @@ CONVERGENCE_RMS_PX = 1.0
 CONVERGENCE_SPAN = 100
 
 PIPELINE_STAGES = ("simulate", "track", "estimate", "ekf", "compensate", "metrics", "report")
+DEFAULT_GEOMETRY = {"width": 96, "height": 96}
 
 
 @dataclass
@@ -122,13 +124,7 @@ def estimate_motion(
         raise InsufficientDataError(
             f"patch at ({patch.cx}, {patch.cy}) produced {samples.shape[0]} samples"
         )
-    if init_window_s is None:
-        head = samples
-    else:
-        cut = samples["t"][0] + init_window_s * 1e6
-        head = samples[samples["t"] <= cut]
-        if head.shape[0] < 8:
-            head = samples
+    head = _init_head(samples, init_window_s)
     init_result = initialize(head, band=band, grid_points=grid_points)
     t_ref = int(head["t"][0])
     state_u = ekf_init(init_result.init_u, t_ref)
@@ -502,9 +498,6 @@ def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> 
     unknown = set(stages) - set(PIPELINE_STAGES)
     if unknown:
         raise ConfigError(f"unknown stages: {sorted(unknown)}")
-    geometry = SensorGeometry.from_dict(
-        config.get("geometry", {"width": 96, "height": 96})
-    )
     manifest: dict = {
         "version": __version__,
         "seed": seed,
@@ -512,23 +505,23 @@ def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> 
         "artifacts": {},
         "timings_s": {},
     }
-    ctx: dict = {"geometry": geometry}
+    ctx: dict = {
+        "geometry": SensorGeometry.from_dict(config.get("geometry", DEFAULT_GEOMETRY)),
+        "noise": NoiseConfig(sigma_r=float(config.get("ekf", {}).get("sigma_r_px", 0.5))),
+    }
 
     for stage in PIPELINE_STAGES:
         if stage not in stages:
             continue
         started = time.perf_counter()
         try:
-            _run_stage(stage, config, ctx, out, seed, manifest)
+            _run_stage(stage, config, ctx, out, seed, manifest["artifacts"])
         except (KeyError, OSError, ValueError) as exc:
             raise StageError(stage, str(exc)) from exc
         manifest["stages"].append(stage)
         manifest["timings_s"][stage] = time.perf_counter() - started
 
-    manifest_path = out / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "manifest.json", manifest)
     return manifest
 
 
@@ -538,210 +531,239 @@ def _require(ctx: dict, key: str, stage: str):
     return ctx[key]
 
 
-def _run_stage(stage, config, ctx, out, seed, manifest):
+def _run_stage(stage, config, ctx, out, seed, artifacts):
+    """Feed one stage its config section and upstream results; keep what it returns."""
     geometry: SensorGeometry = ctx["geometry"]
-    artifacts = manifest["artifacts"]
 
     if stage == "simulate":
-        scene_cfg = config.get("scene", {})
-        scene, osc, sim_kwargs = build_scene(scene_cfg)
-        if "moving_target" in scene_cfg:
-            mt = scene_cfg["moving_target"]
-            sim_out = simulate_moving_target(
-                freq_hz=float(mt["freq_hz"]), path_radius_px=float(mt["radius_px"]),
-                geometry=geometry, seed=seed,
-                contrast=scene.contrast, **sim_kwargs,
-            )
-        else:
-            sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)
-        ctx["events"] = sim_out.events
-        ctx["truth"] = sim_out.truth
-        path = out / "events.evt"
-        write_events(path, sim_out.events, geometry)
-        truth_path = out / "truth.json"
-        with open(truth_path, "w") as fh:
-            json.dump(
-                {
-                    "seed": seed,
-                    "geometry": geometry.to_dict(),
-                    "planes": [t.to_dict() for t in sim_out.truth],
-                    "num_events": int(sim_out.events.shape[0]),
-                },
-                fh, indent=2, sort_keys=True,
-            )
-            fh.write("\n")
-        artifacts["events"] = path.name
-        artifacts["truth"] = truth_path.name
+        ctx["events"] = simulate_stage(config.get("scene", {}), geometry, seed, out).events
+        artifacts.update(events="events.evt", truth="truth.json")
 
     elif stage == "track":
         events = _require(ctx, "events", stage)
-        tcfg = config.get("tracker", {})
-        patches = tcfg.get("patches")
-        if not patches:
-            patches = [{"cx": (geometry.width - 1) / 2.0,
-                        "cy": (geometry.height - 1) / 2.0,
-                        "half_size": min(geometry.width, geometry.height) // 4}]
-        tau = float(tcfg.get("tau_s", DEFAULT_TAU_S))
-        trackers = [
-            CentroidTracker(
-                PatchSpec(cx=float(p["cx"]), cy=float(p["cy"]),
-                          half_size=int(p.get("half_size", 12))),
-                tau_s=tau,
-                emit_period_s=float(tcfg.get("emit_period_s", DEFAULT_EMIT_PERIOD_S)),
-                min_weight=float(tcfg.get("min_weight", DEFAULT_MIN_WEIGHT)),
-                tracker_id=i,
-                warmup_s=float(tcfg.get("warmup_s", DEFAULT_WARMUP_TAUS * tau)),
-            )
-            for i, p in enumerate(patches)
-        ]
-        samples = track_events(events, trackers)
-        ctx["samples"] = samples
-        ctx["tracker_tau_s"] = float(tcfg.get("tau_s", DEFAULT_TAU_S))
-        path = out / "samples.csv"
-        write_samples_csv(path, samples)
-        artifacts["samples"] = path.name
+        samples, ctx["tracker_tau_s"] = track_stage(
+            config.get("tracker", {}), events, geometry, out / "samples.csv"
+        )
+        ctx["primary_samples"] = primary_samples(samples)
+        artifacts["samples"] = "samples.csv"
 
     elif stage == "estimate":
-        samples = _require(ctx, "samples", stage)
-        ecfg = config.get("estimate", {})
-        band = tuple(ecfg.get("band_rad_s", DEFAULT_BAND))
-        grid_points = int(ecfg.get("grid_points", DEFAULT_GRID_POINTS))
-        window_s = ecfg.get("init_window_s")
-        primary = samples[samples["id"] == samples["id"][0]]
-        if window_s:
-            cut = primary["t"][0] + float(window_s) * 1e6
-            head = primary[primary["t"] <= cut]
-            if head.shape[0] >= 8:
-                primary = head
-        init_result = initialize(primary, band=band, grid_points=grid_points)
-        ctx["init_result"] = init_result
-        ctx["t_ref_us"] = int(primary["t"][0])
-        path = out / "estimate.json"
-        with open(path, "w") as fh:
-            json.dump(_estimate_json(init_result, ctx), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        artifacts["estimate"] = path.name
+        samples = _require(ctx, "primary_samples", stage)
+        ctx["init_result"], ctx["t_ref_us"] = estimate_stage(
+            config.get("estimate", {}), samples, ctx["tracker_tau_s"], out / "estimate.json"
+        )
+        artifacts["estimate"] = "estimate.json"
 
     elif stage == "ekf":
-        samples = _require(ctx, "samples", stage)
+        samples = _require(ctx, "primary_samples", stage)
         init_result = _require(ctx, "init_result", stage)
-        noise = NoiseConfig(sigma_r=float(config.get("ekf", {}).get("sigma_r_px", 0.5)))
-        primary = samples[samples["id"] == samples["id"][0]]
-        state_u = ekf_init(init_result.init_u, ctx["t_ref_us"])
-        state_v = ekf_init(init_result.init_v, ctx["t_ref_us"])
-        state_u, trace_u = filter_samples(primary, state_u, noise, axis="u")
-        state_v, trace_v = filter_samples(primary, state_v, noise, axis="v")
-        ctx["state_u"], ctx["state_v"] = state_u, state_v
-        for axis, trace in (("u", trace_u), ("v", trace_v)):
-            path = out / f"ekf_trace_{axis}.csv"
-            write_trace_csv(path, trace)
-            artifacts[f"ekf_trace_{axis}"] = path.name
+        ctx["state_u"], ctx["state_v"] = ekf_stage(
+            samples, init_result, ctx["t_ref_us"], ctx["noise"], out
+        )
+        artifacts.update(ekf_trace_u="ekf_trace_u.csv", ekf_trace_v="ekf_trace_v.csv")
 
     elif stage == "compensate":
         events = _require(ctx, "events", stage)
         ccfg = config.get("compensate", {})
-        lag_tau = ctx.get("tracker_tau_s") if ccfg.get("lag_correction", True) else None
-        mode = ccfg.get("mode", "tracking")
-        if mode == "tracking":
+        if ccfg.get("mode", "tracking") == "tracking":
             # replay the filter along the stream from fresh init states so
             # every event is mapped with the freshest estimate at its time
             init_result = _require(ctx, "init_result", stage)
-            samples = _require(ctx, "samples", stage)
-            state_u, state_v = states_from_init(
-                init_result.init_u, init_result.init_v, ctx["t_ref_us"]
-            )
-            noise = NoiseConfig(sigma_r=float(config.get("ekf", {}).get("sigma_r_px", 0.5)))
-            primary = samples[samples["id"] == samples["id"][0]]
-            comp = compensate_stream(
-                events, state_u, state_v, geometry, mode="tracking",
-                samples=primary, noise=noise, lag_tau_s=lag_tau,
-            )
+            samples = _require(ctx, "primary_samples", stage)
+            states = states_from_init(init_result.init_u, init_result.init_v, ctx["t_ref_us"])
         else:
-            state_u = _require(ctx, "state_u", stage)
-            state_v = _require(ctx, "state_v", stage)
-            comp = compensate_stream(
-                events, state_u, state_v, geometry, mode="fixed_state", lag_tau_s=lag_tau
-            )
-        ctx["compensated"] = comp
-        path = out / "compensated.evt"
-        write_events(path, comp.to_events(), geometry)
-        csv_path = out / "compensated.csv"
-        write_compensated_csv(csv_path, comp)
-        artifacts["compensated"] = path.name
-        artifacts["compensated_csv"] = csv_path.name
+            samples = None
+            states = (_require(ctx, "state_u", stage), _require(ctx, "state_v", stage))
+        ctx["compensated"] = compensate_stage(
+            ccfg, events, *states, geometry, samples, ctx["noise"], ctx["tracker_tau_s"], out,
+        )
+        artifacts.update(compensated="compensated.evt", compensated_csv="compensated.csv")
 
     elif stage == "metrics":
         events = _require(ctx, "events", stage)
         mcfg = config.get("metrics", {})
-        window_us = int(float(mcfg.get("window_ms", 10)) * 1000)
-        blur_sigma = float(mcfg.get("blur_sigma", 1.5))
-        with_edges = bool(mcfg.get("edges", True))
-        t0, t1 = int(events["t"][0]), int(events["t"][-1]) + 1
-        rows_raw = stream_metrics(events, geometry, t0, t1, window_us,
-                                  blur_sigma, with_edges)
-        path = out / "metrics_raw.csv"
-        write_metrics_csv(path, rows_raw)
-        artifacts["metrics_raw"] = path.name
-        ctx["metrics_raw"] = rows_raw
+        span = window_span(events)
+        ctx["metrics_raw"] = metrics_stage(mcfg, events, geometry, out / "metrics_raw.csv", span)
+        artifacts["metrics_raw"] = "metrics_raw.csv"
         if "compensated" in ctx:
-            comp_events = ctx["compensated"].to_events()
-            rows_comp = stream_metrics(comp_events, geometry, t0, t1, window_us,
-                                       blur_sigma, with_edges)
-            path = out / "metrics_compensated.csv"
-            write_metrics_csv(path, rows_comp)
-            artifacts["metrics_compensated"] = path.name
-            ctx["metrics_comp"] = rows_comp
+            ctx["metrics_comp"] = metrics_stage(
+                mcfg, ctx["compensated"].to_events(), geometry,
+                out / "metrics_compensated.csv", span,
+            )
+            artifacts["metrics_compensated"] = "metrics_compensated.csv"
 
     elif stage == "report":
-        report: dict = {"seed": seed}
-        if "init_result" in ctx:
-            report["omega_rad_s"] = ctx["init_result"].omega
-            report["frequency_hz"] = ctx["init_result"].omega / (2.0 * math.pi)
-        for key in ("state_u", "state_v"):
-            if key in ctx:
-                amp, phase = amplitude_phase(ctx[key])
-                report[key] = {"amplitude_px": amp, "phase_rad": phase,
-                               "omega_rad_s": ctx[key].omega, "offset_px": ctx[key].c}
-        for label, rows_key in (("raw", "metrics_raw"), ("compensated", "metrics_comp")):
-            if rows_key in ctx:
-                rows = ctx[rows_key]
-                report[f"median_variance_{label}"] = float(
-                    np.median([r.variance for r in rows])
-                )
-                report[f"median_entropy_{label}"] = float(
-                    np.median([r.entropy for r in rows])
-                )
-        if "median_variance_raw" in report and "median_variance_compensated" in report:
-            raw = report["median_variance_raw"]
-            if raw > 0:
-                report["variance_gain"] = report["median_variance_compensated"] / raw
-        path = out / "report.json"
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest["artifacts"]["report"] = path.name
+        report_stage(seed, ctx, out / "report.json")
+        artifacts["report"] = "report.json"
 
 
-def _estimate_json(init_result: InitResult, ctx: dict) -> dict:
+# ---------------------------------------------------------------------------
+# stages: one function each, shared by run_pipeline and the CLI subcommands.
+# Each takes its config section and inputs, writes its artifacts and returns
+# its result.
+
+
+def simulate_stage(section: dict, geometry: SensorGeometry, seed: int, out_dir: Path):
+    """Simulate the scene section; writes events.evt and truth.json to out_dir."""
+    scene, osc, sim_kwargs = build_scene(section)
+    if "moving_target" in section:
+        mt = section["moving_target"]
+        sim_out = simulate_moving_target(
+            freq_hz=float(mt["freq_hz"]), path_radius_px=float(mt["radius_px"]),
+            geometry=geometry, seed=seed, contrast=scene.contrast, **sim_kwargs,
+        )
+    else:
+        sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)
+    write_events(out_dir / "events.evt", sim_out.events, geometry)
+    write_json(out_dir / "truth.json", {
+        "seed": seed,
+        "geometry": geometry.to_dict(),
+        "planes": [t.to_dict() for t in sim_out.truth],
+        "num_events": int(sim_out.events.shape[0]),
+    })
+    return sim_out
+
+
+def track_stage(section: dict, events: np.ndarray, geometry: SensorGeometry, dest):
+    """One tracker per configured patch (default: the centre quarter of the
+    frame); writes the samples CSV to dest and returns (samples, tau_s)."""
+    patches = section.get("patches")
+    if not patches:
+        patches = [{"cx": (geometry.width - 1) / 2.0,
+                    "cy": (geometry.height - 1) / 2.0,
+                    "half_size": min(geometry.width, geometry.height) // 4}]
+    tau = float(section.get("tau_s", DEFAULT_TAU_S))
+    trackers = [
+        CentroidTracker(
+            PatchSpec(cx=float(p["cx"]), cy=float(p["cy"]),
+                      half_size=int(p.get("half_size", 12))),
+            tau_s=tau,
+            emit_period_s=float(section.get("emit_period_s", DEFAULT_EMIT_PERIOD_S)),
+            min_weight=float(section.get("min_weight", DEFAULT_MIN_WEIGHT)),
+            tracker_id=i,
+            warmup_s=float(section.get("warmup_s", DEFAULT_WARMUP_TAUS * tau)),
+        )
+        for i, p in enumerate(patches)
+    ]
+    samples = track_events(events, trackers)
+    write_samples_csv(dest, samples)
+    return samples, tau
+
+
+def primary_samples(samples: np.ndarray) -> np.ndarray:
+    """The samples of the first tracker id, which the estimate, ekf and
+    compensate stages fit."""
+    if samples.shape[0] == 0:
+        return samples
+    return samples[samples["id"] == samples["id"][0]]
+
+
+def _init_head(samples: np.ndarray, window_s: float | None) -> np.ndarray:
+    """The samples the spectral init sees: the first window_s seconds, or all
+    of them when no window is set or it holds fewer than 8."""
+    if not window_s:
+        return samples
+    head = samples[samples["t"] <= samples["t"][0] + float(window_s) * 1e6]
+    return head if head.shape[0] >= 8 else samples
+
+
+def estimate_stage(section: dict, samples: np.ndarray, tracker_tau_s: float, dest):
+    """Spectral init over one tracker's samples; writes the estimate JSON to dest
+    (a path or a text stream) and returns (init_result, t_ref_us)."""
+    if samples.shape[0] == 0:
+        raise InsufficientDataError("no tracker samples to estimate from")
+    head = _init_head(samples, section.get("init_window_s"))
+    init_result = initialize(
+        head,
+        band=tuple(section.get("band_rad_s", DEFAULT_BAND)),
+        grid_points=int(section.get("grid_points", DEFAULT_GRID_POINTS)),
+    )
+    t_ref = int(head["t"][0])
+    write_json(dest, _estimate_json(init_result, t_ref, tracker_tau_s))
+    return init_result, t_ref
+
+
+def ekf_stage(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfig,
+              out_dir: Path):
+    """Filter both axes from the init; writes ekf_trace_{u,v}.csv and returns
+    the final (state_u, state_v)."""
+    states = []
+    for axis, init in (("u", init_result.init_u), ("v", init_result.init_v)):
+        state, trace = filter_samples(samples, ekf_init(init, t_ref_us), noise, axis=axis)
+        write_trace_csv(out_dir / f"ekf_trace_{axis}.csv", trace)
+        states.append(state)
+    return tuple(states)
+
+
+def compensate_stage(section: dict, events, state_u, state_v, geometry, samples,
+                     noise: NoiseConfig, tracker_tau_s: float | None, out_dir: Path):
+    """Tracking mode when samples are given, else fixed state; writes
+    compensated.evt and compensated.csv to out_dir."""
+    lag_tau = tracker_tau_s if section.get("lag_correction", True) else None
+    comp = compensate_stream(
+        events, state_u, state_v, geometry,
+        mode="fixed_state" if samples is None else "tracking",
+        samples=samples, noise=noise, lag_tau_s=lag_tau,
+    )
+    write_events(out_dir / "compensated.evt", comp.to_events(), geometry)
+    write_compensated_csv(out_dir / "compensated.csv", comp)
+    return comp
+
+
+def window_span(events: np.ndarray) -> tuple[int, int]:
+    """[t0, t1) of the metric windows: the stream's span, or [0, 1) when empty."""
+    if events.shape[0] == 0:
+        return 0, 1
+    return int(events["t"][0]), int(events["t"][-1]) + 1
+
+
+def metrics_stage(section: dict, events, geometry, dest, span: tuple[int, int] | None = None):
+    """Per-window metrics over span (default: the stream's own); writes the CSV to dest."""
+    t0, t1 = window_span(events) if span is None else span
+    rows = stream_metrics(
+        events, geometry, t0, t1, int(float(section.get("window_ms", 10)) * 1000),
+        float(section.get("blur_sigma", 1.5)), bool(section.get("edges", True)),
+    )
+    write_metrics_csv(dest, rows)
+    return rows
+
+
+def report_stage(seed: int, ctx: dict, dest) -> dict:
+    """Summary of whatever ran: frequency, de-lagged per-axis amplitude and
+    phase, and median frame metrics; writes the report JSON to dest."""
+    report: dict = {"seed": seed}
+    if "init_result" in ctx:
+        report["omega_rad_s"] = ctx["init_result"].omega
+        report["frequency_hz"] = ctx["init_result"].omega / (2.0 * math.pi)
+    for key in ("state_u", "state_v"):
+        if key in ctx:
+            st = ctx[key]
+            a, b = delag_coefficients(st.a, st.b, st.omega, ctx["tracker_tau_s"])
+            amp, phase = amplitude_phase(replace(st, a=a, b=b))
+            report[key] = {"amplitude_px": amp, "phase_rad": phase,
+                           "omega_rad_s": st.omega, "offset_px": st.c}
+    for label, rows_key in (("raw", "metrics_raw"), ("compensated", "metrics_comp")):
+        if rows_key in ctx:
+            rows = ctx[rows_key]
+            report[f"median_variance_{label}"] = float(np.median([r.variance for r in rows]))
+            report[f"median_entropy_{label}"] = float(np.median([r.entropy for r in rows]))
+    if "median_variance_raw" in report and "median_variance_compensated" in report:
+        raw = report["median_variance_raw"]
+        if raw > 0:
+            report["variance_gain"] = report["median_variance_compensated"] / raw
+    write_json(dest, report)
+    return report
+
+
+def _estimate_json(init_result: InitResult, t_ref_us: int, tracker_tau_s: float | None) -> dict:
     def axis(init, peaks):
-        if init is None:
-            return None
-        return {
-            "omega": init.omega,
-            "a": init.a,
-            "b": init.b,
-            "c": init.c,
-            "residual_rms": init.residual_rms,
-            "peaks": [
-                {"omega": p.omega, "magnitude": p.magnitude, "bin_index": p.bin_index}
-                for p in peaks
-            ],
-        }
+        return None if init is None else {**asdict(init), "peaks": [asdict(p) for p in peaks]}
 
     return {
         "omega_rad_s": init_result.omega,
-        "t_ref_us": ctx.get("t_ref_us", 0),
-        "tracker_tau_s": ctx.get("tracker_tau_s"),
+        "frequency_hz": init_result.omega / (2.0 * math.pi),
+        "t_ref_us": t_ref_us,
+        "tracker_tau_s": tracker_tau_s,
         "u": axis(init_result.init_u, init_result.peaks_u),
         "v": axis(init_result.init_v, init_result.peaks_v),
     }

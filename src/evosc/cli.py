@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages plus the analysis applications.
+simulate, track, estimate and metrics turn their flags into the pipeline's
+config section for that stage and run the pipeline's own stage function.
 Configs are JSON files; results go to --out (a file or directory depending on
 the subcommand). Errors print a stage-tagged line on stderr and exit 1.
 """
@@ -18,26 +20,28 @@ import numpy as np
 
 from . import __version__
 from .apps import (
-    build_scene,
+    DEFAULT_GEOMETRY,
     estimate_scene_frequency,
+    estimate_stage,
+    metrics_stage,
     min_detectable_distance,
+    primary_samples,
     relative_depth,
     run_pipeline,
+    simulate_stage,
+    track_stage,
 )
 from .compensate import compensate_stream, states_from_init, write_compensated_csv
 from .core import SensorGeometry
 from .errors import EvoscError
-from .freqest import DEFAULT_BAND, DEFAULT_GRID_POINTS, SinusoidInit, initialize
-from .io import read_events, write_events
-from .metrics import stream_metrics, write_metrics_csv
-from .sim import simulate, simulate_moving_target
+from .freqest import DEFAULT_BAND, DEFAULT_GRID_POINTS, SinusoidInit
+from .io import read_events, write_events, write_json
 from .track import (
-    DEFAULT_WARMUP_TAUS,
-    CentroidTracker,
+    DEFAULT_EMIT_PERIOD_S,
+    DEFAULT_MIN_WEIGHT,
+    DEFAULT_TAU_S,
     PatchSpec,
     read_samples_csv,
-    track_events,
-    write_samples_csv,
 )
 
 
@@ -46,8 +50,8 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _patch_from_args(args) -> PatchSpec:
-    cx, cy, half = args.patch
+def _patch(values) -> PatchSpec:
+    cx, cy, half = values
     return PatchSpec(cx=float(cx), cy=float(cy), half_size=int(half))
 
 
@@ -55,67 +59,26 @@ def _cmd_simulate(args) -> int:
     config = _load_json(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    geometry = SensorGeometry.from_dict(config.get("geometry", {"width": 96, "height": 96}))
-    scene_cfg = config.get("scene", config)
-    scene, osc, sim_kwargs = build_scene(scene_cfg)
+    geometry = SensorGeometry.from_dict(config.get("geometry", DEFAULT_GEOMETRY))
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    if "moving_target" in scene_cfg:
-        mt = scene_cfg["moving_target"]
-        sim_out = simulate_moving_target(
-            freq_hz=float(mt["freq_hz"]), path_radius_px=float(mt["radius_px"]),
-            geometry=geometry, seed=seed, contrast=scene.contrast, **sim_kwargs,
-        )
-    else:
-        sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)
-    write_events(out / "events.evt", sim_out.events, geometry)
-    with open(out / "truth.json", "w") as fh:
-        json.dump(
-            {
-                "seed": seed,
-                "geometry": geometry.to_dict(),
-                "planes": [t.to_dict() for t in sim_out.truth],
-                "num_events": int(sim_out.events.shape[0]),
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    sim_out = simulate_stage(config.get("scene", config), geometry, seed, out)
     print(f"wrote {sim_out.events.shape[0]} events to {out / 'events.evt'}")
     return 0
 
 
 def _cmd_track(args) -> int:
-    events, _ = read_events(args.events)
-    tracker = CentroidTracker(
-        _patch_from_args(args),
-        tau_s=args.tau, emit_period_s=args.emit_period, min_weight=args.min_weight,
-        warmup_s=DEFAULT_WARMUP_TAUS * args.tau,
-    )
-    samples = track_events(events, [tracker])
-    write_samples_csv(args.out, samples)
+    events, geometry = read_events(args.events)
+    section = {"patches": [asdict(_patch(args.patch))], "tau_s": args.tau,
+               "emit_period_s": args.emit_period, "min_weight": args.min_weight}
+    samples, _ = track_stage(section, events, geometry, args.out)
     print(f"wrote {samples.shape[0]} samples to {args.out}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    samples = read_samples_csv(args.samples)
-    result = initialize(samples, band=tuple(args.band), grid_points=args.grid_points)
-
-    def axis(init, peaks):
-        if init is None:
-            return None
-        d = asdict(init)
-        d["peaks"] = [asdict(p) for p in peaks]
-        return d
-
-    payload = {
-        "omega_rad_s": result.omega,
-        "frequency_hz": result.omega / (2.0 * math.pi),
-        "t_ref_us": int(samples["t"][0]),
-        "tracker_tau_s": args.tau,
-        "u": axis(result.init_u, result.peaks_u),
-        "v": axis(result.init_v, result.peaks_v),
-    }
-    _dump(payload, args.out)
+    samples = primary_samples(read_samples_csv(args.samples))
+    section = {"band_rad_s": args.band, "grid_points": args.grid_points}
+    estimate_stage(section, samples, args.tau, args.out or sys.stdout)
     return 0
 
 
@@ -147,13 +110,9 @@ def _init_from_json(d: dict) -> SinusoidInit:
 
 def _cmd_metrics(args) -> int:
     events, geometry = read_events(args.events)
-    t0 = int(events["t"][0]) if events.shape[0] else 0
-    t1 = int(events["t"][-1]) + 1 if events.shape[0] else 1
-    rows = stream_metrics(
-        events, geometry, t0, t1, window_us=int(args.window_ms * 1000),
-        blur_sigma=args.blur_sigma, with_edges=not args.no_edges,
-    )
-    write_metrics_csv(args.out, rows)
+    section = {"window_ms": args.window_ms, "blur_sigma": args.blur_sigma,
+               "edges": not args.no_edges}
+    rows = metrics_stage(section, events, geometry, args.out)
     print(f"wrote {len(rows)} windows to {args.out}")
     return 0
 
@@ -161,7 +120,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_freq(args) -> int:
     events, _ = read_events(args.events)
     report = estimate_scene_frequency(
-        events, _patch_from_args(args), trials=args.trials,
+        events, _patch(args.patch), trials=args.trials,
         tau_s=args.tau, emit_period_s=args.emit_period,
         truth_hz=args.truth_hz, refine=not args.no_refine,
     )
@@ -171,10 +130,8 @@ def _cmd_freq(args) -> int:
 
 def _cmd_depth(args) -> int:
     events, _ = read_events(args.events)
-    p1 = PatchSpec(*map(float, args.patch1[:2]), half_size=int(args.patch1[2]))
-    p2 = PatchSpec(*map(float, args.patch2[:2]), half_size=int(args.patch2[2]))
     report = relative_depth(
-        events, p1, p2, truth_ratio=args.truth_ratio,
+        events, _patch(args.patch1), _patch(args.patch2), truth_ratio=args.truth_ratio,
         tau_s=args.tau, emit_period_s=args.emit_period,
     )
     _dump(asdict(report), args.out)
@@ -200,11 +157,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _dump(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    write_json(out or sys.stdout, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,9 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run a centroid tracker over an event file")
     p.add_argument("--events", required=True)
     p.add_argument("--patch", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
-    p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--emit-period", type=float, default=0.001)
-    p.add_argument("--min-weight", type=float, default=5.0)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
+    p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
+    p.add_argument("--min-weight", type=float, default=DEFAULT_MIN_WEIGHT)
     p.add_argument("--out", required=True, help="samples CSV path")
     p.set_defaults(func=_cmd_track)
 
@@ -231,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help="samples CSV from `track`")
     p.add_argument("--band", nargs=2, type=float, default=list(DEFAULT_BAND))
     p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--tau", type=float, default=0.005,
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S,
                    help="tracker tau used for the lag correction downstream")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=_cmd_estimate)
@@ -256,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--patch", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--emit-period", type=float, default=0.001)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
+    p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
     p.add_argument("--truth-hz", type=float, default=None)
     p.add_argument("--no-refine", action="store_true")
     p.add_argument("--out", default=None)
@@ -267,8 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--patch1", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
     p.add_argument("--patch2", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
-    p.add_argument("--tau", type=float, default=0.005)
-    p.add_argument("--emit-period", type=float, default=0.001)
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
+    p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
     p.add_argument("--truth-ratio", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_depth)
@@ -294,10 +247,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except EvoscError as exc:
-        print(f"[{args.command}] {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EvoscError, KeyError, ValueError, OSError) as exc:
+        # the error set run_pipeline wraps in a StageError; ValueError covers
+        # malformed JSON, KeyError a missing field
         print(f"[{args.command}] {exc}", file=sys.stderr)
         return 1
 

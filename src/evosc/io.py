@@ -12,11 +12,14 @@ records (u64 t_us, u16 x, u16 y, i8 polarity).
 
 CSV container: header line ``t_us,x,y,p`` then one decimal-integer row per
 event, polarity written as 1 or -1.
+
+JSON artifacts (truth, estimate, report, manifest) all go through write_json.
 """
 
 from __future__ import annotations
 
 import io as _io
+import json
 import os
 import struct
 from pathlib import Path
@@ -167,6 +170,18 @@ def _locate_csv_error(text: str, body_start: int, bad_line: int | None = None):
     raise FormatError("malformed CSV body", offset=body_start)
 
 
+def write_json(dest, payload: dict) -> None:
+    """The package's JSON writer: indent 2, sorted keys, trailing newline.
+
+    dest is a path or a text stream (the CLI passes stdout).
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if isinstance(dest, (str, os.PathLike)):
+        Path(dest).write_text(text)
+    else:
+        dest.write(text)
+
+
 def _write_lines(dest, header: str, rows) -> None:
     """The package's text writer: a header then one row per line, each ending in a newline."""
     _write_bytes(dest, ("\n".join([header, *rows]) + "\n").encode())
@@ -180,8 +195,10 @@ def _write_bytes(dest, payload: bytes) -> None:
 
 
 def _read_bytes(source) -> bytes:
-    if isinstance(source, (str, Path)):
+    """Bytes of a path, a bytes object, or a binary or text stream."""
+    if isinstance(source, (str, os.PathLike)):
         return Path(source).read_bytes()
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
-    return source.read()
+    data = source.read()
+    return data.encode() if isinstance(data, str) else data

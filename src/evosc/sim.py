@@ -578,22 +578,21 @@ def simulate_moving_target(
 ) -> SimOutput:
     """Static camera watching an object translating on a circular path.
 
-    The default object is a triangle at frame centre. Truth records the
-    circular path as a per-axis cosine with the y axis a quarter turn behind.
+    A preset over simulate: the default object is a triangle at frame centre,
+    and the circular path is a per-axis cosine with the y axis a quarter turn
+    behind, which truth records.
     """
     if freq_hz <= 0 or path_radius_px <= 0:
         raise ConfigError("freq_hz and path_radius_px must be positive")
     if pattern is None:
         pattern = Triangle(center_x=(geometry.width - 1) / 2.0,
                            center_y=(geometry.height - 1) / 2.0)
-    omega = TWO_PI * freq_hz
     cfg = OscillatorConfig(
         amp_x_px=path_radius_px, amp_y_px=path_radius_px,
-        omega=omega, phi_x=0.0, phi_y=-math.pi / 2.0,
+        omega=TWO_PI * freq_hz, phi_x=0.0, phi_y=-math.pi / 2.0,
     )
-    events = _generate(
-        [(None, pattern, cfg)], contrast, geometry, duration_s, threshold, step_us,
-        refractory_us, np.random.default_rng(seed), noise_rate_hz,
+    return simulate(
+        SceneSpec(pattern=pattern, contrast=contrast), cfg, geometry, duration_s,
+        threshold=threshold, seed=seed, step_us=step_us, refractory_us=refractory_us,
+        noise_rate_hz=noise_rate_hz,
     )
-    scene = SceneSpec(pattern=pattern, contrast=contrast)
-    return SimOutput(events=events, truth=[cfg], geometry=geometry, scene=scene)

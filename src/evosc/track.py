@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OrderingError
-from .io import _write_lines
+from .io import _read_bytes, _write_lines
 
 DEFAULT_TAU_S = 0.005
 DEFAULT_EMIT_PERIOD_S = 0.001
@@ -163,14 +163,7 @@ def write_samples_csv(dest, samples: np.ndarray) -> None:
 
 
 def read_samples_csv(source) -> np.ndarray:
-    if hasattr(source, "read"):
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode()
-    else:
-        with open(source) as fh:
-            text = fh.read()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in _read_bytes(source).decode().splitlines() if ln.strip()]
     if not lines or lines[0] != "id,t_us,u,v":
         raise ConfigError(f"bad samples header: {lines[0] if lines else '(empty)'}")
     rows = []

@@ -351,3 +351,34 @@ class TestPipeline:
         assert est["omega_rad_s"] == pytest.approx(100.0 * math.pi, rel=2e-3)
         assert est["u"]["peaks"] and est["v"]["peaks"]
         assert est["tracker_tau_s"] == 0.005
+
+    def test_report_amplitudes_are_delagged(self, tmp_path):
+        # the EKF tracks the tracker's low-passed centroid; the report divides
+        # that window's gain and lag back out, so it gives the image amplitude
+        run_pipeline(PIPELINE_CONFIG, tmp_path, seed=3)
+        report = json.loads((tmp_path / "report.json").read_text())
+        truth = json.loads((tmp_path / "truth.json").read_text())["planes"][0]
+        assert truth["amp_x_px"] == truth["amp_y_px"] == 3.0
+        for key in ("state_u", "state_v"):
+            assert report[key]["amplitude_px"] == pytest.approx(3.0, abs=0.15), key
+
+
+ZERO_MOTION_CONFIG = {
+    **PIPELINE_CONFIG,
+    "scene": {**PIPELINE_CONFIG["scene"],
+              "oscillation": {"amp_x_px": 0.0, "amp_y_px": 0.0}},
+}
+
+
+class TestEmptyStream:
+    def test_estimate_reports_insufficient_data(self, tmp_path):
+        with pytest.raises(InsufficientDataError):
+            run_pipeline({**ZERO_MOTION_CONFIG,
+                          "stages": ["simulate", "track", "estimate"]}, tmp_path)
+        assert (tmp_path / "events.evt").stat().st_size == 24  # header only
+
+    def test_metrics_use_one_unit_window(self, tmp_path):
+        run_pipeline({**ZERO_MOTION_CONFIG, "stages": ["simulate", "metrics"]}, tmp_path)
+        lines = (tmp_path / "metrics_raw.csv").read_text().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[0] == "0"

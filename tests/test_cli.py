@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from evosc.apps import estimate_motion
+from evosc.apps import estimate_motion, run_pipeline
 from evosc.cli import main
 from evosc.io import read_events
+from evosc.sim import simulate_moving_target
+from evosc.core import SensorGeometry
 from evosc.track import PatchSpec, read_samples_csv
 
 from oracles import MIN_DETECT_D_REF
@@ -172,3 +174,79 @@ def test_domain_error_exits_nonzero(tmp_path, capsys):
     bad.write_text("wrong,header\n1,2\n")
     assert main(["estimate", "--samples", str(bad)]) == 1
     assert "[estimate]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("states", ['{"v": {}}', "{not json"])
+def test_bad_states_file_is_reported(workdir, tmp_path, capsys, states):
+    bad = tmp_path / "x.json"
+    bad.write_text(states)
+    assert main(["compensate", "--events", str(workdir / "events.evt"),
+                 "--states", str(bad), "--out", str(tmp_path / "c.evt")]) == 1
+    assert capsys.readouterr().err.startswith("[compensate] ")
+
+
+def assert_close_json(got, want, path="$"):
+    """Same keys and types throughout; numbers within 1e-6 relative."""
+    if isinstance(want, dict):
+        assert set(got) == set(want), path
+        for k in want:
+            assert_close_json(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_close_json(g, w, f"{path}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-12), path
+    else:
+        assert got == want, path
+
+
+# The CLI subcommands run the pipeline's stage functions: the same config and
+# seed give the same artifacts through either front end. The CLI's estimate
+# reads samples.csv, whose 6 decimals move the fit by about 1e-8 relative.
+PARITY_CONFIG = {
+    **CONFIG,
+    "tracker": {"patches": [{"cx": 16.0, "cy": 16.0, "half_size": 10}], "tau_s": 0.004},
+}
+
+
+def test_cli_stages_match_the_pipeline(tmp_path):
+    run_pipeline({**PARITY_CONFIG, "stages": ["simulate", "track", "estimate"]},
+                 tmp_path / "pipe", seed=4)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(PARITY_CONFIG))
+    cli = tmp_path / "cli"
+    assert main(["simulate", "--config", str(cfg), "--seed", "4", "--out", str(cli)]) == 0
+    assert main(["track", "--events", str(cli / "events.evt"), "--patch", "16", "16", "10",
+                 "--tau", "0.004", "--out", str(cli / "samples.csv")]) == 0
+    assert main(["estimate", "--samples", str(cli / "samples.csv"), "--tau", "0.004",
+                 "--out", str(cli / "estimate.json")]) == 0
+    for name in ("events.evt", "truth.json", "samples.csv"):
+        assert (cli / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes(), name
+    assert_close_json(json.loads((cli / "estimate.json").read_text()),
+                      json.loads((tmp_path / "pipe" / "estimate.json").read_text()))
+
+
+def test_cli_estimate_fits_the_first_tracker_only(tmp_path):
+    two = {**CONFIG, "stages": ["simulate", "track", "estimate"],
+           "tracker": {"patches": [{"cx": 16.0, "cy": 16.0, "half_size": 10},
+                                   {"cx": 48.0, "cy": 48.0, "half_size": 10}]}}
+    run_pipeline(two, tmp_path, seed=5)
+    assert set(read_samples_csv(tmp_path / "samples.csv")["id"]) == {0, 1}
+    assert main(["estimate", "--samples", str(tmp_path / "samples.csv"),
+                 "--out", str(tmp_path / "cli.json")]) == 0
+    assert_close_json(json.loads((tmp_path / "cli.json").read_text()),
+                      json.loads((tmp_path / "estimate.json").read_text()))
+
+
+def test_pipeline_moving_target_is_the_library_preset(tmp_path):
+    scene = {"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
+             "contrast": 0.8, "duration_s": 0.1, "noise_rate_hz": 0.5}
+    run_pipeline({"geometry": {"width": 32, "height": 32}, "scene": scene,
+                  "stages": ["simulate"]}, tmp_path, seed=2)
+    want = simulate_moving_target(10.0, 3.0, SensorGeometry(width=32, height=32),
+                                  duration_s=0.1, contrast=0.8, noise_rate_hz=0.5, seed=2)
+    events, _ = read_events(tmp_path / "events.evt")
+    assert events.tobytes() == want.events.tobytes()
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert truth["planes"] == [want.truth[0].to_dict()]

@@ -152,3 +152,15 @@ def test_unknown_format_rejected():
         write_events(io.BytesIO(), stream(), GEOM, fmt="parquet")
     with pytest.raises(ConfigError):
         read_events(b"", fmt="parquet")
+
+
+def test_any_path_like_is_read_as_a_path(tmp_path):
+    class Where:
+        def __fspath__(self):
+            return str(tmp_path / "ev.evt")
+
+    g = SensorGeometry(width=8, height=8)
+    ev = make_events([1, 2], [3, 4], [5, 6], [1, -1])
+    write_events(Where(), ev, g)
+    back, _ = read_events(Where())
+    assert back.tobytes() == ev.tobytes()
