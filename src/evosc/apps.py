@@ -186,13 +186,13 @@ def estimate_scene_frequency(
     t0, t1 = int(events["t"][0]), int(events["t"][-1])
     if t1 <= t0:
         raise InsufficientDataError("event stream has zero time span")
-    edges = np.linspace(t0, t1 + 1, trials + 1)
+    # one search bounds every trial (a search per trial recasts the stream)
+    bounds = np.searchsorted(events["t"], np.linspace(t0, t1 + 1, trials + 1))
     per_trial = []
     nyquist_hz = 0.5 / emit_period_s
     aliased = False
     for i in range(trials):
-        lo, hi = np.searchsorted(events["t"], [edges[i], edges[i + 1]])
-        segment = events[lo:hi]
+        segment = events[bounds[i]:bounds[i + 1]]
         tracker = CentroidTracker(
             patch, tau_s=tau_s, emit_period_s=emit_period_s,
             min_weight=min_weight, warmup_s=warmup_s,
@@ -415,8 +415,11 @@ def build_scene(config: dict) -> tuple[SceneSpec, OscillatorConfig | None, dict]
 
     The oscillation comes either from image-plane parameters ("oscillation"),
     from the physical mount model ("physical"), or is absent for
-    moving-target scenes ("moving_target").
+    moving-target scenes ("moving_target"), which draw the configured
+    pattern (default: simulate_moving_target's centred triangle) on one plane.
     """
+    if "moving_target" in config and "depth_planes" in config:
+        raise ConfigError("a moving_target scene has one plane; it takes no depth_planes")
     pattern = _build_pattern(config.get("pattern", {"type": "checkerboard"}))
     planes = []
     for p in config.get("depth_planes", [{}]):
@@ -610,7 +613,8 @@ def simulate_stage(section: dict, geometry: SensorGeometry, seed: int, out_dir: 
         mt = section["moving_target"]
         sim_out = simulate_moving_target(
             freq_hz=float(mt["freq_hz"]), path_radius_px=float(mt["radius_px"]),
-            geometry=geometry, seed=seed, contrast=scene.contrast, **sim_kwargs,
+            geometry=geometry, pattern=scene.pattern if "pattern" in section else None,
+            seed=seed, contrast=scene.contrast, **sim_kwargs,
         )
     else:
         sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)

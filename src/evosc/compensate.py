@@ -31,6 +31,8 @@ from .io import _write_lines
 from .sim import OscillatorConfig, wrap_angle
 from .track import delag_coefficients
 
+# events per block when formatting the compensated CSV
+_CSV_BLOCK = 1 << 14
 
 @dataclass
 class CompensatedEvents:
@@ -178,7 +180,12 @@ def throughput_bench(
 
 def write_compensated_csv(dest, comp: CompensatedEvents) -> None:
     """Real-valued CSV variant: t_us,x,y,p with three decimals."""
-    _write_lines(dest, "t_us,x,y,p", (
-        f"{int(t)},{x:.3f},{y:.3f},{int(p)}"
-        for t, x, y, p in zip(comp.t, comp.x, comp.y, comp.polarity)
-    ))
+    _write_lines(dest, "t_us,x,y,p", _csv_rows(comp))
+
+
+def _csv_rows(comp: CompensatedEvents):
+    # Python scalars from tolist() format several times faster than numpy
+    # scalars; converting a block at a time keeps few of them alive at once.
+    for lo in range(0, len(comp), _CSV_BLOCK):
+        cols = [c[lo:lo + _CSV_BLOCK].tolist() for c in (comp.t, comp.x, comp.y, comp.polarity)]
+        yield from map("{},{:.3f},{:.3f},{}".format, *cols)

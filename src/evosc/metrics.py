@@ -196,9 +196,14 @@ def stream_metrics(
     with_edges: bool = True,
 ) -> list[WindowMetrics]:
     """Per-window metrics over disjoint windows tiling [t_begin, t_end)."""
+    starts = window_starts(t_begin, t_end, window_us)
+    # The windows tile the range, so one search over the n + 1 edges bounds
+    # them all; searching the whole stream per window would recast its
+    # timestamps every time.
+    bounds = np.searchsorted(events["t"], np.append(starts, starts[-1:] + int(window_us)))
     out = []
-    for t0 in window_starts(t_begin, t_end, window_us):
-        frame = accumulate(events, (int(t0), int(t0) + window_us), geometry)
+    for i, t0 in enumerate(starts.tolist()):
+        frame = accumulate(events[bounds[i]:bounds[i + 1]], (t0, t0 + window_us), geometry)
         if with_edges:
             edge = edge_pipeline(frame, blur_sigma=blur_sigma)
             edges = (edge.num_components, edge.avg_contour_length, edge.junction_count)
@@ -206,7 +211,7 @@ def stream_metrics(
             edges = (0, 0.0, 0)
         out.append(
             WindowMetrics(
-                t0=int(t0),
+                t0=t0,
                 entropy=shannon_entropy(binarize(frame)),
                 variance=frame_variance(frame),
                 grad_mag=gradient_magnitude(frame),

@@ -20,6 +20,20 @@ contrast * (hi - lo) < threshold * (1 - 1e-9), the margin absorbing rounding
 in the bound. Patterns without bounds keep every pixel they cover. The
 surviving pixels are stepped as one vector in raster order, so the stream is
 byte-identical to stepping the whole frame.
+
+A pattern may also set the class attribute
+
+    per_axis = True
+
+when sample(xs, ys) evaluates a term of xs and a term of ys separately and
+only then combines them elementwise, so that sample(ux[None, :], uy[:, None])
+equals, bit for bit, sample at each (x, y) of the row x column grid. Each
+step then samples such a plane once on the grid of its active pixels' unique
+columns ux and rows uy and gathers the pixels from it: the per-axis terms,
+the costly part (np.sin for Checkerboard, np.mod for Disks), run on nx + ny
+values instead of two per pixel. Patterns without the attribute are sampled
+per pixel: Triangle and Stripes, whose costly terms mix both axes, and user
+patterns.
 """
 
 from __future__ import annotations
@@ -248,6 +262,7 @@ def _edge_ramp(signed_dist, width):
 class Checkerboard:
     period_px: float = 16.0
     edge_sharpness: float = 4.0
+    per_axis = True
 
     def sample(self, xs, ys):
         k = TWO_PI / self.period_px
@@ -276,6 +291,7 @@ class Disks:
     pitch_px: float = 32.0
     edge_width_px: float = 1.0
     offset_px: float | None = None
+    per_axis = True
 
     def _wrapped(self, c):
         """Signed per-axis offset of c from the nearest disk centre."""
@@ -335,6 +351,7 @@ class Bitmap:
     """Arbitrary log-intensity image sampled with bilinear interpolation."""
 
     image: np.ndarray
+    per_axis = True
 
     def sample(self, xs, ys):
         img = self.image
@@ -465,17 +482,29 @@ def _generate(
         raise ConfigError(f"duration must be positive, got {duration_s}")
     h, w = geometry.height, geometry.width
     ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
+    # fired pixels are listed in the output dtype: a quarter of int64's memory
+    ex, ey = xs.astype(EVENT_DTYPE["x"]), ys.astype(EVENT_DTYPE["y"])
     members = []
     for i, (_, pattern, cfg) in enumerate(planes):
         idx = np.flatnonzero(plane_of == i)
-        if idx.size:
-            members.append((idx, xs[idx].astype(float), ys[idx].astype(float), pattern, cfg))
+        if not idx.size:
+            continue
+        px, py, gather = xs[idx], ys[idx], None
+        if getattr(pattern, "per_axis", False):
+            ux, col = np.unique(px, return_inverse=True)
+            uy, row = np.unique(py, return_inverse=True)
+            # sample on the (rows, columns) grid, gather pixels by flat index
+            px, py, gather = ux[None, :], uy[:, None], row * ux.size + col
+        members.append((idx, px.astype(float), py.astype(float), gather, pattern, cfg))
 
     def latent(t_s: float) -> np.ndarray:
         out = np.empty(ys.shape[0])
-        for idx, px, py, pattern, cfg in members:
+        for idx, px, py, gather, pattern, cfg in members:
             du, dv = camera_offset(t_s, cfg)
-            out[idx] = contrast * pattern.sample(px - du, py - dv)
+            values = pattern.sample(px - du, py - dv)
+            if gather is not None:
+                values = np.take(values, gather)
+            out[idx] = contrast * values
         return out
 
     n_steps = int(round(duration_s * 1e6 / step_us))
@@ -503,8 +532,8 @@ def _generate(
                 if ok.any():
                     idx = idx[ok]
                     ts_list.append(t_ev[ok])
-                    xs_list.append(xs[idx])
-                    ys_list.append(ys[idx])
+                    xs_list.append(ex[idx])
+                    ys_list.append(ey[idx])
                     ps_list.append(pol[idx])
                     last_emit[idx] = t_ev[ok]
             l_ref += pol * n_cross * threshold

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from evosc import apps
 from evosc.apps import (
     build_scene,
     absolute_depth,
@@ -146,6 +147,24 @@ class TestSceneFrequency:
         assert report.three_sigma_hz == 0.0
         assert report.truth_hz is None and report.abs_error_hz is None
 
+    def test_trials_are_the_per_trial_searches(self, disk_stream, monkeypatch):
+        """One search over all edges cuts the same segments as a search per trial."""
+        seen = []
+
+        class Recording(apps.CentroidTracker):
+            def run(self, events):
+                seen.append(events)
+                return super().run(events)
+
+        monkeypatch.setattr(apps, "CentroidTracker", Recording)
+        ev = disk_stream.events
+        estimate_scene_frequency(ev, PatchSpec(cx=32.0, cy=32.0, half_size=14), trials=3)
+        edges = np.linspace(int(ev["t"][0]), int(ev["t"][-1]) + 1, 4)
+        assert len(seen) == 3
+        for i, segment in enumerate(seen):
+            lo, hi = np.searchsorted(ev["t"], [edges[i], edges[i + 1]])
+            assert segment.tobytes() == ev[lo:hi].tobytes()
+
     def test_bad_arguments(self, disk_stream):
         patch = PatchSpec(cx=32.0, cy=32.0, half_size=14)
         with pytest.raises(ConfigError):
@@ -222,6 +241,11 @@ class TestBuildScene:
         scene, osc, _ = build_scene({"moving_target": {"freq_hz": 10.0,
                                                        "radius_px": 3.0}})
         assert osc is None
+
+    def test_moving_target_rejects_depth_planes(self):
+        with pytest.raises(ConfigError, match="depth_planes"):
+            build_scene({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
+                         "depth_planes": [{"depth_m": 1.0}]})
 
     def test_depth_planes_parsed(self):
         scene, _, _ = build_scene({

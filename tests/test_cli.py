@@ -6,8 +6,9 @@ import pytest
 
 from evosc.apps import estimate_motion, run_pipeline
 from evosc.cli import main
+from evosc.errors import ConfigError
 from evosc.io import read_events
-from evosc.sim import simulate_moving_target
+from evosc.sim import Disks, simulate_moving_target
 from evosc.core import SensorGeometry
 from evosc.track import PatchSpec, read_samples_csv
 
@@ -250,3 +251,27 @@ def test_pipeline_moving_target_is_the_library_preset(tmp_path):
     assert events.tobytes() == want.events.tobytes()
     truth = json.loads((tmp_path / "truth.json").read_text())
     assert truth["planes"] == [want.truth[0].to_dict()]
+
+
+def test_pipeline_moving_target_draws_the_configured_pattern(tmp_path):
+    g32 = SensorGeometry(width=32, height=32)
+    scene = {"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
+             "pattern": {"type": "disks", "pitch_px": 1000.0, "offset_px": 16.0},
+             "contrast": 1.0, "duration_s": 0.05}
+    run_pipeline({"geometry": {"width": 32, "height": 32}, "scene": scene,
+                  "stages": ["simulate"]}, tmp_path, seed=1)
+    events, _ = read_events(tmp_path / "events.evt")
+    want = simulate_moving_target(10.0, 3.0, g32, duration_s=0.05, contrast=1.0, seed=1,
+                                  pattern=Disks(pitch_px=1000.0, offset_px=16.0))
+    assert events.tobytes() == want.events.tobytes()
+    triangle = simulate_moving_target(10.0, 3.0, g32, duration_s=0.05, contrast=1.0, seed=1)
+    assert events.tobytes() != triangle.events.tobytes()
+
+
+def test_pipeline_moving_target_rejects_depth_planes(tmp_path):
+    scene = {"moving_target": {"freq_hz": 10.0, "radius_px": 3.0}, "duration_s": 0.05,
+             "depth_planes": [{"depth_m": 1.0}, {"depth_m": 2.0, "region": [16, 0, 32, 32]}]}
+    with pytest.raises(ConfigError, match="depth_planes"):
+        run_pipeline({"geometry": {"width": 32, "height": 32}, "scene": scene,
+                      "stages": ["simulate"]}, tmp_path, seed=1)
+    assert not (tmp_path / "events.evt").exists()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosc import compensate
 from evosc.compensate import (
     CompensatedEvents,
     compensate_stream,
@@ -339,3 +340,24 @@ def test_write_compensated_csv_format():
     write_compensated_csv(buf, comp)
     lines = buf.getvalue().decode().splitlines()
     assert lines == ["t_us,x,y,p", "5,1.235,3.500,1", "10,2.000,4.250,-1"]
+
+
+def test_write_compensated_csv_matches_per_row_formatting(monkeypatch):
+    """Formatting Python scalars gives the bytes the numpy-scalar f-string gave,
+    on rounding ties, negative zero and wide values, across block boundaries."""
+    monkeypatch.setattr(compensate, "_CSV_BLOCK", 4)
+    x = np.array([-0.0004, 0.0005, -3.2, 1e4, 12345.6785, -99999.9995, 2.5e7, 0.0, 1e-12])
+    y = x[::-1].copy()
+    n = x.shape[0]
+    comp = CompensatedEvents(
+        t=np.array([0, 1, 2**40, 2**63 + 7, 5, 6, 7, 8, 9], dtype=np.uint64),
+        x=x, y=y, xi=np.zeros(n, dtype=np.int32), yi=np.zeros(n, dtype=np.int32),
+        polarity=np.array([1, -1] * 4 + [1], dtype=np.int8),
+        out_of_bounds=np.zeros(n, dtype=bool),
+    )
+    buf = io.BytesIO()
+    write_compensated_csv(buf, comp)
+    rows = [f"{int(t)},{xv:.3f},{yv:.3f},{int(p)}"
+            for t, xv, yv, p in zip(comp.t, comp.x, comp.y, comp.polarity)]
+    assert buf.getvalue() == ("\n".join(["t_us,x,y,p", *rows]) + "\n").encode()
+    assert buf.getvalue().splitlines()[1:3] == [b"0,-0.000,0.000,1", b"1,0.001,0.000,-1"]

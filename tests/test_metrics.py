@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from evosc.core import AccumFrame, BinaryFrame, SensorGeometry, make_events
+from evosc import metrics
+from evosc.core import AccumFrame, BinaryFrame, SensorGeometry, accumulate, make_events
 from evosc.errors import ConfigError
 from evosc.metrics import (
     EdgeReport,
@@ -261,6 +262,46 @@ def test_stream_metrics_windows_and_fields(geom64):
         assert 0.0 <= r.entropy <= 1.0
         assert r.variance >= 0.0
         assert r.grad_mag >= 0.0
+
+
+def _edge_stream():
+    """Events on 1 ms window edges, one tick either side, and none in [4, 6) ms."""
+    rng = np.random.default_rng(3)
+    t = np.concatenate([np.arange(0, 10_001, 500), np.arange(999, 10_000, 1000),
+                        np.arange(1001, 10_000, 1000), rng.integers(0, 10_000, 300)])
+    t = np.sort(t[(t < 4000) | (t >= 6000)])
+    n = t.shape[0]
+    return make_events(t, rng.integers(0, 8, n), rng.integers(0, 6, n), rng.choice([-1, 1], n))
+
+
+@pytest.mark.parametrize("t_begin,t_end,window_us", [
+    (0, 10_000, 1000),   # windows start on events
+    (500, 7_600, 1000),  # begins after the first event; t_end off the window grid
+    (0, 10_001, 500),    # the last window starts on the last event
+    (3_999, 6_001, 1000),  # the middle window is empty
+    (20_000, 20_001, 1000),  # past the stream
+])
+def test_stream_metrics_counts_match_whole_stream_accumulate(monkeypatch, t_begin, t_end,
+                                                              window_us):
+    geom = SensorGeometry(width=8, height=6)
+    ev = _edge_stream()
+    seen = []
+
+    def recording(events, window, geometry):
+        frame = accumulate(events, window, geometry)
+        seen.append(frame)
+        return frame
+
+    monkeypatch.setattr(metrics, "accumulate", recording)
+    rows = stream_metrics(ev, geom, t_begin, t_end, window_us=window_us)
+    starts = list(range(t_begin, t_end, window_us))
+    assert [r.t0 for r in rows] == starts
+    assert [(f.t0, f.t1) for f in seen] == [(t0, t0 + window_us) for t0 in starts]
+    for frame in seen:
+        whole = accumulate(ev, (frame.t0, frame.t1), geom)
+        assert np.array_equal(frame.counts, whole.counts)
+    if t_begin == 3_999:
+        assert seen[1].counts.sum() == 0
 
 
 def test_stream_metrics_without_edges_skips_structural(geom64):

@@ -260,6 +260,33 @@ def test_triangle_bright_inside_dark_outside():
     assert p.sample(np.array([0.0]), np.array([-20.0]))[0] == 0.0
 
 
+# patterns that opt in to row x column grid sampling
+axis_values = st.lists(st.floats(-60.0, 120.0), min_size=1, max_size=12)
+per_axis_patterns = st.one_of(
+    st.builds(Checkerboard, period_px=st.floats(2.0, 40.0), edge_sharpness=st.floats(0.5, 8.0)),
+    st.builds(Disks, radius_px=st.floats(0.2, 30.0), pitch_px=st.floats(2.0, 80.0),
+              edge_width_px=st.floats(0.05, 8.0),
+              offset_px=st.one_of(st.none(), st.floats(-100.0, 100.0))),
+    st.builds(Bitmap, image=st.integers(1, 9).flatmap(
+        lambda h: st.integers(1, 9).map(
+            lambda w: np.random.default_rng(h * 10 + w).random((h, w))))),
+)
+
+
+@given(pattern=per_axis_patterns, ux=axis_values, uy=axis_values,
+       keep=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_grid_sampling_matches_per_pixel_bit_for_bit(pattern, ux, uy, keep):
+    assert pattern.per_axis
+    ux, uy = np.array(ux), np.array(uy)
+    grid = pattern.sample(ux[None, :], uy[:, None])
+    # any subset of the grid, sampled per pixel, as the simulator's active set
+    mask = np.random.default_rng(keep).random(grid.shape) < 0.7
+    rows, cols = np.nonzero(mask)
+    per_pixel = pattern.sample(ux[cols], uy[rows])
+    assert grid[mask].tobytes() == per_pixel.tobytes()
+
+
 # rounding slack between a bound and a sample, well inside the simulator's
 # 1e-9 relative culling margin
 BOUND_TOL = 1e-12
@@ -443,9 +470,10 @@ def test_simulate_rejects_bad_duration_and_threshold():
 
 
 # ---------------------------------------------------------------------------
-# frozen streams: sha256 of simulate output as full-frame stepping produced
-# it; stepping only the active pixels must reproduce every byte. Any change to
-# event order, timing or noise draws changes a digest.
+# frozen streams: sha256 of simulate output as full-frame, per-pixel stepping
+# produced it; stepping only the active pixels, and sampling per_axis patterns
+# on the row x column grid, must reproduce every byte. Any change to event
+# order, timing or noise draws changes a digest.
 
 
 def _circular(amp, phase=0.4):
@@ -504,6 +532,21 @@ FROZEN_SCENES = {
         SceneSpec(pattern=Bitmap(image=_step_edge()), contrast=1.0),
         OscillatorConfig(amp_x_px=3.0, amp_y_px=0.0, omega=2.0 * math.pi * 20.0), G32,
         duration_s=0.2, seed=0),
+    # sampled per pixel: Stripes' costly term mixes both axes
+    "stripes": lambda: simulate(
+        SceneSpec(pattern=Stripes(period_px=12.0, angle_rad=0.6), contrast=2.0),
+        _circular(2.5, phase=0.9), G32, duration_s=0.1, seed=7, noise_rate_hz=10.0),
+    # rings round many disks on a non-square frame: 360 active pixels on 21
+    # rows x 21 columns, with gaps, gathered from the grid
+    "sparse_disks": lambda: simulate(
+        SceneSpec(pattern=Disks(radius_px=2.5, pitch_px=13.0, offset_px=5.0), contrast=1.0),
+        _circular(0.8, phase=-2.2), SensorGeometry(width=40, height=36),
+        duration_s=0.1, seed=3),
+    # a thin ring round one large disk: 164 active pixels gathered from a
+    # 26 x 26 grid, four points per pixel
+    "large_ring": lambda: simulate(
+        SceneSpec(pattern=Disks(radius_px=12.0, pitch_px=1000.0, offset_px=15.5), contrast=1.0),
+        _circular(0.6, phase=1.7), G32, duration_s=0.1, seed=9),
 }
 
 FROZEN_SHA256 = {
@@ -511,9 +554,12 @@ FROZEN_SHA256 = {
     "checkerboard_noise": "54b7509b78993fe18340a32eff4c18fc78c8f465cd9b83a15d748d992efeb879",
     "default_disks_noise": "9a8cddc497b3ccccb517065cff05d47d400f67e91a46796d1a88c5957eb85f4e",
     "disk": "2970d35e2de4de9523aec23113358351469371d0521b67e7472de12d509c6e5a",
+    "large_ring": "c2fd38af70f64c40849f3892a4dd1cbac955f44fd2f8c20b3991aad93cd1a0cb",
     "moving_triangle": "419866e8aaa8c28e2950e604546c83a52f697aad710d507079eb3d14643c6450",
     "near_threshold": "8408d6ec5e05910c103a7a538a64ebb69917d516db2c2e7c3967d97a28c25eac",
     "overlapping_planes": "8c39bd6056d64cc6c44dc8b8d136870dc7dfa85262da6c09f47d2a7b930898a5",
+    "sparse_disks": "c0b33f5e2e72b59f015c30a4f0ef429e9a5146530327eb238d21876f4c669e35",
+    "stripes": "a128ebf5682591bf0ec0a681c379375234f32f0f0481028904d93edc55da6800",
     "two_planes": "d98f89c1338b05dbdcfba9b2865960f4b829cbd6905aed10cc281a2f5fd9de11",
     "uncovered_region": "aae659aac47623a6ea16ecfa3efb0264633a21be1ff6dd29b45afd6b7f8335ec",
     "zero_amplitude": "cd963b4e036d02b4054039b4ddd349a453315e37b99c739f5a7f33839fa386dd",
