@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from evosc.core import SensorGeometry, validate_events
+from evosc.core import SensorGeometry, make_events, validate_events
 from evosc.errors import BehindCameraError, ConfigError, ResonanceError
 from evosc.sim import (
     DEFAULT_THRESHOLD,
@@ -22,7 +22,12 @@ from evosc.sim import (
     Stripes,
     Triangle,
     WorldMotion,
+    _BLOCK_STEPS,
+    _SPARSE_MAX_PIXELS,
     _active_pixels,
+    _crossings_by_pixel,
+    _crossings_by_step,
+    _latent_sampler,
     camera_offset,
     motor_speed,
     project,
@@ -487,8 +492,19 @@ def _step_edge():
     return img
 
 
+def _square():
+    img = np.zeros((32, 32))
+    img[8:24, 8:24] = 1.0
+    return img
+
+
 G32 = SensorGeometry(width=32, height=32)
 SMALL_DISKS = Disks(radius_px=4.0, pitch_px=16.0, offset_px=8.0)
+# a sharp square swept at 550 Hz: references lag the cap of 16 levels per
+# step, so crossings clip to frac 0 and 1, and some pairs of them tie on the
+# time between two blocks
+TIE_SCENE = SceneSpec(pattern=Bitmap(image=_square()), contrast=10.0)
+TIE_CFG = OscillatorConfig(amp_x_px=3.5, amp_y_px=1.75, omega=2.0 * math.pi * 550.0, phi_y=1.0)
 
 FROZEN_SCENES = {
     "disk": lambda: simulate(
@@ -547,17 +563,42 @@ FROZEN_SCENES = {
     "large_ring": lambda: simulate(
         SceneSpec(pattern=Disks(radius_px=12.0, pitch_px=1000.0, offset_px=15.5), contrast=1.0),
         _circular(0.6, phase=1.7), G32, duration_s=0.1, seed=9),
+    "block_edge_ties": lambda: simulate(TIE_SCENE, TIE_CFG, G32, duration_s=0.05, seed=0),
+    # 19 levels per step at the edge's fastest: n_cross reaches the cap of 16
+    "capped_levels": lambda: simulate(
+        SceneSpec(pattern=Bitmap(image=_step_edge()), contrast=10.0),
+        OscillatorConfig(amp_x_px=3.0, amp_y_px=0.0, omega=2.0 * math.pi * 400.0), G32,
+        duration_s=0.02, seed=0),
+    # a refractory period of eight steps
+    "refractory_heavy": lambda: simulate(
+        SceneSpec(pattern=Disks(radius_px=5.0, pitch_px=16.0, offset_px=8.0), contrast=4.0),
+        _circular(2.5, phase=-0.7), G32, duration_s=0.05, seed=0, refractory_us=400),
+    # 549 steps of 37 us: the last block is short
+    "ragged_last_block": lambda: simulate(
+        SceneSpec(pattern=Triangle(center_x=15.0, center_y=17.0, radius_px=9.0), contrast=1.5),
+        _circular(1.8, phase=2.4), G32, duration_s=0.0203, seed=8, step_us=37,
+        noise_rate_hz=60.0),
+    # 2304 active pixels: more than the by-pixel crossing search takes
+    "dense_checker": lambda: simulate(
+        SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
+        _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48),
+        duration_s=0.02, seed=12, noise_rate_hz=40.0),
 }
 
 FROZEN_SHA256 = {
     "bitmap": "fc94d44723409b136180f12df5dadfbfdf175bf33f5d9dce25e75bcb2852c382",
+    "block_edge_ties": "7d1e801364454d88438bbb61bba8f0266ca259db23a1e6a8e614fcdf6dfd8836",
+    "capped_levels": "ef0574fb1d4dcbbdfbd4174eae7112a1923b7947b389750b43cda65f0840d879",
     "checkerboard_noise": "54b7509b78993fe18340a32eff4c18fc78c8f465cd9b83a15d748d992efeb879",
     "default_disks_noise": "9a8cddc497b3ccccb517065cff05d47d400f67e91a46796d1a88c5957eb85f4e",
+    "dense_checker": "4d12a5755b065df4646ef304687a39922184dac44bce1f38133b128388b1f94b",
     "disk": "2970d35e2de4de9523aec23113358351469371d0521b67e7472de12d509c6e5a",
     "large_ring": "c2fd38af70f64c40849f3892a4dd1cbac955f44fd2f8c20b3991aad93cd1a0cb",
     "moving_triangle": "419866e8aaa8c28e2950e604546c83a52f697aad710d507079eb3d14643c6450",
     "near_threshold": "8408d6ec5e05910c103a7a538a64ebb69917d516db2c2e7c3967d97a28c25eac",
     "overlapping_planes": "8c39bd6056d64cc6c44dc8b8d136870dc7dfa85262da6c09f47d2a7b930898a5",
+    "ragged_last_block": "05d70b5d0285031c49ef9c2b4fd9ce5e292b41057985e731d99ff67079975937",
+    "refractory_heavy": "359cb89df28c204c0cee078467a8c54e774166da57fc61838f25421a646bc2f8",
     "sparse_disks": "c0b33f5e2e72b59f015c30a4f0ef429e9a5146530327eb238d21876f4c669e35",
     "stripes": "a128ebf5682591bf0ec0a681c379375234f32f0f0481028904d93edc55da6800",
     "two_planes": "d98f89c1338b05dbdcfba9b2865960f4b829cbd6905aed10cc281a2f5fd9de11",
@@ -584,3 +625,133 @@ def test_active_set_covers_fired_pixels_and_culls_the_rest():
     fired[ev["y"], ev["x"]] = True
     assert not np.any(fired & ~active)
     assert active.mean() < 0.25
+
+
+# ---------------------------------------------------------------------------
+# block sampling and the two crossing searches
+
+
+def _planes(scene, cfg):
+    z0 = scene.depth_planes[0].depth_m
+    return [(p.region, p.pattern or scene.pattern, cfg.scaled(z0 / p.depth_m))
+            for p in scene.depth_planes]
+
+
+def _block_crossings(crossings, planes, contrast, geometry, n_steps, step_us=50,
+                     refractory_us=100):
+    """Drive one crossing search over the simulator's blocks; returns the
+    active-pixel count, each block's (t, pixel, pol) and the final state."""
+    ys, xs, plane_of = _active_pixels(planes, contrast, DEFAULT_THRESHOLD, geometry)
+    latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
+    l_ref = latent([0.0])[0]
+    last_emit = np.full(ys.size, -1e18)
+    blocks = []
+    for b in range(0, n_steps, _BLOCK_STEPS):
+        lat = latent([i * step_us * 1e-6 for i in range(b, min(b + _BLOCK_STEPS, n_steps) + 1)])
+        blocks.append(crossings(lat, l_ref, last_emit, b, DEFAULT_THRESHOLD, step_us,
+                                refractory_us, 16))
+    return ys.size, blocks, l_ref, last_emit
+
+
+CROSSING_SCENES = {
+    # 316 active pixels: the by-pixel side of the rule
+    "sparse_disk": (SceneSpec(pattern=Disks(pitch_px=1000.0, offset_px=32.0), contrast=2.0),
+                    _circular(3.0), SensorGeometry(width=64, height=64), 700),
+    # two planes, one sampled per pixel, with up to 16 levels per step
+    "capped_two_planes": (
+        SceneSpec(pattern=Bitmap(image=_square()), contrast=10.0,
+                  depth_planes=(DepthPlane(depth_m=1.0, region=(0, 0, 20, 32)),
+                                DepthPlane(depth_m=2.0, region=(12, 0, 32, 32),
+                                           pattern=Triangle(center_x=22.0, center_y=16.0)))),
+        OscillatorConfig(amp_x_px=3.5, amp_y_px=1.75, omega=2.0 * math.pi * 550.0), G32, 300),
+    # 2304 active pixels: the by-step side of the rule
+    "dense_checker": (SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
+                      _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48), 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
+def test_crossing_searches_agree(name):
+    scene, cfg, geom, n_steps = CROSSING_SCENES[name]
+    planes = _planes(scene, cfg)
+    n_pix, by_step, ref_a, emit_a = _block_crossings(_crossings_by_step, planes,
+                                                     scene.contrast, geom, n_steps)
+    _, by_pixel, ref_b, emit_b = _block_crossings(_crossings_by_pixel, planes,
+                                                  scene.contrast, geom, n_steps)
+    assert (n_pix > _SPARSE_MAX_PIXELS) == (name == "dense_checker")
+    assert sum(t.size for t, _, _ in by_step) > 1000
+    for a, b in zip(by_step, by_pixel):
+        for field_a, field_b in zip(a, b):
+            assert field_a.tobytes() == field_b.tobytes()
+    assert ref_a.tobytes() == ref_b.tobytes()
+    assert emit_a.tobytes() == emit_b.tobytes()
+
+
+def test_block_edge_scene_ties_across_blocks():
+    """The frozen block_edge_ties scene emits at a block's end time from both
+    the block's last step (frac 1) and the next block's first (frac 0)."""
+    _, blocks, _, _ = _block_crossings(_crossings_by_step, _planes(TIE_SCENE, TIE_CFG),
+                                       TIE_SCENE.contrast, G32, 1000)
+    edge_us = _BLOCK_STEPS * 50
+    ties = [j for j in range(len(blocks) - 1)
+            if np.any(blocks[j][0] == (j + 1) * edge_us)
+            and np.any(blocks[j + 1][0] == (j + 1) * edge_us)]
+    assert ties
+
+
+@pytest.mark.parametrize("name", ["two_planes", "overlapping_planes", "bitmap", "stripes"])
+def test_block_sampling_equals_per_time_sampling(name):
+    scenes = {
+        "two_planes": (SceneSpec(pattern=Disks(radius_px=3.0, pitch_px=24.0, offset_px=12.0),
+                                 contrast=2.0,
+                                 depth_planes=(DepthPlane(depth_m=1.0, region=(0, 0, 24, 48)),
+                                               DepthPlane(depth_m=0.5, region=(24, 0, 48, 48)))),
+                       SensorGeometry(width=48, height=48)),
+        "overlapping_planes": (
+            SceneSpec(pattern=SMALL_DISKS, contrast=1.5,
+                      depth_planes=(DepthPlane(depth_m=1.0, region=(0, 0, 20, 32)),
+                                    DepthPlane(depth_m=2.0, region=(12, 0, 32, 32),
+                                               pattern=Triangle(center_x=22.0, center_y=16.0,
+                                                                radius_px=10.0)))), G32),
+        "bitmap": (SceneSpec(pattern=Bitmap(image=_step_edge()), contrast=1.0), G32),
+        "stripes": (SceneSpec(pattern=Stripes(period_px=12.0, angle_rad=0.6), contrast=2.0), G32),
+    }
+    scene, geom = scenes[name]
+    planes = _planes(scene, _circular(2.5, phase=0.9))
+    ys, xs, plane_of = _active_pixels(planes, scene.contrast, DEFAULT_THRESHOLD, geom)
+    latent = _latent_sampler(planes, scene.contrast, ys, xs, plane_of)
+    times = [i * 50 * 1e-6 for i in range(37, 37 + _BLOCK_STEPS + 1)]
+    block = latent(times)
+    assert block.shape == (len(times), ys.size) and ys.size > 0
+    for row, t in zip(block, times):
+        assert row.tobytes() == latent([t])[0].tobytes()
+
+
+def test_noise_merge_matches_one_stable_sort(monkeypatch):
+    """Noise at a simulated event's float time follows it, noise a fraction
+    of a microsecond earlier precedes it though both round alike, and noise
+    on block edges lands as one stable time sort of all events puts it."""
+    import evosc.sim as sim_module
+
+    n_steps = 1000
+    planes = _planes(TIE_SCENE, TIE_CFG)
+    ys, xs, _ = _active_pixels(planes, TIE_SCENE.contrast, DEFAULT_THRESHOLD, G32)
+    _, blocks, _, _ = _block_crossings(_crossings_by_step, planes, TIE_SCENE.contrast, G32,
+                                       n_steps)
+    t_sim, pixel, pol = (np.concatenate(f) for f in zip(*blocks))
+    edges = np.arange(0, n_steps + 1, _BLOCK_STEPS) * 50.0
+    noise_t = np.sort(np.concatenate([t_sim[::50], t_sim[::53] - 0.05, edges, [n_steps * 50.0 + 7]]))
+    rng = np.random.default_rng(0)
+    nx, ny = rng.integers(0, 32, noise_t.size), rng.integers(0, 32, noise_t.size)
+    npol = rng.choice(np.array([-1.0, 1.0]), noise_t.size)
+    noise = make_events(np.round(noise_t).astype(np.uint64), nx, ny, npol, validate=False)
+    monkeypatch.setattr(sim_module, "_noise_events", lambda *args: (noise_t, noise))
+
+    events = simulate(TIE_SCENE, TIE_CFG, G32, duration_s=n_steps * 50e-6).events
+    t_all = np.concatenate([t_sim, noise_t])
+    order = np.argsort(t_all, kind="stable")
+    expected = make_events(np.round(t_all[order]).astype(np.uint64),
+                           np.concatenate([xs[pixel], nx])[order],
+                           np.concatenate([ys[pixel], ny])[order],
+                           np.concatenate([pol, npol])[order], validate=False)
+    assert events.tobytes() == expected.tobytes()
