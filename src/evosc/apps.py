@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +102,6 @@ def estimate_motion(
     band: tuple[float, float] = DEFAULT_BAND,
     grid_points: int = DEFAULT_GRID_POINTS,
     noise: NoiseConfig | None = None,
-    init_window_s: float | None = None,
     tracker_id: int = 0,
     warmup_s: float | None = None,
 ) -> MotionEstimate:
@@ -124,9 +123,8 @@ def estimate_motion(
         raise InsufficientDataError(
             f"patch at ({patch.cx}, {patch.cy}) produced {samples.shape[0]} samples"
         )
-    head = _init_head(samples, init_window_s)
-    init_result = initialize(head, band=band, grid_points=grid_points)
-    t_ref = int(head["t"][0])
+    init_result = initialize(samples, band=band, grid_points=grid_points)
+    t_ref = int(samples["t"][0])
     state_u = ekf_init(init_result.init_u, t_ref)
     state_v = ekf_init(init_result.init_v, t_ref)
     state_u, trace_u = filter_samples(samples, state_u, noise, axis="u")
@@ -168,14 +166,13 @@ def estimate_scene_frequency(
     emit_period_s: float = DEFAULT_EMIT_PERIOD_S,
     min_weight: float = DEFAULT_MIN_WEIGHT,
     truth_hz: float | None = None,
-    refine: bool = True,
     warmup_s: float | None = None,
 ) -> FrequencyReport:
     """Dominant motion frequency from disjoint independent trials.
 
     The stream's span is cut into `trials` equal segments; each runs a fresh
-    tracker, spectral peak search, and (optionally) a local least-squares
-    refinement of the peak frequency against the raw samples.
+    tracker, spectral peak search, and a local least-squares refinement of
+    the peak frequency against the raw samples.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -202,9 +199,7 @@ def estimate_scene_frequency(
             raise InsufficientDataError(f"trial {i} produced {samples.shape[0]} samples")
         peaks_u = _axis_peaks(samples, "u", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
         peaks_v = _axis_peaks(samples, "v", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
-        omega = fuse_axis_peaks(peaks_u, peaks_v)
-        if refine:
-            omega = _refine_omega(samples, omega, band, grid_points)
+        omega = _refine_omega(samples, fuse_axis_peaks(peaks_u, peaks_v), band, grid_points)
         hz = omega / (2.0 * math.pi)
         if hz > nyquist_hz:
             aliased = True
@@ -420,11 +415,12 @@ def build_scene(config: dict) -> tuple[SceneSpec, OscillatorConfig | None, dict]
     """
     if "moving_target" in config and "depth_planes" in config:
         raise ConfigError("a moving_target scene has one plane; it takes no depth_planes")
-    pattern = _build_pattern(config.get("pattern", {"type": "checkerboard"}))
+    pattern = _build_pattern(config.get("pattern", {"type": "checkerboard"}), "pattern")
     planes = []
-    for p in config.get("depth_planes", [{}]):
+    for i, p in enumerate(config.get("depth_planes", [{}])):
         region = tuple(p["region"]) if p.get("region") else None
-        plane_pattern = _build_pattern(p["pattern"]) if p.get("pattern") else None
+        plane_pattern = (_build_pattern(p["pattern"], f"depth_planes[{i}].pattern")
+                         if p.get("pattern") else None)
         planes.append(DepthPlane(depth_m=float(p.get("depth_m", 1.0)),
                                  region=region, pattern=plane_pattern))
     scene = SceneSpec(
@@ -457,19 +453,31 @@ def build_scene(config: dict) -> tuple[SceneSpec, OscillatorConfig | None, dict]
     return scene, cfg, sim_kwargs
 
 
-def _build_pattern(d: dict):
+def _build_pattern(d: dict, section: str):
     kind = d.get("type", "checkerboard")
     if kind not in PATTERNS:
         raise ConfigError(f"unknown pattern type {kind!r}")
-    kwargs = {k: v for k, v in d.items() if k != "type"}
-    return PATTERNS[kind](**kwargs)
+    return _from_section(PATTERNS[kind], {k: v for k, v in d.items() if k != "type"}, section)
+
+
+def _from_section(cls, d: dict, section: str):
+    """cls(**d) for a dataclass, with an unknown or missing key a ConfigError
+    that names the section and the key."""
+    known = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{section}: unknown key {key!r}")
+    for name, f in known.items():
+        if name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{section}: missing key {name!r}")
+    return cls(**d)
 
 
 def _oscillation_from_physical(phys: dict, scene_cfg: dict) -> OscillatorConfig:
     if "omega_rad_s" in phys:
         omega = float(phys["omega_rad_s"])
     elif "voltage" in phys:
-        motor = MotorParams(**phys.get("motor", {}))
+        motor = _from_section(MotorParams, phys.get("motor", {}), "physical.motor")
         omega = motor_speed(float(phys["voltage"]), motor)
     else:
         raise ConfigError("physical config needs omega_rad_s or voltage")
@@ -567,18 +575,10 @@ def _run_stage(stage, config, ctx, out, seed, artifacts):
 
     elif stage == "compensate":
         events = _require(ctx, "events", stage)
-        ccfg = config.get("compensate", {})
-        if ccfg.get("mode", "tracking") == "tracking":
-            # replay the filter along the stream from fresh init states so
-            # every event is mapped with the freshest estimate at its time
-            init_result = _require(ctx, "init_result", stage)
-            samples = _require(ctx, "primary_samples", stage)
-            states = states_from_init(init_result.init_u, init_result.init_v, ctx["t_ref_us"])
-        else:
-            samples = None
-            states = (_require(ctx, "state_u", stage), _require(ctx, "state_v", stage))
+        init_result = _require(ctx, "init_result", stage)
         ctx["compensated"] = compensate_stage(
-            ccfg, events, *states, geometry, samples, ctx["noise"], ctx["tracker_tau_s"], out,
+            events, init_result, ctx["t_ref_us"], geometry,
+            _require(ctx, "primary_samples", stage), ctx["noise"], ctx["tracker_tau_s"], out,
         )
         artifacts.update(compensated="compensated.evt", compensated_csv="compensated.csv")
 
@@ -662,27 +662,17 @@ def primary_samples(samples: np.ndarray) -> np.ndarray:
     return samples[samples["id"] == samples["id"][0]]
 
 
-def _init_head(samples: np.ndarray, window_s: float | None) -> np.ndarray:
-    """The samples the spectral init sees: the first window_s seconds, or all
-    of them when no window is set or it holds fewer than 8."""
-    if not window_s:
-        return samples
-    head = samples[samples["t"] <= samples["t"][0] + float(window_s) * 1e6]
-    return head if head.shape[0] >= 8 else samples
-
-
 def estimate_stage(section: dict, samples: np.ndarray, tracker_tau_s: float, dest):
     """Spectral init over one tracker's samples; writes the estimate JSON to dest
     (a path or a text stream) and returns (init_result, t_ref_us)."""
     if samples.shape[0] == 0:
         raise InsufficientDataError("no tracker samples to estimate from")
-    head = _init_head(samples, section.get("init_window_s"))
     init_result = initialize(
-        head,
+        samples,
         band=tuple(section.get("band_rad_s", DEFAULT_BAND)),
         grid_points=int(section.get("grid_points", DEFAULT_GRID_POINTS)),
     )
-    t_ref = int(head["t"][0])
+    t_ref = int(samples["t"][0])
     write_json(dest, _estimate_json(init_result, t_ref, tracker_tau_s))
     return init_result, t_ref
 
@@ -699,15 +689,16 @@ def ekf_stage(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfi
     return tuple(states)
 
 
-def compensate_stage(section: dict, events, state_u, state_v, geometry, samples,
-                     noise: NoiseConfig, tracker_tau_s: float | None, out_dir: Path):
-    """Tracking mode when samples are given, else fixed state; writes
-    compensated.evt and compensated.csv to out_dir."""
-    lag_tau = tracker_tau_s if section.get("lag_correction", True) else None
+def compensate_stage(events, init_result: InitResult, t_ref_us: int, geometry, samples,
+                     noise: NoiseConfig, tracker_tau_s: float, out_dir: Path):
+    """Tracking-mode compensation with the tracker lag divided out: the filter
+    is replayed along the stream from fresh init states, so every event is
+    mapped with the freshest estimate at its time. Writes compensated.evt and
+    compensated.csv to out_dir."""
+    state_u, state_v = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
     comp = compensate_stream(
-        events, state_u, state_v, geometry,
-        mode="fixed_state" if samples is None else "tracking",
-        samples=samples, noise=noise, lag_tau_s=lag_tau,
+        events, state_u, state_v, geometry, mode="tracking",
+        samples=samples, noise=noise, lag_tau_s=tracker_tau_s,
     )
     write_events(out_dir / "compensated.evt", comp.to_events(), geometry)
     write_compensated_csv(out_dir / "compensated.csv", comp)

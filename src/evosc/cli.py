@@ -88,9 +88,9 @@ def _cmd_compensate(args) -> int:
     init_u = _init_from_json(states["u"])
     init_v = _init_from_json(states["v"])
     state_u, state_v = states_from_init(init_u, init_v, int(states.get("t_ref_us", 0)))
-    lag_tau = states.get("tracker_tau_s") if args.lag_correction else None
     comp = compensate_stream(
-        events, state_u, state_v, geometry, mode="fixed_state", lag_tau_s=lag_tau
+        events, state_u, state_v, geometry, mode="fixed_state",
+        lag_tau_s=states.get("tracker_tau_s"),
     )
     if args.csv:
         write_compensated_csv(args.out, comp)
@@ -122,7 +122,7 @@ def _cmd_freq(args) -> int:
     report = estimate_scene_frequency(
         events, _patch(args.patch), trials=args.trials,
         tau_s=args.tau, emit_period_s=args.emit_period,
-        truth_hz=args.truth_hz, refine=not args.no_refine,
+        truth_hz=args.truth_hz,
     )
     _dump(asdict(report), args.out)
     return 0
@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--states", required=True, help="JSON from `estimate`")
     p.add_argument("--csv", action="store_true", help="write real-valued CSV")
-    p.add_argument("--no-lag-correction", dest="lag_correction", action="store_false")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_compensate)
 
@@ -212,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
     p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
     p.add_argument("--truth-hz", type=float, default=None)
-    p.add_argument("--no-refine", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_freq)
 

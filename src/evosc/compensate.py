@@ -27,12 +27,10 @@ from .core import EVENT_DTYPE, SensorGeometry
 from .ekf import NoiseConfig, SinusoidState, phasor, phasor_offset, predict, update
 from .errors import ConfigError
 from .freqest import SinusoidInit
-from .io import _write_lines
+from .io import _write_csv
 from .sim import OscillatorConfig, wrap_angle
 from .track import delag_coefficients
 
-# events per block when formatting the compensated CSV
-_CSV_BLOCK = 1 << 14
 
 @dataclass
 class CompensatedEvents:
@@ -180,12 +178,5 @@ def throughput_bench(
 
 def write_compensated_csv(dest, comp: CompensatedEvents) -> None:
     """Real-valued CSV variant: t_us,x,y,p with three decimals."""
-    _write_lines(dest, "t_us,x,y,p", _csv_rows(comp))
-
-
-def _csv_rows(comp: CompensatedEvents):
-    # Python scalars from tolist() format several times faster than numpy
-    # scalars; converting a block at a time keeps few of them alive at once.
-    for lo in range(0, len(comp), _CSV_BLOCK):
-        cols = [c[lo:lo + _CSV_BLOCK].tolist() for c in (comp.t, comp.x, comp.y, comp.polarity)]
-        yield from map("{},{:.3f},{:.3f},{}".format, *cols)
+    _write_csv(dest, "t_us,x,y,p", "{},{:.3f},{:.3f},{}",
+               [comp.t, comp.x, comp.y, comp.polarity])

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalDegeneracyError, OrderingError
 from .freqest import SinusoidInit
-from .io import _write_lines
+from .io import _write_csv
 from .sim import wrap_angle as wrap_theta
 
 GATE_SIGMAS = 5.0
@@ -218,8 +218,6 @@ def filter_samples(
 
 
 def write_trace_csv(dest, trace: np.ndarray) -> None:
-    _write_lines(dest, "t_us,theta,omega,a,b,c,innovation", (
-        f"{int(r['t'])},{r['theta']:.9g},{r['omega']:.9g},{r['a']:.9g},"
-        f"{r['b']:.9g},{r['c']:.9g},{r['innovation']:.9g}"
-        for r in trace
-    ))
+    fields = ("t", "theta", "omega", "a", "b", "c", "innovation")
+    _write_csv(dest, "t_us,theta,omega,a,b,c,innovation", "{}" + ",{:.9g}" * 6,
+               [trace[f] for f in fields])

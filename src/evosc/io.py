@@ -34,6 +34,8 @@ VERSION = 1
 HEADER_FMT = "<4sHHHQ6s"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 CSV_HEADER = "t_us,x,y,p"
+# rows per block when formatting CSV columns
+_CSV_BLOCK = 1 << 14
 
 assert HEADER_SIZE == 24
 
@@ -53,9 +55,8 @@ def write_events(
         ) + events.astype(EVENT_DTYPE, copy=False).tobytes()
         _write_bytes(dest, payload)
     elif fmt == "csv":
-        _write_lines(dest, CSV_HEADER, (
-            f"{int(e['t'])},{int(e['x'])},{int(e['y'])},{int(e['p'])}" for e in events
-        ))
+        _write_csv(dest, CSV_HEADER, "{},{},{},{}",
+                   [events["t"], events["x"], events["y"], events["p"]])
     else:
         raise ConfigError(f"unknown event format {fmt!r}")
 
@@ -182,9 +183,19 @@ def write_json(dest, payload: dict) -> None:
         dest.write(text)
 
 
-def _write_lines(dest, header: str, rows) -> None:
-    """The package's text writer: a header then one row per line, each ending in a newline."""
+def _write_csv(dest, header: str, row_format: str, columns) -> None:
+    """The package's text writer: a header, then row i as row_format.format
+    of element i of each column (equal-length arrays), each line ending in a
+    newline."""
+    rows = _csv_rows(row_format, columns)
     _write_bytes(dest, ("\n".join([header, *rows]) + "\n").encode())
+
+
+def _csv_rows(row_format: str, columns):
+    # Python scalars from tolist() format several times faster than numpy
+    # scalars; converting a block at a time keeps few of them alive at once.
+    for lo in range(0, len(columns[0]), _CSV_BLOCK):
+        yield from map(row_format.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in columns))
 
 
 def _write_bytes(dest, payload: bytes) -> None:

@@ -18,7 +18,7 @@ from scipy import ndimage
 
 from .core import AccumFrame, BinaryFrame, SensorGeometry, accumulate, binarize, window_starts
 from .errors import ConfigError
-from .io import _write_lines
+from .io import _write_csv
 
 EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
 
@@ -224,8 +224,8 @@ def stream_metrics(
 
 
 def write_metrics_csv(dest, rows: list[WindowMetrics]) -> None:
-    _write_lines(dest, "t0_us,entropy,variance,grad_mag,num_components,avg_len,junctions", (
-        f"{r.t0},{r.entropy:.9g},{r.variance:.9g},{r.grad_mag:.9g},"
-        f"{r.num_components},{r.avg_contour_length:.9g},{r.junction_count}"
-        for r in rows
-    ))
+    fields = ("t0", "entropy", "variance", "grad_mag", "num_components",
+              "avg_contour_length", "junction_count")
+    _write_csv(dest, "t0_us,entropy,variance,grad_mag,num_components,avg_len,junctions",
+               "{},{:.9g},{:.9g},{:.9g},{},{:.9g},{}",
+               [np.array([getattr(r, f) for r in rows]) for f in fields])

@@ -32,10 +32,11 @@ plane is then sampled on the grid of its active pixels' unique columns ux and
 rows uy, and its pixels are gathered from it: the per-axis terms, the costly
 part (np.sin for Checkerboard, np.mod for Disks), run on nx + ny values
 instead of two per pixel. Patterns without the attribute are sampled
-per pixel: Triangle and Stripes, whose costly terms mix both axes, and user
-patterns. sample must accept arrays of any broadcast shape: the latent image
-is sampled for a block of 64 steps at once, one row per step (a leading time
-axis on the offsets), with one scalar camera_offset call per step and time.
+per pixel: Triangle and Stripes, whose costly terms mix both axes, Bitmap,
+and user patterns. sample must accept arrays of any broadcast shape: the
+latent image is sampled for a block of 64 steps at once, one row per step (a
+leading time axis on the offsets), with one camera_offset call per plane on
+the block's array of times.
 
 Within a block, crossings are found by one of two searches that emit the same
 events with the same floats:
@@ -44,9 +45,14 @@ events with the same floats:
 - by pixel: a pixel's first crossing row is the first row where
   |L - l_ref| / threshold >= 1, the float expression behind n_cross >= 1.
   Only those (pixel, row) pairs run the per-step arithmetic (levels, the
-  max_crossings cap, the refractory check); their references advance and
-  the search repeats past each one's row until no pixel crosses again in the
-  block. The events are then put in per-step order: step, level, pixel.
+  cap of _MAX_CROSSINGS levels per step, the refractory check); their
+  references advance and the search repeats past each one's row until no
+  pixel crosses again in the block. The events are then put in per-step
+  order: step, level, pixel.
+
+A crossing lands at the linear-interpolated instant inside its step, clipped
+to the step; when the latent value does not move over the step, every
+crossing lands at the step start.
 
 The by-pixel search costs a few array passes per crossing wave, the by-step
 search a few per step, so the by-pixel search wins while few pixels fire per
@@ -78,6 +84,8 @@ DEFAULT_THRESHOLD = 0.2
 _CULL_MARGIN = 1e-9
 # steps whose latent values are sampled in one pattern evaluation
 _BLOCK_STEPS = 64
+# most threshold levels one pixel crosses in one step
+_MAX_CROSSINGS = 16
 # largest active set whose crossings are found pixel by pixel (break-even)
 _SPARSE_MAX_PIXELS = 1024
 
@@ -378,7 +386,6 @@ class Bitmap:
     """Arbitrary log-intensity image sampled with bilinear interpolation."""
 
     image: np.ndarray
-    per_axis = True
 
     def sample(self, xs, ys):
         img = self.image
@@ -520,7 +527,7 @@ def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, pla
             return np.empty((len(times), 0))
         parts = []
         for px, py, grid, pattern, cfg in members:
-            du, dv = np.array([camera_offset(t, cfg) for t in times]).T
+            du, dv = camera_offset(times, cfg)
             if grid:
                 du, dv = du[:, None], dv[:, None]
             values = pattern.sample(px - du[:, None], py - dv[:, None])
@@ -533,8 +540,7 @@ def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, pla
     return latent
 
 
-def _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us,
-          max_crossings, out):
+def _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, out):
     """Emit the crossings of pixels p at block rows r, one row per pixel, and
     advance their references: the per-step threshold-crossing arithmetic.
 
@@ -545,9 +551,11 @@ def _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractor
     t0 = (first_step + r) * step_us
     delta = l_now - l_ref[p]
     n_cross = np.floor(np.abs(delta) / threshold).astype(np.int64)
-    np.minimum(n_cross, max_crossings, out=n_cross)
+    np.minimum(n_cross, _MAX_CROSSINGS, out=n_cross)
     pol = np.sign(delta)
     rise = l_now - l_prev
+    # a latent value that does not move puts every crossing at the step start
+    rise[rise == 0.0] = np.inf
     for k in range(1, int(n_cross.max()) + 1):
         j = np.flatnonzero(n_cross >= k)
         q = p[j]
@@ -562,8 +570,7 @@ def _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractor
     l_ref[p] += pol * n_cross * threshold
 
 
-def _crossings_by_step(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us,
-                       max_crossings):
+def _crossings_by_step(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us):
     """Crossings of one block, testing every pixel at every step.
 
     lat has one row more than the block has steps: row 0 is the latent value
@@ -576,15 +583,14 @@ def _crossings_by_step(lat, l_ref, last_emit, first_step, threshold, step_us, re
         p = np.flatnonzero(np.abs(lat[r + 1] - l_ref) / threshold >= 1.0)
         if p.size:
             _fire(p, np.full(p.size, r), lat, l_ref, last_emit, first_step, threshold, step_us,
-                  refractory_us, max_crossings, out)
+                  refractory_us, out)
     if not out:
         return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
     t, pixel, pol, _, _ = (np.concatenate(f) for f in zip(*out))
     return t, pixel, pol
 
 
-def _crossings_by_pixel(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us,
-                        max_crossings):
+def _crossings_by_pixel(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us):
     """_crossings_by_step's events, visiting each pixel only at the steps
     where it crosses.
 
@@ -598,8 +604,7 @@ def _crossings_by_pixel(lat, l_ref, last_emit, first_step, threshold, step_us, r
     r = crossed[p].argmax(axis=1)
     out = []
     while p.size:
-        _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us,
-              max_crossings, out)
+        _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, out)
         later = np.abs(after[p] - l_ref[p, None]) / threshold >= 1.0
         later &= np.arange(n_rows) > r[:, None]
         more = later.any(axis=1)
@@ -621,7 +626,6 @@ def _generate(
     refractory_us: int,
     rng: np.random.Generator,
     noise_rate_hz: float,
-    max_crossings: int = 16,
 ) -> np.ndarray:
     """Run the threshold-crossing model.
 
@@ -648,8 +652,7 @@ def _generate(
         n = min(_BLOCK_STEPS, n_steps - b)
         # row r: the latent value after step b + r - 1, row 0 the one before step b
         lat = latent([i * step_us * 1e-6 for i in range(b, b + n + 1)])
-        t, pixel, pol = crossings(lat, l_ref, last_emit, b, threshold, step_us, refractory_us,
-                                  max_crossings)
+        t, pixel, pol = crossings(lat, l_ref, last_emit, b, threshold, step_us, refractory_us)
         order = np.argsort(t, kind="stable")
         t, pixel = t[order], pixel[order]
         events = make_events(np.round(t).astype(np.uint64), xs[pixel], ys[pixel], pol[order],

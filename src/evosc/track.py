@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OrderingError
-from .io import _read_bytes, _write_lines
+from .io import _read_bytes, _write_csv
 
 DEFAULT_TAU_S = 0.005
 DEFAULT_EMIT_PERIOD_S = 0.001
@@ -124,10 +124,8 @@ class CentroidTracker:
 
 
 def samples_array(rows) -> np.ndarray:
-    out = np.empty(len(rows), dtype=SAMPLE_DTYPE)
-    for i, (sid, t, u, v) in enumerate(rows):
-        out[i] = (sid, t, u, v)
-    return out
+    """Structured samples from (id, t, u, v) tuples."""
+    return np.array(rows, dtype=SAMPLE_DTYPE)
 
 
 def track_events(events: np.ndarray, trackers: list[CentroidTracker]) -> np.ndarray:
@@ -157,9 +155,8 @@ def delag_coefficients(a: float, b: float, omega: float, tau_s: float) -> tuple[
 
 
 def write_samples_csv(dest, samples: np.ndarray) -> None:
-    _write_lines(dest, "id,t_us,u,v", (
-        f"{int(s['id'])},{int(s['t'])},{s['u']:.6f},{s['v']:.6f}" for s in samples
-    ))
+    _write_csv(dest, "id,t_us,u,v", "{},{},{:.6f},{:.6f}",
+               [samples["id"], samples["t"], samples["u"], samples["v"]])
 
 
 def read_samples_csv(source) -> np.ndarray:

@@ -186,6 +186,29 @@ def test_bad_states_file_is_reported(workdir, tmp_path, capsys, states):
     assert capsys.readouterr().err.startswith("[compensate] ")
 
 
+PHYSICAL = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
+            "eccentricity_m": 0.005, "damping": 2.0, "stiffness": 4000.0}
+
+
+@pytest.mark.parametrize("scene, message", [
+    ({"pattern": {"type": "disks", "bogus": 1}}, "pattern: unknown key 'bogus'"),
+    ({"pattern": {"type": "triangle"}}, "pattern: missing key 'center_x'"),
+    ({"depth_planes": [{}, {"pattern": {"type": "stripes", "pitch": 3}}]},
+     "depth_planes[1].pattern: unknown key 'pitch'"),
+    ({"physical": {**PHYSICAL, "motor": {"kphi": 1}}}, "physical.motor: unknown key 'kphi'"),
+])
+def test_bad_pattern_or_motor_key_is_a_config_error(tmp_path, capsys, scene, message):
+    config = {"geometry": {"width": 16, "height": 16},
+              "scene": {**scene, "duration_s": 0.01}, "stages": ["simulate"]}
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(config, tmp_path / "run")
+    assert str(err.value) == message
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
+    assert capsys.readouterr().err == f"[simulate] {message}\n"
+
+
 def assert_close_json(got, want, path="$"):
     """Same keys and types throughout; numbers within 1e-6 relative."""
     if isinstance(want, dict):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosc import compensate
+from evosc import io as evio
 from evosc.compensate import (
     CompensatedEvents,
     compensate_stream,
@@ -345,7 +345,7 @@ def test_write_compensated_csv_format():
 def test_write_compensated_csv_matches_per_row_formatting(monkeypatch):
     """Formatting Python scalars gives the bytes the numpy-scalar f-string gave,
     on rounding ties, negative zero and wide values, across block boundaries."""
-    monkeypatch.setattr(compensate, "_CSV_BLOCK", 4)
+    monkeypatch.setattr(evio, "_CSV_BLOCK", 4)
     x = np.array([-0.0004, 0.0005, -3.2, 1e4, 12345.6785, -99999.9995, 2.5e7, 0.0, 1e-12])
     y = x[::-1].copy()
     n = x.shape[0]

@@ -27,6 +27,7 @@ from evosc.sim import (
     _active_pixels,
     _crossings_by_pixel,
     _crossings_by_step,
+    _fire,
     _latent_sampler,
     camera_offset,
     motor_speed,
@@ -223,6 +224,23 @@ def test_camera_offset_matches_scalar_formula():
         assert dv[i] == pytest.approx(3.0 * math.cos(70.0 * ti + 1.1))
 
 
+@given(amp_x=st.floats(0.0, 50.0), amp_y=st.floats(0.0, 50.0), omega=st.floats(0.0, 1e4),
+       phi_x=st.floats(-10.0, 10.0), phi_y=st.floats(-10.0, 10.0),
+       first=st.integers(0, 10**6), step_us=st.integers(1, 500),
+       extra=st.lists(st.floats(0.0, 100.0), max_size=8), n=st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_camera_offset_array_call_equals_scalar_calls(amp_x, amp_y, omega, phi_x, phi_y,
+                                                      first, step_us, extra, n):
+    """The simulator samples a block's offsets with one call on the block's
+    times; each must equal, bit for bit, a scalar call at that time."""
+    cfg = OscillatorConfig(amp_x_px=amp_x, amp_y_px=amp_y, omega=omega, phi_x=phi_x, phi_y=phi_y)
+    times = [i * step_us * 1e-6 for i in range(first, first + n)] + extra
+    du, dv = camera_offset(times, cfg)
+    scalar = [camera_offset(t, cfg) for t in times]
+    assert du.tobytes() == np.array([s[0] for s in scalar]).tobytes()
+    assert dv.tobytes() == np.array([s[1] for s in scalar]).tobytes()
+
+
 coords = st.floats(-100.0, 200.0, allow_nan=False)
 
 
@@ -272,9 +290,6 @@ per_axis_patterns = st.one_of(
     st.builds(Disks, radius_px=st.floats(0.2, 30.0), pitch_px=st.floats(2.0, 80.0),
               edge_width_px=st.floats(0.05, 8.0),
               offset_px=st.one_of(st.none(), st.floats(-100.0, 100.0))),
-    st.builds(Bitmap, image=st.integers(1, 9).flatmap(
-        lambda h: st.integers(1, 9).map(
-            lambda w: np.random.default_rng(h * 10 + w).random((h, w))))),
 )
 
 
@@ -502,7 +517,8 @@ G32 = SensorGeometry(width=32, height=32)
 SMALL_DISKS = Disks(radius_px=4.0, pitch_px=16.0, offset_px=8.0)
 # a sharp square swept at 550 Hz: references lag the cap of 16 levels per
 # step, so crossings clip to frac 0 and 1, and some pairs of them tie on the
-# time between two blocks
+# time between two blocks. Its digest also pins crossings at the step start
+# in steps where the latent value does not move
 TIE_SCENE = SceneSpec(pattern=Bitmap(image=_square()), contrast=10.0)
 TIE_CFG = OscillatorConfig(amp_x_px=3.5, amp_y_px=1.75, omega=2.0 * math.pi * 550.0, phi_y=1.0)
 
@@ -587,7 +603,7 @@ FROZEN_SCENES = {
 
 FROZEN_SHA256 = {
     "bitmap": "fc94d44723409b136180f12df5dadfbfdf175bf33f5d9dce25e75bcb2852c382",
-    "block_edge_ties": "7d1e801364454d88438bbb61bba8f0266ca259db23a1e6a8e614fcdf6dfd8836",
+    "block_edge_ties": "02b1b2f17c6f1aa275405d5ea8e1fe0520e274616dd20b392e4f5d25f87e20c5",
     "capped_levels": "ef0574fb1d4dcbbdfbd4174eae7112a1923b7947b389750b43cda65f0840d879",
     "checkerboard_noise": "54b7509b78993fe18340a32eff4c18fc78c8f465cd9b83a15d748d992efeb879",
     "default_disks_noise": "9a8cddc497b3ccccb517065cff05d47d400f67e91a46796d1a88c5957eb85f4e",
@@ -649,7 +665,7 @@ def _block_crossings(crossings, planes, contrast, geometry, n_steps, step_us=50,
     for b in range(0, n_steps, _BLOCK_STEPS):
         lat = latent([i * step_us * 1e-6 for i in range(b, min(b + _BLOCK_STEPS, n_steps) + 1)])
         blocks.append(crossings(lat, l_ref, last_emit, b, DEFAULT_THRESHOLD, step_us,
-                                refractory_us, 16))
+                                refractory_us))
     return ys.size, blocks, l_ref, last_emit
 
 
@@ -725,6 +741,27 @@ def test_block_sampling_equals_per_time_sampling(name):
     assert block.shape == (len(times), ys.size) and ys.size > 0
     for row, t in zip(block, times):
         assert row.tobytes() == latent([t])[0].tobytes()
+
+
+def test_zero_rise_crossings_land_at_step_start():
+    """A pixel whose latent value does not move over a step, with its
+    reference a level or more away, emits at the step start for either
+    polarity, also when the level sits exactly on the latent value."""
+    thr = 0.25
+    lat = np.array([[0.5, -0.5, 0.25, 1.0], [0.5, -0.5, 0.25, 1.1]])
+    l_ref = np.array([0.0, 0.0, 0.0, 0.0])
+    last_emit = np.full(4, -1e18)
+    out = []
+    p = np.arange(4)
+    _fire(p, np.zeros(4, dtype=np.intp), lat, l_ref, last_emit, 3, thr, 50, 0, out)
+    t, pixel, pol, _, level = (np.concatenate(f) for f in zip(*out))
+    order = np.lexsort((level, pixel))
+    assert pixel[order].tolist() == [0, 0, 1, 1, 2, 3, 3, 3, 3]
+    assert pol[order].tolist() == [1, 1, -1, -1, 1, 1, 1, 1, 1]
+    # the zero-rise pixels at the step start; pixel 3 rises 0.1 over the step
+    # and its levels were all passed before it
+    assert t[order].tolist() == [150.0] * 9
+    assert l_ref.tolist() == [0.5, -0.5, 0.25, 1.0]
 
 
 def test_noise_merge_matches_one_stable_sort(monkeypatch):
