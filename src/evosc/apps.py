@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import SensorGeometry
+from .core import SensorGeometry, from_section
 from .ekf import (
     NoiseConfig,
     SinusoidState,
@@ -41,7 +41,9 @@ from .freqest import (
 )
 from .io import write_events, write_json
 from .sim import (
-    PATTERNS,
+    DEFAULT_REFRACTORY_US,
+    DEFAULT_STEP_US,
+    DEFAULT_THRESHOLD,
     DepthPlane,
     MotorParams,
     OscillatorConfig,
@@ -49,6 +51,7 @@ from .sim import (
     SceneSpec,
     WorldMotion,
     motor_speed,
+    read_pattern,
     simulate,
     simulate_moving_target,
 )
@@ -75,7 +78,6 @@ CONVERGENCE_RMS_PX = 1.0
 CONVERGENCE_SPAN = 100
 
 PIPELINE_STAGES = ("simulate", "track", "estimate", "ekf", "compensate", "metrics", "report")
-DEFAULT_GEOMETRY = {"width": 96, "height": 96}
 
 
 @dataclass
@@ -112,13 +114,9 @@ def estimate_motion(
     the fit and the first filter updates.
     """
     noise = noise or NoiseConfig()
-    if warmup_s is None:
-        warmup_s = DEFAULT_WARMUP_TAUS * tau_s
-    tracker = CentroidTracker(
-        patch, tau_s=tau_s, emit_period_s=emit_period_s,
-        min_weight=min_weight, tracker_id=tracker_id, warmup_s=warmup_s,
-    )
-    samples = tracker.run(events)
+    tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s,
+                              min_weight=min_weight, warmup_s=warmup_s)
+    samples = tracking.tracker(patch, tracker_id).run(events)
     if samples.shape[0] < 8:
         raise InsufficientDataError(
             f"patch at ({patch.cx}, {patch.cy}) produced {samples.shape[0]} samples"
@@ -178,8 +176,8 @@ def estimate_scene_frequency(
         raise ConfigError("trials must be at least 1")
     if events.shape[0] == 0:
         raise InsufficientDataError("empty event stream")
-    if warmup_s is None:
-        warmup_s = DEFAULT_WARMUP_TAUS * tau_s
+    tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s,
+                              min_weight=min_weight, warmup_s=warmup_s)
     t0, t1 = int(events["t"][0]), int(events["t"][-1])
     if t1 <= t0:
         raise InsufficientDataError("event stream has zero time span")
@@ -189,12 +187,7 @@ def estimate_scene_frequency(
     nyquist_hz = 0.5 / emit_period_s
     aliased = False
     for i in range(trials):
-        segment = events[bounds[i]:bounds[i + 1]]
-        tracker = CentroidTracker(
-            patch, tau_s=tau_s, emit_period_s=emit_period_s,
-            min_weight=min_weight, warmup_s=warmup_s,
-        )
-        samples = tracker.run(segment)
+        samples = tracking.tracker(patch).run(events[bounds[i]:bounds[i + 1]])
         if samples.shape[0] < 8:
             raise InsufficientDataError(f"trial {i} produced {samples.shape[0]} samples")
         peaks_u = _axis_peaks(samples, "u", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
@@ -402,96 +395,157 @@ def absolute_depth(amplitude_px: float, baseline_m: float, focal_px: float) -> f
 
 
 # ---------------------------------------------------------------------------
-# pipeline
+# pipeline config: one frozen dataclass per block, read by core.from_section;
+# field names are the block's keys, and a field without a default is required
 
 
-def build_scene(config: dict) -> tuple[SceneSpec, OscillatorConfig | None, dict]:
-    """Build (scene, oscillation, sim kwargs) from a scene config dict.
+@dataclass(frozen=True)
+class OscillationSection:
+    """`scene.oscillation`: plane 0's image motion, amp * cos(omega t + phi) per axis."""
 
-    The oscillation comes either from image-plane parameters ("oscillation"),
-    from the physical mount model ("physical"), or is absent for
-    moving-target scenes ("moving_target"), which draw the configured
-    pattern (default: simulate_moving_target's centred triangle) on one plane.
-    """
-    if "moving_target" in config and "depth_planes" in config:
-        raise ConfigError("a moving_target scene has one plane; it takes no depth_planes")
-    pattern = _build_pattern(config.get("pattern", {"type": "checkerboard"}), "pattern")
-    planes = []
-    for i, p in enumerate(config.get("depth_planes", [{}])):
-        region = tuple(p["region"]) if p.get("region") else None
-        plane_pattern = (_build_pattern(p["pattern"], f"depth_planes[{i}].pattern")
-                         if p.get("pattern") else None)
-        planes.append(DepthPlane(depth_m=float(p.get("depth_m", 1.0)),
-                                 region=region, pattern=plane_pattern))
-    scene = SceneSpec(
-        pattern=pattern,
-        contrast=float(config.get("contrast", 0.5)),
-        depth_planes=tuple(planes),
-    )
-    sim_kwargs = {
-        "duration_s": float(config.get("duration_s", 1.0)),
-        "threshold": float(config.get("threshold", 0.2)),
-        "noise_rate_hz": float(config.get("noise_rate_hz", 0.0)),
-    }
-    if "step_us" in config:
-        sim_kwargs["step_us"] = int(config["step_us"])
-    if "refractory_us" in config:
-        sim_kwargs["refractory_us"] = int(config["refractory_us"])
-    if "moving_target" in config:
+    amp_x_px: float = 3.0
+    amp_y_px: float = 3.0
+    omega_rad_s: float = 100.0 * math.pi
+    phi_x: float = 0.0
+    phi_y: float = -math.pi / 2.0
+
+    def oscillator(self) -> OscillatorConfig:
+        return OscillatorConfig(self.amp_x_px, self.amp_y_px, self.omega_rad_s,
+                                self.phi_x, self.phi_y)
+
+
+@dataclass(frozen=True)
+class PhysicalSection:
+    """`scene.physical`: the spring mount driven at omega_rad_s or by the motor
+    at voltage, seen at depth_m."""
+
+    mass_kg: float
+    eccentric_mass_kg: float
+    eccentricity_m: float
+    damping: float
+    stiffness: float
+    omega_rad_s: float | None = None
+    voltage: float | None = None
+    motor: MotorParams = MotorParams()
+    circular: bool = True
+    depth_m: float = 1.0
+
+    def __post_init__(self):
+        if self.omega_rad_s is None and self.voltage is None:
+            raise ConfigError("physical config needs omega_rad_s or voltage")
+
+    def oscillator(self, geometry: SensorGeometry) -> OscillatorConfig:
+        """The steady state's image-plane oscillation through geometry's focal length."""
+        omega = (motor_speed(self.voltage, self.motor) if self.omega_rad_s is None
+                 else self.omega_rad_s)
+        osc = PhysicalOscillator(self.mass_kg, self.eccentric_mass_kg, self.eccentricity_m,
+                                 self.damping, self.stiffness, omega_drive=omega)
+        motion = WorldMotion.from_steady_state(osc, circular=self.circular)
+        return OscillatorConfig.from_world(motion, geometry, self.depth_m)
+
+
+@dataclass(frozen=True)
+class MovingTargetSection:
+    """`scene.moving_target`: a static camera, the pattern on a circular path."""
+
+    freq_hz: float
+    radius_px: float
+
+
+@dataclass(frozen=True)
+class SceneSection:
+    """`scene`: moved by one of oscillation (the default), physical and
+    moving_target. pattern and depth_planes left unset take SceneSpec's
+    defaults; a moving target's pattern defaults to a centred triangle."""
+
+    pattern: object | None = field(default=None, metadata={"read": read_pattern})
+    depth_planes: tuple[DepthPlane, ...] | None = None
+    contrast: float = SceneSpec.contrast
+    duration_s: float = 1.0
+    threshold: float = DEFAULT_THRESHOLD
+    noise_rate_hz: float = 0.0
+    step_us: int = DEFAULT_STEP_US
+    refractory_us: int = DEFAULT_REFRACTORY_US
+    oscillation: OscillationSection | None = None
+    physical: PhysicalSection | None = None
+    moving_target: MovingTargetSection | None = None
+
+    def __post_init__(self):
+        if sum(m is not None for m in (self.oscillation, self.physical, self.moving_target)) > 1:
+            raise ConfigError("scene: give one of oscillation, physical and moving_target")
+        if self.moving_target is not None and self.depth_planes is not None:
+            raise ConfigError("a moving_target scene has one plane; it takes no depth_planes")
+
+
+@dataclass(frozen=True)
+class TrackerSection:
+    """`tracker`: one tracker per patch (default: the frame's centre quarter)."""
+
+    patches: tuple[PatchSpec, ...] = ()
+    tau_s: float = DEFAULT_TAU_S
+    emit_period_s: float = DEFAULT_EMIT_PERIOD_S
+    min_weight: float = DEFAULT_MIN_WEIGHT
+    warmup_s: float | None = None
+
+    def tracker(self, patch: PatchSpec, tracker_id: int = 0) -> CentroidTracker:
+        """A tracker on patch; warmup_s defaults to DEFAULT_WARMUP_TAUS * tau_s."""
+        warmup_s = DEFAULT_WARMUP_TAUS * self.tau_s if self.warmup_s is None else self.warmup_s
+        return CentroidTracker(patch, tau_s=self.tau_s, emit_period_s=self.emit_period_s,
+                               min_weight=self.min_weight, tracker_id=tracker_id,
+                               warmup_s=warmup_s)
+
+
+@dataclass(frozen=True)
+class EstimateSection:
+    band_rad_s: tuple[float, float] = DEFAULT_BAND
+    grid_points: int = DEFAULT_GRID_POINTS
+
+
+@dataclass(frozen=True)
+class EkfSection:
+    sigma_r_px: float = NoiseConfig.sigma_r
+
+
+@dataclass(frozen=True)
+class MetricsSection:
+    window_ms: float = 10.0
+    blur_sigma: float = 1.5
+    edges: bool = True
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """A pipeline config file; run_pipeline's seed argument overrides `seed`."""
+
+    seed: int = 0
+    stages: tuple[str, ...] = PIPELINE_STAGES
+    geometry: SensorGeometry = SensorGeometry(width=96, height=96)
+    scene: SceneSection = SceneSection()
+    tracker: TrackerSection = TrackerSection()
+    estimate: EstimateSection = EstimateSection()
+    ekf: EkfSection = EkfSection()
+    metrics: MetricsSection = MetricsSection()
+
+    def __post_init__(self):
+        unknown = set(self.stages) - set(PIPELINE_STAGES)
+        if unknown:
+            raise ConfigError(f"unknown stages: {sorted(unknown)}")
+
+
+def build_scene(section: SceneSection, geometry: SensorGeometry
+                ) -> tuple[SceneSpec, OscillatorConfig | None, dict]:
+    """(scene, oscillation, sim kwargs) of a scene section on the run's sensor;
+    the oscillation is None for a moving target."""
+    given = {k: getattr(section, k) for k in ("pattern", "depth_planes")
+             if getattr(section, k) is not None}
+    scene = SceneSpec(contrast=section.contrast, **given)
+    sim_kwargs = {k: getattr(section, k) for k in
+                  ("duration_s", "threshold", "noise_rate_hz", "step_us", "refractory_us")}
+    if section.moving_target is not None:
         return scene, None, sim_kwargs
-    if "physical" in config:
-        cfg = _oscillation_from_physical(config["physical"], config)
-    else:
-        osc = config.get("oscillation", {})
-        cfg = OscillatorConfig(
-            amp_x_px=float(osc.get("amp_x_px", 3.0)),
-            amp_y_px=float(osc.get("amp_y_px", 3.0)),
-            omega=float(osc.get("omega_rad_s", 100.0 * math.pi)),
-            phi_x=float(osc.get("phi_x", 0.0)),
-            phi_y=float(osc.get("phi_y", -math.pi / 2.0)),
-        )
-    return scene, cfg, sim_kwargs
-
-
-def _build_pattern(d: dict, section: str):
-    kind = d.get("type", "checkerboard")
-    if kind not in PATTERNS:
-        raise ConfigError(f"unknown pattern type {kind!r}")
-    return _from_section(PATTERNS[kind], {k: v for k, v in d.items() if k != "type"}, section)
-
-
-def _from_section(cls, d: dict, section: str):
-    """cls(**d) for a dataclass, with an unknown or missing key a ConfigError
-    that names the section and the key."""
-    known = {f.name: f for f in fields(cls)}
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"{section}: unknown key {key!r}")
-    for name, f in known.items():
-        if name not in d and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{section}: missing key {name!r}")
-    return cls(**d)
-
-
-def _oscillation_from_physical(phys: dict, scene_cfg: dict) -> OscillatorConfig:
-    if "omega_rad_s" in phys:
-        omega = float(phys["omega_rad_s"])
-    elif "voltage" in phys:
-        motor = _from_section(MotorParams, phys.get("motor", {}), "physical.motor")
-        omega = motor_speed(float(phys["voltage"]), motor)
-    else:
-        raise ConfigError("physical config needs omega_rad_s or voltage")
-    osc = PhysicalOscillator(
-        mass_kg=float(phys["mass_kg"]),
-        eccentric_mass_kg=float(phys["eccentric_mass_kg"]),
-        eccentricity_m=float(phys["eccentricity_m"]),
-        damping=float(phys["damping"]),
-        stiffness=float(phys["stiffness"]),
-        omega_drive=omega,
-    )
-    motion = WorldMotion.from_steady_state(osc, circular=bool(phys.get("circular", True)))
-    geometry = SensorGeometry.from_dict(scene_cfg.get("geometry") or phys["geometry"])
-    return OscillatorConfig.from_world(motion, geometry, float(phys.get("depth_m", 1.0)))
+    if section.physical is not None:
+        return scene, section.physical.oscillator(geometry), sim_kwargs
+    return scene, (section.oscillation or OscillationSection()).oscillator(), sim_kwargs
 
 
 def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> dict:
@@ -501,14 +555,13 @@ def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> 
     order. Later stages consume earlier stages' in-memory results; a stage
     whose inputs were not produced raises a StageError. Every run with the
     same config and seed produces byte-identical event and CSV artifacts.
+    The config is read as a PipelineConfig: an unknown or missing key in any
+    block is a ConfigError.
     """
+    config = from_section(PipelineConfig, config)
+    seed = config.seed if seed is None else int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seed = int(config.get("seed", 0) if seed is None else seed)
-    stages = list(config.get("stages", PIPELINE_STAGES))
-    unknown = set(stages) - set(PIPELINE_STAGES)
-    if unknown:
-        raise ConfigError(f"unknown stages: {sorted(unknown)}")
     manifest: dict = {
         "version": __version__,
         "seed": seed,
@@ -516,13 +569,11 @@ def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> 
         "artifacts": {},
         "timings_s": {},
     }
-    ctx: dict = {
-        "geometry": SensorGeometry.from_dict(config.get("geometry", DEFAULT_GEOMETRY)),
-        "noise": NoiseConfig(sigma_r=float(config.get("ekf", {}).get("sigma_r_px", 0.5))),
-    }
+    ctx: dict = {"noise": NoiseConfig(sigma_r=config.ekf.sigma_r_px),
+                 "tracker_tau_s": config.tracker.tau_s}
 
     for stage in PIPELINE_STAGES:
-        if stage not in stages:
+        if stage not in config.stages:
             continue
         started = time.perf_counter()
         try:
@@ -542,26 +593,24 @@ def _require(ctx: dict, key: str, stage: str):
     return ctx[key]
 
 
-def _run_stage(stage, config, ctx, out, seed, artifacts):
+def _run_stage(stage, config: PipelineConfig, ctx, out, seed, artifacts):
     """Feed one stage its config section and upstream results; keep what it returns."""
-    geometry: SensorGeometry = ctx["geometry"]
+    geometry = config.geometry
 
     if stage == "simulate":
-        ctx["events"] = simulate_stage(config.get("scene", {}), geometry, seed, out).events
+        ctx["events"] = simulate_stage(config.scene, geometry, seed, out).events
         artifacts.update(events="events.evt", truth="truth.json")
 
     elif stage == "track":
         events = _require(ctx, "events", stage)
-        samples, ctx["tracker_tau_s"] = track_stage(
-            config.get("tracker", {}), events, geometry, out / "samples.csv"
-        )
+        samples = track_stage(config.tracker, events, geometry, out / "samples.csv")
         ctx["primary_samples"] = primary_samples(samples)
         artifacts["samples"] = "samples.csv"
 
     elif stage == "estimate":
         samples = _require(ctx, "primary_samples", stage)
         ctx["init_result"], ctx["t_ref_us"] = estimate_stage(
-            config.get("estimate", {}), samples, ctx["tracker_tau_s"], out / "estimate.json"
+            config.estimate, samples, ctx["tracker_tau_s"], out / "estimate.json"
         )
         artifacts["estimate"] = "estimate.json"
 
@@ -584,13 +633,13 @@ def _run_stage(stage, config, ctx, out, seed, artifacts):
 
     elif stage == "metrics":
         events = _require(ctx, "events", stage)
-        mcfg = config.get("metrics", {})
         span = window_span(events)
-        ctx["metrics_raw"] = metrics_stage(mcfg, events, geometry, out / "metrics_raw.csv", span)
+        ctx["metrics_raw"] = metrics_stage(config.metrics, events, geometry,
+                                           out / "metrics_raw.csv", span)
         artifacts["metrics_raw"] = "metrics_raw.csv"
         if "compensated" in ctx:
             ctx["metrics_comp"] = metrics_stage(
-                mcfg, ctx["compensated"].to_events(), geometry,
+                config.metrics, ctx["compensated"].to_events(), geometry,
                 out / "metrics_compensated.csv", span,
             )
             artifacts["metrics_compensated"] = "metrics_compensated.csv"
@@ -606,15 +655,14 @@ def _run_stage(stage, config, ctx, out, seed, artifacts):
 # its result.
 
 
-def simulate_stage(section: dict, geometry: SensorGeometry, seed: int, out_dir: Path):
+def simulate_stage(section: SceneSection, geometry: SensorGeometry, seed: int, out_dir: Path):
     """Simulate the scene section; writes events.evt and truth.json to out_dir."""
-    scene, osc, sim_kwargs = build_scene(section)
-    if "moving_target" in section:
-        mt = section["moving_target"]
+    scene, osc, sim_kwargs = build_scene(section, geometry)
+    if section.moving_target is not None:
         sim_out = simulate_moving_target(
-            freq_hz=float(mt["freq_hz"]), path_radius_px=float(mt["radius_px"]),
-            geometry=geometry, pattern=scene.pattern if "pattern" in section else None,
-            seed=seed, contrast=scene.contrast, **sim_kwargs,
+            freq_hz=section.moving_target.freq_hz,
+            path_radius_px=section.moving_target.radius_px, geometry=geometry,
+            pattern=section.pattern, seed=seed, contrast=scene.contrast, **sim_kwargs,
         )
     else:
         sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)
@@ -628,30 +676,15 @@ def simulate_stage(section: dict, geometry: SensorGeometry, seed: int, out_dir: 
     return sim_out
 
 
-def track_stage(section: dict, events: np.ndarray, geometry: SensorGeometry, dest):
+def track_stage(section: TrackerSection, events: np.ndarray, geometry: SensorGeometry, dest):
     """One tracker per configured patch (default: the centre quarter of the
-    frame); writes the samples CSV to dest and returns (samples, tau_s)."""
-    patches = section.get("patches")
-    if not patches:
-        patches = [{"cx": (geometry.width - 1) / 2.0,
-                    "cy": (geometry.height - 1) / 2.0,
-                    "half_size": min(geometry.width, geometry.height) // 4}]
-    tau = float(section.get("tau_s", DEFAULT_TAU_S))
-    trackers = [
-        CentroidTracker(
-            PatchSpec(cx=float(p["cx"]), cy=float(p["cy"]),
-                      half_size=int(p.get("half_size", 12))),
-            tau_s=tau,
-            emit_period_s=float(section.get("emit_period_s", DEFAULT_EMIT_PERIOD_S)),
-            min_weight=float(section.get("min_weight", DEFAULT_MIN_WEIGHT)),
-            tracker_id=i,
-            warmup_s=float(section.get("warmup_s", DEFAULT_WARMUP_TAUS * tau)),
-        )
-        for i, p in enumerate(patches)
-    ]
-    samples = track_events(events, trackers)
+    frame); writes the samples CSV to dest and returns the samples."""
+    patches = section.patches or (PatchSpec(cx=(geometry.width - 1) / 2.0,
+                                            cy=(geometry.height - 1) / 2.0,
+                                            half_size=min(geometry.width, geometry.height) // 4),)
+    samples = track_events(events, [section.tracker(p, i) for i, p in enumerate(patches)])
     write_samples_csv(dest, samples)
-    return samples, tau
+    return samples
 
 
 def primary_samples(samples: np.ndarray) -> np.ndarray:
@@ -662,16 +695,12 @@ def primary_samples(samples: np.ndarray) -> np.ndarray:
     return samples[samples["id"] == samples["id"][0]]
 
 
-def estimate_stage(section: dict, samples: np.ndarray, tracker_tau_s: float, dest):
+def estimate_stage(section: EstimateSection, samples: np.ndarray, tracker_tau_s: float, dest):
     """Spectral init over one tracker's samples; writes the estimate JSON to dest
     (a path or a text stream) and returns (init_result, t_ref_us)."""
     if samples.shape[0] == 0:
         raise InsufficientDataError("no tracker samples to estimate from")
-    init_result = initialize(
-        samples,
-        band=tuple(section.get("band_rad_s", DEFAULT_BAND)),
-        grid_points=int(section.get("grid_points", DEFAULT_GRID_POINTS)),
-    )
+    init_result = initialize(samples, band=section.band_rad_s, grid_points=section.grid_points)
     t_ref = int(samples["t"][0])
     write_json(dest, _estimate_json(init_result, t_ref, tracker_tau_s))
     return init_result, t_ref
@@ -712,13 +741,12 @@ def window_span(events: np.ndarray) -> tuple[int, int]:
     return int(events["t"][0]), int(events["t"][-1]) + 1
 
 
-def metrics_stage(section: dict, events, geometry, dest, span: tuple[int, int] | None = None):
+def metrics_stage(section: MetricsSection, events, geometry, dest,
+                  span: tuple[int, int] | None = None):
     """Per-window metrics over span (default: the stream's own); writes the CSV to dest."""
     t0, t1 = window_span(events) if span is None else span
-    rows = stream_metrics(
-        events, geometry, t0, t1, int(float(section.get("window_ms", 10)) * 1000),
-        float(section.get("blur_sigma", 1.5)), bool(section.get("edges", True)),
-    )
+    rows = stream_metrics(events, geometry, t0, t1, int(section.window_ms * 1000),
+                          section.blur_sigma, section.edges)
     write_metrics_csv(dest, rows)
     return rows
 

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands mirror the pipeline stages plus the analysis applications.
-simulate, track, estimate and metrics turn their flags into the pipeline's
-config section for that stage and run the pipeline's own stage function.
-Configs are JSON files; results go to --out (a file or directory depending on
-the subcommand). Errors print a stage-tagged line on stderr and exit 1.
+simulate reads a pipeline config file; track, estimate and metrics turn their
+flags into the pipeline's section object for that stage, whose field defaults
+are the flags' defaults. Each runs the pipeline's own stage function. Results
+go to --out (a file or directory depending on the subcommand). Errors print a
+stage-tagged line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -20,7 +21,10 @@ import numpy as np
 
 from . import __version__
 from .apps import (
-    DEFAULT_GEOMETRY,
+    EstimateSection,
+    MetricsSection,
+    PipelineConfig,
+    TrackerSection,
     estimate_scene_frequency,
     estimate_stage,
     metrics_stage,
@@ -32,17 +36,11 @@ from .apps import (
     track_stage,
 )
 from .compensate import compensate_stream, states_from_init, write_compensated_csv
-from .core import SensorGeometry
+from .core import from_section
 from .errors import EvoscError
-from .freqest import DEFAULT_BAND, DEFAULT_GRID_POINTS, SinusoidInit
+from .freqest import SinusoidInit
 from .io import read_events, write_events, write_json
-from .track import (
-    DEFAULT_EMIT_PERIOD_S,
-    DEFAULT_MIN_WEIGHT,
-    DEFAULT_TAU_S,
-    PatchSpec,
-    read_samples_csv,
-)
+from .track import PatchSpec, read_samples_csv
 
 
 def _load_json(path: str) -> dict:
@@ -56,28 +54,27 @@ def _patch(values) -> PatchSpec:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_json(args.config)
+    config = from_section(PipelineConfig, _load_json(args.config))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    geometry = SensorGeometry.from_dict(config.get("geometry", DEFAULT_GEOMETRY))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    sim_out = simulate_stage(config.get("scene", config), geometry, seed, out)
+    seed = config.seed if args.seed is None else args.seed
+    sim_out = simulate_stage(config.scene, config.geometry, seed, out)
     print(f"wrote {sim_out.events.shape[0]} events to {out / 'events.evt'}")
     return 0
 
 
 def _cmd_track(args) -> int:
     events, geometry = read_events(args.events)
-    section = {"patches": [asdict(_patch(args.patch))], "tau_s": args.tau,
-               "emit_period_s": args.emit_period, "min_weight": args.min_weight}
-    samples, _ = track_stage(section, events, geometry, args.out)
+    section = TrackerSection(patches=(_patch(args.patch),), tau_s=args.tau,
+                             emit_period_s=args.emit_period, min_weight=args.min_weight)
+    samples = track_stage(section, events, geometry, args.out)
     print(f"wrote {samples.shape[0]} samples to {args.out}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     samples = primary_samples(read_samples_csv(args.samples))
-    section = {"band_rad_s": args.band, "grid_points": args.grid_points}
+    section = EstimateSection(band_rad_s=tuple(args.band), grid_points=args.grid_points)
     estimate_stage(section, samples, args.tau, args.out or sys.stdout)
     return 0
 
@@ -110,8 +107,8 @@ def _init_from_json(d: dict) -> SinusoidInit:
 
 def _cmd_metrics(args) -> int:
     events, geometry = read_events(args.events)
-    section = {"window_ms": args.window_ms, "blur_sigma": args.blur_sigma,
-               "edges": not args.no_edges}
+    section = MetricsSection(window_ms=args.window_ms, blur_sigma=args.blur_sigma,
+                             edges=not args.no_edges)
     rows = metrics_stage(section, events, geometry, args.out)
     print(f"wrote {len(rows)} windows to {args.out}")
     return 0
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"evosc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="simulate an event stream from a scene config")
+    p = sub.add_parser("simulate", help="simulate the scene of a pipeline config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output directory")
@@ -174,17 +171,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("track", help="run a centroid tracker over an event file")
     p.add_argument("--events", required=True)
     p.add_argument("--patch", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
-    p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
-    p.add_argument("--min-weight", type=float, default=DEFAULT_MIN_WEIGHT)
+    p.add_argument("--tau", type=float, default=TrackerSection.tau_s)
+    p.add_argument("--emit-period", type=float, default=TrackerSection.emit_period_s)
+    p.add_argument("--min-weight", type=float, default=TrackerSection.min_weight)
     p.add_argument("--out", required=True, help="samples CSV path")
     p.set_defaults(func=_cmd_track)
 
     p = sub.add_parser("estimate", help="spectral + least-squares initialization")
     p.add_argument("--samples", required=True, help="samples CSV from `track`")
-    p.add_argument("--band", nargs=2, type=float, default=list(DEFAULT_BAND))
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S,
+    p.add_argument("--band", nargs=2, type=float, default=EstimateSection.band_rad_s)
+    p.add_argument("--grid-points", type=int, default=EstimateSection.grid_points)
+    p.add_argument("--tau", type=float, default=TrackerSection.tau_s,
                    help="tracker tau used for the lag correction downstream")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=_cmd_estimate)
@@ -198,8 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("metrics", help="per-window frame metrics for an event file")
     p.add_argument("--events", required=True)
-    p.add_argument("--window-ms", type=float, default=10.0)
-    p.add_argument("--blur-sigma", type=float, default=1.5)
+    p.add_argument("--window-ms", type=float, default=MetricsSection.window_ms)
+    p.add_argument("--blur-sigma", type=float, default=MetricsSection.blur_sigma)
     p.add_argument("--no-edges", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_metrics)
@@ -208,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--patch", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
-    p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
+    p.add_argument("--tau", type=float, default=TrackerSection.tau_s)
+    p.add_argument("--emit-period", type=float, default=TrackerSection.emit_period_s)
     p.add_argument("--truth-hz", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_freq)
@@ -218,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", required=True)
     p.add_argument("--patch1", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
     p.add_argument("--patch2", nargs=3, metavar=("CX", "CY", "HALF"), required=True)
-    p.add_argument("--tau", type=float, default=DEFAULT_TAU_S)
-    p.add_argument("--emit-period", type=float, default=DEFAULT_EMIT_PERIOD_S)
+    p.add_argument("--tau", type=float, default=TrackerSection.tau_s)
+    p.add_argument("--emit-period", type=float, default=TrackerSection.emit_period_s)
     p.add_argument("--truth-ratio", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_depth)

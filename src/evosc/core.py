@@ -8,7 +8,8 @@ pixel indices, polarity is +1 (brightness increase) or -1 (decrease).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,22 +43,10 @@ class SensorGeometry:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SensorGeometry":
-        return cls(
-            width=int(d["width"]),
-            height=int(d["height"]),
-            focal_length_px=float(d.get("focal_length_px", 100.0)),
-            cx=d.get("cx"),
-            cy=d.get("cy"),
-        )
+        return from_section(cls, d, "geometry")
 
     def to_dict(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "focal_length_px": self.focal_length_px,
-            "cx": self.cx,
-            "cy": self.cy,
-        }
+        return asdict(self)
 
     @classmethod
     def load(cls, path: str | Path) -> "SensorGeometry":
@@ -68,6 +57,57 @@ class SensorGeometry:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+def from_section(cls, d, section: str = ""):
+    """Read config block d into the dataclass cls, whose fields are the block's
+    keys, types and defaults.
+
+    section is the block's path ("" at the top level): errors name it, and
+    sub-blocks extend it (`tracker.patches[0]`). An unknown or missing key, or a
+    value that does not convert to its field's type, is a ConfigError. A field
+    whose metadata holds "read" is read by read(value, path) instead.
+    """
+    where = section or "config"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected a block of keys, got {d!r}")
+    known = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+    for name, f in known.items():
+        if name not in d and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: missing key {name!r}")
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for key, value in d.items():
+        path = f"{section}.{key}" if section else key
+        read = known[key].metadata.get("read")
+        values[key] = read(value, path) if read else _read_value(hints[key], value, path)
+    return cls(**values)
+
+
+def _read_value(tp, value, path: str):
+    """value as type tp: int, float and bool cast, a dataclass read as a
+    sub-block, a tuple element by element from a list, None kept for X | None."""
+    args = typing.get_args(tp)
+    if type(None) in args:
+        return None if value is None else _read_value(args[0], value, path)
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)) or (
+                args[-1] is not Ellipsis and len(value) != len(args)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return tuple(_read_value(t, v, f"{path}[{i}]")
+                     for i, (t, v) in enumerate(zip(items, value)))
+    if is_dataclass(tp):
+        return from_section(tp, value, path)
+    if tp in (int, float, bool):
+        try:
+            return tp(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}") from None
+    return value
 
 
 def make_events(t, x, y, p, validate: bool = True) -> np.ndarray:

@@ -72,7 +72,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SensorGeometry, empty_events, make_events
+from .core import SensorGeometry, empty_events, from_section, make_events
 from .errors import BehindCameraError, ConfigError, ResonanceError
 
 TWO_PI = 2.0 * math.pi
@@ -265,16 +265,6 @@ class OscillatorConfig:
             "phi_y": self.phi_y,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "OscillatorConfig":
-        return cls(
-            amp_x_px=float(d["amp_x_px"]),
-            amp_y_px=float(d["amp_y_px"]),
-            omega=float(d["omega_rad_s"]),
-            phi_x=float(d.get("phi_x", 0.0)),
-            phi_y=float(d.get("phi_y", 0.0)),
-        )
-
 
 def camera_offset(t, cfg: OscillatorConfig):
     """Image-plane camera offset (du, dv) in pixels; vectorized over t (seconds)."""
@@ -411,6 +401,15 @@ PATTERNS = {
 }
 
 
+def read_pattern(d: dict, section: str):
+    """A pattern block: its `type` (default checkerboard) names the PATTERNS
+    class, and its other keys are that class's fields."""
+    kind = d.get("type", "checkerboard") if isinstance(d, dict) else None
+    if kind not in PATTERNS:
+        raise ConfigError(f"{section}: unknown pattern type {kind!r}")
+    return from_section(PATTERNS[kind], {k: v for k, v in d.items() if k != "type"}, section)
+
+
 @dataclass(frozen=True)
 class DepthPlane:
     """Axis-aligned region (x0, y0, x1, y1) of the frame lying at one depth.
@@ -421,7 +420,7 @@ class DepthPlane:
 
     depth_m: float = 1.0
     region: tuple[int, int, int, int] | None = None
-    pattern: object | None = None
+    pattern: object | None = field(default=None, metadata={"read": read_pattern})
 
     def __post_init__(self):
         if self.depth_m <= 0:

@@ -1,12 +1,16 @@
 import hashlib
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from evosc import apps
 from evosc.apps import (
+    PipelineConfig,
+    SceneSection,
     build_scene,
     absolute_depth,
     estimate_motion,
@@ -17,7 +21,7 @@ from evosc.apps import (
     relative_depth,
     run_pipeline,
 )
-from evosc.core import SensorGeometry
+from evosc.core import SensorGeometry, from_section
 from evosc.ekf import amplitude_phase
 from evosc.errors import (
     ConfigError,
@@ -211,16 +215,23 @@ class TestRelativeDepth:
                            PatchSpec(cx=48.0, cy=48.0, half_size=10))
 
 
+G64 = SensorGeometry(width=64, height=64)
+
+
+def scene_of(section: dict, geometry: SensorGeometry = G64):
+    return build_scene(from_section(SceneSection, section, "scene"), geometry)
+
+
 class TestBuildScene:
     def test_defaults(self):
-        scene, osc, kwargs = build_scene({})
+        scene, osc, kwargs = scene_of({})
         assert isinstance(scene.pattern, Checkerboard)
         assert scene.contrast == 0.5
         assert osc.omega == pytest.approx(100.0 * math.pi)
         assert kwargs["duration_s"] == 1.0
 
     def test_explicit_pattern_and_oscillation(self):
-        scene, osc, kwargs = build_scene({
+        scene, osc, kwargs = scene_of({
             "pattern": {"type": "disks", "pitch_px": 1000.0, "offset_px": 32.0},
             "contrast": 2.0,
             "duration_s": 0.25,
@@ -235,20 +246,19 @@ class TestBuildScene:
 
     def test_unknown_pattern(self):
         with pytest.raises(ConfigError):
-            build_scene({"pattern": {"type": "plasma"}})
+            scene_of({"pattern": {"type": "plasma"}})
 
     def test_moving_target_has_no_oscillation(self):
-        scene, osc, _ = build_scene({"moving_target": {"freq_hz": 10.0,
-                                                       "radius_px": 3.0}})
+        scene, osc, _ = scene_of({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0}})
         assert osc is None
 
     def test_moving_target_rejects_depth_planes(self):
         with pytest.raises(ConfigError, match="depth_planes"):
-            build_scene({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
-                         "depth_planes": [{"depth_m": 1.0}]})
+            scene_of({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
+                      "depth_planes": [{"depth_m": 1.0}]})
 
     def test_depth_planes_parsed(self):
-        scene, _, _ = build_scene({
+        scene, _, _ = scene_of({
             "depth_planes": [
                 {"depth_m": 1.0, "region": [0, 0, 32, 64]},
                 {"depth_m": 2.0, "region": [32, 0, 64, 64],
@@ -261,20 +271,19 @@ class TestBuildScene:
         assert scene.depth_planes[1].pattern is not None
 
     def test_physical_voltage_drives_motor_model(self):
-        scene, osc, _ = build_scene({
-            "geometry": {"width": 64, "height": 64, "focal_length_px": 100.0},
-            "physical": {
-                "voltage": 2.0,
-                "mass_kg": 0.1, "eccentric_mass_kg": 0.01, "eccentricity_m": 0.005,
-                "damping": 2.0, "stiffness": 4000.0, "depth_m": 1.0,
-            },
-        })
+        physical = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
+                    "eccentricity_m": 0.005, "damping": 2.0, "stiffness": 4000.0,
+                    "depth_m": 1.0}
+        scene, osc, _ = scene_of({"physical": physical})
         assert osc.omega == pytest.approx(MOTOR_OMEGA_2V, rel=1e-9)
         assert osc.amp_x_px == osc.amp_y_px > 0
+        # the amplitude scales with the focal length of the geometry passed in
+        _, osc_f200, _ = scene_of({"physical": physical},
+                                  SensorGeometry(width=64, height=64, focal_length_px=200.0))
+        assert osc_f200.amp_x_px == pytest.approx(2.0 * osc.amp_x_px, rel=1e-12)
 
     def test_physical_direct_omega(self):
-        scene, osc, _ = build_scene({
-            "geometry": {"width": 64, "height": 64},
+        scene, osc, _ = scene_of({
             "physical": {
                 "omega_rad_s": 150.0, "circular": False,
                 "mass_kg": 0.1, "eccentric_mass_kg": 0.01, "eccentricity_m": 0.005,
@@ -286,9 +295,9 @@ class TestBuildScene:
 
     def test_physical_missing_drive(self):
         with pytest.raises(ConfigError):
-            build_scene({"physical": {"mass_kg": 0.1, "eccentric_mass_kg": 0.01,
-                                      "eccentricity_m": 0.005, "damping": 2.0,
-                                      "stiffness": 4000.0}})
+            scene_of({"physical": {"mass_kg": 0.1, "eccentric_mass_kg": 0.01,
+                                   "eccentricity_m": 0.005, "damping": 2.0,
+                                   "stiffness": 4000.0}})
 
 
 PIPELINE_CONFIG = {
@@ -302,6 +311,20 @@ PIPELINE_CONFIG = {
                 "tau_s": 0.005},
     "metrics": {"window_ms": 10, "edges": False},
 }
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_shipped_configs_read_through_the_schema(tmp_path, monkeypatch):
+    """The demo script's and the benchmark's pipeline configs use only declared
+    keys, so a key that drifts out of the schema fails here."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    demo = importlib.import_module("run_demo").DEMO_CONFIG
+    pipeline = importlib.import_module("workloads").DemoPipeline()
+    bench = [pipeline.inputs(0, size, tmp_path).data["config"] for size in pipeline.sizes]
+    for config in [demo, PIPELINE_CONFIG, *bench]:
+        read = from_section(PipelineConfig, config)
+        assert read.tracker.patches and read.metrics.window_ms == 10.0
 
 
 class TestPipeline:

@@ -8,7 +8,15 @@ from evosc.apps import estimate_motion, run_pipeline
 from evosc.cli import main
 from evosc.errors import ConfigError
 from evosc.io import read_events
-from evosc.sim import Disks, simulate_moving_target
+from evosc.sim import (
+    Disks,
+    MotorParams,
+    OscillatorConfig,
+    PhysicalOscillator,
+    WorldMotion,
+    motor_speed,
+    simulate_moving_target,
+)
 from evosc.core import SensorGeometry
 from evosc.track import PatchSpec, read_samples_csv
 
@@ -190,19 +198,49 @@ PHYSICAL = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
             "eccentricity_m": 0.005, "damping": 2.0, "stiffness": 4000.0}
 
 
-@pytest.mark.parametrize("scene, message", [
-    ({"pattern": {"type": "disks", "bogus": 1}}, "pattern: unknown key 'bogus'"),
-    ({"pattern": {"type": "triangle"}}, "pattern: missing key 'center_x'"),
-    ({"depth_planes": [{}, {"pattern": {"type": "stripes", "pitch": 3}}]},
-     "depth_planes[1].pattern: unknown key 'pitch'"),
-    ({"physical": {**PHYSICAL, "motor": {"kphi": 1}}}, "physical.motor: unknown key 'kphi'"),
+@pytest.mark.parametrize("config, message", [
+    ({"scene": {"pattern": {"type": "disks", "bogus": 1}}},
+     "scene.pattern: unknown key 'bogus'"),
+    ({"scene": {"pattern": {"type": "triangle"}}}, "scene.pattern: missing key 'center_x'"),
+    ({"scene": {"depth_planes": [{}, {"pattern": {"type": "stripes", "pitch": 3}}]}},
+     "scene.depth_planes[1].pattern: unknown key 'pitch'"),
+    ({"scene": {"physical": {**PHYSICAL, "motor": {"kphi": 1}}}},
+     "scene.physical.motor: unknown key 'kphi'"),
+    ({"sed": 1}, "config: unknown key 'sed'"),
+    ({"compensate": {}}, "config: unknown key 'compensate'"),
+    ({"geometry": {"width": 16, "heigth": 16}}, "geometry: unknown key 'heigth'"),
+    ({"geometry": {"width": 32}}, "geometry: missing key 'height'"),
+    ({"scene": {"contrst": 2}}, "scene: unknown key 'contrst'"),
+    ({"scene": {"geometry": {"width": 16, "height": 16}}}, "scene: unknown key 'geometry'"),
+    ({"scene": {"depth_planes": [{"dpth_m": 2.0}]}},
+     "scene.depth_planes[0]: unknown key 'dpth_m'"),
+    ({"scene": {"oscillation": {"amp_x": 1.0}}}, "scene.oscillation: unknown key 'amp_x'"),
+    ({"scene": {"physical": {**PHYSICAL, "geometry": {"width": 16, "height": 16}}}},
+     "scene.physical: unknown key 'geometry'"),
+    ({"scene": {"moving_target": {"freq_hz": 10.0, "radius": 3.0}}},
+     "scene.moving_target: unknown key 'radius'"),
+    ({"scene": {"oscillation": {}, "moving_target": {"freq_hz": 10.0, "radius_px": 3.0}}},
+     "scene: give one of oscillation, physical and moving_target"),
+    ({"tracker": {"tau": 0.5}}, "tracker: unknown key 'tau'"),
+    ({"tracker": {"patches": [{"cx": 8.0, "cy": 8.0, "half": 4}]}},
+     "tracker.patches[0]: unknown key 'half'"),
+    ({"tracker": {"tau_s": "fast"}}, "tracker.tau_s: expected float, got 'fast'"),
+    ({"estimate": {"band": [30.0, 500.0]}}, "estimate: unknown key 'band'"),
+    ({"ekf": {"sigma_r": 0.1}}, "ekf: unknown key 'sigma_r'"),
+    ({"metrics": {"window": 10}}, "metrics: unknown key 'window'"),
 ])
-def test_bad_pattern_or_motor_key_is_a_config_error(tmp_path, capsys, scene, message):
-    config = {"geometry": {"width": 16, "height": 16},
-              "scene": {**scene, "duration_s": 0.01}, "stages": ["simulate"]}
+def test_bad_config_key_is_a_config_error(tmp_path, capsys, config, message):
+    """Every block of a pipeline config is read strictly, by run_pipeline and
+    by `evosc simulate` alike, which takes the same file."""
+    base = {"geometry": {"width": 16, "height": 16}, "stages": ["simulate"],
+            "scene": {"duration_s": 0.01}}
+    if "scene" in config:
+        config = {**config, "scene": {**base["scene"], **config["scene"]}}
+    config = {**base, **config}
     with pytest.raises(ConfigError) as err:
         run_pipeline(config, tmp_path / "run")
     assert str(err.value) == message
+    assert not (tmp_path / "run").exists()
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "cli")]) == 1
@@ -289,6 +327,19 @@ def test_pipeline_moving_target_draws_the_configured_pattern(tmp_path):
     assert events.tobytes() == want.events.tobytes()
     triangle = simulate_moving_target(10.0, 3.0, g32, duration_s=0.05, contrast=1.0, seed=1)
     assert events.tobytes() != triangle.events.tobytes()
+
+
+def test_pipeline_physical_scene_projects_with_the_run_geometry(tmp_path):
+    geometry = SensorGeometry(width=32, height=32, focal_length_px=250.0)
+    scene = {"physical": {**PHYSICAL, "depth_m": 2.0}, "duration_s": 0.02}
+    run_pipeline({"geometry": geometry.to_dict(), "scene": scene, "stages": ["simulate"]},
+                 tmp_path, seed=1)
+    omega = motor_speed(PHYSICAL["voltage"], MotorParams())
+    osc = PhysicalOscillator(mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
+                             damping=2.0, stiffness=4000.0, omega_drive=omega)
+    want = OscillatorConfig.from_world(WorldMotion.from_steady_state(osc), geometry, 2.0)
+    truth = json.loads((tmp_path / "truth.json").read_text())
+    assert truth["planes"][0]["amp_x_px"] == want.amp_x_px
 
 
 def test_pipeline_moving_target_rejects_depth_planes(tmp_path):

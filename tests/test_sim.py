@@ -202,8 +202,13 @@ class TestOscillatorConfig:
         assert (s.amp_x_px, s.amp_y_px, s.omega) == (1.0, 2.0, 10.0)
 
     def test_dict_round_trip(self):
+        # to_dict writes truth.json's planes in the keys of a scene's oscillation block
+        from evosc.apps import OscillationSection
+        from evosc.core import from_section
+
         cfg = OscillatorConfig(amp_x_px=1.0, amp_y_px=2.0, omega=55.0, phi_x=0.4, phi_y=-2.2)
-        assert OscillatorConfig.from_dict(cfg.to_dict()) == cfg
+        section = from_section(OscillationSection, cfg.to_dict(), "scene.oscillation")
+        assert section.oscillator() == cfg
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ConfigError):
