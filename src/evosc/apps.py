@@ -11,6 +11,7 @@ run_pipeline      staged artifact-producing run with a manifest
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -70,6 +71,7 @@ from .track import (
 from .compensate import (
     compensate_stream,
     states_from_init,
+    trace_phasors,
     write_compensated_csv,
 )
 from .metrics import stream_metrics, write_metrics_csv
@@ -472,7 +474,7 @@ class SceneSection:
 
     def __post_init__(self):
         if sum(m is not None for m in (self.oscillation, self.physical, self.moving_target)) > 1:
-            raise ConfigError("scene: give one of oscillation, physical and moving_target")
+            raise ConfigError("give one of oscillation, physical and moving_target")
         if self.moving_target is not None and self.depth_planes is not None:
             raise ConfigError("a moving_target scene has one plane; it takes no depth_planes")
 
@@ -486,6 +488,12 @@ class TrackerSection:
     emit_period_s: float = DEFAULT_EMIT_PERIOD_S
     min_weight: float = DEFAULT_MIN_WEIGHT
     warmup_s: float | None = None
+
+    def __post_init__(self):
+        if self.tau_s <= 0 or self.emit_period_s <= 0:
+            raise ConfigError("tau_s and emit_period_s must be positive")
+        if self.min_weight < 1:
+            raise ConfigError(f"min_weight must be at least 1, got {self.min_weight}")
 
     def tracker(self, patch: PatchSpec, tracker_id: int = 0) -> CentroidTracker:
         """A tracker on patch; warmup_s defaults to DEFAULT_WARMUP_TAUS * tau_s."""
@@ -511,6 +519,11 @@ class MetricsSection:
     window_ms: float = 10.0
     blur_sigma: float = 1.5
     edges: bool = True
+
+    def __post_init__(self):
+        # metrics_stage windows whole microseconds
+        if int(self.window_ms * 1000) < 1:
+            raise ConfigError(f"window_ms must be at least 0.001 (1 us), got {self.window_ms}")
 
 
 @dataclass(frozen=True)
@@ -617,7 +630,7 @@ def _run_stage(stage, config: PipelineConfig, ctx, out, seed, artifacts):
     elif stage == "ekf":
         samples = _require(ctx, "primary_samples", stage)
         init_result = _require(ctx, "init_result", stage)
-        ctx["state_u"], ctx["state_v"] = ekf_stage(
+        (ctx["state_u"], ctx["state_v"]), ctx["ekf_traces"] = ekf_stage(
             samples, init_result, ctx["t_ref_us"], ctx["noise"], out
         )
         artifacts.update(ekf_trace_u="ekf_trace_u.csv", ekf_trace_v="ekf_trace_v.csv")
@@ -628,6 +641,7 @@ def _run_stage(stage, config: PipelineConfig, ctx, out, seed, artifacts):
         ctx["compensated"] = compensate_stage(
             events, init_result, ctx["t_ref_us"], geometry,
             _require(ctx, "primary_samples", stage), ctx["noise"], ctx["tracker_tau_s"], out,
+            ctx.get("ekf_traces"),
         )
         artifacts.update(compensated="compensated.evt", compensated_csv="compensated.csv")
 
@@ -709,25 +723,30 @@ def estimate_stage(section: EstimateSection, samples: np.ndarray, tracker_tau_s:
 def ekf_stage(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfig,
               out_dir: Path):
     """Filter both axes from the init; writes ekf_trace_{u,v}.csv and returns
-    the final (state_u, state_v)."""
-    states = []
+    the final (state_u, state_v) and the (trace_u, trace_v) they came through."""
+    states, traces = [], []
     for axis, init in (("u", init_result.init_u), ("v", init_result.init_v)):
         state, trace = filter_samples(samples, ekf_init(init, t_ref_us), noise, axis=axis)
         write_trace_csv(out_dir / f"ekf_trace_{axis}.csv", trace)
         states.append(state)
-    return tuple(states)
+        traces.append(trace)
+    return tuple(states), tuple(traces)
 
 
 def compensate_stage(events, init_result: InitResult, t_ref_us: int, geometry, samples,
-                     noise: NoiseConfig, tracker_tau_s: float, out_dir: Path):
-    """Tracking-mode compensation with the tracker lag divided out: the filter
-    is replayed along the stream from fresh init states, so every event is
-    mapped with the freshest estimate at its time. Writes compensated.evt and
-    compensated.csv to out_dir."""
-    state_u, state_v = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
+                     noise: NoiseConfig, tracker_tau_s: float, out_dir: Path, traces=None):
+    """Tracking-mode compensation with the tracker lag divided out: every
+    event is mapped with the filter's freshest estimate at its time, read from
+    the ekf stage's (trace_u, trace_v) of the same samples and init (filtered
+    here when traces is None). Writes compensated.evt and compensated.csv to
+    out_dir."""
+    states = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
+    if traces is None:
+        traces = [filter_samples(samples, copy.deepcopy(state), noise, axis=axis)[1]
+                  for state, axis in zip(states, "uv")]
     comp = compensate_stream(
-        events, state_u, state_v, geometry, mode="tracking",
-        samples=samples, noise=noise, lag_tau_s=tracker_tau_s,
+        events, *states, geometry, mode="tracking", samples=samples,
+        phasors=trace_phasors(*states, *traces, tracker_tau_s),
     )
     write_events(out_dir / "compensated.evt", comp.to_events(), geometry)
     write_compensated_csv(out_dir / "compensated.csv", comp)

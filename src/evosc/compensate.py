@@ -1,19 +1,21 @@
 """Per-event motion compensation.
 
 Each event is moved back into the virtual (static) camera frame by
-subtracting the predicted oscillatory offset at its timestamp: one phase
-evaluation and one cosine per axis per event, vectorized over the stream.
-Compensated coordinates are kept both real-valued and rounded; rounded
-coordinates falling outside the sensor are clamped and flagged rather than
-dropped, so event count and order are always preserved.
+subtracting the predicted oscillatory offset at its timestamp. The stream is
+walked block by block (_BLOCK events, so the temporaries stay cache-sized),
+and within a block the offset is evaluated once per distinct timestamp, one
+cosine per axis, then repeated over the events sharing it. Compensated
+coordinates are kept both real-valued and rounded; rounded coordinates
+falling outside the sensor are clamped and flagged rather than dropped, so
+event count and order are always preserved.
 
 Tracking mode maps each event with the filter state after the last sample
-strictly before it. It walks the samples once, advancing the caller's
-states in place and recording the phasor after each sample, then expands
-that table to one phasor per event by run length (events must be in time
-order, as every stream is); no events are buffered between samples. A stream
-cut into consecutive chunks, with the states carried from chunk to chunk,
-compensates bit-identically to one call over the whole stream.
+strictly before it, from a table of one phasor per sample. The table is
+given (the pipeline builds it from the ekf stage's traces), or built by
+walking the samples once, advancing the caller's states in place; no events
+are buffered between samples. A stream cut into consecutive chunks, with the
+states carried from chunk to chunk, compensates bit-identically to one call
+over the whole stream.
 """
 
 from __future__ import annotations
@@ -24,12 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EVENT_DTYPE, SensorGeometry
-from .ekf import NoiseConfig, SinusoidState, phasor, phasor_offset, predict, update
+from .ekf import NoiseConfig, SinusoidState, StateSnapshot, phasor, phasor_offset, predict, update
 from .errors import ConfigError
 from .freqest import SinusoidInit
 from .io import _write_csv
 from .sim import OscillatorConfig, wrap_angle
 from .track import delag_coefficients
+
+# events per block of the compensation walk, so that its temporaries stay in cache
+_BLOCK = 1 << 16
 
 
 @dataclass
@@ -59,11 +64,11 @@ class CompensatedEvents:
         return out
 
 
-def _delagged_phasor(state: SinusoidState, lag_tau_s: float | None):
+def _delagged_phasor(state: SinusoidState | StateSnapshot, lag_tau_s: float | None):
     """phasor() of the state with the centroid window's lag removed when lag_tau_s is set."""
     if lag_tau_s:
         a, b = delag_coefficients(state.a, state.b, state.omega, lag_tau_s)
-        state = state.snapshot()._replace(a=a, b=b)
+        state = StateSnapshot(state.theta, state.omega, a, b, state.c, state.t_us)
     return phasor(state)
 
 
@@ -76,6 +81,7 @@ def compensate_stream(
     samples: np.ndarray | None = None,
     noise: NoiseConfig | None = None,
     lag_tau_s: float | None = None,
+    phasors: np.ndarray | None = None,
 ) -> CompensatedEvents:
     """Map events into the virtual static frame.
 
@@ -86,31 +92,56 @@ def compensate_stream(
     equal filter_samples' final states, ready to carry into the next chunk of
     a stream. lag_tau_s, when given, removes the centroid window's
     first-order gain and phase lag from the states before they are applied.
+
+    phasors, in tracking mode, is that table already built (trace_phasors of
+    the states and their filter_samples traces over samples): the states are
+    then neither walked nor advanced, and noise and lag_tau_s are not used.
     """
-    t = events["t"].astype(np.float64)
-    x = events["x"].astype(np.float64)
-    y = events["y"].astype(np.float64)
     if mode == "fixed_state":
-        x -= phasor_offset(*_delagged_phasor(state_u, lag_tau_s), t)
-        y -= phasor_offset(*_delagged_phasor(state_v, lag_tau_s), t)
+        table = np.array([_delagged_phasor(state_u, lag_tau_s)
+                          + _delagged_phasor(state_v, lag_tau_s)]).T
+        sample_t = None
     elif mode == "tracking":
-        if samples is None or noise is None:
+        if samples is None or (noise is None and phasors is None):
             raise ConfigError("tracking mode requires samples and noise config")
-        table = _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s)
-        # column j serves the events after sample j - 1, up to and including sample j
-        bounds = np.searchsorted(events["t"], samples["t"], side="right")
-        counts = np.diff(bounds, prepend=0, append=events.shape[0])
-        x -= phasor_offset(*np.repeat(table[:4], counts, axis=1), t)
-        y -= phasor_offset(*np.repeat(table[4:], counts, axis=1), t)
+        if phasors is None:
+            table = _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s)
+        elif phasors.shape != (8, samples.shape[0] + 1):
+            raise ConfigError(f"phasor table of shape {phasors.shape} for "
+                              f"{samples.shape[0]} samples")
+        else:
+            table = phasors
+        sample_t = samples["t"]
     else:
         raise ConfigError(f"unknown compensation mode {mode!r}")
-    xi = np.rint(x).astype(np.int32)
-    yi = np.rint(y).astype(np.int32)
-    oob = (xi < 0) | (xi >= geometry.width) | (yi < 0) | (yi >= geometry.height)
-    np.clip(xi, 0, geometry.width - 1, out=xi)
-    np.clip(yi, 0, geometry.height - 1, out=yi)
+    n = events.shape[0]
+    t_all = events["t"].copy()
+    x, y = np.empty(n), np.empty(n)
+    xi, yi = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    oob = np.zeros(n, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        block = events[lo:hi]
+        t = t_all[lo:hi]
+        starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
+        run_t = t[starts]
+        counts = np.diff(starts, append=t.shape[0])
+        # column j serves the events after sample j - 1, up to and including
+        # sample j; all events of a run share their timestamp, hence a column
+        col = 0 if sample_t is None else np.searchsorted(sample_t, run_t, side="left")
+        run_t = run_t.astype(np.float64)
+        for coord, rows, real, rounded, size in (("x", table[:4], x, xi, geometry.width),
+                                                 ("y", table[4:], y, yi, geometry.height)):
+            real = real[lo:hi]
+            real[...] = block[coord]
+            real -= np.repeat(phasor_offset(*rows[:, col], run_t), counts)
+            r = rounded[lo:hi]
+            np.rint(real, out=r, casting="unsafe")
+            # viewed unsigned, a negative coordinate is out of range too
+            oob[lo:hi] |= r.view(np.uint32) >= size
+            np.clip(r, 0, size - 1, out=r)
     return CompensatedEvents(
-        t=events["t"].copy(), x=x, y=y, xi=xi, yi=yi,
+        t=t_all, x=x, y=y, xi=xi, yi=yi,
         polarity=events["p"].copy(), out_of_bounds=oob,
     )
 
@@ -125,6 +156,18 @@ def _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s):
         update(state_u, u, noise)
         update(state_v, v, noise)
         rows.append((*_delagged_phasor(state_u, lag_tau_s), *_delagged_phasor(state_v, lag_tau_s)))
+    return np.array(rows, dtype=np.float64).T
+
+
+def trace_phasors(state_u, state_v, trace_u, trace_v, lag_tau_s=None) -> np.ndarray:
+    """The table _tracking_phasors walks the filter for, read from the
+    filter_samples traces of state_u and state_v instead: column 0 from the
+    states, column i + 1 from trace row i. Pass it to tracking mode as phasors."""
+    rows = [(*_delagged_phasor(state_u, lag_tau_s), *_delagged_phasor(state_v, lag_tau_s))]
+    for ru, rv in zip(trace_u.tolist(), trace_v.tolist()):
+        # a trace row is (t, theta, omega, a, b, c, innovation, accepted)
+        rows.append((*_delagged_phasor(StateSnapshot(*ru[1:6], ru[0]), lag_tau_s),
+                     *_delagged_phasor(StateSnapshot(*rv[1:6], rv[0]), lag_tau_s)))
     return np.array(rows, dtype=np.float64).T
 
 

@@ -19,6 +19,8 @@ from .errors import BoundsError, ConfigError, OrderingError
 # Packed little-endian record layout, 13 bytes per event. This dtype is also
 # the on-disk binary record format, so streams round-trip via tobytes().
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
+# records per block of validate_events
+_VALIDATE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,9 +66,10 @@ def from_section(cls, d, section: str = ""):
     keys, types and defaults.
 
     section is the block's path ("" at the top level): errors name it, and
-    sub-blocks extend it (`tracker.patches[0]`). An unknown or missing key, or a
-    value that does not convert to its field's type, is a ConfigError. A field
-    whose metadata holds "read" is read by read(value, path) instead.
+    sub-blocks extend it (`tracker.patches[0]`). An unknown or missing key, a
+    value that does not convert to its field's type, or a ConfigError from
+    cls's own checks is a ConfigError naming the block. A field whose metadata
+    holds "read" is read by read(value, path) instead.
     """
     where = section or "config"
     if not isinstance(d, dict):
@@ -84,7 +87,10 @@ def from_section(cls, d, section: str = ""):
         path = f"{section}.{key}" if section else key
         read = known[key].metadata.get("read")
         values[key] = read(value, path) if read else _read_value(hints[key], value, path)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _read_value(tp, value, path: str):
@@ -130,33 +136,41 @@ def empty_events() -> np.ndarray:
 def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) -> None:
     """Check ordering, polarity domain and (optionally) pixel bounds.
 
-    Raises OrderingError / BoundsError on the first violation found.
+    Raises OrderingError / BoundsError on the first violation found: the
+    first decreasing timestamp, else the first bad polarity, else the first
+    record out of bounds. The stream is checked _VALIDATE_BLOCK records at a
+    time, so the checks' temporaries stay cache-sized.
     """
     if events.dtype != EVENT_DTYPE:
         raise ConfigError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
-    if events.shape[0] == 0:
-        return
-    t = events["t"]
-    if events.shape[0] > 1:
-        bad = np.nonzero(t[1:] < t[:-1])[0]
-        if bad.size:
-            i = int(bad[0]) + 1
+    t, pol, x, y = events["t"], events["p"], events["x"], events["y"]
+    bad_pol = bad_xy = None
+    for lo in range(0, events.shape[0], _VALIDATE_BLOCK):
+        hi = min(lo + _VALIDATE_BLOCK, events.shape[0])
+        # one record of overlap orders each block after the one before it
+        first = max(lo - 1, 0)
+        decreasing = t[first + 1:hi] < t[first:hi - 1]
+        if decreasing.any():
+            i = first + 1 + int(decreasing.argmax())
             raise OrderingError(
                 f"timestamp decreases at record {i}: {int(t[i])} < {int(t[i - 1])}"
             )
-    pol = events["p"]
-    bad = np.nonzero((pol != 1) & (pol != -1))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise BoundsError(f"polarity must be +1 or -1, record {i} has {int(pol[i])}")
-    if geometry is not None:
-        oob = np.nonzero((events["x"] >= geometry.width) | (events["y"] >= geometry.height))[0]
-        if oob.size:
-            i = int(oob[0])
-            raise BoundsError(
-                f"record {i} at ({int(events['x'][i])}, {int(events['y'][i])}) outside "
-                f"{geometry.width}x{geometry.height} sensor"
-            )
+        if bad_pol is None:
+            pb = pol[lo:hi]
+            wrong = (pb != 1) & (pb != -1)
+            if wrong.any():
+                bad_pol = lo + int(wrong.argmax())
+        if geometry is not None and bad_xy is None:
+            outside = (x[lo:hi] >= geometry.width) | (y[lo:hi] >= geometry.height)
+            if outside.any():
+                bad_xy = lo + int(outside.argmax())
+    if bad_pol is not None:
+        raise BoundsError(f"polarity must be +1 or -1, record {bad_pol} has {int(pol[bad_pol])}")
+    if bad_xy is not None:
+        raise BoundsError(
+            f"record {bad_xy} at ({int(x[bad_xy])}, {int(y[bad_xy])}) outside "
+            f"{geometry.width}x{geometry.height} sensor"
+        )
 
 
 @dataclass

@@ -10,6 +10,11 @@ records (u64 t_us, u16 x, u16 y, i8 polarity).
     count    u64
     reserved 6 bytes  zero
 
+The records are the event array's own memory: writing streams it after the
+header, and reading a regular file checks the file's size against the header
+count, then reads straight into the array, so neither direction builds a
+copy of the whole stream.
+
 CSV container: header line ``t_us,x,y,p`` then one decimal-integer row per
 event, polarity written as 1 or -1.
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 import io as _io
 import json
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -49,11 +55,11 @@ def write_events(
     """Serialize an event stream to a path or writable file object."""
     validate_events(events, geometry)
     if fmt == "binary":
-        payload = struct.pack(
+        header = struct.pack(
             HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height,
             events.shape[0], b"\x00" * 6,
-        ) + events.astype(EVENT_DTYPE, copy=False).tobytes()
-        _write_bytes(dest, payload)
+        )
+        _write_bytes(dest, header, memoryview(np.ascontiguousarray(events).view(np.uint8)))
     elif fmt == "csv":
         _write_csv(dest, CSV_HEADER, "{},{},{},{}",
                    [events["t"], events["x"], events["y"], events["p"]])
@@ -72,9 +78,11 @@ def read_events(
     the header; for CSV it echoes the argument. Ordering and bounds are
     validated against whichever geometry is available.
     """
-    data = _read_bytes(source)
     if fmt == "binary":
-        events, file_geom = _parse_binary(data)
+        if isinstance(source, (str, os.PathLike)):
+            events, file_geom = _read_binary_file(source)
+        else:
+            events, file_geom = _parse_binary(_read_bytes(source))
         if geometry is not None and (
             file_geom.width != geometry.width or file_geom.height != geometry.height
         ):
@@ -84,22 +92,27 @@ def read_events(
             )
         geometry = geometry or file_geom
     elif fmt == "csv":
-        events = _parse_csv(data)
+        events = _parse_csv(_read_bytes(source))
     else:
         raise ConfigError(f"unknown event format {fmt!r}")
     validate_events(events, geometry)
     return events, geometry
 
 
-def _parse_binary(data: bytes) -> tuple[np.ndarray, SensorGeometry]:
-    if len(data) < HEADER_SIZE:
-        raise FormatError(f"truncated header: {len(data)} bytes", offset=len(data))
-    magic, version, width, height, count, _ = struct.unpack_from(HEADER_FMT, data)
+def _read_header(head: bytes) -> tuple[int, int, int]:
+    """(width, height, count) from the first bytes of a binary stream."""
+    if len(head) < HEADER_SIZE:
+        raise FormatError(f"truncated header: {len(head)} bytes", offset=len(head))
+    magic, version, width, height, count, _ = struct.unpack_from(HEADER_FMT, head)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}", offset=0)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", offset=4)
-    body = len(data) - HEADER_SIZE
+    return width, height, count
+
+
+def _check_body(body: int, count: int) -> None:
+    """The record section must be body bytes long for count records."""
     expected = count * EVENT_DTYPE.itemsize
     if body != expected:
         # offset of the first byte that is missing or surplus
@@ -108,12 +121,38 @@ def _parse_binary(data: bytes) -> tuple[np.ndarray, SensorGeometry]:
             f"record section is {body} bytes, header count {count} requires {expected}",
             offset=bad,
         )
-    events = np.frombuffer(data, dtype=EVENT_DTYPE, count=count, offset=HEADER_SIZE).copy()
+
+
+def _header_geometry(width: int, height: int) -> SensorGeometry:
     try:
-        geom = SensorGeometry(width=width, height=height)
+        return SensorGeometry(width=width, height=height)
     except ConfigError as exc:
         raise FormatError(f"bad header geometry: {exc}", offset=6) from exc
-    return events, geom
+
+
+def _parse_binary(data: bytes) -> tuple[np.ndarray, SensorGeometry]:
+    width, height, count = _read_header(data)
+    _check_body(len(data) - HEADER_SIZE, count)
+    events = np.frombuffer(data, dtype=EVENT_DTYPE, count=count, offset=HEADER_SIZE).copy()
+    return events, _header_geometry(width, height)
+
+
+def _read_binary_file(path) -> tuple[np.ndarray, SensorGeometry]:
+    """_parse_binary of a file, with the size checked before the records are
+    allocated and the records read straight into their array."""
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_SIZE)
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            # a pipe or device has no size to check in advance
+            return _parse_binary(head + fh.read())
+        width, height, count = _read_header(head)
+        _check_body(st.st_size - HEADER_SIZE, count)
+        events = np.empty(count, dtype=EVENT_DTYPE)
+        got = fh.readinto(events.view(np.uint8))
+    # short only if the file shrank after its size was checked
+    _check_body(got, count)
+    return events, _header_geometry(width, height)
 
 
 def _parse_csv(data: bytes) -> np.ndarray:
@@ -198,11 +237,15 @@ def _csv_rows(row_format: str, columns):
         yield from map(row_format.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in columns))
 
 
-def _write_bytes(dest, payload: bytes) -> None:
+def _write_bytes(dest, *chunks) -> None:
+    """Write the bytes-like chunks, in order, to a path or a binary stream."""
     if isinstance(dest, (str, os.PathLike)):
-        Path(dest).write_bytes(payload)
+        with open(dest, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
     else:
-        dest.write(payload)
+        for chunk in chunks:
+            dest.write(chunk)
 
 
 def _read_bytes(source) -> bytes:

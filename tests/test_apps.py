@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evosc import apps
+from evosc import apps, compensate, ekf
 from evosc.apps import (
     PipelineConfig,
     SceneSection,
@@ -360,18 +360,56 @@ class TestPipeline:
         da, db = digest(tmp_path / "a"), digest(tmp_path / "b")
         assert da == db
 
+    # sha256 as the per-sample buffered tracking loop wrote them, 0.2 s at seed 3
+    FROZEN_TRACKING = {
+        "compensated.evt": "fc64f81e92c96c35bce6a5d5a04d9f7132356a03ed4ca5da544d4d85f95bd6d4",
+        "compensated.csv": "a3fdc4bdb3691284ae6b028d9d588a335c7f432436569d1a4fb514f1cb846a64",
+    }
+
     def test_tracking_compensation_matches_frozen_digest(self, tmp_path):
-        # sha256 as the per-sample buffered tracking loop wrote them; the one
-        # filter walk plus gathered cosine pass must reproduce every byte
+        # without an ekf stage the compensate stage filters the samples itself;
+        # the phasor table and per-run cosine pass must reproduce every byte
         run_pipeline({**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2},
                       "stages": ["simulate", "track", "estimate", "compensate"]},
                      tmp_path, seed=3)
-        frozen = {
-            "compensated.evt": "fc64f81e92c96c35bce6a5d5a04d9f7132356a03ed4ca5da544d4d85f95bd6d4",
-            "compensated.csv": "a3fdc4bdb3691284ae6b028d9d588a335c7f432436569d1a4fb514f1cb846a64",
-        }
-        for name, want in frozen.items():
+        for name, want in self.FROZEN_TRACKING.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    def test_compensation_reads_the_ekf_stage_traces(self, tmp_path, monkeypatch):
+        """After the ekf stage the filter is not walked again: one
+        filter_samples pass per axis, no filter step from compensation, and the
+        table read from the traces gives the same bytes."""
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(apps, "filter_samples", counted("filter", ekf.filter_samples))
+        monkeypatch.setattr(compensate, "predict", counted("predict", ekf.predict))
+        monkeypatch.setattr(compensate, "update", counted("update", ekf.update))
+        run_pipeline({**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2},
+                      "stages": ["simulate", "track", "estimate", "ekf", "compensate"]},
+                     tmp_path, seed=3)
+        assert calls == ["filter", "filter"]
+        for name, want in self.FROZEN_TRACKING.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    @pytest.mark.parametrize("block, message", [
+        ({"metrics": {"window_ms": 0.0001}},
+         "metrics: window_ms must be at least 0.001 (1 us), got 0.0001"),
+        ({"tracker": {"tau_s": 0}}, "tracker: tau_s and emit_period_s must be positive"),
+        ({"tracker": {"emit_period_s": -0.001}},
+         "tracker: tau_s and emit_period_s must be positive"),
+        ({"tracker": {"min_weight": 0.5}}, "tracker: min_weight must be at least 1, got 0.5"),
+    ])
+    def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
+        with pytest.raises(ConfigError) as err:
+            run_pipeline({**PIPELINE_CONFIG, **block}, tmp_path / "run")
+        assert str(err.value) == message
+        assert not (tmp_path / "run").exists()
 
     def test_stage_dependencies_enforced(self, tmp_path):
         with pytest.raises(StageError):

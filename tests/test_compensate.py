@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evosc import io as evio
+from evosc import compensate, io as evio
 from evosc.compensate import (
     CompensatedEvents,
     compensate_stream,
     states_from_config,
     states_from_init,
     throughput_bench,
+    trace_phasors,
     write_compensated_csv,
 )
 from evosc.core import SensorGeometry, make_events
@@ -34,6 +35,29 @@ def random_events(n, seed=0, width=64, height=64, t_max=1_000_000):
         rng.integers(0, height, n),
         rng.choice([-1, 1], n),
     )
+
+
+def per_event_reference(ev, samples, su, sv, noise, lag_tau_s):
+    """One filter_samples pass per axis, then each event takes the de-lagged
+    state after the last sample strictly before it (the initial state when none),
+    gathered per event."""
+    k = np.searchsorted(samples["t"], ev["t"], side="left")
+    t = ev["t"].astype(np.float64)
+    out = []
+    for state, axis, coord in ((su, "u", "x"), (sv, "v", "y")):
+        _, trace = filter_samples(samples, copy.deepcopy(state), noise, axis=axis)
+        rows = [(state.theta, state.omega, state.a, state.b, float(state.t_us))]
+        rows += [(r["theta"], r["omega"], r["a"], r["b"], float(r["t"])) for r in trace]
+        table = []
+        for theta, omega, a, b, t0 in rows:
+            if lag_tau_s:
+                a, b = delag_coefficients(a, b, omega, lag_tau_s)
+            amp = math.hypot(a, b)
+            psi = math.atan2(a, b) if amp > 0 else 0.0
+            table.append((amp, theta - psi, omega, t0))
+        amp, phase0, omega, t0 = np.array(table).T
+        out.append(ev[coord] - amp[k] * np.cos(phase0[k] + omega[k] * 1e-6 * (t - t0[k])))
+    return out
 
 
 @given(
@@ -229,33 +253,11 @@ class TestTracking:
         sv.covariance = su.covariance.copy()
         return ev, samples, su, sv
 
-    @staticmethod
-    def reference(ev, samples, su, sv, noise, lag_tau_s):
-        """One filter_samples pass per axis, then each event takes the de-lagged
-        state after the last sample strictly before it (the initial state when none)."""
-        k = np.searchsorted(samples["t"], ev["t"], side="left")
-        t = ev["t"].astype(np.float64)
-        out = []
-        for state, axis, coord in ((su, "u", "x"), (sv, "v", "y")):
-            _, trace = filter_samples(samples, copy.deepcopy(state), noise, axis=axis)
-            rows = [(state.theta, state.omega, state.a, state.b, float(state.t_us))]
-            rows += [(r["theta"], r["omega"], r["a"], r["b"], float(r["t"])) for r in trace]
-            table = []
-            for theta, omega, a, b, t0 in rows:
-                if lag_tau_s:
-                    a, b = delag_coefficients(a, b, omega, lag_tau_s)
-                amp = math.hypot(a, b)
-                psi = math.atan2(a, b) if amp > 0 else 0.0
-                table.append((amp, theta - psi, omega, t0))
-            amp, phase0, omega, t0 = np.array(table).T
-            out.append(ev[coord] - amp[k] * np.cos(phase0[k] + omega[k] * 1e-6 * (t - t0[k])))
-        return out
-
     @pytest.mark.parametrize("lag_tau_s", [None, 0.005])
     def test_equals_one_filter_pass_and_gather(self, lag_tau_s):
         ev, samples, su, sv = self.noisy_run()
         noise = NoiseConfig(sigma_r=0.2)
-        ref_x, ref_y = self.reference(ev, samples, su, sv, noise, lag_tau_s)
+        ref_x, ref_y = per_event_reference(ev, samples, su, sv, noise, lag_tau_s)
         comp = compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
                                  noise=noise, lag_tau_s=lag_tau_s)
         np.testing.assert_array_equal(comp.x, ref_x)
@@ -305,6 +307,96 @@ class TestTracking:
         comp = compensate_stream(ev, su, sv, GEOM, mode="tracking",
                                  samples=samples, noise=NoiseConfig())
         assert len(comp) == 0
+
+
+def block_case(t, x, y, sample_t, sample_noise, lag_tau_s):
+    """(events, samples, lag_tau_s); timestamps in ms, events in the given order."""
+    ev = make_events(np.asarray(t, dtype=np.uint64) * 1000, x, y,
+                     np.where(np.arange(len(t)) % 3 == 0, -1, 1), validate=False)
+    samples = np.zeros(len(sample_t), dtype=SAMPLE_DTYPE)
+    samples["t"] = np.asarray(sample_t, dtype=np.uint64) * 1000
+    ts = samples["t"] * 1e-6
+    # the commanded motion of stale_states' oscillation, 2 % faster, plus noise
+    noise = np.asarray(sample_noise, dtype=float).reshape(2, -1)
+    samples["u"] = 32.0 + 3.0 * np.cos(102.0 * math.pi * ts + 0.3) + noise[0]
+    samples["v"] = 32.0 + 2.0 * np.cos(102.0 * math.pi * ts - 1.2) + noise[1]
+    return ev, samples, lag_tau_s
+
+
+@st.composite
+def block_cases(draw):
+    n = draw(st.integers(0, 40))
+    # few distinct timestamps, so runs of equal ones straddle the 7-event blocks
+    t = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        t = sorted(t)
+    x = draw(st.lists(st.integers(0, GEOM.width - 1), min_size=n, max_size=n))
+    y = draw(st.lists(st.integers(0, GEOM.height - 1), min_size=n, max_size=n))
+    m = draw(st.integers(0, 6))
+    # sample times drawn from the event times' range land inside runs
+    sample_t = sorted(draw(st.lists(st.integers(0, 30), min_size=m, max_size=m)))
+    sample_noise = draw(st.lists(st.floats(-0.5, 0.5), min_size=2 * m, max_size=2 * m))
+    return block_case(t, x, y, sample_t, sample_noise,
+                      draw(st.sampled_from([None, 0.005])))
+
+
+def stale_states():
+    su, sv = states_from_config(OscillatorConfig(amp_x_px=3.0, amp_y_px=2.0,
+                                                 omega=100.0 * math.pi, phi_x=0.3,
+                                                 phi_y=-1.2))
+    for s in (su, sv):
+        s.c = 32.0
+        s.covariance = np.diag([1e-2, 1.0, 1e-2, 1e-2, 1e-2])
+    return su, sv
+
+
+@given(block_cases())
+@example(block_case([], [], [], [], [], None))
+@example(block_case([4], [63], [0], [], [], 0.005))
+@example(block_case([4], [63], [0], [4], [0.1, -0.1], 0.005))
+@example(block_case([0] * 9 + [5] * 9, list(range(18)), [3] * 18, [0, 5, 5], [0.0] * 6, None))
+@settings(max_examples=60, deadline=None)
+def test_blocks_and_runs_match_the_per_event_reference(case):
+    """Evaluating once per run of equal timestamps, block by block, gives the
+    per-event evaluation bit for bit in both modes, from the filter walk and
+    from the traces' table; unsorted streams included."""
+    ev, samples, lag_tau_s = case
+    noise = NoiseConfig(sigma_r=0.2)
+    su, sv = stale_states()
+    traces = [filter_samples(samples, copy.deepcopy(s), noise, axis=a)[1]
+              for s, a in ((su, "u"), (sv, "v"))]
+    fixed_ref = per_event_reference(ev, samples[:0], su, sv, noise, lag_tau_s)
+    tracking_ref = per_event_reference(ev, samples, su, sv, noise, lag_tau_s)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(compensate, "_BLOCK", 7)
+        runs = [
+            (compensate_stream(ev, su, sv, GEOM, lag_tau_s=lag_tau_s), fixed_ref),
+            (compensate_stream(ev, *stale_states(), GEOM, mode="tracking", samples=samples,
+                               noise=noise, lag_tau_s=lag_tau_s), tracking_ref),
+            (compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
+                               phasors=trace_phasors(su, sv, *traces, lag_tau_s)),
+             tracking_ref),
+        ]
+    for comp, (ref_x, ref_y) in runs:
+        np.testing.assert_array_equal(comp.x, ref_x)
+        np.testing.assert_array_equal(comp.y, ref_y)
+        xi, yi = np.rint(ref_x), np.rint(ref_y)
+        np.testing.assert_array_equal(comp.xi, np.clip(xi, 0, GEOM.width - 1))
+        np.testing.assert_array_equal(comp.yi, np.clip(yi, 0, GEOM.height - 1))
+        np.testing.assert_array_equal(
+            comp.out_of_bounds,
+            (xi < 0) | (xi >= GEOM.width) | (yi < 0) | (yi >= GEOM.height))
+        np.testing.assert_array_equal(comp.t, ev["t"])
+        np.testing.assert_array_equal(comp.polarity, ev["p"])
+
+
+def test_phasor_table_must_have_a_column_per_sample_and_one():
+    ev = random_events(10)
+    su, sv = stale_states()
+    _, samples, _ = block_case([], [], [], [1, 2], [0.0] * 4, None)
+    with pytest.raises(ConfigError, match="phasor table"):
+        compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
+                          phasors=np.zeros((8, 2)))
 
 
 def test_throughput_bench_reports_sane_numbers():

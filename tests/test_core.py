@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosc import core
 from evosc.core import (
     EVENT_DTYPE,
     SensorGeometry,
@@ -54,6 +55,38 @@ def test_bounds_checked_against_geometry():
     ev = make_events([0, 1], [1, 4], [0, 0], [1, 1])
     with pytest.raises(BoundsError, match=r"\(4, 0\)"):
         validate_events(ev, geom)
+
+
+@given(n=st.integers(2, 30), faults=st.lists(
+    st.tuples(st.sampled_from(["order", "polarity", "x", "y"]), st.integers(0, 29)),
+    max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_blocks_report_the_whole_stream_first_violation(n, faults):
+    """Checked 7 records at a time, a stream fails with the error a single
+    pass over it gives: the first decreasing timestamp, else the first bad
+    polarity, else the first record out of bounds, wherever blocks begin."""
+    geom = SensorGeometry(width=8, height=6)
+    ev = make_events((np.arange(n) + 1) * 1000, np.arange(n) % 8, np.arange(n) % 6,
+                     np.ones(n, int))
+    for kind, i in faults:
+        if kind == "order":
+            i = i % (n - 1) + 1
+            ev["t"][i] = ev["t"][i - 1] - 1
+        elif kind == "polarity":
+            ev["p"][i % n] = 0
+        else:
+            ev[kind][i % n] = 8
+    outcomes = []
+    for block in (7, 1 << 30):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_VALIDATE_BLOCK", block)
+            try:
+                validate_events(ev, geom)
+                outcomes.append(None)
+            except (OrderingError, BoundsError) as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0] is None) == (not faults)
 
 
 def test_wrong_dtype_rejected():

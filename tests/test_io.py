@@ -1,5 +1,9 @@
 import io
+import os
 import struct
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,17 @@ def stream(n=5):
     ts = np.arange(n) * 100
     return make_events(ts, np.arange(n) % 32, np.arange(n) % 24,
                        np.where(np.arange(n) % 2 == 0, 1, -1))
+
+
+def header(count, width=GEOM.width, height=GEOM.height):
+    return struct.pack("<4sHHHQ6s", MAGIC, 1, width, height, count, b"\x00" * 6)
+
+
+def read_all_sources(payload, tmp):
+    """read_events of payload from a path, from bytes and from a BytesIO."""
+    path = Path(tmp) / "payload.evt"
+    path.write_bytes(payload)
+    return [read_events(src) for src in (path, payload, io.BytesIO(payload))]
 
 
 @st.composite
@@ -46,6 +61,42 @@ def test_csv_round_trip(ev):
     write_events(buf, ev, GEOM, fmt="csv")
     back, _ = read_events(buf.getvalue(), fmt="csv", geometry=GEOM)
     assert np.array_equal(back, ev)
+
+
+@given(event_streams())
+@settings(max_examples=25, deadline=None)
+def test_path_bytes_and_stream_agree(ev):
+    """write_events writes header + records to a path and to a stream alike,
+    and a path, bytes and a stream read back the same events."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ev.evt"
+        write_events(path, ev, GEOM)
+        buf = io.BytesIO()
+        write_events(buf, ev, GEOM)
+        assert path.read_bytes() == buf.getvalue() == header(ev.shape[0]) + ev.tobytes()
+        for back, geom in read_all_sources(buf.getvalue(), tmp):
+            assert back.tobytes() == ev.tobytes()
+            assert (geom.width, geom.height) == (GEOM.width, GEOM.height)
+
+
+def test_named_pipe_read_as_a_stream(tmp_path):
+    """A path without a size to check in advance is read to its end."""
+    ev = stream(6)
+    fifo = tmp_path / "events.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=write_events, args=(fifo, ev, GEOM), daemon=True)
+    writer.start()
+    back, _ = read_events(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert back.tobytes() == ev.tobytes()
+
+
+def test_strided_stream_written_as_its_records():
+    ev = stream(9)[::2]
+    buf = io.BytesIO()
+    write_events(buf, ev, GEOM)
+    assert buf.getvalue() == header(5) + ev.tobytes()
 
 
 def test_file_path_round_trip(tmp_path):
@@ -94,6 +145,27 @@ def test_truncated_body_offset_points_at_missing_byte():
     with pytest.raises(FormatError) as err:
         read_events(data)
     assert err.value.offset == len(data)
+
+
+@pytest.mark.parametrize("payload, offset", [
+    (MAGIC + b"\x00" * 5, 9),
+    (b"XXXX" + header(3)[4:] + stream(3).tobytes(), 0),
+    (header(3)[:4] + struct.pack("<H", 99) + header(3)[6:] + stream(3).tobytes(), 4),
+    (header(3) + stream(3).tobytes()[:-5], HEADER_SIZE + 34),
+    (header(3) + stream(3).tobytes() + b"\x00" * 4, HEADER_SIZE + 39),
+    # a count no file holds: the size check must come before any allocation
+    (header(2**60) + stream(5).tobytes(), HEADER_SIZE + 65),
+    (header(3, width=0) + stream(3).tobytes(), 6),
+])
+def test_malformed_binary_fails_alike_from_every_source(payload, offset, tmp_path):
+    (tmp_path / "bad.evt").write_bytes(payload)
+    errors = []
+    for src in (tmp_path / "bad.evt", payload, io.BytesIO(payload)):
+        with pytest.raises(FormatError) as err:
+            read_events(src)
+        errors.append((str(err.value), err.value.offset))
+    assert errors[0][1] == offset
+    assert errors.count(errors[0]) == 3
 
 
 def test_count_mismatch_surplus_bytes():
