@@ -11,7 +11,6 @@ run_pipeline      staged artifact-producing run with a manifest
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -63,6 +62,7 @@ from .track import (
     DEFAULT_WARMUP_TAUS,
     CentroidTracker,
     PatchSpec,
+    check_tracker_params,
     delag_coefficients,
     lowpass_gain,
     track_events,
@@ -490,10 +490,7 @@ class TrackerSection:
     warmup_s: float | None = None
 
     def __post_init__(self):
-        if self.tau_s <= 0 or self.emit_period_s <= 0:
-            raise ConfigError("tau_s and emit_period_s must be positive")
-        if self.min_weight < 1:
-            raise ConfigError(f"min_weight must be at least 1, got {self.min_weight}")
+        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight)
 
     def tracker(self, patch: PatchSpec, tracker_id: int = 0) -> CentroidTracker:
         """A tracker on patch; warmup_s defaults to DEFAULT_WARMUP_TAUS * tau_s."""
@@ -521,9 +518,14 @@ class MetricsSection:
     edges: bool = True
 
     def __post_init__(self):
-        # metrics_stage windows whole microseconds
-        if int(self.window_ms * 1000) < 1:
-            raise ConfigError(f"window_ms must be at least 0.001 (1 us), got {self.window_ms}")
+        if not math.isfinite(self.window_ms) or self.window_us < 1:
+            raise ConfigError(f"window_ms must be finite and at least 0.001 (1 us), "
+                              f"got {self.window_ms}")
+
+    @property
+    def window_us(self) -> int:
+        """The window length in whole microseconds, as metrics_stage windows."""
+        return int(self.window_ms * 1000)
 
 
 @dataclass(frozen=True)
@@ -737,17 +739,16 @@ def compensate_stage(events, init_result: InitResult, t_ref_us: int, geometry, s
                      noise: NoiseConfig, tracker_tau_s: float, out_dir: Path, traces=None):
     """Tracking-mode compensation with the tracker lag divided out: every
     event is mapped with the filter's freshest estimate at its time, read from
-    the ekf stage's (trace_u, trace_v) of the same samples and init (filtered
-    here when traces is None). Writes compensated.evt and compensated.csv to
-    out_dir."""
+    the ekf stage's (trace_u, trace_v) of the same samples and init (or
+    walked by compensate_stream when traces is None). Writes compensated.evt
+    and compensated.csv to out_dir."""
     states = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
     if traces is None:
-        traces = [filter_samples(samples, copy.deepcopy(state), noise, axis=axis)[1]
-                  for state, axis in zip(states, "uv")]
-    comp = compensate_stream(
-        events, *states, geometry, mode="tracking", samples=samples,
-        phasors=trace_phasors(*states, *traces, tracker_tau_s),
-    )
+        table = {"noise": noise, "lag_tau_s": tracker_tau_s}
+    else:
+        table = {"phasors": trace_phasors(*states, *traces, tracker_tau_s)}
+    comp = compensate_stream(events, *states, geometry, mode="tracking", samples=samples,
+                             **table)
     write_events(out_dir / "compensated.evt", comp.to_events(), geometry)
     write_compensated_csv(out_dir / "compensated.csv", comp)
     return comp
@@ -764,7 +765,7 @@ def metrics_stage(section: MetricsSection, events, geometry, dest,
                   span: tuple[int, int] | None = None):
     """Per-window metrics over span (default: the stream's own); writes the CSV to dest."""
     t0, t1 = window_span(events) if span is None else span
-    rows = stream_metrics(events, geometry, t0, t1, int(section.window_ms * 1000),
+    rows = stream_metrics(events, geometry, t0, t1, section.window_us,
                           section.blur_sigma, section.edges)
     write_metrics_csv(dest, rows)
     return rows

@@ -95,8 +95,13 @@ def compensate_stream(
 
     phasors, in tracking mode, is that table already built (trace_phasors of
     the states and their filter_samples traces over samples): the states are
-    then neither walked nor advanced, and noise and lag_tau_s are not used.
+    then neither walked nor advanced. It replaces noise and lag_tau_s, so it
+    is given without them.
     """
+    if phasors is not None and (mode != "tracking" or noise is not None
+                                or lag_tau_s is not None):
+        raise ConfigError("a phasor table is given in tracking mode, "
+                          "without noise or lag_tau_s")
     if mode == "fixed_state":
         table = np.array([_delagged_phasor(state_u, lag_tau_s)
                           + _delagged_phasor(state_v, lag_tau_s)]).T

@@ -50,6 +50,15 @@ class PatchSpec:
         return (np.abs(dx) <= self.half_size) & (np.abs(dy) <= self.half_size)
 
 
+def check_tracker_params(tau_s: float, emit_period_s: float, min_weight: float) -> None:
+    """ConfigError unless tau_s and emit_period_s are positive and finite and
+    min_weight is finite and at least 1; NaN fails every comparison."""
+    if not (0 < tau_s < math.inf and 0 < emit_period_s < math.inf):
+        raise ConfigError("tau_s and emit_period_s must be positive and finite")
+    if not 1 <= min_weight < math.inf:
+        raise ConfigError(f"min_weight must be finite and at least 1, got {min_weight}")
+
+
 @dataclass
 class CentroidTracker:
     """Streaming centroid tracker over one patch.
@@ -67,10 +76,7 @@ class CentroidTracker:
     warmup_s: float | None = None
 
     def __post_init__(self):
-        if self.tau_s <= 0 or self.emit_period_s <= 0:
-            raise ConfigError("tau_s and emit_period_s must be positive")
-        if self.min_weight < 1:
-            raise ConfigError(f"min_weight must be at least 1, got {self.min_weight}")
+        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight)
         self.weight = 0.0
         self.cu = self.patch.cx
         self.cv = self.patch.cy

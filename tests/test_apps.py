@@ -367,7 +367,7 @@ class TestPipeline:
     }
 
     def test_tracking_compensation_matches_frozen_digest(self, tmp_path):
-        # without an ekf stage the compensate stage filters the samples itself;
+        # without an ekf stage compensate_stream walks the filter over the samples;
         # the phasor table and per-run cosine pass must reproduce every byte
         run_pipeline({**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2},
                       "stages": ["simulate", "track", "estimate", "compensate"]},
@@ -399,11 +399,23 @@ class TestPipeline:
 
     @pytest.mark.parametrize("block, message", [
         ({"metrics": {"window_ms": 0.0001}},
-         "metrics: window_ms must be at least 0.001 (1 us), got 0.0001"),
-        ({"tracker": {"tau_s": 0}}, "tracker: tau_s and emit_period_s must be positive"),
+         "metrics: window_ms must be finite and at least 0.001 (1 us), got 0.0001"),
+        ({"metrics": {"window_ms": math.nan}},
+         "metrics: window_ms must be finite and at least 0.001 (1 us), got nan"),
+        ({"metrics": {"window_ms": "Infinity"}},
+         "metrics: window_ms must be finite and at least 0.001 (1 us), got inf"),
+        ({"tracker": {"tau_s": 0}},
+         "tracker: tau_s and emit_period_s must be positive and finite"),
+        ({"tracker": {"tau_s": "nan"}},
+         "tracker: tau_s and emit_period_s must be positive and finite"),
         ({"tracker": {"emit_period_s": -0.001}},
-         "tracker: tau_s and emit_period_s must be positive"),
-        ({"tracker": {"min_weight": 0.5}}, "tracker: min_weight must be at least 1, got 0.5"),
+         "tracker: tau_s and emit_period_s must be positive and finite"),
+        ({"tracker": {"emit_period_s": math.inf}},
+         "tracker: tau_s and emit_period_s must be positive and finite"),
+        ({"tracker": {"min_weight": 0.5}},
+         "tracker: min_weight must be finite and at least 1, got 0.5"),
+        ({"tracker": {"min_weight": math.nan}},
+         "tracker: min_weight must be finite and at least 1, got nan"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:

@@ -390,6 +390,20 @@ def test_blocks_and_runs_match_the_per_event_reference(case):
         np.testing.assert_array_equal(comp.polarity, ev["p"])
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "fixed_state"},
+    {"mode": "tracking", "noise": NoiseConfig()},
+    {"mode": "tracking", "lag_tau_s": 0.005},
+])
+def test_phasor_table_replaces_noise_and_lag_in_tracking_mode_only(kwargs):
+    ev = random_events(10)
+    su, sv = stale_states()
+    _, samples, _ = block_case([], [], [], [1, 2], [0.0] * 4, None)
+    with pytest.raises(ConfigError, match="phasor table"):
+        compensate_stream(ev, su, sv, GEOM, samples=samples,
+                          phasors=np.zeros((8, 3)), **kwargs)
+
+
 def test_phasor_table_must_have_a_column_per_sample_and_one():
     ev = random_events(10)
     su, sv = stale_states()
