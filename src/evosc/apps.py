@@ -5,7 +5,7 @@ estimate_scene_frequency   independent disjoint trials of spectral estimation
 relative_depth    amplitude ratio of two depth planes (ratio = Z2/Z1)
 min_detectable_distance    bisection on the pixel-displacement formula
 absolute_depth    stereo-style depth from a known physical motion baseline
-run_pipeline      staged artifact-producing run with a manifest
+run_pipeline      every stage in order, writing its artifacts and a manifest
 *_stage           one function per pipeline stage, also behind the CLI subcommands
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -32,9 +33,9 @@ from .errors import ConfigError, InsufficientDataError, StageError, UnreliableEs
 from .freqest import (
     DEFAULT_BAND,
     DEFAULT_GRID_POINTS,
-    DEFAULT_NUM_PEAKS,
     InitResult,
     _axis_peaks,
+    check_band,
     fit_sinusoid,
     fuse_axis_peaks,
     initialize,
@@ -50,6 +51,7 @@ from .sim import (
     PhysicalOscillator,
     SceneSpec,
     WorldMotion,
+    check_sim_params,
     motor_speed,
     read_pattern,
     simulate,
@@ -78,8 +80,6 @@ from .metrics import stream_metrics, write_metrics_csv
 
 CONVERGENCE_RMS_PX = 1.0
 CONVERGENCE_SPAN = 100
-
-PIPELINE_STAGES = ("simulate", "track", "estimate", "ekf", "compensate", "metrics", "report")
 
 
 @dataclass
@@ -192,8 +192,8 @@ def estimate_scene_frequency(
         samples = tracking.tracker(patch).run(events[bounds[i]:bounds[i + 1]])
         if samples.shape[0] < 8:
             raise InsufficientDataError(f"trial {i} produced {samples.shape[0]} samples")
-        peaks_u = _axis_peaks(samples, "u", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
-        peaks_v = _axis_peaks(samples, "v", band, grid_points, DEFAULT_NUM_PEAKS, "gridded")
+        peaks_u = _axis_peaks(samples, "u", band, grid_points)
+        peaks_v = _axis_peaks(samples, "v", band, grid_points)
         omega = _refine_omega(samples, fuse_axis_peaks(peaks_u, peaks_v), band, grid_points)
         hz = omega / (2.0 * math.pi)
         if hz > nyquist_hz:
@@ -473,6 +473,7 @@ class SceneSection:
     moving_target: MovingTargetSection | None = None
 
     def __post_init__(self):
+        check_sim_params(self.duration_s, self.threshold, self.step_us)
         if sum(m is not None for m in (self.oscillation, self.physical, self.moving_target)) > 1:
             raise ConfigError("give one of oscillation, physical and moving_target")
         if self.moving_target is not None and self.depth_planes is not None:
@@ -505,10 +506,16 @@ class EstimateSection:
     band_rad_s: tuple[float, float] = DEFAULT_BAND
     grid_points: int = DEFAULT_GRID_POINTS
 
+    def __post_init__(self):
+        check_band(self.band_rad_s, self.grid_points)
+
 
 @dataclass(frozen=True)
 class EkfSection:
     sigma_r_px: float = NoiseConfig.sigma_r
+
+    def __post_init__(self):
+        NoiseConfig(sigma_r=self.sigma_r_px)  # NoiseConfig holds the sigma_r range rule
 
 
 @dataclass(frozen=True)
@@ -521,6 +528,8 @@ class MetricsSection:
         if not math.isfinite(self.window_ms) or self.window_us < 1:
             raise ConfigError(f"window_ms must be finite and at least 0.001 (1 us), "
                               f"got {self.window_ms}")
+        if not math.isfinite(self.blur_sigma):
+            raise ConfigError(f"blur_sigma must be finite, got {self.blur_sigma}")
 
     @property
     def window_us(self) -> int:
@@ -533,18 +542,12 @@ class PipelineConfig:
     """A pipeline config file; run_pipeline's seed argument overrides `seed`."""
 
     seed: int = 0
-    stages: tuple[str, ...] = PIPELINE_STAGES
     geometry: SensorGeometry = SensorGeometry(width=96, height=96)
     scene: SceneSection = SceneSection()
     tracker: TrackerSection = TrackerSection()
     estimate: EstimateSection = EstimateSection()
     ekf: EkfSection = EkfSection()
     metrics: MetricsSection = MetricsSection()
-
-    def __post_init__(self):
-        unknown = set(self.stages) - set(PIPELINE_STAGES)
-        if unknown:
-            raise ConfigError(f"unknown stages: {sorted(unknown)}")
 
 
 def build_scene(section: SceneSection, geometry: SensorGeometry
@@ -563,110 +566,73 @@ def build_scene(section: SceneSection, geometry: SensorGeometry
     return scene, (section.oscillation or OscillationSection()).oscillator(), sim_kwargs
 
 
-def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> dict:
-    """Run the staged pipeline, writing artifacts and a manifest to out_dir.
+# the manifest's map of every artifact a run writes, by name
+ARTIFACTS = {
+    "events": "events.evt", "truth": "truth.json", "samples": "samples.csv",
+    "estimate": "estimate.json",
+    "ekf_trace_u": "ekf_trace_u.csv", "ekf_trace_v": "ekf_trace_v.csv",
+    "compensated": "compensated.evt", "compensated_csv": "compensated.csv",
+    "metrics_raw": "metrics_raw.csv", "metrics_compensated": "metrics_compensated.csv",
+    "report": "report.json",
+}
 
-    Runs the stages listed in config["stages"] (default: all) in canonical
-    order. Later stages consume earlier stages' in-memory results; a stage
-    whose inputs were not produced raises a StageError. Every run with the
+
+def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> dict:
+    """Run every stage in order, writing artifacts and a manifest to out_dir.
+
+    simulate, track, estimate, ekf, compensate, metrics and report each take
+    the results of the stages before them. A KeyError, OSError or ValueError
+    inside a stage is raised as a StageError naming it. Every run with the
     same config and seed produces byte-identical event and CSV artifacts.
-    The config is read as a PipelineConfig: an unknown or missing key in any
-    block is a ConfigError.
+    The config is read as a PipelineConfig before out_dir is made: an unknown
+    or missing key, or a value out of range, in any block is a ConfigError.
     """
     config = from_section(PipelineConfig, config)
     seed = config.seed if seed is None else int(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {
-        "version": __version__,
-        "seed": seed,
-        "stages": [],
-        "artifacts": {},
-        "timings_s": {},
-    }
-    ctx: dict = {"noise": NoiseConfig(sigma_r=config.ekf.sigma_r_px),
-                 "tracker_tau_s": config.tracker.tau_s}
+    timings: dict = {}
 
-    for stage in PIPELINE_STAGES:
-        if stage not in config.stages:
-            continue
+    @contextmanager
+    def stage(name: str):
         started = time.perf_counter()
         try:
-            _run_stage(stage, config, ctx, out, seed, manifest["artifacts"])
+            yield
         except (KeyError, OSError, ValueError) as exc:
-            raise StageError(stage, str(exc)) from exc
-        manifest["stages"].append(stage)
-        manifest["timings_s"][stage] = time.perf_counter() - started
+            raise StageError(name, str(exc)) from exc
+        timings[name] = time.perf_counter() - started
 
+    geometry, tau_s = config.geometry, config.tracker.tau_s
+    with stage("simulate"):
+        events = simulate_stage(config.scene, geometry, seed, out).events
+    with stage("track"):
+        samples = primary_samples(
+            track_stage(config.tracker, events, geometry, out / "samples.csv"))
+    with stage("estimate"):
+        init_result, t_ref_us = estimate_stage(config.estimate, samples, tau_s,
+                                               out / "estimate.json")
+    with stage("ekf"):
+        states, traces = ekf_stage(samples, init_result, t_ref_us,
+                                   NoiseConfig(sigma_r=config.ekf.sigma_r_px), out)
+    with stage("compensate"):
+        compensated = compensate_stage(events, init_result, t_ref_us, traces, geometry,
+                                       samples, tau_s, out)
+    with stage("metrics"):
+        rows_raw = metrics_stage(config.metrics, events, geometry, out / "metrics_raw.csv")
+        rows_comp = metrics_stage(config.metrics, compensated, geometry,
+                                  out / "metrics_compensated.csv")
+    with stage("report"):
+        report_stage(seed, init_result, states, tau_s, rows_raw, rows_comp,
+                     out / "report.json")
+
+    manifest = {"version": __version__, "seed": seed, "stages": list(timings),
+                "artifacts": dict(ARTIFACTS), "timings_s": timings}
     write_json(out / "manifest.json", manifest)
     return manifest
 
 
-def _require(ctx: dict, key: str, stage: str):
-    if key not in ctx:
-        raise StageError(stage, f"missing upstream result {key!r}; enable its stage")
-    return ctx[key]
-
-
-def _run_stage(stage, config: PipelineConfig, ctx, out, seed, artifacts):
-    """Feed one stage its config section and upstream results; keep what it returns."""
-    geometry = config.geometry
-
-    if stage == "simulate":
-        ctx["events"] = simulate_stage(config.scene, geometry, seed, out).events
-        artifacts.update(events="events.evt", truth="truth.json")
-
-    elif stage == "track":
-        events = _require(ctx, "events", stage)
-        samples = track_stage(config.tracker, events, geometry, out / "samples.csv")
-        ctx["primary_samples"] = primary_samples(samples)
-        artifacts["samples"] = "samples.csv"
-
-    elif stage == "estimate":
-        samples = _require(ctx, "primary_samples", stage)
-        ctx["init_result"], ctx["t_ref_us"] = estimate_stage(
-            config.estimate, samples, ctx["tracker_tau_s"], out / "estimate.json"
-        )
-        artifacts["estimate"] = "estimate.json"
-
-    elif stage == "ekf":
-        samples = _require(ctx, "primary_samples", stage)
-        init_result = _require(ctx, "init_result", stage)
-        (ctx["state_u"], ctx["state_v"]), ctx["ekf_traces"] = ekf_stage(
-            samples, init_result, ctx["t_ref_us"], ctx["noise"], out
-        )
-        artifacts.update(ekf_trace_u="ekf_trace_u.csv", ekf_trace_v="ekf_trace_v.csv")
-
-    elif stage == "compensate":
-        events = _require(ctx, "events", stage)
-        init_result = _require(ctx, "init_result", stage)
-        ctx["compensated"] = compensate_stage(
-            events, init_result, ctx["t_ref_us"], geometry,
-            _require(ctx, "primary_samples", stage), ctx["noise"], ctx["tracker_tau_s"], out,
-            ctx.get("ekf_traces"),
-        )
-        artifacts.update(compensated="compensated.evt", compensated_csv="compensated.csv")
-
-    elif stage == "metrics":
-        events = _require(ctx, "events", stage)
-        span = window_span(events)
-        ctx["metrics_raw"] = metrics_stage(config.metrics, events, geometry,
-                                           out / "metrics_raw.csv", span)
-        artifacts["metrics_raw"] = "metrics_raw.csv"
-        if "compensated" in ctx:
-            ctx["metrics_comp"] = metrics_stage(
-                config.metrics, ctx["compensated"].to_events(), geometry,
-                out / "metrics_compensated.csv", span,
-            )
-            artifacts["metrics_compensated"] = "metrics_compensated.csv"
-
-    elif stage == "report":
-        report_stage(seed, ctx, out / "report.json")
-        artifacts["report"] = "report.json"
-
-
 # ---------------------------------------------------------------------------
-# stages: one function each, shared by run_pipeline and the CLI subcommands.
+# one function per stage, shared by run_pipeline and the CLI subcommands.
 # Each takes its config section and inputs, writes its artifacts and returns
 # its result.
 
@@ -735,65 +701,52 @@ def ekf_stage(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfi
     return tuple(states), tuple(traces)
 
 
-def compensate_stage(events, init_result: InitResult, t_ref_us: int, geometry, samples,
-                     noise: NoiseConfig, tracker_tau_s: float, out_dir: Path, traces=None):
+def compensate_stage(events, init_result: InitResult, t_ref_us: int, traces, geometry,
+                     samples, tracker_tau_s: float, out_dir: Path) -> np.ndarray:
     """Tracking-mode compensation with the tracker lag divided out: every
     event is mapped with the filter's freshest estimate at its time, read from
-    the ekf stage's (trace_u, trace_v) of the same samples and init (or
-    walked by compensate_stream when traces is None). Writes compensated.evt
-    and compensated.csv to out_dir."""
+    the ekf stage's (trace_u, trace_v) of the same samples and init. Writes
+    compensated.evt and compensated.csv to out_dir and returns the records
+    of compensated.evt."""
     states = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
-    if traces is None:
-        table = {"noise": noise, "lag_tau_s": tracker_tau_s}
-    else:
-        table = {"phasors": trace_phasors(*states, *traces, tracker_tau_s)}
     comp = compensate_stream(events, *states, geometry, mode="tracking", samples=samples,
-                             **table)
-    write_events(out_dir / "compensated.evt", comp.to_events(), geometry)
+                             phasors=trace_phasors(*states, *traces, tracker_tau_s))
+    # the records are built after the CSV, whose formatting is the stage's peak
     write_compensated_csv(out_dir / "compensated.csv", comp)
-    return comp
+    records = comp.to_events()
+    write_events(out_dir / "compensated.evt", records, geometry)
+    return records
 
 
-def window_span(events: np.ndarray) -> tuple[int, int]:
-    """[t0, t1) of the metric windows: the stream's span, or [0, 1) when empty."""
-    if events.shape[0] == 0:
-        return 0, 1
-    return int(events["t"][0]), int(events["t"][-1]) + 1
-
-
-def metrics_stage(section: MetricsSection, events, geometry, dest,
-                  span: tuple[int, int] | None = None):
-    """Per-window metrics over span (default: the stream's own); writes the CSV to dest."""
-    t0, t1 = window_span(events) if span is None else span
+def metrics_stage(section: MetricsSection, events, geometry, dest):
+    """Per-window metrics over the stream's span ([0, 1) when it is empty);
+    writes the CSV to dest. A compensated stream keeps its input's times, so
+    its windows are the input's."""
+    t0, t1 = (int(events["t"][0]), int(events["t"][-1]) + 1) if events.shape[0] else (0, 1)
     rows = stream_metrics(events, geometry, t0, t1, section.window_us,
                           section.blur_sigma, section.edges)
     write_metrics_csv(dest, rows)
     return rows
 
 
-def report_stage(seed: int, ctx: dict, dest) -> dict:
-    """Summary of whatever ran: frequency, de-lagged per-axis amplitude and
-    phase, and median frame metrics; writes the report JSON to dest."""
-    report: dict = {"seed": seed}
-    if "init_result" in ctx:
-        report["omega_rad_s"] = ctx["init_result"].omega
-        report["frequency_hz"] = ctx["init_result"].omega / (2.0 * math.pi)
-    for key in ("state_u", "state_v"):
-        if key in ctx:
-            st = ctx[key]
-            a, b = delag_coefficients(st.a, st.b, st.omega, ctx["tracker_tau_s"])
-            amp, phase = amplitude_phase(replace(st, a=a, b=b))
-            report[key] = {"amplitude_px": amp, "phase_rad": phase,
-                           "omega_rad_s": st.omega, "offset_px": st.c}
-    for label, rows_key in (("raw", "metrics_raw"), ("compensated", "metrics_comp")):
-        if rows_key in ctx:
-            rows = ctx[rows_key]
-            report[f"median_variance_{label}"] = float(np.median([r.variance for r in rows]))
-            report[f"median_entropy_{label}"] = float(np.median([r.entropy for r in rows]))
-    if "median_variance_raw" in report and "median_variance_compensated" in report:
-        raw = report["median_variance_raw"]
-        if raw > 0:
-            report["variance_gain"] = report["median_variance_compensated"] / raw
+def report_stage(seed: int, init_result: InitResult, states, tracker_tau_s: float,
+                 rows_raw, rows_comp, dest) -> dict:
+    """Frequency, de-lagged amplitude and phase of the ekf stage's final
+    (state_u, state_v), and the median frame metrics of the raw and
+    compensated rows; writes the report JSON to dest."""
+    report: dict = {"seed": seed, "omega_rad_s": init_result.omega,
+                    "frequency_hz": init_result.omega / (2.0 * math.pi)}
+    for key, st in zip(("state_u", "state_v"), states):
+        a, b = delag_coefficients(st.a, st.b, st.omega, tracker_tau_s)
+        amp, phase = amplitude_phase(replace(st, a=a, b=b))
+        report[key] = {"amplitude_px": amp, "phase_rad": phase,
+                       "omega_rad_s": st.omega, "offset_px": st.c}
+    for label, rows in (("raw", rows_raw), ("compensated", rows_comp)):
+        report[f"median_variance_{label}"] = float(np.median([r.variance for r in rows]))
+        report[f"median_entropy_{label}"] = float(np.median([r.entropy for r in rows]))
+    raw = report["median_variance_raw"]
+    if raw > 0:
+        report["variance_gain"] = report["median_variance_compensated"] / raw
     write_json(dest, report)
     return report
 

@@ -7,10 +7,8 @@ pixel indices, polarity is +1 (brightness increase) or -1 (decrease).
 
 from __future__ import annotations
 
-import json
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -43,22 +41,8 @@ class SensorGeometry:
         if self.cy is None:
             object.__setattr__(self, "cy", (self.height - 1) / 2.0)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SensorGeometry":
-        return from_section(cls, d, "geometry")
-
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SensorGeometry":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def save(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
 
 
 def from_section(cls, d, section: str = ""):

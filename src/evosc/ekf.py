@@ -54,8 +54,8 @@ class NoiseConfig:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (5, 5):
             raise ConfigError(f"Q must be 5x5, got {q.shape}")
-        if self.sigma_r <= 0:
-            raise ConfigError(f"sigma_r must be positive, got {self.sigma_r}")
+        if not 0 < self.sigma_r < math.inf:
+            raise ConfigError(f"sigma_r must be positive and finite, got {self.sigma_r}")
         object.__setattr__(self, "q", q)
 
 

@@ -100,6 +100,15 @@ def normalize(samples: np.ndarray, axis: str) -> NormalizedSeries:
     return NormalizedSeries(values=vals - mean, phases=phases, t_span_us=(t0, t1), mean=mean)
 
 
+def check_band(band: tuple[float, float], grid_points: int) -> None:
+    """ConfigError unless band is finite and increasing and grid_points is at
+    least 4; NaN fails every comparison."""
+    if not grid_points >= 4:
+        raise ConfigError(f"grid_points must be at least 4, got {grid_points}")
+    if not -math.inf < float(band[0]) < float(band[1]) < math.inf:
+        raise ConfigError(f"band must be finite and increasing, got {tuple(band)}")
+
+
 def nudft_spectrum(
     series: NormalizedSeries,
     band: tuple[float, float] = DEFAULT_BAND,
@@ -111,12 +120,8 @@ def nudft_spectrum(
     method 'direct' evaluates the sum exactly; 'gridded' uses Gaussian-gridding
     onto an oversampled FFT (identical to 1e-6 relative magnitude).
     """
-    if grid_points < 4:
-        raise ConfigError(f"grid_points must be at least 4, got {grid_points}")
-    lo, hi = float(band[0]), float(band[1])
-    if hi <= lo:
-        raise ConfigError(f"band must be increasing, got {band}")
-    omegas = np.linspace(lo, hi, grid_points)
+    check_band(band, grid_points)
+    omegas = np.linspace(float(band[0]), float(band[1]), grid_points)
     t = series.times_s
     if method == "direct":
         spec = _direct(series.values, t, omegas)
@@ -211,11 +216,9 @@ def fit_sinusoid(samples: np.ndarray, axis: str, omega: float) -> SinusoidInit:
     )
 
 
-def _axis_peaks(samples, axis, band, grid_points, num_peaks, method):
+def _axis_peaks(samples, axis, band, grid_points):
     try:
-        series = normalize(samples, axis)
-        spec = nudft_spectrum(series, band, grid_points, method=method)
-        return top_peaks(spec, num_peaks)
+        return top_peaks(nudft_spectrum(normalize(samples, axis), band, grid_points))
     except (InsufficientDataError, NoPeakError):
         return []
 
@@ -255,12 +258,11 @@ def initialize(
     samples: np.ndarray,
     band: tuple[float, float] = DEFAULT_BAND,
     grid_points: int = DEFAULT_GRID_POINTS,
-    num_peaks: int = DEFAULT_NUM_PEAKS,
-    method: str = "gridded",
 ) -> InitResult:
-    """Spectral peak search plus per-axis sinusoid fits at the fused frequency."""
-    peaks_u = _axis_peaks(samples, "u", band, grid_points, num_peaks, method)
-    peaks_v = _axis_peaks(samples, "v", band, grid_points, num_peaks, method)
+    """Spectral peak search (gridded, DEFAULT_NUM_PEAKS per axis) plus
+    per-axis sinusoid fits at the fused frequency."""
+    peaks_u = _axis_peaks(samples, "u", band, grid_points)
+    peaks_v = _axis_peaks(samples, "v", band, grid_points)
     omega = fuse_axis_peaks(peaks_u, peaks_v)
     init_u = fit_sinusoid(samples, "u", omega) if samples.shape[0] >= 3 else None
     init_v = fit_sinusoid(samples, "v", omega) if samples.shape[0] >= 3 else None

@@ -615,6 +615,15 @@ def _crossings_by_pixel(lat, l_ref, last_emit, first_step, threshold, step_us, r
     return t[order], pixel[order], pol[order]
 
 
+def check_sim_params(duration_s: float, threshold: float, step_us: int) -> None:
+    """ConfigError unless duration_s, threshold and step_us are positive and
+    finite; NaN fails every comparison."""
+    for name, value in (("duration_s", duration_s), ("threshold", threshold),
+                        ("step_us", step_us)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 def _generate(
     planes,
     contrast: float,
@@ -631,10 +640,7 @@ def _generate(
     planes: list of (region, pattern, cfg); the latent log intensity of a
     plane's pixel is contrast * pattern.sample(p - camera_offset(t, cfg)).
     """
-    if threshold <= 0:
-        raise ConfigError(f"contrast threshold must be positive, got {threshold}")
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be positive, got {duration_s}")
+    check_sim_params(duration_s, threshold, step_us)
     ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
     latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
     crossings = _crossings_by_pixel if ys.shape[0] <= _SPARSE_MAX_PIXELS else _crossings_by_step

@@ -9,6 +9,7 @@ import pytest
 
 from evosc import apps, compensate, ekf
 from evosc.apps import (
+    MetricsSection,
     PipelineConfig,
     SceneSection,
     build_scene,
@@ -21,13 +22,15 @@ from evosc.apps import (
     relative_depth,
     run_pipeline,
 )
-from evosc.core import SensorGeometry, from_section
-from evosc.ekf import amplitude_phase
+from evosc.compensate import compensate_stream, states_from_init, write_compensated_csv
+from evosc.core import SensorGeometry, empty_events, from_section
+from evosc.ekf import NoiseConfig, amplitude_phase
 from evosc.errors import (
     ConfigError,
     InsufficientDataError,
     StageError,
 )
+from evosc.io import write_events
 from evosc.sim import Checkerboard, Disks, OscillatorConfig, WorldMotion
 from evosc.track import PatchSpec, lowpass_gain
 
@@ -360,25 +363,38 @@ class TestPipeline:
         da, db = digest(tmp_path / "a"), digest(tmp_path / "b")
         assert da == db
 
-    # sha256 as the per-sample buffered tracking loop wrote them, 0.2 s at seed 3
+    # sha256 as the per-sample buffered tracking loop wrote them, 0.2 s at seed 3;
+    # two sources of the phasor table must reproduce them
     FROZEN_TRACKING = {
         "compensated.evt": "fc64f81e92c96c35bce6a5d5a04d9f7132356a03ed4ca5da544d4d85f95bd6d4",
         "compensated.csv": "a3fdc4bdb3691284ae6b028d9d588a335c7f432436569d1a4fb514f1cb846a64",
     }
+    SHORT_CONFIG = {**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2}}
 
     def test_tracking_compensation_matches_frozen_digest(self, tmp_path):
-        # without an ekf stage compensate_stream walks the filter over the samples;
-        # the phasor table and per-run cosine pass must reproduce every byte
-        run_pipeline({**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2},
-                      "stages": ["simulate", "track", "estimate", "compensate"]},
-                     tmp_path, seed=3)
+        # the library walk: compensate_stream filters the samples itself, on the
+        # pipeline's events, first-tracker samples and init
+        config = from_section(PipelineConfig, self.SHORT_CONFIG)
+        geometry, tau_s = config.geometry, config.tracker.tau_s
+        events = apps.simulate_stage(config.scene, geometry, 3, tmp_path).events
+        samples = apps.primary_samples(apps.track_stage(config.tracker, events, geometry,
+                                                        tmp_path / "samples.csv"))
+        init, t_ref = apps.estimate_stage(config.estimate, samples, tau_s,
+                                          tmp_path / "estimate.json")
+        comp = compensate_stream(events, *states_from_init(init.init_u, init.init_v, t_ref),
+                                 geometry, mode="tracking", samples=samples,
+                                 noise=NoiseConfig(sigma_r=config.ekf.sigma_r_px),
+                                 lag_tau_s=tau_s)
+        write_events(tmp_path / "compensated.evt", comp.to_events(), geometry)
+        write_compensated_csv(tmp_path / "compensated.csv", comp)
         for name, want in self.FROZEN_TRACKING.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     def test_compensation_reads_the_ekf_stage_traces(self, tmp_path, monkeypatch):
-        """After the ekf stage the filter is not walked again: one
-        filter_samples pass per axis, no filter step from compensation, and the
-        table read from the traces gives the same bytes."""
+        """The pipeline walks the filter once: one filter_samples pass per
+        axis, no filter step from compensation, the table read from the traces
+        gives the same bytes, and the compensated records are built once, for
+        compensated.evt and the metrics alike."""
         calls = []
 
         def counted(name, fn):
@@ -390,10 +406,10 @@ class TestPipeline:
         monkeypatch.setattr(apps, "filter_samples", counted("filter", ekf.filter_samples))
         monkeypatch.setattr(compensate, "predict", counted("predict", ekf.predict))
         monkeypatch.setattr(compensate, "update", counted("update", ekf.update))
-        run_pipeline({**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2},
-                      "stages": ["simulate", "track", "estimate", "ekf", "compensate"]},
-                     tmp_path, seed=3)
-        assert calls == ["filter", "filter"]
+        monkeypatch.setattr(compensate.CompensatedEvents, "to_events",
+                            counted("to_events", compensate.CompensatedEvents.to_events))
+        run_pipeline(self.SHORT_CONFIG, tmp_path, seed=3)
+        assert calls == ["filter", "filter", "to_events"]
         for name, want in self.FROZEN_TRACKING.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
@@ -416,6 +432,18 @@ class TestPipeline:
          "tracker: min_weight must be finite and at least 1, got 0.5"),
         ({"tracker": {"min_weight": math.nan}},
          "tracker: min_weight must be finite and at least 1, got nan"),
+        ({"estimate": {"grid_points": 3}}, "estimate: grid_points must be at least 4, got 3"),
+        ({"estimate": {"band_rad_s": [500.0, 30.0]}},
+         "estimate: band must be finite and increasing, got (500.0, 30.0)"),
+        ({"estimate": {"band_rad_s": [30.0, "nan"]}},
+         "estimate: band must be finite and increasing, got (30.0, nan)"),
+        ({"scene": {"step_us": 0}}, "scene: step_us must be positive and finite, got 0"),
+        ({"scene": {"duration_s": -1.0}},
+         "scene: duration_s must be positive and finite, got -1.0"),
+        ({"scene": {"threshold": "Infinity"}},
+         "scene: threshold must be positive and finite, got inf"),
+        ({"metrics": {"blur_sigma": math.nan}}, "metrics: blur_sigma must be finite, got nan"),
+        ({"ekf": {"sigma_r_px": 0}}, "ekf: sigma_r must be positive and finite, got 0.0"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:
@@ -423,27 +451,22 @@ class TestPipeline:
         assert str(err.value) == message
         assert not (tmp_path / "run").exists()
 
-    def test_stage_dependencies_enforced(self, tmp_path):
-        with pytest.raises(StageError):
-            run_pipeline({**PIPELINE_CONFIG, "stages": ["track"]}, tmp_path)
+    def test_stage_failure_names_the_stage(self, tmp_path, monkeypatch):
+        # an OSError, KeyError or ValueError inside a stage is a StageError
+        # tagged with it; the stages before it have written their artifacts
+        def unwritable(dest, trace):
+            raise OSError(f"cannot write {Path(dest).name}")
 
-    def test_unknown_stage_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_pipeline({**PIPELINE_CONFIG, "stages": ["simulate", "render"]},
-                         tmp_path)
-
-    def test_simulate_only(self, tmp_path):
-        manifest = run_pipeline({**PIPELINE_CONFIG, "stages": ["simulate"]},
-                                tmp_path, seed=1)
-        assert manifest["stages"] == ["simulate"]
-        assert set(manifest["artifacts"]) == {"events", "truth"}
-        assert (tmp_path / "events.evt").exists()
-        assert not (tmp_path / "samples.csv").exists()
+        monkeypatch.setattr(apps, "write_trace_csv", unwritable)
+        with pytest.raises(StageError) as err:
+            run_pipeline(self.SHORT_CONFIG, tmp_path, seed=3)
+        assert err.value.stage == "ekf"
+        assert str(err.value) == "[ekf] cannot write ekf_trace_u.csv"
+        assert (tmp_path / "estimate.json").exists()
+        assert not (tmp_path / "manifest.json").exists()
 
     def test_estimate_artifact_contents(self, tmp_path):
-        run_pipeline({**PIPELINE_CONFIG,
-                      "stages": ["simulate", "track", "estimate"]},
-                     tmp_path, seed=3)
+        run_pipeline(PIPELINE_CONFIG, tmp_path, seed=3)
         est = json.loads((tmp_path / "estimate.json").read_text())
         assert est["omega_rad_s"] == pytest.approx(100.0 * math.pi, rel=2e-3)
         assert est["u"]["peaks"] and est["v"]["peaks"]
@@ -470,12 +493,13 @@ ZERO_MOTION_CONFIG = {
 class TestEmptyStream:
     def test_estimate_reports_insufficient_data(self, tmp_path):
         with pytest.raises(InsufficientDataError):
-            run_pipeline({**ZERO_MOTION_CONFIG,
-                          "stages": ["simulate", "track", "estimate"]}, tmp_path)
+            run_pipeline(ZERO_MOTION_CONFIG, tmp_path)
         assert (tmp_path / "events.evt").stat().st_size == 24  # header only
 
     def test_metrics_use_one_unit_window(self, tmp_path):
-        run_pipeline({**ZERO_MOTION_CONFIG, "stages": ["simulate", "metrics"]}, tmp_path)
-        lines = (tmp_path / "metrics_raw.csv").read_text().splitlines()
+        rows = apps.metrics_stage(MetricsSection(), empty_events(),
+                                  SensorGeometry(width=64, height=64), tmp_path / "metrics.csv")
+        assert len(rows) == 1
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "0"

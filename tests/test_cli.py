@@ -228,12 +228,12 @@ PHYSICAL = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
     ({"estimate": {"band": [30.0, 500.0]}}, "estimate: unknown key 'band'"),
     ({"ekf": {"sigma_r": 0.1}}, "ekf: unknown key 'sigma_r'"),
     ({"metrics": {"window": 10}}, "metrics: unknown key 'window'"),
+    ({"stages": ["simulate"]}, "config: unknown key 'stages'"),
 ])
 def test_bad_config_key_is_a_config_error(tmp_path, capsys, config, message):
     """Every block of a pipeline config is read strictly, by run_pipeline and
     by `evosc simulate` alike, which takes the same file."""
-    base = {"geometry": {"width": 16, "height": 16}, "stages": ["simulate"],
-            "scene": {"duration_s": 0.01}}
+    base = {"geometry": {"width": 16, "height": 16}, "scene": {"duration_s": 0.01}}
     if "scene" in config:
         config = {**config, "scene": {**base["scene"], **config["scene"]}}
     config = {**base, **config}
@@ -273,8 +273,7 @@ PARITY_CONFIG = {
 
 
 def test_cli_stages_match_the_pipeline(tmp_path):
-    run_pipeline({**PARITY_CONFIG, "stages": ["simulate", "track", "estimate"]},
-                 tmp_path / "pipe", seed=4)
+    run_pipeline(PARITY_CONFIG, tmp_path / "pipe", seed=4)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(PARITY_CONFIG))
     cli = tmp_path / "cli"
@@ -290,7 +289,7 @@ def test_cli_stages_match_the_pipeline(tmp_path):
 
 
 def test_cli_estimate_fits_the_first_tracker_only(tmp_path):
-    two = {**CONFIG, "stages": ["simulate", "track", "estimate"],
+    two = {**CONFIG,
            "tracker": {"patches": [{"cx": 16.0, "cy": 16.0, "half_size": 10},
                                    {"cx": 48.0, "cy": 48.0, "half_size": 10}]}}
     run_pipeline(two, tmp_path, seed=5)
@@ -301,16 +300,26 @@ def test_cli_estimate_fits_the_first_tracker_only(tmp_path):
                       json.loads((tmp_path / "estimate.json").read_text()))
 
 
+def simulate_config(tmp_path, config: dict, seed: int):
+    """`evosc simulate --config` on a pipeline config: (exit code, out dir)."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "sim"
+    return main(["simulate", "--config", str(path), "--seed", str(seed),
+                 "--out", str(out)]), out
+
+
 def test_pipeline_moving_target_is_the_library_preset(tmp_path):
     scene = {"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
              "contrast": 0.8, "duration_s": 0.1, "noise_rate_hz": 0.5}
-    run_pipeline({"geometry": {"width": 32, "height": 32}, "scene": scene,
-                  "stages": ["simulate"]}, tmp_path, seed=2)
+    code, out = simulate_config(tmp_path, {"geometry": {"width": 32, "height": 32},
+                                           "scene": scene}, seed=2)
+    assert code == 0
     want = simulate_moving_target(10.0, 3.0, SensorGeometry(width=32, height=32),
                                   duration_s=0.1, contrast=0.8, noise_rate_hz=0.5, seed=2)
-    events, _ = read_events(tmp_path / "events.evt")
+    events, _ = read_events(out / "events.evt")
     assert events.tobytes() == want.events.tobytes()
-    truth = json.loads((tmp_path / "truth.json").read_text())
+    truth = json.loads((out / "truth.json").read_text())
     assert truth["planes"] == [want.truth[0].to_dict()]
 
 
@@ -319,9 +328,10 @@ def test_pipeline_moving_target_draws_the_configured_pattern(tmp_path):
     scene = {"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
              "pattern": {"type": "disks", "pitch_px": 1000.0, "offset_px": 16.0},
              "contrast": 1.0, "duration_s": 0.05}
-    run_pipeline({"geometry": {"width": 32, "height": 32}, "scene": scene,
-                  "stages": ["simulate"]}, tmp_path, seed=1)
-    events, _ = read_events(tmp_path / "events.evt")
+    code, out = simulate_config(tmp_path, {"geometry": {"width": 32, "height": 32},
+                                           "scene": scene}, seed=1)
+    assert code == 0
+    events, _ = read_events(out / "events.evt")
     want = simulate_moving_target(10.0, 3.0, g32, duration_s=0.05, contrast=1.0, seed=1,
                                   pattern=Disks(pitch_px=1000.0, offset_px=16.0))
     assert events.tobytes() == want.events.tobytes()
@@ -332,20 +342,31 @@ def test_pipeline_moving_target_draws_the_configured_pattern(tmp_path):
 def test_pipeline_physical_scene_projects_with_the_run_geometry(tmp_path):
     geometry = SensorGeometry(width=32, height=32, focal_length_px=250.0)
     scene = {"physical": {**PHYSICAL, "depth_m": 2.0}, "duration_s": 0.02}
-    run_pipeline({"geometry": geometry.to_dict(), "scene": scene, "stages": ["simulate"]},
-                 tmp_path, seed=1)
+    code, out = simulate_config(tmp_path, {"geometry": geometry.to_dict(), "scene": scene},
+                                seed=1)
+    assert code == 0
     omega = motor_speed(PHYSICAL["voltage"], MotorParams())
     osc = PhysicalOscillator(mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
                              damping=2.0, stiffness=4000.0, omega_drive=omega)
     want = OscillatorConfig.from_world(WorldMotion.from_steady_state(osc), geometry, 2.0)
-    truth = json.loads((tmp_path / "truth.json").read_text())
+    truth = json.loads((out / "truth.json").read_text())
     assert truth["planes"][0]["amp_x_px"] == want.amp_x_px
 
 
-def test_pipeline_moving_target_rejects_depth_planes(tmp_path):
+def test_pipeline_moving_target_rejects_depth_planes(tmp_path, capsys):
     scene = {"moving_target": {"freq_hz": 10.0, "radius_px": 3.0}, "duration_s": 0.05,
              "depth_planes": [{"depth_m": 1.0}, {"depth_m": 2.0, "region": [16, 0, 32, 32]}]}
-    with pytest.raises(ConfigError, match="depth_planes"):
-        run_pipeline({"geometry": {"width": 32, "height": 32}, "scene": scene,
-                      "stages": ["simulate"]}, tmp_path, seed=1)
-    assert not (tmp_path / "events.evt").exists()
+    code, out = simulate_config(tmp_path, {"geometry": {"width": 32, "height": 32},
+                                           "scene": scene}, seed=1)
+    assert code == 1
+    assert "depth_planes" in capsys.readouterr().err
+    assert not (out / "events.evt").exists()
+
+
+def test_simulate_rejects_a_zero_step(tmp_path, capsys):
+    # a zero step_us used to divide by zero inside the simulator and print a traceback
+    code, out = simulate_config(tmp_path, {"geometry": {"width": 16, "height": 16},
+                                           "scene": {"step_us": 0}}, seed=0)
+    assert code == 1
+    assert capsys.readouterr().err == "[simulate] scene: step_us must be positive and finite, got 0\n"
+    assert not out.exists()

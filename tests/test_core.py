@@ -10,6 +10,7 @@ from evosc.core import (
     accumulate,
     binarize,
     empty_events,
+    from_section,
     make_events,
     validate_events,
     window_starts,
@@ -101,14 +102,9 @@ class TestGeometry:
         assert g.cy == 23.5
 
     def test_dict_round_trip(self):
+        # the path of the config reader and of truth.json's geometry block
         g = SensorGeometry(width=10, height=20, focal_length_px=42.0, cx=1.0, cy=2.0)
-        assert SensorGeometry.from_dict(g.to_dict()) == g
-
-    def test_file_round_trip(self, tmp_path):
-        g = SensorGeometry(width=7, height=5, focal_length_px=3.0)
-        path = tmp_path / "geom.json"
-        g.save(path)
-        assert SensorGeometry.load(path) == g
+        assert from_section(SensorGeometry, g.to_dict(), "geometry") == g
 
     @pytest.mark.parametrize("kwargs", [
         {"width": 0, "height": 4},

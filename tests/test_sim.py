@@ -492,6 +492,10 @@ def test_simulate_rejects_bad_duration_and_threshold():
         simulate(SceneSpec(), cfg, geom, duration_s=0.0)
     with pytest.raises(ConfigError):
         simulate(SceneSpec(), cfg, geom, duration_s=0.1, threshold=0.0)
+    # a zero step used to divide by zero; NaN and inf fail every comparison
+    for bad in ({"step_us": 0}, {"duration_s": math.nan}, {"threshold": math.inf}):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            simulate(SceneSpec(), cfg, geom, **{"duration_s": 0.1, **bad})
 
 
 # ---------------------------------------------------------------------------
