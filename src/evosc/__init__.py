@@ -52,14 +52,12 @@ from .ekf import (  # noqa: F401
     amplitude_phase,
     filter_samples,
     predict,
-    predict_offset,
     update,
 )
 from .compensate import (  # noqa: F401
     CompensatedEvents,
     compensate_stream,
     states_from_config,
-    throughput_bench,
 )
 from .metrics import (  # noqa: F401
     EdgeReport,

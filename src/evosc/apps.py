@@ -411,6 +411,9 @@ class OscillationSection:
     phi_x: float = 0.0
     phi_y: float = -math.pi / 2.0
 
+    def __post_init__(self):
+        self.oscillator()  # OscillatorConfig holds the amplitude and omega range rules
+
     def oscillator(self) -> OscillatorConfig:
         return OscillatorConfig(self.amp_x_px, self.amp_y_px, self.omega_rad_s,
                                 self.phi_x, self.phi_y)
@@ -473,11 +476,19 @@ class SceneSection:
     moving_target: MovingTargetSection | None = None
 
     def __post_init__(self):
-        check_sim_params(self.duration_s, self.threshold, self.step_us)
+        check_sim_params(self.duration_s, self.threshold, self.step_us,
+                         self.noise_rate_hz, self.refractory_us)
+        self.spec()  # SceneSpec holds the contrast and depth-plane rules
         if sum(m is not None for m in (self.oscillation, self.physical, self.moving_target)) > 1:
             raise ConfigError("give one of oscillation, physical and moving_target")
         if self.moving_target is not None and self.depth_planes is not None:
             raise ConfigError("a moving_target scene has one plane; it takes no depth_planes")
+
+    def spec(self) -> SceneSpec:
+        """The scene's SceneSpec."""
+        given = {k: getattr(self, k) for k in ("pattern", "depth_planes")
+                 if getattr(self, k) is not None}
+        return SceneSpec(contrast=self.contrast, **given)
 
 
 @dataclass(frozen=True)
@@ -554,9 +565,7 @@ def build_scene(section: SceneSection, geometry: SensorGeometry
                 ) -> tuple[SceneSpec, OscillatorConfig | None, dict]:
     """(scene, oscillation, sim kwargs) of a scene section on the run's sensor;
     the oscillation is None for a moving target."""
-    given = {k: getattr(section, k) for k in ("pattern", "depth_planes")
-             if getattr(section, k) is not None}
-    scene = SceneSpec(contrast=section.contrast, **given)
+    scene = section.spec()
     sim_kwargs = {k: getattr(section, k) for k in
                   ("duration_s", "threshold", "noise_rate_hz", "step_us", "refractory_us")}
     if section.moving_target is not None:

@@ -20,7 +20,6 @@ over the whole stream.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,33 +194,6 @@ def states_from_init(
     from .ekf import init as ekf_init
 
     return ekf_init(init_u, t_ref_us), ekf_init(init_v, t_ref_us)
-
-
-def throughput_bench(
-    events: np.ndarray,
-    state_u: SinusoidState,
-    state_v: SinusoidState,
-    geometry: SensorGeometry,
-    repeats: int = 10,
-) -> dict:
-    """Time the fixed-state hot path; returns mean/std ns per event."""
-    if repeats < 1:
-        raise ConfigError("repeats must be at least 1")
-    compensate_stream(events, state_u, state_v, geometry)  # warm cache
-    per_event = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        compensate_stream(events, state_u, state_v, geometry)
-        t1 = time.perf_counter_ns()
-        per_event.append((t1 - t0) / events.shape[0])
-    per_event = np.asarray(per_event)
-    return {
-        "events": int(events.shape[0]),
-        "repeats": repeats,
-        "ns_per_event_mean": float(per_event.mean()),
-        "ns_per_event_std": float(per_event.std()),
-        "events_per_second": float(1e9 / per_event.mean()),
-    }
 
 
 def write_compensated_csv(dest, comp: CompensatedEvents) -> None:

@@ -60,7 +60,7 @@ class NoiseConfig:
 
 
 class StateSnapshot(NamedTuple):
-    """Immutable copy of the filter mean, safe to read concurrently."""
+    """Immutable copy of the filter mean."""
 
     theta: float
     omega: float
@@ -80,15 +80,8 @@ class SinusoidState:
     covariance: np.ndarray
     t_us: int
 
-    def snapshot(self) -> StateSnapshot:
-        return StateSnapshot(self.theta, self.omega, self.a, self.b, self.c, self.t_us)
 
-
-def init(
-    fit: SinusoidInit,
-    t_ref_us: int,
-    init_var: tuple[float, float, float, float, float] | None = None,
-) -> SinusoidState:
+def init(fit: SinusoidInit, t_ref_us: int) -> SinusoidState:
     """Seed the filter from a least-squares fit, with theta = 0 at t_ref.
 
     The fit's (a, b) live on theta' = omega*t; rotating them by omega*t_ref
@@ -99,22 +92,14 @@ def init(
     ca, sa = math.cos(rot), math.sin(rot)
     a0 = fit.a * ca - fit.b * sa
     b0 = fit.a * sa + fit.b * ca
-    if init_var is None:
-        amp = math.hypot(a0, b0)
-        init_var = (
-            0.1**2,
-            (0.05 * max(fit.omega, 1.0)) ** 2,
-            (0.1 * amp + 0.1) ** 2,
-            (0.1 * amp + 0.1) ** 2,
-            1.0,
-        )
+    var_ab = (0.1 * math.hypot(a0, b0) + 0.1) ** 2
     return SinusoidState(
         theta=0.0,
         omega=fit.omega,
         a=a0,
         b=b0,
         c=fit.c,
-        covariance=np.diag(init_var).astype(float),
+        covariance=np.diag([0.1**2, (0.05 * max(fit.omega, 1.0)) ** 2, var_ab, var_ab, 1.0]),
         t_us=int(t_ref_us),
     )
 
@@ -185,21 +170,6 @@ def phasor(state: SinusoidState | StateSnapshot) -> tuple[float, float, float, f
 def phasor_offset(amp, phase0, omega_per_us, t0_us, t_us):
     """amp*cos(phase0 + omega_per_us*(t - t0)), t in us; arguments broadcast elementwise."""
     return amp * np.cos(phase0 + omega_per_us * (t_us - t0_us))
-
-
-def predict_offset(
-    state_u: SinusoidState | StateSnapshot,
-    state_v: SinusoidState | StateSnapshot,
-    t_us,
-):
-    """Oscillatory offset (du, dv) at time t without mutating the filters.
-
-    Vectorized over t_us. Accepts live states or snapshots; uses only the
-    mean, so concurrent filter updates cannot tear a read mid-way when
-    snapshots are passed.
-    """
-    t = np.asarray(t_us, dtype=np.float64)
-    return phasor_offset(*phasor(state_u), t), phasor_offset(*phasor(state_v), t)
 
 
 def filter_samples(

@@ -167,8 +167,9 @@ def _gridded(values: np.ndarray, t: np.ndarray, omegas: np.ndarray) -> np.ndarra
     return fhat[np.mod(k, m_r)] * deconv
 
 
-def top_peaks(spectrum: Spectrum, num_peaks: int = DEFAULT_NUM_PEAKS) -> list[SpectrumPeak]:
-    """Strict local maxima, strongest first, with quadratic sub-bin refinement."""
+def top_peaks(spectrum: Spectrum) -> list[SpectrumPeak]:
+    """The DEFAULT_NUM_PEAKS strongest strict local maxima, strongest first,
+    with quadratic sub-bin refinement."""
     mag = spectrum.magnitudes
     if mag.shape[0] < 3 or not np.any(mag > 0):
         raise NoPeakError("spectrum has no local maximum")
@@ -176,7 +177,7 @@ def top_peaks(spectrum: Spectrum, num_peaks: int = DEFAULT_NUM_PEAKS) -> list[Sp
     idx = np.nonzero(inner)[0] + 1
     if idx.size == 0:
         raise NoPeakError("spectrum has no local maximum")
-    idx = idx[np.argsort(mag[idx])[::-1][:num_peaks]]
+    idx = idx[np.argsort(mag[idx])[::-1][:DEFAULT_NUM_PEAKS]]
     step = spectrum.omegas[1] - spectrum.omegas[0]
     peaks = []
     for i in idx:

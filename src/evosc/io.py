@@ -1,7 +1,8 @@
 """Event-stream serialization.
 
-Binary container: 24-byte little-endian header followed by packed 13-byte
-records (u64 t_us, u16 x, u16 y, i8 polarity).
+Events are read and written as ``.evt`` only: a 24-byte little-endian
+header followed by packed 13-byte records (u64 t_us, u16 x, u16 y,
+i8 polarity).
 
     magic    4 bytes  b"EVST"
     version  u16      1
@@ -15,15 +16,11 @@ header, and reading a regular file checks the file's size against the header
 count, then reads straight into the array, so neither direction builds a
 copy of the whole stream.
 
-CSV container: header line ``t_us,x,y,p`` then one decimal-integer row per
-event, polarity written as 1 or -1.
-
 JSON artifacts (truth, estimate, report, manifest) all go through write_json.
 """
 
 from __future__ import annotations
 
-import io as _io
 import json
 import os
 import stat
@@ -39,62 +36,43 @@ MAGIC = b"EVST"
 VERSION = 1
 HEADER_FMT = "<4sHHHQ6s"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
-CSV_HEADER = "t_us,x,y,p"
 # rows per block when formatting CSV columns
 _CSV_BLOCK = 1 << 14
 
 assert HEADER_SIZE == 24
 
 
-def write_events(
-    dest,
-    events: np.ndarray,
-    geometry: SensorGeometry,
-    fmt: str = "binary",
-) -> None:
-    """Serialize an event stream to a path or writable file object."""
+def write_events(dest, events: np.ndarray, geometry: SensorGeometry) -> None:
+    """Serialize an event stream as .evt to a path or writable file object."""
     validate_events(events, geometry)
-    if fmt == "binary":
-        header = struct.pack(
-            HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height,
-            events.shape[0], b"\x00" * 6,
-        )
-        _write_bytes(dest, header, memoryview(np.ascontiguousarray(events).view(np.uint8)))
-    elif fmt == "csv":
-        _write_csv(dest, CSV_HEADER, "{},{},{},{}",
-                   [events["t"], events["x"], events["y"], events["p"]])
-    else:
-        raise ConfigError(f"unknown event format {fmt!r}")
+    header = struct.pack(
+        HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height,
+        events.shape[0], b"\x00" * 6,
+    )
+    _write_bytes(dest, header, memoryview(np.ascontiguousarray(events).view(np.uint8)))
 
 
 def read_events(
-    source,
-    fmt: str = "binary",
-    geometry: SensorGeometry | None = None,
-) -> tuple[np.ndarray, SensorGeometry | None]:
-    """Parse an event stream from a path, bytes, or readable file object.
+    source, *, geometry: SensorGeometry | None = None,
+) -> tuple[np.ndarray, SensorGeometry]:
+    """Parse an .evt stream from a path, bytes, or readable file object.
 
-    Returns (events, geometry). For the binary format the geometry comes from
-    the header; for CSV it echoes the argument. Ordering and bounds are
-    validated against whichever geometry is available.
+    Returns (events, geometry). The geometry comes from the header, or is the
+    given one, whose size the header must match. Ordering and bounds are
+    validated against it.
     """
-    if fmt == "binary":
-        if isinstance(source, (str, os.PathLike)):
-            events, file_geom = _read_binary_file(source)
-        else:
-            events, file_geom = _parse_binary(_read_bytes(source))
-        if geometry is not None and (
-            file_geom.width != geometry.width or file_geom.height != geometry.height
-        ):
-            raise FormatError(
-                f"header geometry {file_geom.width}x{file_geom.height} does not match "
-                f"expected {geometry.width}x{geometry.height}"
-            )
-        geometry = geometry or file_geom
-    elif fmt == "csv":
-        events = _parse_csv(_read_bytes(source))
+    if isinstance(source, (str, os.PathLike)):
+        events, file_geom = _read_binary_file(source)
     else:
-        raise ConfigError(f"unknown event format {fmt!r}")
+        events, file_geom = _parse_binary(_read_bytes(source))
+    if geometry is not None and (
+        file_geom.width != geometry.width or file_geom.height != geometry.height
+    ):
+        raise FormatError(
+            f"header geometry {file_geom.width}x{file_geom.height} does not match "
+            f"expected {geometry.width}x{geometry.height}"
+        )
+    geometry = geometry or file_geom
     validate_events(events, geometry)
     return events, geometry
 
@@ -155,61 +133,6 @@ def _read_binary_file(path) -> tuple[np.ndarray, SensorGeometry]:
     return events, _header_geometry(width, height)
 
 
-def _parse_csv(data: bytes) -> np.ndarray:
-    text = data.decode("utf-8", errors="replace")
-    try:
-        first_nl = text.index("\n")
-    except ValueError:
-        raise FormatError("missing CSV header line", offset=0) from None
-    if text[:first_nl].strip("\r") != CSV_HEADER:
-        raise FormatError(f"bad CSV header {text[:first_nl]!r}", offset=0)
-    body = text[first_nl + 1 :]
-    if not body.strip():
-        return np.empty(0, dtype=EVENT_DTYPE)
-    try:
-        cols = np.loadtxt(
-            _io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2,
-        )
-    except ValueError:
-        _locate_csv_error(text, first_nl + 1)
-        raise  # unreachable: _locate_csv_error always raises
-    if cols.size == 0:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    if cols.shape[1] != 4:
-        _locate_csv_error(text, first_nl + 1)
-    if (cols[:, :3] < 0).any():
-        bad = int(np.nonzero((cols[:, :3] < 0).any(axis=1))[0][0])
-        _locate_csv_error(text, first_nl + 1, bad_line=bad)
-    out = np.empty(cols.shape[0], dtype=EVENT_DTYPE)
-    out["t"] = cols[:, 0]
-    out["x"] = cols[:, 1]
-    out["y"] = cols[:, 2]
-    out["p"] = cols[:, 3]
-    return out
-
-
-def _locate_csv_error(text: str, body_start: int, bad_line: int | None = None):
-    """Re-scan the CSV body to report a byte offset for the offending row."""
-    offset = body_start
-    for lineno, line in enumerate(text[body_start:].splitlines()):
-        stripped = line.strip()
-        fields = stripped.split(",") if stripped else []
-        broken = bad_line is not None and lineno == bad_line
-        if not broken and stripped:
-            if len(fields) != 4:
-                broken = True
-            else:
-                try:
-                    vals = [int(f) for f in fields]
-                    broken = any(v < 0 for v in vals[:3])
-                except ValueError:
-                    broken = True
-        if broken:
-            raise FormatError(f"malformed CSV record {stripped!r}", offset=offset)
-        offset += len(line.encode()) + 1
-    raise FormatError("malformed CSV body", offset=body_start)
-
-
 def write_json(dest, payload: dict) -> None:
     """The package's JSON writer: indent 2, sorted keys, trailing newline.
 
@@ -246,6 +169,7 @@ def _write_bytes(dest, *chunks) -> None:
     else:
         for chunk in chunks:
             dest.write(chunk)
+
 
 
 def _read_bytes(source) -> bytes:

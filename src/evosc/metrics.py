@@ -141,12 +141,8 @@ class EdgeReport:
     t1: int
 
 
-def edge_pipeline(
-    frame: AccumFrame,
-    blur_sigma: float = 1.5,
-    binarize_threshold: float | None = None,
-) -> EdgeReport:
-    """Blur, binarize, thin, and measure the skeleton.
+def edge_pipeline(frame: AccumFrame, blur_sigma: float = 1.5) -> EdgeReport:
+    """Blur, binarize at the Otsu threshold, thin, and measure the skeleton.
 
     Contour length is the pixel count of a skeleton component (edges are one
     pixel wide after thinning). An all-zero frame reports zeros.
@@ -157,8 +153,7 @@ def edge_pipeline(
     if not counts.any():
         return EdgeReport(0, 0.0, 0, frame.t0, frame.t1)
     blurred = gaussian_blur(counts, blur_sigma)
-    thr = otsu_threshold(blurred) if binarize_threshold is None else binarize_threshold
-    bits = blurred > thr
+    bits = blurred > otsu_threshold(blurred)
     if not bits.any():
         return EdgeReport(0, 0.0, 0, frame.t0, frame.t1)
     skeleton = zhang_suen_thin(bits)

@@ -615,13 +615,18 @@ def _crossings_by_pixel(lat, l_ref, last_emit, first_step, threshold, step_us, r
     return t[order], pixel[order], pol[order]
 
 
-def check_sim_params(duration_s: float, threshold: float, step_us: int) -> None:
+def check_sim_params(duration_s: float, threshold: float, step_us: int,
+                     noise_rate_hz: float, refractory_us: int) -> None:
     """ConfigError unless duration_s, threshold and step_us are positive and
-    finite; NaN fails every comparison."""
+    finite, and noise_rate_hz and refractory_us non-negative and finite; NaN
+    fails every comparison."""
     for name, value in (("duration_s", duration_s), ("threshold", threshold),
                         ("step_us", step_us)):
         if not 0 < value < math.inf:
             raise ConfigError(f"{name} must be positive and finite, got {value}")
+    for name, value in (("noise_rate_hz", noise_rate_hz), ("refractory_us", refractory_us)):
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be non-negative and finite, got {value}")
 
 
 def _generate(
@@ -640,7 +645,7 @@ def _generate(
     planes: list of (region, pattern, cfg); the latent log intensity of a
     plane's pixel is contrast * pattern.sample(p - camera_offset(t, cfg)).
     """
-    check_sim_params(duration_s, threshold, step_us)
+    check_sim_params(duration_s, threshold, step_us, noise_rate_hz, refractory_us)
     ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
     latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
     crossings = _crossings_by_pixel if ys.shape[0] <= _SPARSE_MAX_PIXELS else _crossings_by_step

@@ -16,7 +16,7 @@ from evosc.apps import (
     relative_depth,
     run_pipeline,
 )
-from evosc.compensate import compensate_stream, states_from_config, states_from_init, throughput_bench
+from evosc.compensate import compensate_stream, states_from_config, states_from_init
 from evosc.core import SensorGeometry, make_events
 from evosc.ekf import NoiseConfig, amplitude_phase, init as ekf_init, predict, update
 from evosc.freqest import SinusoidInit, normalize, nudft_spectrum
@@ -41,6 +41,7 @@ from evosc.sim import (
 from evosc.track import SAMPLE_DTYPE, PatchSpec
 
 from oracles import flood_fill_components
+from timing import throughput_bench
 
 OMEGA = 100.0 * math.pi
 

@@ -444,6 +444,14 @@ class TestPipeline:
          "scene: threshold must be positive and finite, got inf"),
         ({"metrics": {"blur_sigma": math.nan}}, "metrics: blur_sigma must be finite, got nan"),
         ({"ekf": {"sigma_r_px": 0}}, "ekf: sigma_r must be positive and finite, got 0.0"),
+        # SceneSpec's and OscillatorConfig's own rules, applied when the config is read
+        ({"scene": {"contrast": 0}}, "scene: contrast must be positive, got 0.0"),
+        ({"scene": {"oscillation": {"amp_x_px": -1}}},
+         "scene.oscillation: amplitudes must be non-negative"),
+        ({"scene": {"noise_rate_hz": -1.0}},
+         "scene: noise_rate_hz must be non-negative and finite, got -1.0"),
+        ({"scene": {"refractory_us": -5}},
+         "scene: refractory_us must be non-negative and finite, got -5"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:

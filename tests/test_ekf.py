@@ -11,11 +11,13 @@ from evosc.ekf import (
     TRACE_DTYPE,
     NoiseConfig,
     SinusoidState,
+    StateSnapshot,
     amplitude_phase,
     filter_samples,
     init,
+    phasor,
+    phasor_offset,
     predict,
-    predict_offset,
     update,
     wrap_theta,
     write_trace_csv,
@@ -84,12 +86,6 @@ class TestInit:
             predict(state, t_us, noise)
             assert h_of(state) == pytest.approx(fit_value(fit, t_us * 1e-6), abs=1e-9)
 
-    def test_explicit_init_var(self):
-        state = init(make_fit(), 0, init_var=(1.0, 2.0, 3.0, 4.0, 5.0))
-        np.testing.assert_array_equal(
-            state.covariance, np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
-        )
-
 
 class TestPredict:
     def test_theta_advances_and_wraps(self):
@@ -100,7 +96,7 @@ class TestPredict:
 
     def test_covariance_recursion(self):
         noise = NoiseConfig()
-        state = init(make_fit(), 0, init_var=(0.1, 0.2, 0.3, 0.4, 0.5))
+        state = init(make_fit(), 0)
         p0 = state.covariance.copy()
         dt = 0.25
         predict(state, 250_000, noise)
@@ -230,7 +226,14 @@ def test_amplitude_phase_conventions():
     assert amplitude_phase(zero) == (0.0, 0.0)
 
 
+def predict_offset(state_u, state_v, t_us):
+    t = np.asarray(t_us, dtype=np.float64)
+    return phasor_offset(*phasor(state_u), t), phasor_offset(*phasor(state_v), t)
+
+
 class TestPredictOffset:
+    """The offset a state predicts: phasor_offset of its phasor."""
+
     def make_states(self):
         su = init(make_fit(omega=100.0, a=1.0, b=0.5, c=30.0), 1000)
         sv = init(make_fit(omega=100.0, a=-0.3, b=2.0, c=31.0), 1000)
@@ -253,8 +256,12 @@ class TestPredictOffset:
 
     def test_snapshot_equivalent_to_live_state(self):
         su, sv = self.make_states()
+
+        def snap(s):
+            return StateSnapshot(s.theta, s.omega, s.a, s.b, s.c, s.t_us)
+
         du_live, dv_live = predict_offset(su, sv, 77_000.0)
-        du_snap, dv_snap = predict_offset(su.snapshot(), sv.snapshot(), 77_000.0)
+        du_snap, dv_snap = predict_offset(snap(su), snap(sv), 77_000.0)
         assert (du_live, dv_live) == (du_snap, dv_snap)
 
     def test_offset_is_mean_free_component(self):

@@ -11,6 +11,7 @@ from evosc.errors import (
     NoPeakError,
 )
 from evosc.freqest import (
+    DEFAULT_NUM_PEAKS,
     Spectrum,
     SpectrumPeak,
     fit_sinusoid,
@@ -124,13 +125,14 @@ class TestTopPeaks:
         assert peaks[0].omega == pytest.approx(centre, abs=1e-9)
 
     def test_orders_by_magnitude_and_truncates(self):
-        omegas = np.linspace(0.0, 10.0, 11)
-        mags = np.zeros(11)
-        mags[2], mags[5], mags[8] = 1.0, 3.0, 2.0
-        peaks = top_peaks(Spectrum(omegas=omegas, magnitudes=mags), num_peaks=2)
-        assert len(peaks) == 2
-        assert [p.bin_index for p in peaks] == [5, 8]
-        assert peaks[0].magnitude >= peaks[1].magnitude
+        # four local maxima; the weakest is cut at DEFAULT_NUM_PEAKS = 3
+        omegas = np.linspace(0.0, 12.0, 13)
+        mags = np.zeros(13)
+        mags[2], mags[5], mags[8], mags[10] = 1.0, 3.0, 2.0, 1.5
+        peaks = top_peaks(Spectrum(omegas=omegas, magnitudes=mags))
+        assert DEFAULT_NUM_PEAKS == 3
+        assert [p.bin_index for p in peaks] == [5, 8, 10]
+        assert peaks[0].magnitude >= peaks[1].magnitude >= peaks[2].magnitude
 
     def test_monotone_spectrum_has_no_peak(self):
         omegas = np.linspace(0.0, 1.0, 32)

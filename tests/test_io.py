@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evosc.core import SensorGeometry, empty_events, make_events
-from evosc.errors import ConfigError, FormatError
+from evosc.errors import FormatError
 from evosc.io import HEADER_SIZE, MAGIC, read_events, write_events
 
 GEOM = SensorGeometry(width=32, height=24)
@@ -52,15 +52,6 @@ def test_binary_round_trip(ev):
     back, geom = read_events(buf.getvalue())
     assert np.array_equal(back, ev)
     assert (geom.width, geom.height) == (GEOM.width, GEOM.height)
-
-
-@given(event_streams(max_n=40))
-@settings(max_examples=25, deadline=None)
-def test_csv_round_trip(ev):
-    buf = io.BytesIO()
-    write_events(buf, ev, GEOM, fmt="csv")
-    back, _ = read_events(buf.getvalue(), fmt="csv", geometry=GEOM)
-    assert np.array_equal(back, ev)
 
 
 @given(event_streams())
@@ -189,41 +180,11 @@ def test_unsorted_binary_payload_rejected_on_read():
         read_events(payload)
 
 
-def test_csv_bad_header():
-    with pytest.raises(FormatError, match="header"):
-        read_events(b"time,x,y,p\n1,2,3,1\n", fmt="csv")
-
-
-def test_csv_malformed_row_reports_byte_offset():
-    good = "t_us,x,y,p\n10,1,1,1\n"
-    payload = (good + "oops,2\n").encode()
-    with pytest.raises(FormatError, match="oops") as err:
-        read_events(payload, fmt="csv")
-    assert err.value.offset == len(good.encode())
-
-
-def test_csv_negative_coordinate_rejected():
-    with pytest.raises(FormatError, match="-3"):
-        read_events(b"t_us,x,y,p\n5,-3,0,1\n", fmt="csv")
-
-
-def test_csv_empty_body_gives_empty_stream():
-    ev, _ = read_events(b"t_us,x,y,p\n", fmt="csv")
-    assert ev.shape == (0,)
-
-
 def test_empty_stream_binary_round_trip():
     buf = io.BytesIO()
     write_events(buf, empty_events(), GEOM)
     back, _ = read_events(buf.getvalue())
     assert back.shape == (0,)
-
-
-def test_unknown_format_rejected():
-    with pytest.raises(ConfigError):
-        write_events(io.BytesIO(), stream(), GEOM, fmt="parquet")
-    with pytest.raises(ConfigError):
-        read_events(b"", fmt="parquet")
 
 
 def test_any_path_like_is_read_as_a_path(tmp_path):

@@ -226,8 +226,7 @@ class TestEdgePipeline:
     def test_straight_line_passthrough(self):
         counts = np.zeros((9, 44), dtype=np.int32)
         counts[4, 2:42] = 1
-        report = edge_pipeline(acc_frame(counts), blur_sigma=0.0,
-                               binarize_threshold=0.5)
+        report = edge_pipeline(acc_frame(counts), blur_sigma=0.0)
         assert report.num_components == 1
         assert report.avg_contour_length == 40.0
         assert report.junction_count == 0
@@ -239,15 +238,6 @@ class TestEdgePipeline:
         report = edge_pipeline(acc_frame(counts), blur_sigma=0.8)
         assert report.num_components == 2
         assert report.avg_contour_length > 0
-
-    def test_explicit_threshold_overrides_otsu(self):
-        counts = np.zeros((16, 20), dtype=np.int32)
-        counts[6:10, 3:17] = 4
-        low = edge_pipeline(acc_frame(counts), blur_sigma=0.5, binarize_threshold=0.1)
-        high = edge_pipeline(acc_frame(counts), blur_sigma=0.5,
-                             binarize_threshold=1e9)
-        assert low.num_components == 1
-        assert high.num_components == 0
 
 
 def test_stream_metrics_windows_and_fields(geom64):

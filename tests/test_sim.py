@@ -496,6 +496,10 @@ def test_simulate_rejects_bad_duration_and_threshold():
     for bad in ({"step_us": 0}, {"duration_s": math.nan}, {"threshold": math.inf}):
         with pytest.raises(ConfigError, match="must be positive and finite"):
             simulate(SceneSpec(), cfg, geom, **{"duration_s": 0.1, **bad})
+    # a negative rate or period would silently act as none
+    for bad in ({"noise_rate_hz": -1.0}, {"refractory_us": -5}, {"noise_rate_hz": math.nan}):
+        with pytest.raises(ConfigError, match="must be non-negative and finite"):
+            simulate(SceneSpec(), cfg, geom, **{"duration_s": 0.1, **bad})
 
 
 # ---------------------------------------------------------------------------
