@@ -51,6 +51,7 @@ from .sim import (
     PhysicalOscillator,
     SceneSpec,
     WorldMotion,
+    check_moving_target,
     check_sim_params,
     motor_speed,
     read_pattern,
@@ -455,6 +456,9 @@ class MovingTargetSection:
 
     freq_hz: float
     radius_px: float
+
+    def __post_init__(self):
+        check_moving_target(self.freq_hz, self.radius_px)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import string
 import struct
 from pathlib import Path
 
@@ -49,7 +50,7 @@ def write_events(dest, events: np.ndarray, geometry: SensorGeometry) -> None:
         HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height,
         events.shape[0], b"\x00" * 6,
     )
-    _write_bytes(dest, header, memoryview(np.ascontiguousarray(events).view(np.uint8)))
+    _write_bytes(dest, (header, memoryview(np.ascontiguousarray(events).view(np.uint8))))
 
 
 def read_events(
@@ -148,19 +149,110 @@ def write_json(dest, payload: dict) -> None:
 def _write_csv(dest, header: str, row_format: str, columns) -> None:
     """The package's text writer: a header, then row i as row_format.format
     of element i of each column (equal-length arrays), each line ending in a
-    newline."""
-    rows = _csv_rows(row_format, columns)
-    _write_bytes(dest, ("\n".join([header, *rows]) + "\n").encode())
+    newline. Rows are rendered and written _CSV_BLOCK at a time.
+
+    When every field is "{}" of an integer column or "{:.3f}" of a float
+    column (compensated.csv), a block's rows are built as digits in a uint8
+    matrix instead: each field is a sign byte then its digits right-aligned,
+    and the pad bytes are dropped. A .3f value's digits are those of
+    q = rint(|x|*1000), with the sign from signbit, so -0.0004 gives "-0.000"
+    as format does. Below 2**52 every half-integer is a double, so the
+    rounded product lies on the same side of each half as the exact one and
+    q is format's rounding, unless the product is a half itself. So a value
+    whose |x|*1000 lies within 1e-6 of a half, is 2**52 or more, or is not
+    finite is formatted by format instead. Every other row format uses
+    format for all rows."""
+    fields = list(string.Formatter().parse(row_format))
+    fixed = len(fields) == len(columns) and all(
+        name == "" and conversion is None and (
+            (spec == "" and np.issubdtype(c.dtype, np.integer))
+            or (spec == ".3f" and np.issubdtype(c.dtype, np.floating)))
+        for (_, name, spec, conversion), c in zip(fields, columns)
+    )
+
+    def chunks():
+        yield (header + "\n").encode()
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[lo:lo + _CSV_BLOCK] for c in columns]
+            yield _fixed_point_rows(fields, block) if fixed else _formatted_rows(row_format, block)
+
+    _write_bytes(dest, chunks())
 
 
-def _csv_rows(row_format: str, columns):
+def _formatted_rows(row_format: str, columns) -> bytes:
     # Python scalars from tolist() format several times faster than numpy
-    # scalars; converting a block at a time keeps few of them alive at once.
-    for lo in range(0, len(columns[0]), _CSV_BLOCK):
-        yield from map(row_format.format, *(c[lo:lo + _CSV_BLOCK].tolist() for c in columns))
+    # scalars.
+    rows = map(row_format.format, *(c.tolist() for c in columns))
+    return "".join(row + "\n" for row in rows).encode()
 
 
-def _write_bytes(dest, *chunks) -> None:
+_PAD = 0
+
+
+def _digits(mag: np.ndarray, width: int | None = None) -> np.ndarray:
+    """(n, width) ASCII digits of uint64 magnitudes, right-aligned. Without a
+    width, it fits the largest, and leading zeros before the last digit are
+    pad bytes."""
+    strip = width is None
+    if strip:
+        width = len(str(int(mag.max()))) if mag.size else 1
+    out = np.empty((mag.shape[0], width), dtype=np.uint8)
+    for k in range(width - 1, -1, -1):
+        mag, out[:, k] = np.divmod(mag, np.uint64(10))
+    lead = np.logical_and.accumulate(out[:, :-1] == 0, axis=1) if strip else None
+    out += ord("0")
+    if strip:
+        out[:, :-1][lead] = _PAD
+    return out
+
+
+def _fixed_point_rows(fields, columns) -> np.ndarray:
+    """One block of rows as a uint8 array of text, see _write_csv."""
+    n = columns[0].shape[0]
+    parts = []
+    for (literal, _, spec, _), c in zip(fields, columns):
+        parts.append(np.broadcast_to(np.frombuffer(literal.encode(), np.uint8),
+                                     (n, len(literal))))
+        if spec == "":
+            neg = c < 0
+            mag = c.astype(np.uint64)
+            # a negative value cast to uint64 wraps, and negating it wraps back to |c|
+            np.negative(mag, out=mag, where=neg)
+            parts += [_sign(neg), _digits(mag)]
+        else:
+            parts.append(_fixed_3f(c))
+    parts.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
+    text = np.hstack(parts)
+    return text[text != _PAD]
+
+
+def _sign(neg: np.ndarray) -> np.ndarray:
+    return np.where(neg, np.uint8(ord("-")), np.uint8(_PAD))[:, None]
+
+
+def _fixed_3f(c: np.ndarray) -> np.ndarray:
+    """(n, width) bytes of format(v, ".3f") for each value of c, padded."""
+    c = c.astype(np.float64, copy=False)
+    scaled = np.abs(c) * 1000.0
+    exact = scaled < 2.0**52
+    scaled[~exact] = 0.0
+    exact &= np.abs(scaled - np.floor(scaled) - 0.5) > 1e-6
+    whole, frac = np.divmod(np.rint(scaled).astype(np.uint64), np.uint64(1000))
+    point = np.full((c.shape[0], 1), ord("."), dtype=np.uint8)
+    out = np.hstack([_sign(np.signbit(c)), _digits(whole), point, _digits(frac, 3)])
+    if not exact.all():
+        # near a tie, huge or not finite: format's own text, left-aligned,
+        # the rest pad
+        slow = np.array([format(v, ".3f") for v in c[~exact].tolist()], dtype=bytes)
+        width = slow.dtype.itemsize
+        if width > out.shape[1]:
+            out = np.hstack([out, np.zeros((c.shape[0], width - out.shape[1]), np.uint8)])
+        out[~exact] = _PAD
+        out[~exact, :width] = slow.view(np.uint8).reshape(-1, width)
+    return out
+
+
+def _write_bytes(dest, chunks) -> None:
     """Write the bytes-like chunks, in order, to a path or a binary stream."""
     if isinstance(dest, (str, os.PathLike)):
         with open(dest, "wb") as fh:
@@ -169,7 +261,6 @@ def _write_bytes(dest, *chunks) -> None:
     else:
         for chunk in chunks:
             dest.write(chunk)
-
 
 
 def _read_bytes(source) -> bytes:

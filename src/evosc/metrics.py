@@ -6,6 +6,14 @@ forward-difference gradient magnitude. Structural metrics run an edge
 pipeline: Gaussian blur, binarization (Otsu over the nonzero support by
 default), Zhang-Suen thinning, then 8-connected component statistics on the
 skeleton.
+
+The edge pipeline runs on a stack of windows, shape (n, H, W), one window
+per plane: stream_metrics stacks its windows and edge_pipeline is the same
+code on a stack of one. Thinning reads each sub-pass's predicate from a
+256-entry table indexed by the pixel's 8-neighbour code and thins the whole
+stack until no window changes; a window that has converged deletes nothing
+on later passes, so it ends as it would alone. Component labels use a
+structure that never joins two planes.
 """
 
 from __future__ import annotations
@@ -20,7 +28,9 @@ from .core import AccumFrame, BinaryFrame, SensorGeometry, accumulate, binarize,
 from .errors import ConfigError
 from .io import _write_csv
 
-EIGHT_CONNECTED = np.ones((3, 3), dtype=int)
+# pixels per stack of windows in stream_metrics, bounding the edge
+# pipeline's temporaries on large sensors
+_EDGE_BLOCK_PX = 1 << 20
 
 
 def shannon_entropy(frame: BinaryFrame) -> float:
@@ -54,15 +64,16 @@ def gradient_magnitude(frame: AccumFrame) -> float:
 
 
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian with radius ceil(3*sigma) and reflected borders."""
+    """Separable Gaussian over the last two axes, with radius ceil(3*sigma)
+    and reflected borders; a stack of frames is blurred frame by frame."""
     if sigma <= 0:
         return image.astype(float)
     radius = math.ceil(3.0 * sigma)
     offsets = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
-    out = ndimage.convolve1d(image.astype(float), kernel, axis=0, mode="reflect")
-    return ndimage.convolve1d(out, kernel, axis=1, mode="reflect")
+    out = ndimage.convolve1d(image.astype(float), kernel, axis=-2, mode="reflect")
+    return ndimage.convolve1d(out, kernel, axis=-1, mode="reflect")
 
 
 def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
@@ -88,48 +99,72 @@ def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
     return float(edges[int(np.argmax(between)) + 1])
 
 
+def _ring(p: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views P2..P9 (clockwise from north) of the neighbours of every pixel
+    of a frame or stack whose last two axes are padded by one."""
+    return (p[..., :-2, 1:-1], p[..., :-2, 2:], p[..., 1:-1, 2:], p[..., 2:, 2:],
+            p[..., 2:, 1:-1], p[..., 2:, :-2], p[..., 1:-1, :-2], p[..., :-2, :-2])
+
+
+def _pad(a: np.ndarray) -> np.ndarray:
+    return np.pad(a, [(0, 0)] * (a.ndim - 2) + [(1, 1), (1, 1)])
+
+
+def _zhang_suen_table(subpass: int) -> np.ndarray:
+    """Deletion predicate of one sub-pass for every 8-neighbour code, where
+    Pk is bit k - 2 of the code."""
+    code = np.arange(256)
+    ring = [(code >> i) & 1 for i in range(8)]
+    p2, _, p4, _, p6, _, p8, _ = ring
+    b = sum(ring)
+    a = sum((ring[i] == 0) & (ring[(i + 1) % 8] == 1) for i in range(8))
+    if subpass == 0:
+        cond = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    else:
+        cond = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return (b >= 2) & (b <= 6) & (a == 1) & cond
+
+
+_ZHANG_SUEN_TABLES = (_zhang_suen_table(0), _zhang_suen_table(1))
+
+
 def zhang_suen_thin(bits: np.ndarray) -> np.ndarray:
-    """Iterative two-subpass thinning; runs until no pixel is deleted."""
-    img = bits.astype(np.uint8).copy()
+    """Iterative two-subpass thinning of an (H, W) frame or an (n, H, W)
+    stack, frame by frame; runs until no pixel of any frame is deleted."""
+    padded = _pad(bits.astype(bool))
+    img = padded[..., 1:-1, 1:-1]
+    ring = [r.view(np.uint8) for r in _ring(padded)]
+    code = np.empty(img.shape, dtype=np.uint8)
     while True:
         changed = False
-        for subpass in (0, 1):
-            p = np.pad(img, 1)
-            # clockwise ring P2..P9 starting at north
-            p2 = p[:-2, 1:-1]; p3 = p[:-2, 2:]; p4 = p[1:-1, 2:]; p5 = p[2:, 2:]
-            p6 = p[2:, 1:-1]; p7 = p[2:, :-2]; p8 = p[1:-1, :-2]; p9 = p[:-2, :-2]
-            ring = (p2, p3, p4, p5, p6, p7, p8, p9)
-            b = sum(int_ring.astype(np.int32) for int_ring in ring)
-            a = sum(
-                ((ring[i] == 0) & (ring[(i + 1) % 8] == 1)).astype(np.int32)
-                for i in range(8)
-            )
-            if subpass == 0:
-                cond = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                cond = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-            kill = (img == 1) & (b >= 2) & (b <= 6) & (a == 1) & cond
+        for table in _ZHANG_SUEN_TABLES:
+            # code = sum of Pk << (k - 2), built from P9 down in place
+            np.copyto(code, ring[7])
+            for r in ring[6::-1]:
+                code <<= 1
+                code |= r
+            kill = np.take(table, code) & img
             if kill.any():
-                img[kill] = 0
+                img[kill] = False
                 changed = True
         if not changed:
-            return img.astype(bool)
+            return img.copy()
 
 
 def label_components(bits: np.ndarray) -> tuple[np.ndarray, int]:
-    """8-connected component labeling."""
-    labels, count = ndimage.label(bits, structure=EIGHT_CONNECTED)
+    """8-connected component labeling of a frame, or of each frame of a
+    stack: labels run on across frames but never join two of them."""
+    structure = np.zeros((3,) * bits.ndim, dtype=int)
+    structure[(1,) * (bits.ndim - 2)] = 1
+    labels, count = ndimage.label(bits, structure=structure)
     return labels, int(count)
 
 
-def count_junctions(skeleton: np.ndarray) -> int:
-    """Skeleton pixels with more than two set 8-neighbours."""
-    p = np.pad(skeleton.astype(np.int32), 1)
-    neighbours = (
-        p[:-2, 1:-1] + p[:-2, 2:] + p[1:-1, 2:] + p[2:, 2:]
-        + p[2:, 1:-1] + p[2:, :-2] + p[1:-1, :-2] + p[:-2, :-2]
-    )
-    return int(np.count_nonzero(skeleton & (neighbours > 2)))
+def count_junctions(skeleton: np.ndarray):
+    """Skeleton pixels with more than two set 8-neighbours: one count for a
+    frame, an array of one per frame for a stack."""
+    neighbours = sum(r.astype(np.int32) for r in _ring(_pad(skeleton)))
+    return np.count_nonzero(skeleton & (neighbours > 2), axis=(-2, -1))
 
 
 @dataclass
@@ -147,27 +182,26 @@ def edge_pipeline(frame: AccumFrame, blur_sigma: float = 1.5) -> EdgeReport:
     Contour length is the pixel count of a skeleton component (edges are one
     pixel wide after thinning). An all-zero frame reports zeros.
     """
-    counts = frame.counts.astype(float)
-    if counts.size == 0:
+    if frame.counts.size == 0:
         raise ConfigError("edge pipeline needs a non-empty frame")
-    if not counts.any():
-        return EdgeReport(0, 0.0, 0, frame.t0, frame.t1)
+    (edges,) = _edge_stack(frame.counts[None], blur_sigma)
+    return EdgeReport(*edges, t0=frame.t0, t1=frame.t1)
+
+
+def _edge_stack(counts: np.ndarray, blur_sigma: float) -> list[tuple[int, float, int]]:
+    """(num_components, avg_contour_length, junction_count) of each frame of
+    an (n, H, W) stack of counts."""
     blurred = gaussian_blur(counts, blur_sigma)
-    bits = blurred > otsu_threshold(blurred)
-    if not bits.any():
-        return EdgeReport(0, 0.0, 0, frame.t0, frame.t1)
-    skeleton = zhang_suen_thin(bits)
+    thresholds = np.array([otsu_threshold(b) for b in blurred])
+    skeleton = zhang_suen_thin(blurred > thresholds[:, None, None])
     labels, count = label_components(skeleton)
-    if count == 0:
-        return EdgeReport(0, 0.0, 0, frame.t0, frame.t1)
-    sizes = np.bincount(labels.ravel())[1:]
-    return EdgeReport(
-        num_components=count,
-        avg_contour_length=float(sizes.mean()),
-        junction_count=count_junctions(skeleton),
-        t0=frame.t0,
-        t1=frame.t1,
-    )
+    # a component lies in one frame: count each one in the frame of its pixels
+    frame_of = np.zeros(count + 1, dtype=np.intp)
+    frame_of[labels[skeleton]] = np.nonzero(skeleton)[0]
+    components = np.bincount(frame_of[1:], minlength=len(counts)).tolist()
+    pixels = np.count_nonzero(skeleton, axis=(1, 2)).tolist()
+    junctions = count_junctions(skeleton).tolist()
+    return [(c, p / c if c else 0.0, j) for c, p, j in zip(components, pixels, junctions)]
 
 
 @dataclass
@@ -196,24 +230,25 @@ def stream_metrics(
     # them all; searching the whole stream per window would recast its
     # timestamps every time.
     bounds = np.searchsorted(events["t"], np.append(starts, starts[-1:] + int(window_us)))
+    starts = starts.tolist()
+    per_block = max(1, _EDGE_BLOCK_PX // (geometry.width * geometry.height))
     out = []
-    for i, t0 in enumerate(starts.tolist()):
-        frame = accumulate(events[bounds[i]:bounds[i + 1]], (t0, t0 + window_us), geometry)
+    for lo in range(0, len(starts), per_block):
+        frames = [accumulate(events[bounds[i]:bounds[i + 1]], (t0, t0 + window_us), geometry)
+                  for i, t0 in enumerate(starts[lo:lo + per_block], lo)]
         if with_edges:
-            edge = edge_pipeline(frame, blur_sigma=blur_sigma)
-            edges = (edge.num_components, edge.avg_contour_length, edge.junction_count)
+            edges = _edge_stack(np.stack([f.counts for f in frames]), blur_sigma)
         else:
-            edges = (0, 0.0, 0)
-        out.append(
+            edges = [(0, 0.0, 0)] * len(frames)
+        out.extend(
             WindowMetrics(
-                t0=t0,
-                entropy=shannon_entropy(binarize(frame)),
-                variance=frame_variance(frame),
-                grad_mag=gradient_magnitude(frame),
-                num_components=edges[0],
-                avg_contour_length=edges[1],
-                junction_count=edges[2],
+                frame.t0,
+                shannon_entropy(binarize(frame)),
+                frame_variance(frame),
+                gradient_magnitude(frame),
+                *edge,
             )
+            for frame, edge in zip(frames, edges)
         )
     return out
 

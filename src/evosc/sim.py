@@ -230,10 +230,12 @@ class OscillatorConfig:
     phi_y: float = 0.0
 
     def __post_init__(self):
-        if self.amp_x_px < 0 or self.amp_y_px < 0:
-            raise ConfigError("amplitudes must be non-negative")
-        if self.omega < 0:
-            raise ConfigError("omega must be non-negative")
+        # NaN fails every comparison, so each rule is written as what must hold
+        if not (0 <= self.amp_x_px < math.inf and 0 <= self.amp_y_px < math.inf):
+            raise ConfigError("amplitudes must be non-negative and finite, got "
+                              f"({self.amp_x_px}, {self.amp_y_px})")
+        if not 0 <= self.omega < math.inf:
+            raise ConfigError(f"omega must be non-negative and finite, got {self.omega}")
         object.__setattr__(self, "phi_x", wrap_angle(self.phi_x))
         object.__setattr__(self, "phi_y", wrap_angle(self.phi_y))
 
@@ -441,8 +443,8 @@ class SceneSpec:
     depth_planes: tuple[DepthPlane, ...] = (DepthPlane(),)
 
     def __post_init__(self):
-        if self.contrast <= 0:
-            raise ConfigError(f"contrast must be positive, got {self.contrast}")
+        if not 0 < self.contrast < math.inf:
+            raise ConfigError(f"contrast must be positive and finite, got {self.contrast}")
         if not self.depth_planes:
             raise ConfigError("at least one depth plane is required")
 
@@ -730,6 +732,14 @@ def simulate(
     return SimOutput(events=events, truth=truth, geometry=geometry, scene=scene)
 
 
+def check_moving_target(freq_hz: float, path_radius_px: float) -> None:
+    """ConfigError unless a moving target's path frequency and radius are
+    positive and finite."""
+    if not (0 < freq_hz < math.inf and 0 < path_radius_px < math.inf):
+        raise ConfigError("freq_hz and path_radius_px must be positive and finite, "
+                          f"got ({freq_hz}, {path_radius_px})")
+
+
 def simulate_moving_target(
     freq_hz: float,
     path_radius_px: float,
@@ -749,8 +759,7 @@ def simulate_moving_target(
     and the circular path is a per-axis cosine with the y axis a quarter turn
     behind, which truth records.
     """
-    if freq_hz <= 0 or path_radius_px <= 0:
-        raise ConfigError("freq_hz and path_radius_px must be positive")
+    check_moving_target(freq_hz, path_radius_px)
     if pattern is None:
         pattern = Triangle(center_x=(geometry.width - 1) / 2.0,
                            center_y=(geometry.height - 1) / 2.0)

@@ -126,6 +126,40 @@ def brute_force_junctions(skel: np.ndarray) -> int:
     return count
 
 
+def zhang_suen_deletes(ring, subpass: int) -> bool:
+    """Zhang & Suen (CACM 1984) deletion test for a set pixel whose
+    neighbours P2..P9, clockwise from north, are the 0/1 values in ring."""
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
+    b = sum(ring)
+    a = sum(1 for i in range(8) if ring[i] == 0 and ring[(i + 1) % 8] == 1)
+    if subpass == 0:
+        cond = p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
+    else:
+        cond = p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
+    return 2 <= b <= 6 and a == 1 and cond
+
+
+def zhang_suen_reference(bits: np.ndarray) -> np.ndarray:
+    """Zhang-Suen thinning pixel by pixel; pixels outside the frame are 0."""
+    img = [[int(v) for v in row] for row in bits]
+    h, w = len(img), len(img[0]) if img else 0
+
+    def at(r, c):
+        return img[r][c] if 0 <= r < h and 0 <= c < w else 0
+
+    ring_offsets = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+    changed = True
+    while changed:
+        changed = False
+        for subpass in (0, 1):
+            kill = [(r, c) for r in range(h) for c in range(w) if img[r][c] and
+                    zhang_suen_deletes([at(r + dr, c + dc) for dr, dc in ring_offsets], subpass)]
+            for r, c in kill:
+                img[r][c] = 0
+            changed = changed or bool(kill)
+    return np.array(img, dtype=bool).reshape(bits.shape)
+
+
 def jacobian_fd(h_fn, state, eps=1e-7):
     """Finite-difference Jacobian of h_fn at state (1-D array)."""
     state = np.asarray(state, dtype=float)

@@ -445,13 +445,25 @@ class TestPipeline:
         ({"metrics": {"blur_sigma": math.nan}}, "metrics: blur_sigma must be finite, got nan"),
         ({"ekf": {"sigma_r_px": 0}}, "ekf: sigma_r must be positive and finite, got 0.0"),
         # SceneSpec's and OscillatorConfig's own rules, applied when the config is read
-        ({"scene": {"contrast": 0}}, "scene: contrast must be positive, got 0.0"),
+        ({"scene": {"contrast": 0}}, "scene: contrast must be positive and finite, got 0.0"),
         ({"scene": {"oscillation": {"amp_x_px": -1}}},
-         "scene.oscillation: amplitudes must be non-negative"),
+         "scene.oscillation: amplitudes must be non-negative and finite, got (-1.0, 3.0)"),
         ({"scene": {"noise_rate_hz": -1.0}},
          "scene: noise_rate_hz must be non-negative and finite, got -1.0"),
         ({"scene": {"refractory_us": -5}},
          "scene: refractory_us must be non-negative and finite, got -5"),
+        # NaN fails every comparison; the rules are written so that it fails them
+        ({"scene": {"contrast": "nan"}}, "scene: contrast must be positive and finite, got nan"),
+        ({"scene": {"oscillation": {"amp_y_px": "nan"}}},
+         "scene.oscillation: amplitudes must be non-negative and finite, got (3.0, nan)"),
+        ({"scene": {"oscillation": {"omega_rad_s": "nan"}}},
+         "scene.oscillation: omega must be non-negative and finite, got nan"),
+        ({"scene": {"moving_target": {"freq_hz": 0, "radius_px": 2}}},
+         "scene.moving_target: freq_hz and path_radius_px must be positive and finite, "
+         "got (0.0, 2.0)"),
+        ({"scene": {"moving_target": {"freq_hz": 10, "radius_px": "nan"}}},
+         "scene.moving_target: freq_hz and path_radius_px must be positive and finite, "
+         "got (10.0, nan)"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:

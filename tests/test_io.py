@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosc import io as evio
+from evosc.compensate import CompensatedEvents, write_compensated_csv
 from evosc.core import SensorGeometry, empty_events, make_events
 from evosc.errors import FormatError
-from evosc.io import HEADER_SIZE, MAGIC, read_events, write_events
+from evosc.io import HEADER_SIZE, MAGIC, _write_csv, read_events, write_events
 
 GEOM = SensorGeometry(width=32, height=24)
 
@@ -197,3 +199,79 @@ def test_any_path_like_is_read_as_a_path(tmp_path):
     write_events(Where(), ev, g)
     back, _ = read_events(Where())
     assert back.tobytes() == ev.tobytes()
+
+
+def _per_row_csv(header, row_format, columns):
+    rows = map(row_format.format, *(c.tolist() for c in columns))
+    return ("\n".join([header, *rows]) + "\n").encode()
+
+
+def _awkward_values(rng, n):
+    """n floats mixing every case the fixed-point .3f path must get right."""
+    cases = [
+        rng.uniform(-100.0, 100.0, n),
+        np.exp(rng.uniform(np.log(1e-12), np.log(1e12), n)) * rng.choice([-1.0, 1.0], n),
+        # decimal ties k + 0.0005, not exact in binary, and their neighbours
+        (np.floor(rng.uniform(-1e4, 1e4, n) * 1000.0) + 0.5) / 1000.0,
+        # exact binary ties at three decimals (m / 16 with m odd: x*1000 ends in .5)
+        (2.0 * rng.integers(-2**20, 2**20, n) + 1.0) / 16.0,
+        # values above 1e7, where the product's rounding error grows
+        rng.uniform(1e7, 1e10, n) * rng.choice([-1.0, 1.0], n),
+        # decimal ties there, and past 2**52 / 1000, where halves are not doubles
+        (np.floor(rng.uniform(1e9, 1e12, n)) + 0.5) / 1000.0,
+        rng.uniform(1e12, 1e16, n),
+    ]
+    ties = cases[2]
+    cases += [np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf),
+              np.nextafter(cases[3], 0.0)]
+    values = np.concatenate(cases)
+    special = np.array([0.0, -0.0, 1e-9, -1e-9, 0.0005, -0.0005, 0.0004999, 8.5e6 + 0.0005,
+                        2.0**52 / 1000.0, -2.0**52 / 1000.0, np.inf, -np.inf, np.nan, 1e300,
+                        5e-324, -5e-324])
+    return np.concatenate([special, rng.permutation(values)])[:n]
+
+
+def test_fixed_point_csv_matches_format_on_a_million_values():
+    """write_compensated_csv's digits equal format(v, ".3f") on ties, near
+    ties, signed zeros, tiny and huge values, and 20-digit timestamps: 500k
+    rows of two .3f values."""
+    rng = np.random.default_rng(12)
+    n = 500_000
+    x = _awkward_values(rng, n)
+    y = -x[::-1]
+    t = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
+    t[:4] = [0, 9, 2**64 - 1, 2**63]
+    comp = CompensatedEvents(t=t, x=x, y=y, xi=np.zeros(n, dtype=np.int32),
+                             yi=np.zeros(n, dtype=np.int32),
+                             polarity=rng.choice(np.array([-1, 1], dtype=np.int8), n),
+                             out_of_bounds=np.zeros(n, dtype=bool))
+    assert n % evio._CSV_BLOCK != 0
+    buf = io.BytesIO()
+    write_compensated_csv(buf, comp)
+    want = _per_row_csv("t_us,x,y,p", "{},{:.3f},{:.3f},{}", [t, x, y, comp.polarity])
+    assert buf.getvalue() == want
+    lines = buf.getvalue().splitlines()
+    assert lines[1].startswith(b"0,0.000,") and lines[2].startswith(b"9,-0.000,")
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_fixed_point_csv_rows_across_block_edges(offset):
+    rng = np.random.default_rng(offset + 5)
+    n = evio._CSV_BLOCK + offset
+    columns = [rng.integers(0, 2**40, n, dtype=np.uint64), _awkward_values(rng, n),
+               rng.integers(-2**63, 2**63 - 1, n, dtype=np.int64, endpoint=True)]
+    columns[2][:3] = [-2**63, 2**63 - 1, 0]
+    buf = io.BytesIO()
+    _write_csv(buf, "a,b,c", "{},{:.3f},{}", columns)
+    assert buf.getvalue() == _per_row_csv("a,b,c", "{},{:.3f},{}", columns)
+
+
+def test_fixed_point_csv_keeps_float32_and_empty_columns():
+    x = np.array([0.0625, -1.0005, 3.14159, 1e-7], dtype=np.float32)
+    t = np.arange(4, dtype=np.int32) - 2
+    buf = io.BytesIO()
+    _write_csv(buf, "t,x", "{},{:.3f}", [t, x])
+    assert buf.getvalue() == _per_row_csv("t,x", "{},{:.3f}", [t, x])
+    empty = io.BytesIO()
+    _write_csv(empty, "t,x", "{},{:.3f}", [t[:0], x[:0]])
+    assert empty.getvalue() == b"t,x\n"

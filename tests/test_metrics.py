@@ -31,6 +31,8 @@ from oracles import (
     brute_force_junctions,
     flood_fill_components,
     gaussian_kernel_reference,
+    zhang_suen_deletes,
+    zhang_suen_reference,
 )
 
 
@@ -172,6 +174,40 @@ class TestThinning:
     def test_empty_input(self):
         assert not zhang_suen_thin(np.zeros((5, 5), dtype=bool)).any()
 
+    @pytest.mark.parametrize("subpass", [0, 1])
+    def test_table_matches_scalar_predicate(self, subpass):
+        # bit k - 2 of the code is Pk
+        table = metrics._ZHANG_SUEN_TABLES[subpass]
+        assert table.shape == (256,)
+        for code in range(256):
+            ring = [(code >> i) & 1 for i in range(8)]
+            assert table[code] == zhang_suen_deletes(ring, subpass), code
+
+    @given(hnp.arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    @settings(max_examples=60)
+    def test_matches_pixel_by_pixel_reference(self, bits):
+        np.testing.assert_array_equal(zhang_suen_thin(bits), zhang_suen_reference(bits))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stack_equals_each_frame_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        n, h, w = 12, 14, 17
+        stack = rng.random((n, h, w)) < rng.uniform(0.2, 0.9, (n, 1, 1))
+        stack[0] = False
+        stack[1] = True
+        stack[2] = False
+        stack[2, 5, :] = True                    # 1-pixel-wide line: converged at once
+        stack[3] = False
+        stack[3, 2:12, 3:14] = True              # a block that needs several passes
+        stack[4] = False
+        stack[4, :, 8] = True
+        got = zhang_suen_thin(stack)
+        assert got.shape == stack.shape and got.dtype == bool
+        for frame, thinned in zip(stack, got):
+            np.testing.assert_array_equal(thinned, zhang_suen_thin(frame))
+        assert not got[0].any()
+        np.testing.assert_array_equal(got[2], stack[2])
+
 
 class TestComponents:
     @given(hnp.arrays(bool, (12, 12)))
@@ -194,6 +230,13 @@ class TestComponents:
         assert n == 2
         assert set(np.unique(labels[bits])) == {1, 2}
         assert np.all(labels[~bits] == 0)
+
+
+def test_stack_labels_never_join_frames():
+    stack = np.ones((3, 4, 4), dtype=bool)
+    labels, n = label_components(stack)
+    assert n == 3
+    assert [set(np.unique(plane)) for plane in labels] == [{1}, {2}, {3}]
 
 
 class TestJunctions:
@@ -230,6 +273,24 @@ class TestEdgePipeline:
         assert report.num_components == 1
         assert report.avg_contour_length == 40.0
         assert report.junction_count == 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stream_rows_are_each_window_alone(self, geom64, seed, monkeypatch):
+        # stream_metrics runs the edge pipeline on stacks of its windows
+        rng = np.random.default_rng(seed)
+        n = 20_000
+        ev = make_events(np.sort(rng.integers(0, 60_000, n)),
+                         (32 + 12 * rng.standard_normal(n)).clip(0, 63).astype(int),
+                         rng.integers(0, 64, n), rng.choice([-1, 1], n))
+        rows = stream_metrics(ev, geom64, 0, 80_000, window_us=5_000, blur_sigma=1.0)
+        for r in rows:
+            edge = edge_pipeline(accumulate(ev, (r.t0, r.t0 + 5_000), geom64), blur_sigma=1.0)
+            assert (r.num_components, r.avg_contour_length, r.junction_count) == (
+                edge.num_components, edge.avg_contour_length, edge.junction_count)
+        assert rows[-1].num_components == 0  # windows past the stream are empty
+        assert any(r.num_components > 0 for r in rows)
+        monkeypatch.setattr(metrics, "_EDGE_BLOCK_PX", 3 * 64 * 64)  # stacks of three
+        assert stream_metrics(ev, geom64, 0, 80_000, window_us=5_000, blur_sigma=1.0) == rows
 
     def test_two_separated_blobs(self):
         counts = np.zeros((32, 32), dtype=np.int32)
