@@ -506,7 +506,7 @@ class TrackerSection:
     warmup_s: float | None = None
 
     def __post_init__(self):
-        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight)
+        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight, self.warmup_s)
 
     def tracker(self, patch: PatchSpec, tracker_id: int = 0) -> CentroidTracker:
         """A tracker on patch; warmup_s defaults to DEFAULT_WARMUP_TAUS * tau_s."""

@@ -7,6 +7,7 @@ pixel indices, polarity is +1 (brightness increase) or -1 (decrease).
 
 from __future__ import annotations
 
+import numbers
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
@@ -51,7 +52,7 @@ def from_section(cls, d, section: str = ""):
 
     section is the block's path ("" at the top level): errors name it, and
     sub-blocks extend it (`tracker.patches[0]`). An unknown or missing key, a
-    value that does not convert to its field's type, or a ConfigError from
+    value that is not of its field's type (see _read_value), or a ConfigError from
     cls's own checks is a ConfigError naming the block. A field whose metadata
     holds "read" is read by read(value, path) instead.
     """
@@ -78,7 +79,8 @@ def from_section(cls, d, section: str = ""):
 
 
 def _read_value(tp, value, path: str):
-    """value as type tp: int, float and bool cast, a dataclass read as a
+    """value as type tp: a float cast, a bool only from a boolean, an int from
+    an integer or an integral float (never a boolean), a dataclass read as a
     sub-block, a tuple element by element from a list, None kept for X | None."""
     args = typing.get_args(tp)
     if type(None) in args:
@@ -92,12 +94,22 @@ def _read_value(tp, value, path: str):
                      for i, (t, v) in enumerate(zip(items, value)))
     if is_dataclass(tp):
         return from_section(tp, value, path)
-    if tp in (int, float, bool):
+    if tp is bool:
+        if isinstance(value, (bool, np.bool_)):
+            return bool(value)
+    elif tp is int:
+        if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+            return int(value)
+        if isinstance(value, (float, np.floating)) and value.is_integer():
+            return int(value)
+    elif tp is float:
         try:
-            return tp(value)
+            return float(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}") from None
-    return value
+            pass
+    else:
+        return value
+    raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
 
 
 def make_events(t, x, y, p, validate: bool = True) -> np.ndarray:

@@ -1,10 +1,19 @@
 """Exponentially-weighted event centroid tracking.
 
 Each tracker owns a fixed square patch. Every in-patch event decays the
-accumulated weight by exp(-dt/tau) and pulls the running centroid toward the
-event pixel with weight 1, i.e. the centroid of all past events under an
-exponential forgetting kernel. Samples are emitted at most once per emission
-period once enough weight has accumulated.
+accumulated weight by d = exp(-dt/tau) and adds weight 1 at the event pixel:
+w <- d*w + 1, S <- d*S + x, centroid S/w, i.e. the centroid of all past events
+under an exponential forgetting kernel. Samples are emitted at most once per
+emission period once enough weight has accumulated.
+
+The recursion is a first-order linear scan, and CentroidTracker.run computes
+it with cumulative sums. It cuts the in-patch events into chunks that span at
+most _CHUNK_TAUS (30) tau; within a chunk starting at t_c, every event's w and
+S scaled by g = exp((t - t_c)/tau) are running sums of g and g*x, plus the
+previous chunk's state times exp(-(t_c - t_prev)/tau). The span keeps g below
+e^30, so the sums cannot overflow. The state carries from chunk to chunk and
+from call to call. Only the emission gate is a Python loop, one step per
+emitted sample.
 
 Viewed as a linear system, the kernel is a first-order low pass: a centroid
 oscillating at omega is attenuated by 1/sqrt(1 + (omega*tau)^2) and delayed by
@@ -28,6 +37,11 @@ DEFAULT_MIN_WEIGHT = 5.0
 # emissions start this many tau after the first in-patch event (see warmup_s)
 DEFAULT_WARMUP_TAUS = 3.0
 
+# a scan chunk spans at most this many tau, so its exp((t - t_c)/tau) <= e^30 ~ 1e13
+_CHUNK_TAUS = 30.0
+# search keys are clamped to the largest timestamp, so a huge span or period cannot overflow
+_T_MAX = 2**64 - 1
+
 SAMPLE_DTYPE = np.dtype([("id", "<u4"), ("t", "<u8"), ("u", "<f8"), ("v", "<f8")])
 
 
@@ -40,6 +54,8 @@ class PatchSpec:
     half_size: int = 12
 
     def __post_init__(self):
+        if not (-math.inf < self.cx < math.inf and -math.inf < self.cy < math.inf):
+            raise ConfigError(f"cx and cy must be finite, got ({self.cx}, {self.cy})")
         if self.half_size <= 0:
             raise ConfigError(f"half_size must be positive, got {self.half_size}")
 
@@ -50,20 +66,28 @@ class PatchSpec:
         return (np.abs(dx) <= self.half_size) & (np.abs(dy) <= self.half_size)
 
 
-def check_tracker_params(tau_s: float, emit_period_s: float, min_weight: float) -> None:
-    """ConfigError unless tau_s and emit_period_s are positive and finite and
-    min_weight is finite and at least 1; NaN fails every comparison."""
+def check_tracker_params(tau_s: float, emit_period_s: float, min_weight: float,
+                         warmup_s: float | None = None) -> None:
+    """ConfigError unless tau_s and emit_period_s are positive and finite,
+    min_weight is finite and at least 1, and warmup_s is None or non-negative
+    and finite; NaN fails every comparison."""
     if not (0 < tau_s < math.inf and 0 < emit_period_s < math.inf):
         raise ConfigError("tau_s and emit_period_s must be positive and finite")
     if not 1 <= min_weight < math.inf:
         raise ConfigError(f"min_weight must be finite and at least 1, got {min_weight}")
+    if warmup_s is not None and not 0 <= warmup_s < math.inf:
+        raise ConfigError(f"warmup_s must be non-negative and finite, got {warmup_s}")
 
 
 @dataclass
 class CentroidTracker:
     """Streaming centroid tracker over one patch.
 
-    warmup_s, when set, suppresses emissions until that much time has passed
+    run scans the in-patch events in chunks of at most _CHUNK_TAUS * tau (see
+    the module docstring). Weight, centroid and the times of the last event,
+    the first event and the last emission carry over between calls, so a
+    stream fed in pieces gives the samples of one call over the whole stream,
+    to rounding. warmup_s, when set, suppresses emissions until that much time has passed
     since the first in-patch event; the centroid starts at the patch centre
     and needs a few tau to forget it.
     """
@@ -76,7 +100,7 @@ class CentroidTracker:
     warmup_s: float | None = None
 
     def __post_init__(self):
-        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight)
+        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight, self.warmup_s)
         self.weight = 0.0
         self.cu = self.patch.cx
         self.cv = self.patch.cy
@@ -84,49 +108,94 @@ class CentroidTracker:
         self._t_emit = None
         self._t_start = None
 
-    def ingest(self, t_us: int, x: float, y: float):
-        """Feed one event; returns an emitted (id, t, u, v) sample or None."""
-        if self._t_last is not None and t_us < self._t_last:
-            raise OrderingError(f"tracker fed t={t_us} after t={self._t_last}")
-        if not self.patch.contains(x, y):
-            return None
-        return self._step(t_us, x, y)
-
-    def _step(self, t_us: int, x: float, y: float):
-        """Update with one in-patch event that is not earlier than the last."""
-        if self._t_last is None:
-            decay = 1.0
-            self._t_start = t_us
-        else:
-            decay = math.exp(-(t_us - self._t_last) * 1e-6 / self.tau_s)
-        self._t_last = t_us
-        self.weight = self.weight * decay + 1.0
-        self.cu += (x - self.cu) / self.weight
-        self.cv += (y - self.cv) / self.weight
-        if self.weight < self.min_weight:
-            return None
-        if self.warmup_s is not None and (t_us - self._t_start) * 1e-6 < self.warmup_s:
-            return None
-        if self._t_emit is not None and (t_us - self._t_emit) * 1e-6 < self.emit_period_s:
-            return None
-        self._t_emit = t_us
-        return (self.tracker_id, t_us, self.cu, self.cv)
-
     def run(self, events: np.ndarray) -> np.ndarray:
-        """Run over a sorted event stream; returns emitted samples."""
+        """Run over a time-sorted stream (fields t, x, y); returns emitted samples.
+
+        State carries over between calls, so a stream fed in pieces gives the
+        samples of one call over the whole stream.
+        """
         inside = self.patch.contains(events["x"], events["y"])
-        sub = events[inside]
-        ts = sub["t"]
+        ts = events["t"][inside]
         if ts.size and (np.any(ts[1:] < ts[:-1])
                         or (self._t_last is not None and ts[0] < self._t_last)):
             raise OrderingError("tracker fed an event stream out of time order")
-        out = []
-        step = self._step
-        for t, x, y in zip(ts.tolist(), sub["x"].tolist(), sub["y"].tolist()):
-            s = step(t, x, y)
-            if s is not None:
-                out.append(s)
-        return samples_array(out)
+        if ts.size == 0:
+            return samples_array([])
+        if self._t_start is None:
+            self._t_start = self._t_last = int(ts[0])
+        w, u, v = self._scan(ts, events["x"][inside], events["y"][inside])
+        ok = w >= self.min_weight
+        if self.warmup_s is not None:
+            ok &= ~((ts - self._t_start) * 1e-6 < self.warmup_s)
+        picks = np.flatnonzero(ok)
+        picks = picks[self._emissions(ts[picks])]
+        out = np.empty(picks.size, dtype=SAMPLE_DTYPE)
+        out["id"], out["t"], out["u"], out["v"] = self.tracker_id, ts[picks], u[picks], v[picks]
+        return out
+
+    def _scan(self, ts, xs, ys):
+        """Weight and centroid after each in-patch event, from the carried state.
+
+        With d = exp(-dt/tau), w <- d*w + 1 and S <- d*S + x give w and S at
+        event i as (sum of g_j for j <= i, plus the carried term) / g_i, where
+        g_j = exp((t_j - t_c)/tau) and t_c is the chunk's first time. A chunk
+        spans at most _CHUNK_TAUS * tau, so g stays below exp(_CHUNK_TAUS).
+        Coordinates are summed relative to the patch centre.
+        """
+        n = ts.size
+        w, u, v = np.empty(n), np.empty(n), np.empty(n)
+        cx, cy = self.patch.cx, self.patch.cy
+        dx = np.subtract(xs, cx, dtype=np.float64)
+        dy = np.subtract(ys, cy, dtype=np.float64)
+        rate = 1e-6 / self.tau_s
+        span_us = int(_CHUNK_TAUS * self.tau_s * 1e6)
+        weight, t_prev = self.weight, self._t_last
+        s_u, s_v = (self.cu - cx) * weight, (self.cv - cy) * weight
+        i = 0
+        while i < n:
+            t_c = int(ts[i])
+            j = int(ts.searchsorted(np.uint64(min(t_c + span_us, _T_MAX)), side="right"))
+            g = np.exp((ts[i:j] - t_c) * rate)
+            carry = math.exp(-(t_c - t_prev) * rate)
+            den = np.cumsum(g)
+            den += weight * carry
+            num_u = np.cumsum(g * dx[i:j])
+            num_u += s_u * carry
+            num_v = np.cumsum(g * dy[i:j])
+            num_v += s_v * carry
+            np.divide(den, g, out=w[i:j])
+            np.divide(num_u, den, out=u[i:j])
+            np.divide(num_v, den, out=v[i:j])
+            weight, s_u, s_v = w[j - 1], num_u[-1] / g[-1], num_v[-1] / g[-1]
+            t_prev, i = int(ts[j - 1]), j
+        u += cx
+        v += cy
+        self.weight, self.cu, self.cv = float(weight), float(u[-1]), float(v[-1])
+        self._t_last = t_prev
+        return w, u, v
+
+    def _emissions(self, tc) -> list[int]:
+        """Indices into the candidate times tc that emit: the first candidate at
+        least emit_period_s after the last emission, repeatedly."""
+        period = self.emit_period_s
+        gap_us = int(period * 1e6)
+        picks = []
+        t_emit, k, n = self._t_emit, 0, tc.size
+        while k < n:
+            if t_emit is not None:
+                lo = k
+                k = max(lo, int(tc.searchsorted(np.uint64(min(t_emit + gap_us, _T_MAX)))))
+                # the test is monotone in t: step to its first passing candidate
+                while k > lo and not (int(tc[k - 1]) - t_emit) * 1e-6 < period:
+                    k -= 1
+                while k < n and (int(tc[k]) - t_emit) * 1e-6 < period:
+                    k += 1
+                if k == n:
+                    break
+            picks.append(k)
+            t_emit, k = int(tc[k]), k + 1
+        self._t_emit = t_emit
+        return picks
 
 
 def samples_array(rows) -> np.ndarray:

@@ -5,10 +5,13 @@ loops, brute-force linear algebra, high-precision arithmetic) so it shares no
 code path with the package under test.
 """
 
+import math
 from collections import deque
 
 import mpmath as mp
 import numpy as np
+
+from evosc.track import SAMPLE_DTYPE
 
 mp.mp.dps = 30
 
@@ -84,6 +87,37 @@ def exponential_centroid(ts_us, xs, ys, tau_s):
         cv += (y - cv) / weight
         out.append((t, cu, cv, weight))
     return out
+
+
+def tracker_event_loop(tracker, events):
+    """A fresh CentroidTracker's samples, one in-patch event at a time: the
+    recursion w <- d*w + 1, c <- c + (x - c)/w and the emission gates in order
+    (min_weight, warmup_s, emit_period_s)."""
+    patch = tracker.patch
+    inside = ((np.abs(events["x"].astype(float) - patch.cx) <= patch.half_size)
+              & (np.abs(events["y"].astype(float) - patch.cy) <= patch.half_size))
+    sub = events[inside]
+    weight, cu, cv = 0.0, patch.cx, patch.cy
+    t_start = t_last = t_emit = None
+    rows = []
+    for t, x, y in zip(sub["t"].tolist(), sub["x"].tolist(), sub["y"].tolist()):
+        if t_last is None:
+            decay, t_start = 1.0, t
+        else:
+            decay = math.exp(-(t - t_last) * 1e-6 / tracker.tau_s)
+        t_last = t
+        weight = weight * decay + 1.0
+        cu += (x - cu) / weight
+        cv += (y - cv) / weight
+        if weight < tracker.min_weight:
+            continue
+        if tracker.warmup_s is not None and (t - t_start) * 1e-6 < tracker.warmup_s:
+            continue
+        if t_emit is not None and (t - t_emit) * 1e-6 < tracker.emit_period_s:
+            continue
+        t_emit = t
+        rows.append((tracker.tracker_id, t, cu, cv))
+    return np.array(rows, dtype=SAMPLE_DTYPE)
 
 
 def direct_nudft(times_s, values, omegas):

@@ -369,6 +369,10 @@ class TestPipeline:
         "compensated.evt": "fc64f81e92c96c35bce6a5d5a04d9f7132356a03ed4ca5da544d4d85f95bd6d4",
         "compensated.csv": "a3fdc4bdb3691284ae6b028d9d588a335c7f432436569d1a4fb514f1cb846a64",
     }
+    # sha256 of the tracker's samples as the per-event loop wrote them, same run
+    FROZEN_SAMPLES = {
+        "samples.csv": "494ef438ebc4f5e93ea8dfb1bb68e21e71c02da42c07ca299abfc6a120279c0d",
+    }
     SHORT_CONFIG = {**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2}}
 
     def test_tracking_compensation_matches_frozen_digest(self, tmp_path):
@@ -387,7 +391,7 @@ class TestPipeline:
                                  lag_tau_s=tau_s)
         write_events(tmp_path / "compensated.evt", comp.to_events(), geometry)
         write_compensated_csv(tmp_path / "compensated.csv", comp)
-        for name, want in self.FROZEN_TRACKING.items():
+        for name, want in {**self.FROZEN_SAMPLES, **self.FROZEN_TRACKING}.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     def test_compensation_reads_the_ekf_stage_traces(self, tmp_path, monkeypatch):
@@ -410,7 +414,7 @@ class TestPipeline:
                             counted("to_events", compensate.CompensatedEvents.to_events))
         run_pipeline(self.SHORT_CONFIG, tmp_path, seed=3)
         assert calls == ["filter", "filter", "to_events"]
-        for name, want in self.FROZEN_TRACKING.items():
+        for name, want in {**self.FROZEN_SAMPLES, **self.FROZEN_TRACKING}.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     @pytest.mark.parametrize("block, message", [
@@ -464,6 +468,15 @@ class TestPipeline:
         ({"scene": {"moving_target": {"freq_hz": 10, "radius_px": "nan"}}},
          "scene.moving_target: freq_hz and path_radius_px must be positive and finite, "
          "got (10.0, nan)"),
+        # a NaN warm-up would switch it off; a NaN or infinite centre leaves the patch empty
+        ({"tracker": {"warmup_s": -0.001}},
+         "tracker: warmup_s must be non-negative and finite, got -0.001"),
+        ({"tracker": {"warmup_s": "nan"}},
+         "tracker: warmup_s must be non-negative and finite, got nan"),
+        ({"tracker": {"patches": [{"cx": "nan", "cy": 32.0}]}},
+         "tracker.patches[0]: cx and cy must be finite, got (nan, 32.0)"),
+        ({"tracker": {"patches": [{"cx": 32.0, "cy": 32.0}, {"cx": 8.0, "cy": "-Infinity"}]}},
+         "tracker.patches[1]: cx and cy must be finite, got (8.0, -inf)"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:

@@ -229,6 +229,13 @@ PHYSICAL = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
     ({"ekf": {"sigma_r": 0.1}}, "ekf: unknown key 'sigma_r'"),
     ({"metrics": {"window": 10}}, "metrics: unknown key 'window'"),
     ({"stages": ["simulate"]}, "config: unknown key 'stages'"),
+    # a bool takes only a boolean, an int only an integer or an integral float
+    ({"metrics": {"edges": "false"}}, "metrics.edges: expected bool, got 'false'"),
+    ({"metrics": {"edges": 0.5}}, "metrics.edges: expected bool, got 0.5"),
+    ({"tracker": {"patches": [{"cx": 8.0, "cy": 8.0, "half_size": 2.5}]}},
+     "tracker.patches[0].half_size: expected int, got 2.5"),
+    ({"scene": {"step_us": 50.7}}, "scene.step_us: expected int, got 50.7"),
+    ({"scene": {"refractory_us": True}}, "scene.refractory_us: expected int, got True"),
 ])
 def test_bad_config_key_is_a_config_error(tmp_path, capsys, config, message):
     """Every block of a pipeline config is read strictly, by run_pipeline and

@@ -106,6 +106,10 @@ class TestGeometry:
         g = SensorGeometry(width=10, height=20, focal_length_px=42.0, cx=1.0, cy=2.0)
         assert from_section(SensorGeometry, g.to_dict(), "geometry") == g
 
+    def test_integral_float_reads_as_int(self):
+        g = from_section(SensorGeometry, {"width": 32.0, "height": 16}, "geometry")
+        assert type(g.width) is int and g.width == 32
+
     @pytest.mark.parametrize("kwargs", [
         {"width": 0, "height": 4},
         {"width": 4, "height": -1},

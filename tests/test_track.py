@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosc.core import make_events
 from evosc.errors import ConfigError, OrderingError
 from evosc.track import (
+    _CHUNK_TAUS,
     SAMPLE_DTYPE,
     CentroidTracker,
     PatchSpec,
@@ -19,7 +21,8 @@ from evosc.track import (
     write_samples_csv,
 )
 
-from oracles import exponential_centroid
+from oracles import exponential_centroid, tracker_event_loop
+from timing import tracker_bench
 
 
 def test_sample_dtype_layout():
@@ -57,6 +60,18 @@ class TestPatchSpec:
             PatchSpec(cx=0.0, cy=0.0, half_size=0)
 
 
+def _events(ts, xs, ys):
+    """Events with float coordinates: the tracker reads only t, x and y."""
+    ev = np.zeros(len(ts), dtype=[("t", "<u8"), ("x", "<f8"), ("y", "<f8")])
+    ev["t"], ev["x"], ev["y"] = ts, xs, ys
+    return ev
+
+
+def _pixel_events(ts, rng, size=32):
+    return make_events(ts, rng.integers(0, size, len(ts)), rng.integers(0, size, len(ts)),
+                       np.ones(len(ts)))
+
+
 class TestCentroidTracker:
     def make(self, **kw):
         defaults = dict(patch=PatchSpec(cx=16.0, cy=16.0, half_size=15),
@@ -70,30 +85,30 @@ class TestCentroidTracker:
         ts = np.cumsum(rng.integers(1, 400, size=n)).tolist()
         xs = rng.uniform(2.0, 30.0, size=n).tolist()
         ys = rng.uniform(2.0, 30.0, size=n).tolist()
-        tracker = self.make()
-        got = [tracker.ingest(t, x, y) for t, x, y in zip(ts, xs, ys)]
+        got = self.make().run(_events(ts, xs, ys))
         ref = exponential_centroid(ts, xs, ys, tau_s=0.01)
-        assert all(s is not None for s in got)
-        for (_, t, u, v), (rt, ru, rv, _) in zip(got, ref):
+        assert got.shape[0] == n
+        for (_, t, u, v), (rt, ru, rv, _) in zip(got.tolist(), ref):
             assert t == rt
             assert u == pytest.approx(ru, abs=1e-12)
             assert v == pytest.approx(rv, abs=1e-12)
 
     def test_first_event_snaps_centroid(self):
-        tracker = self.make()
-        _, _, u, v = tracker.ingest(10, 3.0, 27.0)
+        (_, _, u, v), = self.make().run(_events([10], [3.0], [27.0])).tolist()
         assert (u, v) == (3.0, 27.0)
 
     def test_out_of_patch_events_ignored(self):
         tracker = self.make()
-        assert tracker.ingest(1, 200.0, 200.0) is None
+        assert tracker.run(_events([1], [200.0], [200.0])).shape == (0,)
         assert tracker.weight == 0.0
 
     def test_backwards_time_rejected(self):
+        # only in-patch events are ordered: an earlier one outside the patch is ignored
         tracker = self.make()
-        tracker.ingest(100, 16.0, 16.0)
+        tracker.run(_events([100], [16.0], [16.0]))
+        assert tracker.run(_events([50], [200.0], [16.0])).shape == (0,)
         with pytest.raises(OrderingError):
-            tracker.ingest(99, 16.0, 16.0)
+            tracker.run(_events([99], [16.0], [16.0]))
 
     @pytest.mark.parametrize("first, second", [([100, 99], []), ([100], [99])])
     def test_run_rejects_backwards_in_patch_time(self, first, second):
@@ -110,52 +125,109 @@ class TestCentroidTracker:
     def test_min_weight_gates_emission(self):
         # events 10 tau apart: weight never accumulates past ~1
         tracker = self.make(min_weight=5.0, tau_s=0.001)
-        out = [tracker.ingest(t, 16.0, 16.0) for t in range(0, 100_000, 10_000)]
-        assert all(s is None for s in out)
+        ts = range(0, 100_000, 10_000)
+        assert tracker.run(_events(ts, 16.0, 16.0)).shape == (0,)
 
     def test_dense_events_pass_min_weight(self):
         tracker = self.make(min_weight=5.0, tau_s=0.01)
-        out = [tracker.ingest(t, 16.0, 16.0) for t in range(0, 1000, 100)]
-        assert out[-1] is not None
+        out = tracker.run(_events(range(0, 1000, 100), 16.0, 16.0))
+        assert out["t"].tolist()[-1:] == [900]
 
     def test_emit_period_thins_samples(self):
         tracker = self.make(emit_period_s=0.001)
-        samples = [tracker.ingest(t, 16.0, 16.0) for t in range(0, 20_000, 100)]
-        kept = [s for s in samples if s is not None]
-        ts = [s[1] for s in kept]
-        assert np.all(np.diff(ts) >= 1000)
-        assert len(kept) == pytest.approx(20, abs=2)
+        kept = tracker.run(_events(range(0, 20_000, 100), 16.0, 16.0))
+        assert np.all(np.diff(kept["t"]) >= 1000)
+        assert kept.shape[0] == pytest.approx(20, abs=2)
 
     def test_warmup_suppresses_early_samples(self):
         tracker = self.make(warmup_s=0.005)
-        samples = [tracker.ingest(t, 16.0, 16.0) for t in range(0, 10_000, 100)]
-        emitted_t = [s[1] for s in samples if s is not None]
-        assert emitted_t and emitted_t[0] >= 5000
+        emitted_t = tracker.run(_events(range(0, 10_000, 100), 16.0, 16.0))["t"]
+        assert emitted_t.size and emitted_t[0] >= 5000
 
-    def test_run_equals_event_loop(self):
-        rng = np.random.default_rng(1)
-        n = 500
-        ev = np.empty(n, dtype=[("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "i1")])
-        ev["t"] = np.cumsum(rng.integers(1, 200, size=n))
-        ev["x"] = rng.integers(0, 64, size=n)
-        ev["y"] = rng.integers(0, 64, size=n)
-        ev["p"] = 1
-        tracker = self.make(patch=PatchSpec(cx=20.0, cy=20.0, half_size=10))
-        ref = self.make(patch=PatchSpec(cx=20.0, cy=20.0, half_size=10))
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cuts=st.integers(1, 6))
+    def test_run_is_invariant_to_where_the_stream_is_cut(self, seed, cuts):
+        """One run over a stream equals runs over its pieces: the scan's state
+        carries over. The stream spans several chunks, repeats timestamps and
+        has a gap longer than a chunk with a cut inside it."""
+        rng = np.random.default_rng(seed)
+        tau = 0.002
+        span_us = int(_CHUNK_TAUS * tau * 1e6)
+        dt = rng.integers(0, 60, size=6000)  # 0: equal timestamps
+        dt[3000] = 3 * span_us
+        ev = _pixel_events(np.cumsum(dt), rng)
+        kw = dict(tau_s=tau, emit_period_s=2e-4, min_weight=3.0, warmup_s=3 * tau)
+        whole = self.make(**kw).run(ev)
+        # 3000 cuts inside the gap
+        bounds = np.unique(np.concatenate([[0, 3000, ev.shape[0]],
+                                           rng.integers(0, ev.shape[0], size=cuts)]))
+        tracker = self.make(**kw)
+        pieces = np.concatenate([tracker.run(ev[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+        assert whole.shape[0] > 100
+        assert pieces["t"].tolist() == whole["t"].tolist()
+        np.testing.assert_allclose(pieces["u"], whole["u"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pieces["v"], whole["v"], rtol=0, atol=1e-12)
+
+    def test_run_matches_the_oracle_across_chunks(self):
+        """Every event emits; centroids match the per-event recursion over a
+        stream of several chunk spans, across a gap whose decay underflows."""
+        rng = np.random.default_rng(4)
+        tau = 0.0005
+        span_us = int(_CHUNK_TAUS * tau * 1e6)
+        ts = np.cumsum(rng.integers(1, 80, size=5000))
+        ts[2500:] += 800 * span_us  # exp(-24000) is 0.0 in double
+        assert ts[-1] - ts[2500] > 6 * span_us and ts[2499] > 6 * span_us
+        xs = rng.uniform(2.0, 30.0, size=ts.size)
+        ys = rng.uniform(2.0, 30.0, size=ts.size)
+        got = self.make(tau_s=tau).run(_events(ts, xs, ys))
+        ref = np.array(exponential_centroid(ts.tolist(), xs.tolist(), ys.tolist(), tau_s=tau))
+        assert got["t"].tolist() == ts.tolist()
+        np.testing.assert_allclose(got["u"], ref[:, 1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got["v"], ref[:, 2], rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-4, 0.02),
+           period=st.floats(1e-6, 5e-3), min_weight=st.floats(1.0, 20.0),
+           warmup=st.one_of(st.none(), st.floats(0.0, 0.02)))
+    def test_emissions_match_the_event_loop(self, seed, tau, period, min_weight, warmup):
+        """Same samples as the per-event loop: emission times exactly, centroids
+        within 1e-12 px, for any period, weight floor and warm-up."""
+        rng = np.random.default_rng(seed)
+        ev = _pixel_events(np.cumsum(rng.integers(0, 30, size=3000)), rng)
+        tracker = self.make(patch=PatchSpec(cx=16.0, cy=16.0, half_size=10), tau_s=tau,
+                            emit_period_s=period, min_weight=min_weight, warmup_s=warmup)
+        want = tracker_event_loop(tracker, ev)
         got = tracker.run(ev)
-        rows = []
-        for r in ev:
-            s = ref.ingest(int(r["t"]), float(r["x"]), float(r["y"]))
-            if s is not None:
-                rows.append(s)
-        want = samples_array(rows)
-        assert got.tobytes() == want.tobytes()
+        assert got["t"].tolist() == want["t"].tolist()
+        np.testing.assert_allclose(got["u"], want["u"], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got["v"], want["v"], rtol=0, atol=1e-12)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ConfigError):
             self.make(tau_s=0.0)
         with pytest.raises(ConfigError):
             self.make(min_weight=0.5)
+
+
+def test_run_beats_a_per_event_loop():
+    """The scan costs at most a third of the same recursion and gates as a
+    per-event Python loop, per in-patch event, timed in one process."""
+    rng = np.random.default_rng(5)
+    n = 200_000
+    ev = make_events(np.cumsum(rng.integers(0, 10, n)), rng.integers(0, 64, n),
+                     rng.integers(0, 64, n), np.ones(n))
+
+    def make():
+        return CentroidTracker(PatchSpec(cx=31.5, cy=31.5, half_size=32), warmup_s=0.015)
+
+    scan, loop = make().run(ev), tracker_event_loop(make(), ev)
+    assert scan.shape[0] > 500 and scan["t"].tolist() == loop["t"].tolist()
+    np.testing.assert_allclose(scan["u"], loop["u"], rtol=0, atol=1e-12)
+    fast = tracker_bench(make, ev, repeats=5)
+    slow = tracker_bench(make, ev, repeats=5, run=tracker_event_loop)
+    assert fast["patch_events"] == n
+    assert slow["ns_per_patch_event_median"] >= 3.0 * fast["ns_per_patch_event_median"], (
+        fast, slow)
 
 
 def test_track_events_merges_sorted_by_time_then_id():
@@ -221,12 +293,7 @@ def test_tracker_lag_matches_first_order_model():
     xs = 32.0 + amp * np.sin(omega * ts * 1e-6)
     tracker = CentroidTracker(PatchSpec(cx=32.0, cy=32.0, half_size=10),
                               tau_s=tau, emit_period_s=1e-9, min_weight=1.0)
-    rows = []
-    for t, x in zip(ts.tolist(), xs.tolist()):
-        s = tracker.ingest(t, x, 32.0)
-        if s is not None:
-            rows.append(s)
-    samples = samples_array(rows)
+    samples = tracker.run(_events(ts, xs, 32.0))
     keep = samples["t"] * 1e-6 > 5.0 * tau
     t_s = samples["t"][keep] * 1e-6
     a, b, _ = _fit_sin_cos(t_s, samples["u"][keep], omega)
