@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import AccumFrame, BinaryFrame, SensorGeometry, accumulate, binarize, window_starts
 from .errors import ConfigError
@@ -72,6 +71,7 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     offsets = np.arange(-radius, radius + 1, dtype=float)
     kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
     kernel /= kernel.sum()
+    from scipy import ndimage  # here, so that `import evosc` loads no scipy
     out = ndimage.convolve1d(image.astype(float), kernel, axis=-2, mode="reflect")
     return ndimage.convolve1d(out, kernel, axis=-1, mode="reflect")
 
@@ -156,6 +156,7 @@ def label_components(bits: np.ndarray) -> tuple[np.ndarray, int]:
     stack: labels run on across frames but never join two of them."""
     structure = np.zeros((3,) * bits.ndim, dtype=int)
     structure[(1,) * (bits.ndim - 2)] = 1
+    from scipy import ndimage
     labels, count = ndimage.label(bits, structure=structure)
     return labels, int(count)
 

@@ -38,31 +38,21 @@ latent image is sampled for a block of 64 steps at once, one row per step (a
 leading time axis on the offsets), with one camera_offset call per plane on
 the block's array of times.
 
-Within a block, crossings are found by one of two searches that emit the same
-events with the same floats:
+Within a block, crossings are found by one search. Its only sequential part
+is the reference walk, a step at a time over all active pixels: a pixel
+crosses trunc((L - l_ref) / threshold) levels in a step, at most
+_MAX_CROSSINGS either way, and its reference moves by that many thresholds.
+The block's crossings are then emitted together, each at the
+linear-interpolated instant inside its step, clipped to the step (at the
+step start when the latent value does not move), less those that come within
+the refractory period of the pixel's last emission, in per-step order:
+step, level, pixel.
 
-- by step: each step tests every active pixel, as a per-step loop does;
-- by pixel: a pixel's first crossing row is the first row where
-  |L - l_ref| / threshold >= 1, the float expression behind n_cross >= 1.
-  Only those (pixel, row) pairs run the per-step arithmetic (levels, the
-  cap of _MAX_CROSSINGS levels per step, the refractory check); their
-  references advance and the search repeats past each one's row until no
-  pixel crosses again in the block. The events are then put in per-step
-  order: step, level, pixel.
-
-A crossing lands at the linear-interpolated instant inside its step, clipped
-to the step; when the latent value does not move over the step, every
-crossing lands at the step start.
-
-The by-pixel search costs a few array passes per crossing wave, the by-step
-search a few per step, so the by-pixel search wins while few pixels fire per
-step. It runs up to 1024 active pixels, a count fixed by the scene: the
-measured break-even lies near 800 active pixels for a densely firing
-checkerboard and near 1800 for a disk grid. Each block's events are sorted by
-float time (stably, so equal times keep per-step order) and packed as they are
-produced; the noise events, sorted once, are merged into the block whose end
-follows them, after every event at an equal or earlier float time. The
-stream is the one a single stable time sort of all events gives.
+Each block's events are sorted by float time (stably, so equal times keep
+per-step order) and packed as they are produced; the noise events, sorted
+once, are merged into the block whose end follows them, after every event at
+an equal or earlier float time. The stream is the one a single stable time
+sort of all events gives.
 """
 
 from __future__ import annotations
@@ -86,8 +76,6 @@ _CULL_MARGIN = 1e-9
 _BLOCK_STEPS = 64
 # most threshold levels one pixel crosses in one step
 _MAX_CROSSINGS = 16
-# largest active set whose crossings are found pixel by pixel (break-even)
-_SPARSE_MAX_PIXELS = 1024
 
 
 def wrap_angle(phi: float) -> float:
@@ -463,16 +451,6 @@ class SimOutput:
 # event generation
 
 
-def _plane_mask(region, geometry: SensorGeometry) -> np.ndarray:
-    mask = np.zeros((geometry.height, geometry.width), dtype=bool)
-    if region is None:
-        mask[:] = True
-    else:
-        x0, y0, x1, y1 = region
-        mask[y0:y1, x0:x1] = True
-    return mask
-
-
 def _active_pixels(planes, contrast: float, threshold: float, geometry: SensorGeometry):
     """Raster-order (ys, xs, plane index) of the pixels that can ever fire.
 
@@ -481,7 +459,8 @@ def _active_pixels(planes, contrast: float, threshold: float, geometry: SensorGe
     """
     owner = np.full((geometry.height, geometry.width), -1)
     for i, (region, _, _) in enumerate(planes):
-        owner[_plane_mask(region, geometry)] = i
+        x0, y0, x1, y1 = (0, 0, geometry.width, geometry.height) if region is None else region
+        owner[y0:y1, x0:x1] = i
     ys, xs = np.nonzero(owner >= 0)
     plane_of = owner[ys, xs]
     active = np.ones(ys.shape[0], dtype=bool)
@@ -541,80 +520,88 @@ def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, pla
     return latent
 
 
-def _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, out):
-    """Emit the crossings of pixels p at block rows r, one row per pixel, and
-    advance their references: the per-step threshold-crossing arithmetic.
+def _crossings(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, work):
+    """Crossings of one block, (t_us, pixel, polarity) by step, level, pixel.
 
-    lat[r] is the latent value before step first_step + r and lat[r + 1] the
-    one after it. Appends (t_us, pixel, polarity, row, level) per level to out.
+    lat[r] is the latent value before step first_step + r, one row more than
+    the block has steps. l_ref and last_emit are updated in place. work holds
+    two arrays of _BLOCK_STEPS and _BLOCK_STEPS + 1 rows, a column per pixel.
     """
-    l_prev, l_now = lat[r, p], lat[r + 1, p]
-    t0 = (first_step + r) * step_us
-    delta = l_now - l_ref[p]
-    n_cross = np.floor(np.abs(delta) / threshold).astype(np.int64)
-    np.minimum(n_cross, _MAX_CROSSINGS, out=n_cross)
-    pol = np.sign(delta)
+    n_rows, n_pix = lat.shape[0] - 1, lat.shape[1]
+    # the reference walk: q[r] is each pixel's signed level count in step r and
+    # ref[r] its reference before it; rerun capped only if a step passes the cap
+    q, ref = work[0][:n_rows], work[1][:n_rows + 1]
+    ref[0] = l_ref
+    for capped in (False, True):
+        for now, qr, before, after in zip(lat[1:], q, ref, ref[1:]):
+            np.subtract(now, before, out=qr)
+            np.divide(qr, threshold, out=qr)
+            np.trunc(qr, out=qr)
+            if capped:
+                np.clip(qr, -_MAX_CROSSINGS, _MAX_CROSSINGS, out=qr)
+            np.multiply(qr, threshold, out=after)
+            np.add(before, after, out=after)
+        if max(q.max(initial=0.0), -q.min(initial=0.0)) <= _MAX_CROSSINGS:
+            break
+    # flat (step, pixel) indices of the crossings, each pixel's in step order
+    at = np.flatnonzero(q != 0)
+    at = at[np.argsort((at % n_pix).astype(np.min_scalar_type(n_pix)), kind="stable")]
+    row, pixel = np.divmod(at, n_pix)
+    # only pixels that cross move: a -0.0 reference plus a zero step is +0.0
+    l_ref[pixel] = ref[n_rows, pixel]
+
+    # one event per crossed level
+    count = np.abs(q.ravel()[at]).astype(np.intp)
+    level = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
+    at, pixel, row = (np.repeat(a, count) for a in (at, pixel, row))
+    l_prev, l_now = lat.ravel()[at], lat.ravel()[at + n_pix]
+    pol = np.sign(q.ravel()[at])
     rise = l_now - l_prev
     # a latent value that does not move puts every crossing at the step start
     rise[rise == 0.0] = np.inf
-    for k in range(1, int(n_cross.max()) + 1):
-        j = np.flatnonzero(n_cross >= k)
-        q = p[j]
-        level = l_ref[q] + pol[j] * (k * threshold)
-        frac = (level - l_prev[j]) / rise[j]
-        t_ev = t0[j] + np.clip(frac, 0.0, 1.0) * step_us
-        ok = t_ev >= last_emit[q] + refractory_us
-        if ok.any():
-            j, q, t_ev = j[ok], q[ok], t_ev[ok]
-            out.append((t_ev, q, pol[j], r[j], np.full(j.size, k)))
-            last_emit[q] = t_ev
-    l_ref[p] += pol * n_cross * threshold
+    frac = (ref.ravel()[at] + pol * (level * threshold) - l_prev) / rise
+    t = (first_step + row) * step_us + np.clip(frac, 0.0, 1.0) * step_us
 
-
-def _crossings_by_step(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us):
-    """Crossings of one block, testing every pixel at every step.
-
-    lat has one row more than the block has steps: row 0 is the latent value
-    before step first_step. l_ref and last_emit are updated in place. Returns
-    (t_us, pixel, polarity) in emission order: by step, then level, then
-    pixel.
-    """
-    out = []
-    for r in range(lat.shape[0] - 1):
-        p = np.flatnonzero(np.abs(lat[r + 1] - l_ref) / threshold >= 1.0)
-        if p.size:
-            _fire(p, np.full(p.size, r), lat, l_ref, last_emit, first_step, threshold, step_us,
-                  refractory_us, out)
-    if not out:
-        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
-    t, pixel, pol, _, _ = (np.concatenate(f) for f in zip(*out))
-    return t, pixel, pol
-
-
-def _crossings_by_pixel(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us):
-    """_crossings_by_step's events, visiting each pixel only at the steps
-    where it crosses.
-
-    Each wave fires every pixel's next crossing row; the pixels that fired
-    then search the rows after their own again.
-    """
-    after = np.ascontiguousarray(lat[1:].T)
-    n_rows = after.shape[1]
-    crossed = np.abs(after - l_ref[:, None]) / threshold >= 1.0
-    p = np.flatnonzero(crossed.any(axis=1))
-    r = crossed[p].argmax(axis=1)
-    out = []
-    while p.size:
-        _fire(p, r, lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, out)
-        later = np.abs(after[p] - l_ref[p, None]) / threshold >= 1.0
-        later &= np.arange(n_rows) > r[:, None]
-        more = later.any(axis=1)
-        p, r = p[more], later[more].argmax(axis=1)
-    if not out:
-        return np.empty(0), np.empty(0, dtype=np.intp), np.empty(0)
-    t, pixel, pol, row, level = (np.concatenate(f) for f in zip(*out))
-    order = np.lexsort((pixel, level, row))
+    keep = _refractory(t, pixel, last_emit, refractory_us)
+    t, pixel, pol, row, level = (a[keep] for a in (t, pixel, pol, row, level))
+    np.maximum.at(last_emit, pixel, t)
+    key = row * (_MAX_CROSSINGS + 1) + level
+    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
     return t[order], pixel[order], pol[order]
+
+
+def _refractory(t, pixel, last_emit, refractory_us):
+    """Mask of the events, grouped by pixel and each pixel's in step, then
+    level order, that come refractory_us or more after the pixel's last kept
+    one. An event that far after the one before it always is. Otherwise:
+    an event earlier than one before it never is (that one was kept or too
+    early itself), and the rest are kept along chains, each pixel's first at
+    or after last_emit + refractory_us, then from each kept event its
+    pixel's first at or after its time + refractory_us. The links are found
+    by one search over complex (pixel run, time) keys, which numpy compares
+    in that order exactly, and the chains by pointer doubling.
+    """
+    head = np.append(True, pixel[1:] != pixel[:-1])
+    keep = t >= np.where(head, last_emit[pixel], np.roll(t, 1)) + refractory_us
+    if not keep.all():
+        key = np.cumsum(head) - 1 + 1j * t
+        idx = np.flatnonzero(t >= np.maximum.accumulate(key).imag)
+        key, m, heads = key[idx], idx.size, np.flatnonzero(head[idx])
+        # a search that runs to the pixel's end points at m: no event
+        end = np.append(heads[1:], m)
+        link = np.maximum(np.searchsorted(key, key + 1j * refractory_us), np.arange(1, m + 1))
+        link = np.append(np.where(link == end[key.real.astype(np.intp)], m, link), m)
+        first = np.searchsorted(key, np.arange(heads.size)
+                                + 1j * (last_emit[pixel[idx[heads]]] + refractory_us))
+        chained = np.zeros(m + 1, dtype=bool)
+        chained[np.where(first == end, m, first)] = True
+        # round i marks the links 2**i to 2**(i+1) - 1 along every chain
+        while not np.all((hop := link[chained]) == m):
+            chained[hop] = True
+            link = link[link]
+        keep[:] = False
+        keep[idx[chained[:m]]] = True
+    return keep
 
 
 def check_sim_params(duration_s: float, threshold: float, step_us: int,
@@ -650,7 +637,6 @@ def _generate(
     check_sim_params(duration_s, threshold, step_us, noise_rate_hz, refractory_us)
     ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
     latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
-    crossings = _crossings_by_pixel if ys.shape[0] <= _SPARSE_MAX_PIXELS else _crossings_by_step
 
     # noise is drawn from rng alone, so drawing it before the simulated
     # events changes no value
@@ -659,12 +645,14 @@ def _generate(
     n_steps = int(round(duration_s * 1e6 / step_us))
     l_ref = latent([0.0])[0]
     last_emit = np.full(ys.shape[0], -1e18)
+    work = np.empty((_BLOCK_STEPS, ys.shape[0])), np.empty((_BLOCK_STEPS + 1, ys.shape[0]))
     blocks = []
     for b in range(0, n_steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, n_steps - b)
         # row r: the latent value after step b + r - 1, row 0 the one before step b
         lat = latent([i * step_us * 1e-6 for i in range(b, b + n + 1)])
-        t, pixel, pol = crossings(lat, l_ref, last_emit, b, threshold, step_us, refractory_us)
+        t, pixel, pol = _crossings(lat, l_ref, last_emit, b, threshold, step_us,
+                                   refractory_us, work)
         order = np.argsort(t, kind="stable")
         t, pixel = t[order], pixel[order]
         events = make_events(np.round(t).astype(np.uint64), xs[pixel], ys[pixel], pol[order],
@@ -717,14 +705,9 @@ def simulate(
     byte-identical stream.
     """
     z0 = scene.depth_planes[0].depth_m
-    planes = []
-    truth = []
-    for plane in scene.depth_planes:
-        plane_cfg = cfg.scaled(z0 / plane.depth_m)
-        pattern = plane.pattern if plane.pattern is not None else scene.pattern
-        planes.append((plane.region, pattern, plane_cfg))
-        truth.append(plane_cfg)
-
+    truth = [cfg.scaled(z0 / plane.depth_m) for plane in scene.depth_planes]
+    planes = [(plane.region, scene.pattern if plane.pattern is None else plane.pattern, plane_cfg)
+              for plane, plane_cfg in zip(scene.depth_planes, truth)]
     events = _generate(
         planes, scene.contrast, geometry, duration_s, threshold, step_us, refractory_us,
         np.random.default_rng(seed), noise_rate_hz,

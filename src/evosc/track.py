@@ -60,10 +60,25 @@ class PatchSpec:
             raise ConfigError(f"half_size must be positive, got {self.half_size}")
 
     def contains(self, x, y):
-        # Subtract in float64: event coords arrive as uint16 and would wrap.
-        dx = np.subtract(x, self.cx, dtype=np.float64)
-        dy = np.subtract(y, self.cy, dtype=np.float64)
-        return (np.abs(dx) <= self.half_size) & (np.abs(dy) <= self.half_size)
+        """Mask of the coordinates inside the patch (see _near)."""
+        return self._near(np.asarray(x), self.cx) & self._near(np.asarray(y), self.cy)
+
+    def _near(self, v, c):
+        """|v - c| <= half_size, the difference taken in float64. Integer v
+        (event columns are uint16) is compared with that test's bounds, with
+        no float copy: float64(i) - c never falls as i rises, so each bound
+        is the first integer passing a test, found by bisection."""
+        if v.dtype.kind not in "iu":
+            return np.abs(np.subtract(v, c, dtype=np.float64)) <= self.half_size
+        info, first = np.iinfo(v.dtype), []
+        for passes in (lambda i: float(i) - c >= -self.half_size,
+                       lambda i: float(i) - c > self.half_size):
+            a, b = int(info.min), int(info.max) + 1  # b when no integer passes
+            while a < b:
+                mid = (a + b) // 2
+                a, b = (a, mid) if passes(mid) else (mid + 1, b)
+            first.append(a)
+        return (first[0] <= v) & (v < first[1])
 
 
 def check_tracker_params(tau_s: float, emit_period_s: float, min_weight: float,

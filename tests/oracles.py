@@ -120,6 +120,46 @@ def tracker_event_loop(tracker, events):
     return np.array(rows, dtype=SAMPLE_DTYPE)
 
 
+def crossing_events(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us,
+                    max_crossings):
+    """One simulator block of the threshold-crossing model, a pixel, a step
+    and a level at a time.
+
+    lat[r] is the latent value before step first_step + r and lat[r + 1] the
+    one after it. In each step a pixel crosses floor(|lat - ref| / threshold)
+    levels, at most max_crossings, each at the linear-interpolated instant
+    clipped to the step (the step start when the latent value does not move),
+    and emits unless it comes less than refractory_us after its last
+    emission. l_ref and last_emit are updated in place. Returns
+    (t_us, pixel, polarity) by step, then level, then pixel.
+    """
+    t_out, pixel_out, pol_out = [], [], []
+    for r in range(lat.shape[0] - 1):
+        fired = []
+        for p in range(lat.shape[1]):
+            l_prev, l_now, ref = float(lat[r, p]), float(lat[r + 1, p]), float(l_ref[p])
+            delta = l_now - ref
+            n = min(math.floor(abs(delta) / threshold), max_crossings)
+            if n == 0:
+                continue
+            pol = math.copysign(1.0, delta)
+            rise = l_now - l_prev
+            for k in range(1, n + 1):
+                level = ref + pol * (k * threshold)
+                frac = 0.0 if rise == 0.0 else (level - l_prev) / rise
+                t = (first_step + r) * step_us + min(max(frac, 0.0), 1.0) * step_us
+                if t >= last_emit[p] + refractory_us:
+                    fired.append((k, p, t, pol))
+                    last_emit[p] = t
+            l_ref[p] = ref + pol * n * threshold
+        for _, p, t, pol in sorted(fired, key=lambda e: e[0]):
+            t_out.append(t)
+            pixel_out.append(p)
+            pol_out.append(pol)
+    return (np.array(t_out, dtype=float), np.array(pixel_out, dtype=np.intp),
+            np.array(pol_out, dtype=float))
+
+
 def direct_nudft(times_s, values, omegas):
     """Literal nonuniform DFT magnitude, one omega at a time."""
     mags = []

@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,3 +377,16 @@ def test_write_metrics_csv_format():
     lines = buf.getvalue().decode().splitlines()
     assert lines[0] == "t0_us,entropy,variance,grad_mag,num_components,avg_len,junctions"
     assert lines[1] == "0,0.5,1.25,0.75,3,12.5,2"
+
+
+def test_import_loads_no_scipy():
+    """scipy is imported where the edge path uses it, so a fresh
+    `import evosc` loads no scipy module, scipy.ndimage included."""
+    import evosc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(evosc.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, evosc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -23,11 +23,9 @@ from evosc.sim import (
     Triangle,
     WorldMotion,
     _BLOCK_STEPS,
-    _SPARSE_MAX_PIXELS,
+    _MAX_CROSSINGS,
     _active_pixels,
-    _crossings_by_pixel,
-    _crossings_by_step,
-    _fire,
+    _crossings,
     _latent_sampler,
     camera_offset,
     motor_speed,
@@ -42,6 +40,7 @@ from oracles import (
     MOTOR_OMEGA_2V,
     STEADY_AMP_REF,
     STEADY_PHASE_REF,
+    crossing_events,
     project_reference,
     steady_state_reference,
 )
@@ -607,7 +606,7 @@ FROZEN_SCENES = {
         SceneSpec(pattern=Triangle(center_x=15.0, center_y=17.0, radius_px=9.0), contrast=1.5),
         _circular(1.8, phase=2.4), G32, duration_s=0.0203, seed=8, step_us=37,
         noise_rate_hz=60.0),
-    # 2304 active pixels: more than the by-pixel crossing search takes
+    # 2304 active pixels, most of them firing
     "dense_checker": lambda: simulate(
         SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
         _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48),
@@ -657,7 +656,7 @@ def test_active_set_covers_fired_pixels_and_culls_the_rest():
 
 
 # ---------------------------------------------------------------------------
-# block sampling and the two crossing searches
+# block sampling and the crossing search
 
 
 def _planes(scene, cfg):
@@ -666,24 +665,53 @@ def _planes(scene, cfg):
             for p in scene.depth_planes]
 
 
-def _block_crossings(crossings, planes, contrast, geometry, n_steps, step_us=50,
+def _search(n_pix):
+    """_crossings with its work arrays, called as the oracle is."""
+    work = np.empty((_BLOCK_STEPS, n_pix)), np.empty((_BLOCK_STEPS + 1, n_pix))
+    return lambda *args: _crossings(*args, work)
+
+
+def _oracle(*args):
+    return crossing_events(*args, _MAX_CROSSINGS)
+
+
+def _run_blocks(crossings, lat, l_ref, step_us, refractory_us, threshold=DEFAULT_THRESHOLD):
+    """Drive a crossing search over the blocks of lat (one row per step, plus
+    the row before the first); returns each block's (t, pixel, pol) and the
+    final l_ref and last_emit."""
+    l_ref = l_ref.copy()
+    last_emit = np.full(lat.shape[1], -1e18)
+    blocks = [crossings(lat[b:b + _BLOCK_STEPS + 1], l_ref, last_emit, b, threshold, step_us,
+                        refractory_us)
+              for b in range(0, lat.shape[0] - 1, _BLOCK_STEPS)]
+    return blocks, l_ref, last_emit
+
+
+def _block_crossings(planes, contrast, geometry, n_steps, oracle=False, step_us=50,
                      refractory_us=100):
-    """Drive one crossing search over the simulator's blocks; returns the
-    active-pixel count, each block's (t, pixel, pol) and the final state."""
+    """Run the search (or the oracle) over a scene's simulator blocks; returns
+    each block's (t, pixel, pol) and the final state."""
     ys, xs, plane_of = _active_pixels(planes, contrast, DEFAULT_THRESHOLD, geometry)
     latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
-    l_ref = latent([0.0])[0]
-    last_emit = np.full(ys.size, -1e18)
-    blocks = []
-    for b in range(0, n_steps, _BLOCK_STEPS):
-        lat = latent([i * step_us * 1e-6 for i in range(b, min(b + _BLOCK_STEPS, n_steps) + 1)])
-        blocks.append(crossings(lat, l_ref, last_emit, b, DEFAULT_THRESHOLD, step_us,
-                                refractory_us))
-    return ys.size, blocks, l_ref, last_emit
+    lat = latent([i * step_us * 1e-6 for i in range(n_steps + 1)])
+    return _run_blocks(_oracle if oracle else _search(ys.size), lat, lat[0], step_us,
+                       refractory_us)
+
+
+def _assert_same(a, b):
+    blocks_a, ref_a, emit_a = a
+    blocks_b, ref_b, emit_b = b
+    assert len(blocks_a) == len(blocks_b)
+    for block_a, block_b in zip(blocks_a, blocks_b):
+        for field_a, field_b in zip(block_a, block_b):
+            assert field_a.dtype == field_b.dtype
+            assert field_a.tobytes() == field_b.tobytes()
+    assert ref_a.tobytes() == ref_b.tobytes()
+    assert emit_a.tobytes() == emit_b.tobytes()
 
 
 CROSSING_SCENES = {
-    # 316 active pixels: the by-pixel side of the rule
+    # 316 active pixels round one disk
     "sparse_disk": (SceneSpec(pattern=Disks(pitch_px=1000.0, offset_px=32.0), contrast=2.0),
                     _circular(3.0), SensorGeometry(width=64, height=64), 700),
     # two planes, one sampled per pixel, with up to 16 levels per step
@@ -693,7 +721,7 @@ CROSSING_SCENES = {
                                 DepthPlane(depth_m=2.0, region=(12, 0, 32, 32),
                                            pattern=Triangle(center_x=22.0, center_y=16.0)))),
         OscillatorConfig(amp_x_px=3.5, amp_y_px=1.75, omega=2.0 * math.pi * 550.0), G32, 300),
-    # 2304 active pixels: the by-step side of the rule
+    # 2304 active pixels, most of them firing
     "dense_checker": (SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
                       _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48), 300),
 }
@@ -701,26 +729,60 @@ CROSSING_SCENES = {
 
 @pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
 def test_crossing_searches_agree(name):
+    """The block search emits the scalar oracle's events, floats and order,
+    block by block, and leaves the same references and emission times."""
     scene, cfg, geom, n_steps = CROSSING_SCENES[name]
     planes = _planes(scene, cfg)
-    n_pix, by_step, ref_a, emit_a = _block_crossings(_crossings_by_step, planes,
-                                                     scene.contrast, geom, n_steps)
-    _, by_pixel, ref_b, emit_b = _block_crossings(_crossings_by_pixel, planes,
-                                                  scene.contrast, geom, n_steps)
-    assert (n_pix > _SPARSE_MAX_PIXELS) == (name == "dense_checker")
-    assert sum(t.size for t, _, _ in by_step) > 1000
-    for a, b in zip(by_step, by_pixel):
-        for field_a, field_b in zip(a, b):
-            assert field_a.tobytes() == field_b.tobytes()
-    assert ref_a.tobytes() == ref_b.tobytes()
-    assert emit_a.tobytes() == emit_b.tobytes()
+    search = _block_crossings(planes, scene.contrast, geom, n_steps)
+    assert sum(t.size for t, _, _ in search[0]) > 1000
+    _assert_same(search, _block_crossings(planes, scene.contrast, geom, n_steps, oracle=True))
+
+
+# latent moves in quarter thresholds: zero rise, ties with a level, one
+# level, several, and more than _MAX_CROSSINGS levels in one step
+_QUARTER_MOVES = [0, 0, 0, 1, -1, 2, -3, 4, -4, 6, -9, 70, -75]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_pix=st.integers(1, 5), n_steps=st.integers(1, 3 * _BLOCK_STEPS),
+       step_us=st.sampled_from([50, 37, 2.7]), refractory_us=st.sampled_from([0, 30, 50, 100, 400, 5000]),
+       data=st.data())
+def test_block_search_matches_the_oracle(n_pix, n_steps, step_us, refractory_us, data):
+    """Random blocks on a quarter-threshold grid, so that levels tie with
+    latent values exactly: capped and zero-rise steps, refractory periods
+    from none to longer than a block, -0.0 references, a short last block
+    and a step of a fraction of a microsecond."""
+    threshold = 0.25
+    moves = np.array(data.draw(st.lists(st.sampled_from(_QUARTER_MOVES), min_size=n_steps * n_pix,
+                                        max_size=n_steps * n_pix))).reshape(n_steps, n_pix)
+    start = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=n_pix, max_size=n_pix)))
+    lat = np.vstack([start, start + np.cumsum(moves, axis=0)]) * (threshold / 4)
+    # a pixel resting at zero holds a -0.0 reference
+    l_ref = np.where(lat[0] == 0.0, -0.0, lat[0])
+    _assert_same(_run_blocks(_search(n_pix), lat, l_ref, step_us, refractory_us, threshold),
+                 _run_blocks(_oracle, lat, l_ref, step_us, refractory_us, threshold))
+
+
+@pytest.mark.parametrize("refractory_us, kept", [(0, [4, 2]), (20, [1, 1])])
+def test_levels_of_a_lagging_step_that_fall_before_its_end(refractory_us, kept):
+    """A reference far above a rising latent value crosses down to it (5 and
+    3 levels); rounding puts the last level just below the latent value, so
+    that level lands before the step end, where the others clip, and is
+    dropped even with no refractory period."""
+    l_ref = np.array([0.683589447880226, 0.5137349344542055])
+    lat = np.array([[-0.06641055211977395, -0.036265065545794534],
+                    [0.18358944788022605, 0.21373493445420547]])
+    search = _run_blocks(_search(2), lat, l_ref, 50, refractory_us, threshold=0.1)
+    _assert_same(search, _run_blocks(_oracle, lat, l_ref, 50, refractory_us, threshold=0.1))
+    t, pixel, _ = search[0][0]
+    assert np.bincount(pixel).tolist() == kept
+    assert np.all(t == 50.0)
 
 
 def test_block_edge_scene_ties_across_blocks():
     """The frozen block_edge_ties scene emits at a block's end time from both
     the block's last step (frac 1) and the next block's first (frac 0)."""
-    _, blocks, _, _ = _block_crossings(_crossings_by_step, _planes(TIE_SCENE, TIE_CFG),
-                                       TIE_SCENE.contrast, G32, 1000)
+    blocks, _, _ = _block_crossings(_planes(TIE_SCENE, TIE_CFG), TIE_SCENE.contrast, G32, 1000)
     edge_us = _BLOCK_STEPS * 50
     ties = [j for j in range(len(blocks) - 1)
             if np.any(blocks[j][0] == (j + 1) * edge_us)
@@ -764,16 +826,13 @@ def test_zero_rise_crossings_land_at_step_start():
     lat = np.array([[0.5, -0.5, 0.25, 1.0], [0.5, -0.5, 0.25, 1.1]])
     l_ref = np.array([0.0, 0.0, 0.0, 0.0])
     last_emit = np.full(4, -1e18)
-    out = []
-    p = np.arange(4)
-    _fire(p, np.zeros(4, dtype=np.intp), lat, l_ref, last_emit, 3, thr, 50, 0, out)
-    t, pixel, pol, _, level = (np.concatenate(f) for f in zip(*out))
-    order = np.lexsort((level, pixel))
-    assert pixel[order].tolist() == [0, 0, 1, 1, 2, 3, 3, 3, 3]
-    assert pol[order].tolist() == [1, 1, -1, -1, 1, 1, 1, 1, 1]
+    t, pixel, pol = _search(4)(lat, l_ref, last_emit, 3, thr, 50, 0)
+    # emission order: level 1 of every pixel, then level 2, ...
+    assert pixel.tolist() == [0, 1, 2, 3, 0, 1, 3, 3, 3]
+    assert pol.tolist() == [1, -1, 1, 1, 1, -1, 1, 1, 1]
     # the zero-rise pixels at the step start; pixel 3 rises 0.1 over the step
     # and its levels were all passed before it
-    assert t[order].tolist() == [150.0] * 9
+    assert t.tolist() == [150.0] * 9
     assert l_ref.tolist() == [0.5, -0.5, 0.25, 1.0]
 
 
@@ -786,8 +845,7 @@ def test_noise_merge_matches_one_stable_sort(monkeypatch):
     n_steps = 1000
     planes = _planes(TIE_SCENE, TIE_CFG)
     ys, xs, _ = _active_pixels(planes, TIE_SCENE.contrast, DEFAULT_THRESHOLD, G32)
-    _, blocks, _, _ = _block_crossings(_crossings_by_step, planes, TIE_SCENE.contrast, G32,
-                                       n_steps)
+    blocks, _, _ = _block_crossings(planes, TIE_SCENE.contrast, G32, n_steps)
     t_sim, pixel, pol = (np.concatenate(f) for f in zip(*blocks))
     edges = np.arange(0, n_steps + 1, _BLOCK_STEPS) * 50.0
     noise_t = np.sort(np.concatenate([t_sim[::50], t_sim[::53] - 0.05, edges, [n_steps * 50.0 + 7]]))

@@ -55,6 +55,27 @@ class TestPatchSpec:
         for i in range(64):
             assert mask[i] == p.contains(float(i), 15.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cx=st.one_of(st.floats(-200.0, 65800.0), st.integers(-100, 65700).map(lambda i: i / 10),
+                        st.integers(-100, 65700).map(float),
+                        st.sampled_from([0.1, 65535.3, -0.5, 65535.5, 1e300, -1e300, 2.0**60,
+                                         -59767.00000000001, 23857.999999999996])),
+           half=st.integers(1, 70000), offsets=st.lists(st.integers(-3, 3), max_size=8),
+           more=st.lists(st.integers(0, 65535), max_size=8))
+    def test_integer_coordinates_match_the_float_test(self, cx, half, offsets, more):
+        """uint16 coordinates give the mask of the float64 test, also at 0,
+        at 65535, exactly on the bounds and beside them, and for centres
+        that are fractional, not representable or off the sensor (the last
+        two listed round cx + half_size to the wrong side of a bound)."""
+        edges = [math.floor(c) + o for c in (cx - half, cx + half) if abs(c) < 1e6
+                 for o in offsets]
+        xs = np.array([0, 65535] + [e for e in edges if 0 <= e <= 65535] + more, dtype=np.uint16)
+        p = PatchSpec(cx=cx, cy=cx, half_size=half)
+        ref = np.abs(xs.astype(np.float64) - cx) <= half
+        assert p.contains(xs, xs).tolist() == ref.tolist()
+        ys = np.full(xs.size, 0, dtype=np.uint16)
+        assert p.contains(xs, ys).tolist() == (ref & (abs(0.0 - cx) <= half)).tolist()
+
     def test_bad_half_size(self):
         with pytest.raises(ConfigError):
             PatchSpec(cx=0.0, cy=0.0, half_size=0)
