@@ -39,9 +39,10 @@ leading time axis on the offsets), with one camera_offset call per plane on
 the block's array of times.
 
 Within a block, crossings are found by one search. Its only sequential part
-is the reference walk, a step at a time over all active pixels: a pixel
-crosses trunc((L - l_ref) / threshold) levels in a step, at most
-_MAX_CROSSINGS either way, and its reference moves by that many thresholds.
+is the reference walk, a step at a time over the active pixels (at most
+_WALK_PIXELS of them at once, which bounds its buffers): a pixel crosses
+trunc((L - l_ref) / threshold) levels in a step, at most _MAX_CROSSINGS
+either way, and its reference moves by that many thresholds.
 The block's crossings are then emitted together, each at the
 linear-interpolated instant inside its step, clipped to the step (at the
 step start when the latent value does not move), less those that come within
@@ -76,6 +77,8 @@ _CULL_MARGIN = 1e-9
 _BLOCK_STEPS = 64
 # most threshold levels one pixel crosses in one step
 _MAX_CROSSINGS = 16
+# most active pixels walked at once: the walk's buffers stay under 17 MB
+_WALK_PIXELS = 16384
 
 
 def wrap_angle(phi: float) -> float:
@@ -451,6 +454,16 @@ class SimOutput:
 # event generation
 
 
+def _plane_mask(region, geometry: SensorGeometry) -> np.ndarray:
+    mask = np.zeros((geometry.height, geometry.width), dtype=bool)
+    if region is None:
+        mask[:] = True
+    else:
+        x0, y0, x1, y1 = region
+        mask[y0:y1, x0:x1] = True
+    return mask
+
+
 def _active_pixels(planes, contrast: float, threshold: float, geometry: SensorGeometry):
     """Raster-order (ys, xs, plane index) of the pixels that can ever fire.
 
@@ -459,8 +472,7 @@ def _active_pixels(planes, contrast: float, threshold: float, geometry: SensorGe
     """
     owner = np.full((geometry.height, geometry.width), -1)
     for i, (region, _, _) in enumerate(planes):
-        x0, y0, x1, y1 = (0, 0, geometry.width, geometry.height) if region is None else region
-        owner[y0:y1, x0:x1] = i
+        owner[_plane_mask(region, geometry)] = i
     ys, xs = np.nonzero(owner >= 0)
     plane_of = owner[ys, xs]
     active = np.ones(ys.shape[0], dtype=bool)
@@ -520,87 +532,93 @@ def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, pla
     return latent
 
 
+def _walk_arrays(n_pix: int):
+    """The reference walk's level counts and references, reused by every
+    block: room for _BLOCK_STEPS and _BLOCK_STEPS + 1 rows of at most
+    _WALK_PIXELS columns."""
+    width = min(n_pix, _WALK_PIXELS)
+    return np.empty(_BLOCK_STEPS * width), np.empty((_BLOCK_STEPS + 1) * width)
+
+
 def _crossings(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, work):
     """Crossings of one block, (t_us, pixel, polarity) by step, level, pixel.
 
     lat[r] is the latent value before step first_step + r, one row more than
-    the block has steps. l_ref and last_emit are updated in place. work holds
-    two arrays of _BLOCK_STEPS and _BLOCK_STEPS + 1 rows, a column per pixel.
+    the block has steps. l_ref and last_emit are updated in place. work is
+    _walk_arrays(lat.shape[1]); the pixels are walked in chunks as wide as it
+    has room for.
     """
     n_rows, n_pix = lat.shape[0] - 1, lat.shape[1]
-    # the reference walk: q[r] is each pixel's signed level count in step r and
-    # ref[r] its reference before it; rerun capped only if a step passes the cap
-    q, ref = work[0][:n_rows], work[1][:n_rows + 1]
-    ref[0] = l_ref
-    for capped in (False, True):
-        for now, qr, before, after in zip(lat[1:], q, ref, ref[1:]):
+    span = max(work[0].size // _BLOCK_STEPS, 1)
+    # numpy scalars: a ufunc converts a Python number on every call
+    th, cap = np.float64(threshold), np.float64(_MAX_CROSSINGS)
+    # (step, pixel, level count, reference before the step) of each
+    # crossing, each pixel's in step order
+    found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 2]
+    for c in range(0, n_pix, span):
+        w = min(span, n_pix - c)
+        # the reference walk: q[r] is each pixel's signed level count in step
+        # r and ref[r] its reference before it
+        q = work[0][:n_rows * w].reshape(n_rows, w)
+        ref = work[1][:(n_rows + 1) * w].reshape(n_rows + 1, w)
+        ref[0] = l_ref[c:c + w]
+        for now, qr, before, after in zip(lat[1:, c:c + w], q, ref, ref[1:]):
             np.subtract(now, before, out=qr)
-            np.divide(qr, threshold, out=qr)
+            np.divide(qr, th, out=qr)
             np.trunc(qr, out=qr)
-            if capped:
-                np.clip(qr, -_MAX_CROSSINGS, _MAX_CROSSINGS, out=qr)
-            np.multiply(qr, threshold, out=after)
+            np.minimum(qr, cap, out=qr)
+            np.maximum(qr, -cap, out=qr)
+            np.multiply(qr, th, out=after)
             np.add(before, after, out=after)
-        if max(q.max(initial=0.0), -q.min(initial=0.0)) <= _MAX_CROSSINGS:
-            break
-    # flat (step, pixel) indices of the crossings, each pixel's in step order
-    at = np.flatnonzero(q != 0)
-    at = at[np.argsort((at % n_pix).astype(np.min_scalar_type(n_pix)), kind="stable")]
-    row, pixel = np.divmod(at, n_pix)
-    # only pixels that cross move: a -0.0 reference plus a zero step is +0.0
-    l_ref[pixel] = ref[n_rows, pixel]
+        at = np.flatnonzero(q != 0)
+        at = at[np.argsort((at % w).astype(np.min_scalar_type(w)), kind="stable")]
+        row, col = np.divmod(at, w)
+        # only pixels that cross move: a -0.0 reference plus a zero step is +0.0
+        l_ref[c + col] = ref[n_rows, col]
+        found.append((row, c + col, q.ravel()[at], ref.ravel()[at]))
+    row, pixel, q, ref = (np.concatenate(f) for f in zip(*found))
 
     # one event per crossed level
-    count = np.abs(q.ravel()[at]).astype(np.intp)
+    count = np.abs(q).astype(np.intp)
     level = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
-    at, pixel, row = (np.repeat(a, count) for a in (at, pixel, row))
+    row, pixel, q, ref = (np.repeat(a, count) for a in (row, pixel, q, ref))
+    at = row * n_pix + pixel
     l_prev, l_now = lat.ravel()[at], lat.ravel()[at + n_pix]
-    pol = np.sign(q.ravel()[at])
+    pol = np.sign(q)
     rise = l_now - l_prev
     # a latent value that does not move puts every crossing at the step start
     rise[rise == 0.0] = np.inf
-    frac = (ref.ravel()[at] + pol * (level * threshold) - l_prev) / rise
+    frac = (ref + pol * (level * threshold) - l_prev) / rise
     t = (first_step + row) * step_us + np.clip(frac, 0.0, 1.0) * step_us
 
-    keep = _refractory(t, pixel, last_emit, refractory_us)
-    t, pixel, pol, row, level = (a[keep] for a in (t, pixel, pol, row, level))
-    np.maximum.at(last_emit, pixel, t)
+    # an event refractory_us or more after its pixel's event before it (or
+    # last_emit) is kept whatever came before; when every event is, each
+    # pixel's last one is its last emission
+    head, tail = np.diff(pixel, prepend=-1) != 0, np.diff(pixel, append=-1) != 0
+    free = np.all(t >= np.where(head, last_emit[pixel], np.roll(t, 1)) + refractory_us)
+    if free:
+        last_emit[pixel[tail]] = t[tail]
     key = row * (_MAX_CROSSINGS + 1) + level
     order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
-    return t[order], pixel[order], pol[order]
+    t, pixel, pol = t[order], pixel[order], pol[order]
+    if not free:
+        keep = _refractory(t, pixel, key[order], last_emit, refractory_us)
+        t, pixel, pol = t[keep], pixel[keep], pol[keep]
+    return t, pixel, pol
 
 
-def _refractory(t, pixel, last_emit, refractory_us):
-    """Mask of the events, grouped by pixel and each pixel's in step, then
-    level order, that come refractory_us or more after the pixel's last kept
-    one. An event that far after the one before it always is. Otherwise:
-    an event earlier than one before it never is (that one was kept or too
-    early itself), and the rest are kept along chains, each pixel's first at
-    or after last_emit + refractory_us, then from each kept event its
-    pixel's first at or after its time + refractory_us. The links are found
-    by one search over complex (pixel run, time) keys, which numpy compares
-    in that order exactly, and the chains by pointer doubling.
+def _refractory(t, pixel, key, last_emit, refractory_us):
+    """Mask of the events, in (step, level, pixel) order, that come
+    refractory_us or more after their pixel's last kept one; last_emit
+    follows the kept ones. A pixel has at most one event per (step, level)
+    key, so the events of one key are checked together, key by key.
     """
-    head = np.append(True, pixel[1:] != pixel[:-1])
-    keep = t >= np.where(head, last_emit[pixel], np.roll(t, 1)) + refractory_us
-    if not keep.all():
-        key = np.cumsum(head) - 1 + 1j * t
-        idx = np.flatnonzero(t >= np.maximum.accumulate(key).imag)
-        key, m, heads = key[idx], idx.size, np.flatnonzero(head[idx])
-        # a search that runs to the pixel's end points at m: no event
-        end = np.append(heads[1:], m)
-        link = np.maximum(np.searchsorted(key, key + 1j * refractory_us), np.arange(1, m + 1))
-        link = np.append(np.where(link == end[key.real.astype(np.intp)], m, link), m)
-        first = np.searchsorted(key, np.arange(heads.size)
-                                + 1j * (last_emit[pixel[idx[heads]]] + refractory_us))
-        chained = np.zeros(m + 1, dtype=bool)
-        chained[np.where(first == end, m, first)] = True
-        # round i marks the links 2**i to 2**(i+1) - 1 along every chain
-        while not np.all((hop := link[chained]) == m):
-            chained[hop] = True
-            link = link[link]
-        keep[:] = False
-        keep[idx[chained[:m]]] = True
+    keep = np.empty(t.size, dtype=bool)
+    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+    for a, b in zip(np.append(0, cuts), np.append(cuts, t.size)):
+        p, ta = pixel[a:b], t[a:b]
+        ok = keep[a:b] = ta >= last_emit[p] + refractory_us
+        last_emit[p[ok]] = ta[ok]
     return keep
 
 
@@ -645,7 +663,7 @@ def _generate(
     n_steps = int(round(duration_s * 1e6 / step_us))
     l_ref = latent([0.0])[0]
     last_emit = np.full(ys.shape[0], -1e18)
-    work = np.empty((_BLOCK_STEPS, ys.shape[0])), np.empty((_BLOCK_STEPS + 1, ys.shape[0]))
+    work = _walk_arrays(ys.shape[0])
     blocks = []
     for b in range(0, n_steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, n_steps - b)
@@ -705,9 +723,14 @@ def simulate(
     byte-identical stream.
     """
     z0 = scene.depth_planes[0].depth_m
-    truth = [cfg.scaled(z0 / plane.depth_m) for plane in scene.depth_planes]
-    planes = [(plane.region, scene.pattern if plane.pattern is None else plane.pattern, plane_cfg)
-              for plane, plane_cfg in zip(scene.depth_planes, truth)]
+    planes = []
+    truth = []
+    for plane in scene.depth_planes:
+        plane_cfg = cfg.scaled(z0 / plane.depth_m)
+        pattern = plane.pattern if plane.pattern is not None else scene.pattern
+        planes.append((plane.region, pattern, plane_cfg))
+        truth.append(plane_cfg)
+
     events = _generate(
         planes, scene.contrast, geometry, duration_s, threshold, step_us, refractory_us,
         np.random.default_rng(seed), noise_rate_hz,

@@ -27,6 +27,7 @@ from evosc.sim import (
     _active_pixels,
     _crossings,
     _latent_sampler,
+    _walk_arrays,
     camera_offset,
     motor_speed,
     project,
@@ -667,7 +668,7 @@ def _planes(scene, cfg):
 
 def _search(n_pix):
     """_crossings with its work arrays, called as the oracle is."""
-    work = np.empty((_BLOCK_STEPS, n_pix)), np.empty((_BLOCK_STEPS + 1, n_pix))
+    work = _walk_arrays(n_pix)
     return lambda *args: _crossings(*args, work)
 
 
@@ -725,6 +726,20 @@ CROSSING_SCENES = {
     "dense_checker": (SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
                       _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48), 300),
 }
+
+
+@pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
+def test_walk_in_column_chunks(monkeypatch, name):
+    """Walking the pixels 300 at a time, the last chunk short, emits what one
+    walk over all of them does."""
+    import evosc.sim as sim_module
+
+    scene, cfg, geom, n_steps = CROSSING_SCENES[name]
+    planes = _planes(scene, cfg)
+    whole = _block_crossings(planes, scene.contrast, geom, n_steps)
+    monkeypatch.setattr(sim_module, "_WALK_PIXELS", 300)
+    assert _active_pixels(planes, scene.contrast, DEFAULT_THRESHOLD, geom)[0].size > 300
+    _assert_same(_block_crossings(planes, scene.contrast, geom, n_steps), whole)
 
 
 @pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
