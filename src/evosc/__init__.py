@@ -10,13 +10,10 @@ __version__ = "0.1.0"
 
 from .core import (  # noqa: F401
     EVENT_DTYPE,
-    AccumFrame,
-    BinaryFrame,
     SensorGeometry,
-    accumulate,
-    binarize,
     make_events,
     validate_events,
+    window_counts,
 )
 from .io import read_events, write_events  # noqa: F401
 from .sim import (  # noqa: F401
@@ -60,8 +57,7 @@ from .compensate import (  # noqa: F401
     states_from_config,
 )
 from .metrics import (  # noqa: F401
-    EdgeReport,
-    edge_pipeline,
+    edge_stats,
     frame_variance,
     gradient_magnitude,
     shannon_entropy,

@@ -540,16 +540,20 @@ class MetricsSection:
     edges: bool = True
 
     def __post_init__(self):
-        if not math.isfinite(self.window_ms) or self.window_us < 1:
+        if not math.isfinite(self.window_ms) or self.window_ms < 0.001:
             raise ConfigError(f"window_ms must be finite and at least 0.001 (1 us), "
                               f"got {self.window_ms}")
         if not math.isfinite(self.blur_sigma):
             raise ConfigError(f"blur_sigma must be finite, got {self.blur_sigma}")
+        if self.blur_sigma < 0:
+            raise ConfigError(f"blur_sigma must be non-negative (0 is no blur), "
+                              f"got {self.blur_sigma}")
 
     @property
     def window_us(self) -> int:
-        """The window length in whole microseconds, as metrics_stage windows."""
-        return int(self.window_ms * 1000)
+        """The window length rounded to the nearest microsecond, as
+        metrics_stage windows."""
+        return round(self.window_ms * 1000)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Core event-stream types: events, sensor geometry, accumulated frames.
+"""Core event-stream types: events, sensor geometry, per-window counts.
 
 An event stream is a packed numpy structured array (one record per event)
 sorted by timestamp. Timestamps are integer microseconds, coordinates are
@@ -7,6 +7,7 @@ pixel indices, polarity is +1 (brightness increase) or -1 (decrease).
 
 from __future__ import annotations
 
+import bisect
 import numbers
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -169,52 +170,24 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
         )
 
 
-@dataclass
-class AccumFrame:
-    """Per-pixel event counts over a half-open time window [t0, t1) in µs."""
-
-    counts: np.ndarray
-    t0: int
-    t1: int
-
-    @property
-    def width(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.counts.shape[0]
-
-
-@dataclass
-class BinaryFrame:
-    """Boolean occupancy frame: a pixel is set when it saw at least one event."""
-
-    bits: np.ndarray
-    t0: int
-    t1: int
-
-
-def accumulate(events: np.ndarray, window: tuple[int, int], geometry: SensorGeometry) -> AccumFrame:
-    """Count events per pixel over the half-open window [t0, t1)."""
-    t0, t1 = int(window[0]), int(window[1])
-    if t1 <= t0:
-        raise ConfigError(f"window must satisfy t1 > t0, got [{t0}, {t1})")
-    t = events["t"]
-    lo, hi = np.searchsorted(t, [t0, t1], side="left")
-    sel = events[lo:hi]
-    flat = sel["y"].astype(np.int64) * geometry.width + sel["x"].astype(np.int64)
-    counts = np.bincount(flat, minlength=geometry.width * geometry.height)
-    counts = counts.reshape(geometry.height, geometry.width)
-    return AccumFrame(counts=counts, t0=t0, t1=t1)
-
-
-def binarize(frame: AccumFrame) -> BinaryFrame:
-    return BinaryFrame(bits=frame.counts > 0, t0=frame.t0, t1=frame.t1)
-
-
-def window_starts(t_begin: int, t_end: int, window_us: int) -> np.ndarray:
-    """Start times of the disjoint windows tiling [t_begin, t_end)."""
+def window_counts(events: np.ndarray, geometry: SensorGeometry, t_begin: int, t_end: int,
+                  window_us: int) -> np.ndarray:
+    """Per-pixel event counts of the disjoint windows [t, t + window_us)
+    tiling [t_begin, t_end), as an (n, H, W) stack; the last window may end
+    past t_end. Each window is one bincount into the stack."""
     if window_us <= 0:
         raise ConfigError(f"window length must be positive, got {window_us}")
-    return np.arange(int(t_begin), int(t_end), int(window_us), dtype=np.int64)
+    if t_end <= t_begin:
+        raise ConfigError(f"window range must satisfy t_end > t_begin, got [{t_begin}, {t_end})")
+    n = len(range(t_begin, t_end, window_us))
+    # bisect the records' strided time field in place: np.searchsorted would
+    # first copy all of it
+    t = events["t"]
+    bounds = [bisect.bisect_left(t, t_begin + i * window_us) for i in range(n + 1)]
+    px = geometry.width * geometry.height
+    stack = np.empty((n, px), dtype=np.intp)
+    for i in range(n):
+        sel = events[bounds[i]:bounds[i + 1]]
+        stack[i] = np.bincount(sel["y"].astype(np.int64) * geometry.width + sel["x"],
+                               minlength=px)
+    return stack.reshape(n, geometry.height, geometry.width)

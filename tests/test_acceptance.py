@@ -233,19 +233,17 @@ def test_criterion_08_metric_formulas():
     idempotence, and component counts against a flood-fill oracle on 100
     random 64x64 bitmaps."""
     with _report(8, "metric formula spot checks and oracles"):
-        from evosc.core import AccumFrame, BinaryFrame
-
         bits = np.zeros((4, 4), dtype=bool)
         bits[0] = True
-        h = shannon_entropy(BinaryFrame(bits=bits, t0=0, t1=1))
+        h = shannon_entropy(bits)
         assert abs(h - 0.8113) <= 1e-4, h
 
-        var = frame_variance(AccumFrame(counts=np.array([[0, 0], [2, 2]]), t0=0, t1=1))
+        var = frame_variance(np.array([[0, 0], [2, 2]]))
         assert var == pytest.approx(1.0)
 
         counts = np.zeros((2, 3))
         counts[:, 1] = 3.0
-        grad = gradient_magnitude(AccumFrame(counts=counts, t0=0, t1=1))
+        grad = gradient_magnitude(counts)
         assert grad == pytest.approx(2.0)
 
         rng = np.random.default_rng(0)

@@ -373,7 +373,20 @@ class TestPipeline:
     FROZEN_SAMPLES = {
         "samples.csv": "494ef438ebc4f5e93ea8dfb1bb68e21e71c02da42c07ca299abfc6a120279c0d",
     }
+    # sha256 of the metrics path's artifacts as the per-window frame types wrote
+    # them, same run
+    FROZEN_METRICS = {
+        "metrics_raw.csv": "496bd7cc1b1e05d8cf16e92507a1711de70a2dcf2e56dbb36ad0bea76d479079",
+        "metrics_compensated.csv":
+            "a4960061ea646c5a74dcf52bd27f8d0864b299f260e659a6e3429b3d5634b7ed",
+        "report.json": "b58ffa5aad594066f5681ff6aba848ffbc477b762de5c5e5c8fbc45a279a16f2",
+    }
     SHORT_CONFIG = {**PIPELINE_CONFIG, "scene": {**PIPELINE_CONFIG["scene"], "duration_s": 0.2}}
+
+    def test_metrics_artifacts_match_frozen_digest(self, tmp_path):
+        run_pipeline(self.SHORT_CONFIG, tmp_path, seed=3)
+        for name, want in self.FROZEN_METRICS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
     def test_tracking_compensation_matches_frozen_digest(self, tmp_path):
         # the library walk: compensate_stream filters the samples itself, on the
@@ -477,12 +490,20 @@ class TestPipeline:
          "tracker.patches[0]: cx and cy must be finite, got (nan, 32.0)"),
         ({"tracker": {"patches": [{"cx": 32.0, "cy": 32.0}, {"cx": 8.0, "cy": "-Infinity"}]}},
          "tracker.patches[1]: cx and cy must be finite, got (8.0, -inf)"),
+        ({"metrics": {"blur_sigma": -2}},
+         "metrics: blur_sigma must be non-negative (0 is no blur), got -2.0"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:
             run_pipeline({**PIPELINE_CONFIG, **block}, tmp_path / "run")
         assert str(err.value) == message
         assert not (tmp_path / "run").exists()
+
+    def test_window_ms_rounds_to_the_nearest_us(self):
+        # 1.005 * 1000 is 1004.9999999999999, which int() would cut to 1004
+        config = from_section(PipelineConfig, {**PIPELINE_CONFIG, "metrics": {"window_ms": 1.005}})
+        assert config.metrics.window_us == 1005
+        assert MetricsSection().window_us == 10_000
 
     def test_stage_failure_names_the_stage(self, tmp_path, monkeypatch):
         # an OSError, KeyError or ValueError inside a stage is a StageError

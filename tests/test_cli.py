@@ -129,6 +129,14 @@ def test_metrics_csv(workdir):
     assert lines[0].startswith("t0_us,entropy,variance")
     assert len(lines) == 1 + 30  # 600 ms / 20 ms
 
+
+def test_metrics_window_ms_rounds_to_the_nearest_us(workdir):
+    out = workdir / "metrics_1005us.csv"
+    assert main(["metrics", "--events", str(workdir / "events.evt"),
+                 "--window-ms", "1.005", "--no-edges", "--out", str(out)]) == 0
+    t0 = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert len(t0) > 1 and set(np.diff(t0).tolist()) == {1005}
+
 def test_freq_report(workdir, capsys):
     assert main(["freq", "--events", str(workdir / "events.evt"),
                  "--patch", "16", "16", "10", "--trials", "2",

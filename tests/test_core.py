@@ -7,13 +7,11 @@ from evosc import core
 from evosc.core import (
     EVENT_DTYPE,
     SensorGeometry,
-    accumulate,
-    binarize,
     empty_events,
     from_section,
     make_events,
     validate_events,
-    window_starts,
+    window_counts,
 )
 from evosc.errors import BoundsError, ConfigError, OrderingError
 
@@ -134,45 +132,40 @@ def event_streams(draw, max_n=200, width=32, height=24):
 @settings(max_examples=50, deadline=None)
 def test_accumulate_conserves_in_window_events(ev, t0, span):
     geom = SensorGeometry(width=32, height=24)
-    frame = accumulate(ev, (t0, t0 + span), geom)
+    counts = window_counts(ev, geom, t0, t0 + span, span)
     in_window = int(np.count_nonzero((ev["t"] >= t0) & (ev["t"] < t0 + span)))
-    assert int(frame.counts.sum()) == in_window
-    assert frame.counts.shape == (24, 32)
+    assert counts.shape == (1, 24, 32)
+    assert int(counts.sum()) == in_window
 
 
 def test_accumulate_window_is_half_open():
     geom = SensorGeometry(width=4, height=4)
     ev = make_events([10, 20], [1, 2], [1, 2], [1, 1])
-    frame = accumulate(ev, (10, 20), geom)
-    assert frame.counts[1, 1] == 1
-    assert frame.counts[2, 2] == 0
+    (counts,) = window_counts(ev, geom, 10, 20, 10)
+    assert counts[1, 1] == 1
+    assert counts[2, 2] == 0
 
 
 def test_accumulate_rejects_empty_window():
     geom = SensorGeometry(width=4, height=4)
     with pytest.raises(ConfigError):
-        accumulate(empty_events(), (5, 5), geom)
+        window_counts(empty_events(), geom, 5, 5, 10)
 
 
-def test_binarize_thresholds_at_one_event():
-    geom = SensorGeometry(width=3, height=3)
-    ev = make_events([0, 1, 2], [1, 1, 2], [1, 1, 0], [1, -1, 1])
-    bits = binarize(accumulate(ev, (0, 10), geom)).bits
-    assert bits[1, 1] and bits[0, 2]
-    assert bits.sum() == 2
+@given(event_streams(), st.integers(0, 1000), st.integers(1, 12_000), st.integers(1, 3000))
+@settings(max_examples=50, deadline=None)
+def test_window_counts_tile_the_range(ev, t0, extra, w):
+    # ceil(extra / w) windows from t0, the last one possibly running past t0 + extra
+    geom = SensorGeometry(width=32, height=24)
+    counts = window_counts(ev, geom, t0, t0 + extra, w)
+    n = -(-extra // w)
+    assert counts.shape == (n, 24, 32)
+    t = ev["t"].astype(np.int64)
+    assert counts.sum(axis=(1, 2)).tolist() == [
+        int(np.count_nonzero((t >= t0 + i * w) & (t < t0 + (i + 1) * w))) for i in range(n)]
 
 
-@given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 97))
-def test_window_starts_tile_the_range(t0, extra, w):
-    t1 = t0 + extra
-    starts = window_starts(t0, t1, w)
-    assert len(starts) == -(-extra // w)  # ceil division
-    if len(starts):
-        assert starts[0] == t0
-        assert starts[-1] < t1
-        assert np.all(np.diff(starts) == w)
-
-
-def test_window_starts_rejects_bad_width():
+def test_window_counts_rejects_bad_width():
+    geom = SensorGeometry(width=4, height=4)
     with pytest.raises(ConfigError):
-        window_starts(0, 10, 0)
+        window_counts(empty_events(), geom, 0, 10, 0)

@@ -7,17 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from evosc import metrics
-from evosc.core import AccumFrame, BinaryFrame, SensorGeometry, accumulate, make_events
+from evosc.core import SensorGeometry, make_events, window_counts
 from evosc.errors import ConfigError
 from evosc.metrics import (
-    EdgeReport,
     count_junctions,
-    edge_pipeline,
+    edge_stats,
     frame_variance,
     gaussian_blur,
     gradient_magnitude,
@@ -40,55 +39,55 @@ from oracles import (
 )
 
 
-def bin_frame(bits):
-    return BinaryFrame(bits=np.asarray(bits, dtype=bool), t0=0, t1=1)
-
-
-def acc_frame(counts):
-    return AccumFrame(counts=np.asarray(counts), t0=0, t1=1)
-
-
 class TestEntropy:
     def test_extremes_are_zero(self):
-        assert shannon_entropy(bin_frame(np.zeros((4, 4)))) == 0.0
-        assert shannon_entropy(bin_frame(np.ones((4, 4)))) == 0.0
+        assert shannon_entropy(np.zeros((4, 4))) == 0.0
+        assert shannon_entropy(np.ones((4, 4))) == 0.0
 
     def test_half_occupancy_is_one_bit(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[:2] = True
-        assert shannon_entropy(bin_frame(bits)) == pytest.approx(1.0)
+        assert shannon_entropy(bits) == pytest.approx(1.0)
 
     def test_quarter_occupancy_frozen_value(self):
         bits = np.zeros((4, 4), dtype=bool)
         bits[0] = True
-        assert shannon_entropy(bin_frame(bits)) == pytest.approx(ENTROPY_QUARTER,
-                                                                 rel=1e-12)
+        assert shannon_entropy(bits) == pytest.approx(ENTROPY_QUARTER, rel=1e-12)
 
     @given(st.integers(0, 64))
     def test_matches_reference_and_symmetry(self, k):
         bits = np.zeros(64, dtype=bool)
         bits[:k] = True
-        h = shannon_entropy(bin_frame(bits.reshape(8, 8)))
+        h = shannon_entropy(bits.reshape(8, 8))
         assert h == pytest.approx(bernoulli_entropy_reference(k / 64), abs=1e-12)
-        h_flip = shannon_entropy(bin_frame(~bits.reshape(8, 8)))
+        h_flip = shannon_entropy(~bits.reshape(8, 8))
         assert h == pytest.approx(h_flip, abs=1e-12)
 
     def test_empty_frame_rejected(self):
         with pytest.raises(ConfigError):
-            shannon_entropy(bin_frame(np.zeros((0, 0))))
+            shannon_entropy(np.zeros((0, 0)))
+
+    def test_one_event_occupies_a_pixel(self):
+        # counts 2 and 1 on a 3x3 frame: two of nine pixels are occupied
+        geom = SensorGeometry(width=3, height=3)
+        ev = make_events([0, 1, 2], [1, 1, 2], [1, 1, 0], [1, -1, 1])
+        (counts,) = window_counts(ev, geom, 0, 10, 10)
+        assert counts[1, 1] == 2 and counts[0, 2] == 1
+        assert shannon_entropy(counts) == pytest.approx(bernoulli_entropy_reference(2 / 9),
+                                                        abs=1e-12)
 
 
 class TestVarianceAndGradient:
     def test_variance_hand_case(self):
         # counts {0,0,2,2}: mean 1, population variance 1
-        assert frame_variance(acc_frame([[0, 0], [2, 2]])) == pytest.approx(1.0)
+        assert frame_variance(np.array([[0, 0], [2, 2]])) == pytest.approx(1.0)
 
     def test_variance_constant_frame_is_zero(self):
-        assert frame_variance(acc_frame(np.full((5, 5), 3))) == 0.0
+        assert frame_variance(np.full((5, 5), 3)) == 0.0
 
     @given(hnp.arrays(np.int32, (6, 7), elements=st.integers(0, 50)))
     def test_variance_matches_numpy(self, counts):
-        assert frame_variance(acc_frame(counts)) == pytest.approx(
+        assert frame_variance(counts) == pytest.approx(
             float(np.var(counts.astype(float)))
         )
 
@@ -98,16 +97,16 @@ class TestVarianceAndGradient:
         counts[:, 1] = 3.0
         # gx: col0 +3, col1 -3, col2 0 (trailing); gy all 0
         want = np.mean([3.0, 3.0, 0.0, 3.0, 3.0, 0.0])
-        assert gradient_magnitude(acc_frame(counts)) == pytest.approx(want)
+        assert gradient_magnitude(counts) == pytest.approx(want)
 
     def test_gradient_flat_frame_is_zero(self):
-        assert gradient_magnitude(acc_frame(np.full((4, 4), 7))) == 0.0
+        assert gradient_magnitude(np.full((4, 4), 7)) == 0.0
 
     def test_empty_frames_rejected(self):
         with pytest.raises(ConfigError):
-            frame_variance(acc_frame(np.zeros((0, 0))))
+            frame_variance(np.zeros((0, 0)))
         with pytest.raises(ConfigError):
-            gradient_magnitude(acc_frame(np.zeros((0, 0))))
+            gradient_magnitude(np.zeros((0, 0)))
 
 
 class TestBlur:
@@ -267,16 +266,12 @@ class TestJunctions:
 
 class TestEdgePipeline:
     def test_empty_frame_reports_zeros(self):
-        report = edge_pipeline(acc_frame(np.zeros((16, 16), dtype=np.int32)))
-        assert report == EdgeReport(0, 0.0, 0, 0, 1)
+        assert edge_stats(np.zeros((16, 16), dtype=np.int32)) == (0, 0.0, 0)
 
     def test_straight_line_passthrough(self):
         counts = np.zeros((9, 44), dtype=np.int32)
         counts[4, 2:42] = 1
-        report = edge_pipeline(acc_frame(counts), blur_sigma=0.0)
-        assert report.num_components == 1
-        assert report.avg_contour_length == 40.0
-        assert report.junction_count == 0
+        assert edge_stats(counts, blur_sigma=0.0) == (1, 40.0, 0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_stream_rows_are_each_window_alone(self, geom64, seed, monkeypatch):
@@ -288,21 +283,21 @@ class TestEdgePipeline:
                          rng.integers(0, 64, n), rng.choice([-1, 1], n))
         rows = stream_metrics(ev, geom64, 0, 80_000, window_us=5_000, blur_sigma=1.0)
         for r in rows:
-            edge = edge_pipeline(accumulate(ev, (r.t0, r.t0 + 5_000), geom64), blur_sigma=1.0)
-            assert (r.num_components, r.avg_contour_length, r.junction_count) == (
-                edge.num_components, edge.avg_contour_length, edge.junction_count)
+            (counts,) = window_counts(ev, geom64, r.t0, r.t0 + 5_000, 5_000)
+            assert (r.num_components, r.avg_contour_length, r.junction_count) == edge_stats(
+                counts, blur_sigma=1.0)
         assert rows[-1].num_components == 0  # windows past the stream are empty
         assert any(r.num_components > 0 for r in rows)
-        monkeypatch.setattr(metrics, "_EDGE_BLOCK_PX", 3 * 64 * 64)  # stacks of three
+        monkeypatch.setattr(metrics, "_BLOCK_PX", 3 * 64 * 64)  # stacks of three
         assert stream_metrics(ev, geom64, 0, 80_000, window_us=5_000, blur_sigma=1.0) == rows
 
     def test_two_separated_blobs(self):
         counts = np.zeros((32, 32), dtype=np.int32)
         counts[6:10, 6:10] = 8
         counts[22:26, 22:26] = 8
-        report = edge_pipeline(acc_frame(counts), blur_sigma=0.8)
-        assert report.num_components == 2
-        assert report.avg_contour_length > 0
+        components, length, _ = edge_stats(counts, blur_sigma=0.8)
+        assert components == 2
+        assert length > 0
 
 
 def test_stream_metrics_windows_and_fields(geom64):
@@ -336,27 +331,43 @@ def _edge_stream():
     (3_999, 6_001, 1000),  # the middle window is empty
     (20_000, 20_001, 1000),  # past the stream
 ])
-def test_stream_metrics_counts_match_whole_stream_accumulate(monkeypatch, t_begin, t_end,
-                                                              window_us):
+def test_stream_metrics_counts_match_whole_stream_accumulate(t_begin, t_end, window_us):
+    # window_counts against each event counted into its window and pixel, and
+    # stream_metrics' rows scored on those windows
     geom = SensorGeometry(width=8, height=6)
     ev = _edge_stream()
-    seen = []
-
-    def recording(events, window, geometry):
-        frame = accumulate(events, window, geometry)
-        seen.append(frame)
-        return frame
-
-    monkeypatch.setattr(metrics, "accumulate", recording)
-    rows = stream_metrics(ev, geom, t_begin, t_end, window_us=window_us)
     starts = list(range(t_begin, t_end, window_us))
+    want = np.zeros((len(starts), 6, 8), dtype=int)
+    for t, x, y in zip(ev["t"].tolist(), ev["x"].tolist(), ev["y"].tolist()):
+        i = (t - t_begin) // window_us
+        if 0 <= i < len(starts):
+            want[i, y, x] += 1
+    counts = window_counts(ev, geom, t_begin, t_end, window_us)
+    np.testing.assert_array_equal(counts, want)
+    rows = stream_metrics(ev, geom, t_begin, t_end, window_us=window_us)
     assert [r.t0 for r in rows] == starts
-    assert [(f.t0, f.t1) for f in seen] == [(t0, t0 + window_us) for t0 in starts]
-    for frame in seen:
-        whole = accumulate(ev, (frame.t0, frame.t1), geom)
-        assert np.array_equal(frame.counts, whole.counts)
+    assert [r.variance for r in rows] == frame_variance(counts).tolist()
     if t_begin == 3_999:
-        assert seen[1].counts.sum() == 0
+        assert counts[1].sum() == 0
+
+
+@given(hnp.arrays(np.intp, st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9)),
+                  elements=st.integers(0, 12)))
+@example(np.zeros((1, 1, 1), dtype=np.intp))
+@example(np.ones((1, 1, 7), dtype=np.intp))
+@example(np.full((1, 7, 1), 3, dtype=np.intp))
+@settings(max_examples=60, deadline=None)
+def test_stack_functions_equal_each_frame_alone(stack):
+    # with an all-zero and an all-occupied frame in every stack
+    stack = np.concatenate([np.zeros_like(stack[:1]), stack, stack[:1] + 1])
+    for fn in (shannon_entropy, frame_variance, gradient_magnitude):
+        got = fn(stack).tolist()
+        assert got == [fn(frame) for frame in stack]
+        assert got == [fn(frame[None])[0] for frame in stack]
+    got = list(zip(*(a.tolist() for a in edge_stats(stack, blur_sigma=1.0))))
+    assert got == [edge_stats(frame, blur_sigma=1.0) for frame in stack]
+    assert got == [tuple(a[0] for a in edge_stats(frame[None], blur_sigma=1.0))
+                   for frame in stack]
 
 
 def test_stream_metrics_without_edges_skips_structural(geom64):
