@@ -1,10 +1,11 @@
 """Per-event motion compensation.
 
 Each event is moved back into the virtual (static) camera frame by
-subtracting the predicted oscillatory offset at its timestamp. The stream is
-walked block by block (_BLOCK events, so the temporaries stay cache-sized),
-and within a block the offset is evaluated once per distinct timestamp, one
-cosine per axis, then repeated over the events sharing it. Compensated
+subtracting the predicted oscillatory offset at its timestamp. The stream,
+and to_events' packing, are walked in blocks by core.map_blocks, which
+splits them across threads with the same output bit for bit whatever the
+CPU count; within a block the offset is evaluated once per distinct
+timestamp, one cosine per axis, then repeated over the events sharing it. Compensated
 coordinates are kept both real-valued and rounded; rounded coordinates
 falling outside the sensor are clamped and flagged rather than dropped, so
 event count and order are always preserved.
@@ -13,9 +14,10 @@ Tracking mode maps each event with the filter state after the last sample
 strictly before it, from a table of one phasor per sample. The table is
 given (the pipeline builds it from the ekf stage's traces), or built by
 walking the samples once, advancing the caller's states in place; no events
-are buffered between samples. A stream cut into consecutive chunks, with the
-states carried from chunk to chunk, compensates bit-identically to one call
-over the whole stream.
+are buffered between samples. It is built on the calling thread before the
+blocks are walked, so no worker thread runs a (traced) filter step. A stream
+cut into consecutive chunks, with the states carried from chunk to chunk,
+compensates bit-identically to one call over the whole stream.
 """
 
 from __future__ import annotations
@@ -24,16 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EVENT_DTYPE, SensorGeometry
+from . import core
+from .core import EVENT_DTYPE, SensorGeometry, map_blocks
 from .ekf import NoiseConfig, SinusoidState, StateSnapshot, phasor, phasor_offset, predict, update
 from .errors import ConfigError
 from .freqest import SinusoidInit
 from .io import _write_csv
 from .sim import OscillatorConfig, wrap_angle
 from .track import delag_coefficients
-
-# events per block of the compensation walk, so that its temporaries stay in cache
-_BLOCK = 1 << 16
 
 
 @dataclass
@@ -52,14 +52,26 @@ class CompensatedEvents:
         return self.t.shape[0]
 
     def to_events(self, drop_out_of_bounds: bool = False) -> np.ndarray:
-        """Rounded-coordinate event stream (clamped, or filtered when dropping)."""
-        keep = ~self.out_of_bounds if drop_out_of_bounds else slice(None)
-        out = np.empty(int(np.count_nonzero(~self.out_of_bounds))
-                       if drop_out_of_bounds else self.t.shape[0], dtype=EVENT_DTYPE)
-        out["t"] = self.t[keep]
-        out["x"] = self.xi[keep]
-        out["y"] = self.yi[keep]
-        out["p"] = self.polarity[keep]
+        """Rounded-coordinate event stream (clamped, or filtered when
+        dropping), packed block by block through map_blocks."""
+        n, oob = self.t.shape[0], self.out_of_bounds
+        if drop_out_of_bounds:
+            kept = map_blocks(lambda lo, hi: hi - lo - int(np.count_nonzero(oob[lo:hi])), n)
+            # where each block's kept records start in the output
+            starts = np.cumsum([0] + kept).tolist()
+        out = np.empty(starts[-1] if drop_out_of_bounds else n, dtype=EVENT_DTYPE)
+
+        def pack(lo, hi):
+            if drop_out_of_bounds:
+                i = lo // core._BLOCK
+                dest, keep = out[starts[i]:starts[i + 1]], ~oob[lo:hi]
+            else:
+                dest, keep = out[lo:hi], slice(None)
+            for name, column in (("t", self.t), ("x", self.xi), ("y", self.yi),
+                                 ("p", self.polarity)):
+                dest[name] = column[lo:hi][keep]
+
+        map_blocks(pack, n)
         return out
 
 
@@ -119,14 +131,16 @@ def compensate_stream(
     else:
         raise ConfigError(f"unknown compensation mode {mode!r}")
     n = events.shape[0]
-    t_all = events["t"].copy()
+    t_all, polarity = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int8)
     x, y = np.empty(n), np.empty(n)
     xi, yi = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
     oob = np.zeros(n, dtype=bool)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
+
+    def compensate_block(lo, hi):
         block = events[lo:hi]
         t = t_all[lo:hi]
+        t[...] = block["t"]
+        polarity[lo:hi] = block["p"]
         starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
         run_t = t[starts]
         counts = np.diff(starts, append=t.shape[0])
@@ -144,10 +158,10 @@ def compensate_stream(
             # viewed unsigned, a negative coordinate is out of range too
             oob[lo:hi] |= r.view(np.uint32) >= size
             np.clip(r, 0, size - 1, out=r)
-    return CompensatedEvents(
-        t=t_all, x=x, y=y, xi=xi, yi=yi,
-        polarity=events["p"].copy(), out_of_bounds=oob,
-    )
+
+    map_blocks(compensate_block, n)
+    return CompensatedEvents(t=t_all, x=x, y=y, xi=xi, yi=yi, polarity=polarity,
+                             out_of_bounds=oob)
 
 
 def _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s):

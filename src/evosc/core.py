@@ -1,14 +1,27 @@
-"""Core event-stream types: events, sensor geometry, per-window counts.
+"""Core event-stream types: events, sensor geometry, per-window counts, and
+the block walker.
 
 An event stream is a packed numpy structured array (one record per event)
 sorted by timestamp. Timestamps are integer microseconds, coordinates are
 pixel indices, polarity is +1 (brightness increase) or -1 (decrease).
+
+map_blocks walks a stream in cache-sized blocks of _BLOCK records, split
+into one contiguous span per usable CPU: the calling thread walks the first
+and a worker thread each other one. validate_events (so read_events and
+write_events), compensate_stream and CompensatedEvents.to_events walk their
+streams through it. A block writes only its own records and the results come
+back in stream order, so the output is the same bit for bit whatever the CPU
+count; no block calls a function the benchmark traces. Importing evosc
+starts no thread: the workers are made at the first call that splits (again
+in a child made by fork).
 """
 
 from __future__ import annotations
 
 import bisect
 import numbers
+import os
+import threading
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
@@ -19,8 +32,13 @@ from .errors import BoundsError, ConfigError, OrderingError
 # Packed little-endian record layout, 13 bytes per event. This dtype is also
 # the on-disk binary record format, so streams round-trip via tobytes().
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
-# records per block of validate_events
-_VALIDATE_BLOCK = 1 << 16
+# records per block of map_blocks
+_BLOCK = 1 << 16
+# (pid, executor) of the worker threads of map_blocks, made at the first call
+# that splits; a pid other than this process's is a parent's, whose threads a
+# forked child does not have
+_pool: tuple | None = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -130,37 +148,85 @@ def empty_events() -> np.ndarray:
     return np.empty(0, dtype=EVENT_DTYPE)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _executor():
+    """This process's worker threads, one per usable CPU but the caller's."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = (os.getpid(), ThreadPoolExecutor(_cpus() - 1, "evosc-block"))
+        return _pool[1]
+
+
+def map_blocks(fn, n: int) -> list:
+    """[fn(lo, hi) for each block [lo, hi) of _BLOCK records tiling range(n)],
+    in block order.
+
+    With more than one block and more than one usable CPU, the blocks are cut
+    into one contiguous span per CPU (fewer when there are fewer blocks): the
+    calling thread walks the first span and a worker thread each other one.
+    So fn(lo, hi) writes only records [lo, hi) of the arrays it fills, and
+    calls nothing the benchmark traces. An exception from fn reaches the caller,
+    the earliest span's first, once every span has stopped.
+    """
+    blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+    spans = min(len(blocks), _cpus())
+    if spans <= 1:
+        return [fn(lo, hi) for lo, hi in blocks]
+    cuts = [len(blocks) * i // spans for i in range(spans + 1)]
+
+    def walk(span):
+        return [fn(lo, hi) for lo, hi in blocks[cuts[span]:cuts[span + 1]]]
+
+    pool = _executor()
+    futures = [pool.submit(walk, span) for span in range(1, spans)]
+    try:
+        out = walk(0)
+    finally:
+        for f in futures:
+            f.exception()  # waits; the error itself is raised below
+    for f in futures:
+        out += f.result()
+    return out
+
+
 def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) -> None:
     """Check ordering, polarity domain and (optionally) pixel bounds.
 
-    Raises OrderingError / BoundsError on the first violation found: the
-    first decreasing timestamp, else the first bad polarity, else the first
-    record out of bounds. The stream is checked _VALIDATE_BLOCK records at a
-    time, so the checks' temporaries stay cache-sized.
+    Raises OrderingError / BoundsError on the first violation: the first
+    decreasing timestamp, else the first bad polarity, else the first record
+    out of bounds. Each block of map_blocks finds its own first violations,
+    and they are taken in stream order.
     """
     if events.dtype != EVENT_DTYPE:
         raise ConfigError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
     t, pol, x, y = events["t"], events["p"], events["x"], events["y"]
-    bad_pol = bad_xy = None
-    for lo in range(0, events.shape[0], _VALIDATE_BLOCK):
-        hi = min(lo + _VALIDATE_BLOCK, events.shape[0])
+
+    def first_violations(lo, hi):
         # one record of overlap orders each block after the one before it
         first = max(lo - 1, 0)
-        decreasing = t[first + 1:hi] < t[first:hi - 1]
-        if decreasing.any():
-            i = first + 1 + int(decreasing.argmax())
-            raise OrderingError(
-                f"timestamp decreases at record {i}: {int(t[i])} < {int(t[i - 1])}"
-            )
-        if bad_pol is None:
-            pb = pol[lo:hi]
-            wrong = (pb != 1) & (pb != -1)
-            if wrong.any():
-                bad_pol = lo + int(wrong.argmax())
-        if geometry is not None and bad_xy is None:
-            outside = (x[lo:hi] >= geometry.width) | (y[lo:hi] >= geometry.height)
-            if outside.any():
-                bad_xy = lo + int(outside.argmax())
+        pb = pol[lo:hi]
+        masks = [(first + 1, t[first + 1:hi] < t[first:hi - 1]), (lo, (pb != 1) & (pb != -1)),
+                 (lo, (x[lo:hi] >= geometry.width) | (y[lo:hi] >= geometry.height)
+                  if geometry is not None else np.zeros(0, dtype=bool))]
+        return [start + int(m.argmax()) if m.any() else None for start, m in masks]
+
+    found = map_blocks(first_violations, events.shape[0])
+    bad_t, bad_pol, bad_xy = (min((f[k] for f in found if f[k] is not None), default=None)
+                              for k in range(3))
+    if bad_t is not None:
+        raise OrderingError(
+            f"timestamp decreases at record {bad_t}: {int(t[bad_t])} < {int(t[bad_t - 1])}"
+        )
     if bad_pol is not None:
         raise BoundsError(f"polarity must be +1 or -1, record {bad_pol} has {int(pol[bad_pol])}")
     if bad_xy is not None:

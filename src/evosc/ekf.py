@@ -24,6 +24,8 @@ from .sim import wrap_angle as wrap_theta
 GATE_SIGMAS = 5.0
 
 STATE_THETA, STATE_OMEGA, STATE_A, STATE_B, STATE_C = range(5)
+# read only: predict copies it, update subtracts from it
+_EYE = np.eye(5)
 
 TRACE_DTYPE = np.dtype(
     [
@@ -111,7 +113,7 @@ def predict(state: SinusoidState, t_us: int, noise: NoiseConfig) -> SinusoidStat
         raise OrderingError(f"predict to t={t_us} before state time {state.t_us}")
     dt = (t_us - state.t_us) * 1e-6
     state.theta = wrap_theta(state.theta + state.omega * dt)
-    f = np.eye(5)
+    f = _EYE.copy()
     f[STATE_THETA, STATE_OMEGA] = dt
     state.covariance = f @ state.covariance @ f.T + noise.q * dt
     state.t_us = t_us
@@ -135,14 +137,16 @@ def update(state: SinusoidState, z: float, noise: NoiseConfig) -> tuple[Sinusoid
     if abs(innovation) > GATE_SIGMAS * math.sqrt(s):
         return state, innovation, False
     k = (p @ h_jac) / s
-    mean = np.array([state.theta, state.omega, state.a, state.b, state.c]) + k * innovation
-    ikh = np.eye(5) - np.outer(k, h_jac)
-    p_new = ikh @ p @ ikh.T + noise.sigma_r**2 * np.outer(k, k)
-    state.theta = wrap_theta(float(mean[STATE_THETA]))
-    state.omega = float(mean[STATE_OMEGA])
-    state.a = float(mean[STATE_A])
-    state.b = float(mean[STATE_B])
-    state.c = float(mean[STATE_C])
+    # k[:, None] * v[None, :] is np.outer(k, v), and the mean moves by the
+    # same float adds as an array sum would make
+    ikh = _EYE - k[:, None] * h_jac[None, :]
+    p_new = ikh @ p @ ikh.T + noise.sigma_r**2 * (k[:, None] * k[None, :])
+    k_theta, k_omega, k_a, k_b, k_c = k.tolist()
+    state.theta = wrap_theta(state.theta + k_theta * innovation)
+    state.omega += k_omega * innovation
+    state.a += k_a * innovation
+    state.b += k_b * innovation
+    state.c += k_c * innovation
     state.covariance = 0.5 * (p_new + p_new.T)
     return state, innovation, True
 

@@ -5,9 +5,10 @@ DFT magnitude over a uniform angular-frequency band, pick local maxima with
 sub-bin quadratic refinement, then least-squares fit a*sin(w t) + b*cos(w t) + c
 at the chosen frequency.
 
-The spectrum has a direct O(N*K) definition and a Gaussian-gridding fast path
-(spread onto a 2x oversampled uniform grid, FFT, deconvolve the kernel) that
-matches the direct path to better than 1e-6 relative magnitude.
+The spectrum is computed by Gaussian gridding (spread onto a 2x oversampled
+uniform grid, FFT, deconvolve the kernel), which matches the direct O(N*K)
+sum to better than 1e-6 relative magnitude; the tests keep the direct sum as
+its reference.
 """
 
 from __future__ import annotations
@@ -113,32 +114,14 @@ def nudft_spectrum(
     series: NormalizedSeries,
     band: tuple[float, float] = DEFAULT_BAND,
     grid_points: int = DEFAULT_GRID_POINTS,
-    method: str = "gridded",
 ) -> Spectrum:
-    """Nonuniform DFT magnitude |sum_j v_j exp(-i w t_j)| over a uniform band.
-
-    method 'direct' evaluates the sum exactly; 'gridded' uses Gaussian-gridding
-    onto an oversampled FFT (identical to 1e-6 relative magnitude).
-    """
+    """Nonuniform DFT magnitude |sum_j v_j exp(-i w t_j)| over a uniform band,
+    by Gaussian gridding onto an oversampled FFT (equal to the direct sum to
+    1e-6 relative magnitude)."""
     check_band(band, grid_points)
     omegas = np.linspace(float(band[0]), float(band[1]), grid_points)
-    t = series.times_s
-    if method == "direct":
-        spec = _direct(series.values, t, omegas)
-    elif method == "gridded":
-        spec = _gridded(series.values, t, omegas)
-    else:
-        raise ConfigError(f"unknown spectrum method {method!r}")
-    return Spectrum(omegas=omegas, magnitudes=np.abs(spec))
-
-
-def _direct(values: np.ndarray, t: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    out = np.empty(omegas.shape[0], dtype=complex)
-    block = max(1, int(4e6 // max(1, t.shape[0])))
-    for s in range(0, omegas.shape[0], block):
-        w = omegas[s : s + block]
-        out[s : s + block] = np.exp(-1j * np.outer(w, t)) @ values.astype(complex)
-    return out
+    return Spectrum(omegas=omegas, magnitudes=np.abs(_gridded(series.values, series.times_s,
+                                                              omegas)))
 
 
 def _gridded(values: np.ndarray, t: np.ndarray, omegas: np.ndarray) -> np.ndarray:

@@ -14,7 +14,10 @@ i8 polarity).
 The records are the event array's own memory: writing streams it after the
 header, and reading a regular file checks the file's size against the header
 count, then reads straight into the array, so neither direction builds a
-copy of the whole stream.
+copy of the whole stream. Both directions check the records with
+core.validate_events, whose blocks are split across threads (see core) with
+the same result whatever the CPU count; the file is read and written on the
+calling thread, and no worker calls a function the benchmark traces.
 
 JSON artifacts (truth, estimate, report, manifest) all go through write_json.
 """

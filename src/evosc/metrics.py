@@ -92,27 +92,47 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.convolve1d(out, kernel, axis=-1, mode="reflect")
 
 
-def otsu_threshold(values: np.ndarray, bins: int = 256) -> float:
-    """Otsu's threshold over the positive support of the value distribution."""
-    support = values[values > 0]
-    if support.size == 0:
-        return 0.0
-    vmax = float(support.max())
-    if support.min() == vmax:
-        return vmax / 2.0
-    hist, edges = np.histogram(support, bins=bins, range=(0.0, vmax))
-    p = hist.astype(float) / hist.sum()
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    w0 = np.cumsum(p)
-    mu = np.cumsum(p * centers)
-    mu_total = mu[-1]
-    w1 = 1.0 - w0
-    valid = (w0 > 0) & (w1 > 0)
-    between = np.zeros_like(w0)
-    between[valid] = (mu_total * w0[valid] - mu[valid]) ** 2 / (w0[valid] * w1[valid])
-    # upper edge of the argmax bin: class 0 is "<= bin k", and binarization
-    # downstream compares strictly, so the whole bin must fall below
-    return float(edges[int(np.argmax(between)) + 1])
+def otsu_threshold(values: np.ndarray, bins: int = 256):
+    """Otsu's threshold over the positive support of a 1-D array of values,
+    or of each row (last axis) of a 2-D array. A row without support gets 0,
+    one whose support is a single value v gets v / 2.
+
+    The rows share one bincount over (row, bin) keys. A row's bins are those
+    np.histogram(support, bins, range=(0, vmax)) makes: the same edges, and
+    the same rounding of a value onto its bin.
+    """
+    rows = np.reshape(values, (-1, np.shape(values)[-1])).astype(float, copy=False)
+    support = rows > 0
+    vmax = np.max(rows, axis=1, initial=0.0)
+    vmin = np.min(rows, axis=1, where=support, initial=np.inf)
+    out = np.where(vmin == vmax, vmax / 2.0, 0.0)
+    regular = np.flatnonzero(vmin < vmax)
+    if regular.size:
+        top, support = vmax[regular], support[regular]
+        v = rows[regular][support]
+        row = np.repeat(np.arange(regular.size), np.count_nonzero(support, axis=1))
+        # np.linspace(0, top, bins + 1) of each row
+        edges = np.arange(bins + 1.0) * (top / bins)[:, None]
+        edges[:, -1] = top
+        idx = (v / top[row] * bins).astype(np.intp)
+        idx[idx == bins] -= 1
+        first = row * (bins + 1)
+        idx[v < edges.ravel()[first + idx]] -= 1
+        idx[(v >= edges.ravel()[first + idx + 1]) & (idx != bins - 1)] += 1
+        hist = np.bincount(row * bins + idx, minlength=regular.size * bins).reshape(-1, bins)
+        p = hist / hist.sum(axis=1, keepdims=True)
+        w0 = np.cumsum(p, axis=1)
+        mu = np.cumsum(p * (0.5 * (edges[:, :-1] + edges[:, 1:])), axis=1)
+        w1 = 1.0 - w0
+        valid = (w0 > 0) & (w1 > 0)
+        between = np.zeros_like(w0)
+        mu_total = np.broadcast_to(mu[:, -1:], mu.shape)
+        between[valid] = ((mu_total[valid] * w0[valid] - mu[valid]) ** 2
+                          / (w0[valid] * w1[valid]))
+        # upper edge of the argmax bin: class 0 is "<= bin k", and binarization
+        # downstream compares strictly, so the whole bin must fall below
+        out[regular] = edges[np.arange(regular.size), np.argmax(between, axis=1) + 1]
+    return out.reshape(np.shape(values)[:-1])[()]
 
 
 def _ring(p: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -195,7 +215,7 @@ def edge_stats(counts: np.ndarray, blur_sigma: float = 1.5):
     _check_frames(counts, "edge pipeline")
     stack = counts.reshape((-1,) + counts.shape[-2:])
     blurred = gaussian_blur(stack, blur_sigma)
-    thresholds = np.array([otsu_threshold(b) for b in blurred])
+    thresholds = otsu_threshold(blurred.reshape(len(blurred), -1))
     skeleton = zhang_suen_thin(blurred > thresholds[:, None, None])
     labels, count = label_components(skeleton)
     # a component lies in one frame: count each one in the frame of its pixels

@@ -171,6 +171,39 @@ def direct_nudft(times_s, values, omegas):
     return np.asarray(mags)
 
 
+def otsu_threshold_reference(values: np.ndarray, bins: int = 256) -> float:
+    """Otsu's threshold over the positive support of values, from
+    np.histogram of that support, one frame at a time."""
+    support = values[values > 0]
+    if support.size == 0:
+        return 0.0
+    vmax = float(support.max())
+    if support.min() == vmax:
+        return vmax / 2.0
+    hist, edges = np.histogram(support, bins=bins, range=(0.0, vmax))
+    p = hist.astype(float) / hist.sum()
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    w0 = np.cumsum(p)
+    mu = np.cumsum(p * centers)
+    mu_total = mu[-1]
+    w1 = 1.0 - w0
+    valid = (w0 > 0) & (w1 > 0)
+    between = np.zeros_like(w0)
+    between[valid] = (mu_total * w0[valid] - mu[valid]) ** 2 / (w0[valid] * w1[valid])
+    return float(edges[int(np.argmax(between)) + 1])
+
+
+def direct_spectrum(values: np.ndarray, t: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """|sum_j v_j exp(-i w t_j)| for each w, by the direct O(N*K) sum in
+    matrix blocks."""
+    out = np.empty(omegas.shape[0], dtype=complex)
+    block = max(1, int(4e6 // max(1, t.shape[0])))
+    for s in range(0, omegas.shape[0], block):
+        w = omegas[s : s + block]
+        out[s : s + block] = np.exp(-1j * np.outer(w, t)) @ values.astype(complex)
+    return np.abs(out)
+
+
 def gaussian_kernel_reference(sigma: float) -> np.ndarray:
     """Normalized 1-D Gaussian taps over radius ceil(3*sigma)."""
     radius = int(np.ceil(3.0 * sigma))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evosc import compensate, io as evio
+from evosc import core, io as evio
 from evosc.compensate import (
     CompensatedEvents,
     compensate_stream,
@@ -361,7 +361,8 @@ def stale_states():
 def test_blocks_and_runs_match_the_per_event_reference(case):
     """Evaluating once per run of equal timestamps, block by block, gives the
     per-event evaluation bit for bit in both modes, from the filter walk and
-    from the traces' table; unsorted streams included."""
+    from the traces' table, unsorted streams included, whether the blocks
+    are walked on one thread or split into spans over two or three."""
     ev, samples, lag_tau_s = case
     noise = NoiseConfig(sigma_r=0.2)
     su, sv = stale_states()
@@ -369,16 +370,20 @@ def test_blocks_and_runs_match_the_per_event_reference(case):
               for s, a in ((su, "u"), (sv, "v"))]
     fixed_ref = per_event_reference(ev, samples[:0], su, sv, noise, lag_tau_s)
     tracking_ref = per_event_reference(ev, samples, su, sv, noise, lag_tau_s)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(compensate, "_BLOCK", 7)
-        runs = [
-            (compensate_stream(ev, su, sv, GEOM, lag_tau_s=lag_tau_s), fixed_ref),
-            (compensate_stream(ev, *stale_states(), GEOM, mode="tracking", samples=samples,
-                               noise=noise, lag_tau_s=lag_tau_s), tracking_ref),
-            (compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
-                               phasors=trace_phasors(su, sv, *traces, lag_tau_s)),
-             tracking_ref),
-        ]
+    runs = []
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", 7)
+            mp.setattr(core, "_cpus", lambda: cpus)
+            runs += [
+                (compensate_stream(ev, su, sv, GEOM, lag_tau_s=lag_tau_s), fixed_ref),
+                (compensate_stream(ev, *stale_states(), GEOM, mode="tracking",
+                                   samples=samples, noise=noise, lag_tau_s=lag_tau_s),
+                 tracking_ref),
+                (compensate_stream(ev, su, sv, GEOM, mode="tracking", samples=samples,
+                                   phasors=trace_phasors(su, sv, *traces, lag_tau_s)),
+                 tracking_ref),
+            ]
     for comp, (ref_x, ref_y) in runs:
         np.testing.assert_array_equal(comp.x, ref_x)
         np.testing.assert_array_equal(comp.y, ref_y)
@@ -390,6 +395,36 @@ def test_blocks_and_runs_match_the_per_event_reference(case):
             (xi < 0) | (xi >= GEOM.width) | (yi < 0) | (yi >= GEOM.height))
         np.testing.assert_array_equal(comp.t, ev["t"])
         np.testing.assert_array_equal(comp.polarity, ev["p"])
+
+
+@given(st.lists(st.booleans(), max_size=40))
+@example([])
+@example([True] * 15)
+@settings(max_examples=60, deadline=None)
+def test_packing_is_the_same_for_every_span_count(oob):
+    """to_events, keeping or dropping the events out of bounds, packs the
+    records block by block over one, two or three spans exactly as one masked
+    copy of each column does; an empty stream and one whose events are all
+    out of bounds included."""
+    n = len(oob)
+    rng = np.random.default_rng(n)
+    comp = CompensatedEvents(
+        t=np.sort(rng.integers(0, 2**40, n)).astype(np.uint64), x=rng.random(n),
+        y=rng.random(n), xi=rng.integers(0, 64, n).astype(np.int32),
+        yi=rng.integers(0, 64, n).astype(np.int32),
+        polarity=rng.choice([-1, 1], n).astype(np.int8),
+        out_of_bounds=np.array(oob, dtype=bool))
+    for drop in (False, True):
+        keep = ~comp.out_of_bounds if drop else slice(None)
+        ref = make_events(comp.t[keep], comp.xi[keep], comp.yi[keep], comp.polarity[keep],
+                          validate=False)
+        for cpus in (1, 2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(core, "_BLOCK", 7)
+                mp.setattr(core, "_cpus", lambda: cpus)
+                got = comp.to_events(drop_out_of_bounds=drop)
+            assert got.dtype == ref.dtype
+            assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,3 +1,8 @@
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from evosc.core import (
     empty_events,
     from_section,
     make_events,
+    map_blocks,
     validate_events,
     window_counts,
 )
@@ -61,9 +67,10 @@ def test_bounds_checked_against_geometry():
     max_size=3))
 @settings(max_examples=80, deadline=None)
 def test_blocks_report_the_whole_stream_first_violation(n, faults):
-    """Checked 7 records at a time, a stream fails with the error a single
-    pass over it gives: the first decreasing timestamp, else the first bad
-    polarity, else the first record out of bounds, wherever blocks begin."""
+    """Checked 7 records at a time, on one thread or split into spans over
+    two or three, a stream fails with the error a single pass over it gives:
+    the first decreasing timestamp, else the first bad polarity, else the
+    first record out of bounds, wherever blocks and spans begin."""
     geom = SensorGeometry(width=8, height=6)
     ev = make_events((np.arange(n) + 1) * 1000, np.arange(n) % 8, np.arange(n) % 6,
                      np.ones(n, int))
@@ -76,16 +83,119 @@ def test_blocks_report_the_whole_stream_first_violation(n, faults):
         else:
             ev[kind][i % n] = 8
     outcomes = []
-    for block in (7, 1 << 30):
+    for block, cpus in ((7, 1), (7, 2), (7, 3), (1 << 30, 1)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(core, "_VALIDATE_BLOCK", block)
+            split(mp, block, cpus)
             try:
                 validate_events(ev, geom)
                 outcomes.append(None)
             except (OrderingError, BoundsError) as exc:
                 outcomes.append((type(exc), str(exc)))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes == outcomes[:1] * 4
     assert (outcomes[0] is None) == (not faults)
+
+
+def split(mp, block, cpus):
+    """Walk blocks of `block` records as if `cpus` CPUs were usable."""
+    mp.setattr(core, "_BLOCK", block)
+    mp.setattr(core, "_cpus", lambda: cpus)
+
+
+def valid_stream(n):
+    return make_events(np.arange(n) * 10, np.arange(n) % 8, np.arange(n) % 6, np.ones(n, int))
+
+
+def test_a_later_spans_ordering_error_beats_an_earlier_polarity_error(monkeypatch):
+    # 10 blocks over two spans: records 0-34 on the caller, 35-69 on a worker
+    split(monkeypatch, 7, 2)
+    ev = valid_stream(70)
+    ev["p"][3] = 0
+    ev["t"][50] = 0
+    with pytest.raises(OrderingError, match="record 50"):
+        validate_events(ev)
+
+
+@pytest.mark.parametrize("kind", ["order", "polarity", "x"])
+@pytest.mark.parametrize("at", [7, 35, 69])
+def test_first_bad_record_on_a_block_boundary_is_reported(monkeypatch, kind, at):
+    """A block's first record (35 also starts the second span) and the last
+    record are checked like any other."""
+    split(monkeypatch, 7, 2)
+    ev = valid_stream(70)
+    if kind == "order":
+        ev["t"][at] = ev["t"][at - 1] - 1
+    elif kind == "polarity":
+        ev["p"][at] = 2
+    else:
+        ev["x"][at] = 8
+    with pytest.raises(OrderingError if kind == "order" else BoundsError,
+                       match=f"record {at}\\b"):
+        validate_events(ev, SensorGeometry(width=8, height=6))
+
+
+@pytest.mark.parametrize("n, cpus", [(0, 3), (7, 3), (70, 1), (14, 3), (70, 2), (70, 3)])
+def test_map_blocks_walks_contiguous_spans_in_block_order(monkeypatch, n, cpus):
+    """One span per CPU, at most one per block: the caller walks the first,
+    each span is walked on one thread, and the results come back in block
+    order. With one block or one CPU every block runs on the caller."""
+    split(monkeypatch, 7, cpus)
+    got = map_blocks(lambda lo, hi: (lo, hi, threading.get_ident()), n)
+    assert [(lo, hi) for lo, hi, _ in got] == [(lo, min(lo + 7, n)) for lo in range(0, n, 7)]
+    threads = [ident for _, _, ident in got]
+    spans = min(len(got), cpus)
+    if spans <= 1:
+        assert set(threads) <= {threading.get_ident()}
+        return
+    assert threads[:len(got) // spans] == [threading.get_ident()] * (len(got) // spans)
+    assert threading.get_ident() not in threads[len(got) // spans:]
+    # a thread never comes back to a block after another thread's
+    assert threads == sorted(threads, key=threads.index)
+
+
+@pytest.mark.parametrize("bad, message", [({49}, "block 49"), ({14}, "block 14"),
+                                          ({14, 49}, "block 14")])
+def test_an_error_reaches_the_caller_once_every_span_has_stopped(monkeypatch, bad, message):
+    split(monkeypatch, 7, 2)
+    done, raised_on = [], []
+
+    def fn(lo, hi):
+        if lo in bad:
+            raised_on.append(threading.get_ident())
+            raise ValueError(f"block {lo}")
+        done.append(lo)
+
+    with pytest.raises(ValueError, match=message):
+        map_blocks(fn, 70)
+    if 49 in bad:
+        assert threading.get_ident() not in raised_on[-1:]
+        assert {35, 42} <= set(done) and not {56, 63} & set(done)
+    else:
+        # the worker's span was walked to its end before the caller's error was raised
+        assert {35, 42, 49, 56, 63} <= set(done)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_splits_blocks_again(monkeypatch):
+    """The parent's worker threads do not exist in a child made by fork: the
+    child makes its own at its first call that splits, and exits."""
+    split(monkeypatch, 7, 2)
+    assert len(set(map_blocks(lambda lo, hi: threading.get_ident(), 70))) == 2
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            threads = map_blocks(lambda lo, hi: threading.get_ident(), 70)
+            code = 0 if len(set(threads)) == 2 and threads[0] == threading.get_ident() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its call within 30 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def test_wrong_dtype_rejected():

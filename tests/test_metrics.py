@@ -34,6 +34,7 @@ from oracles import (
     brute_force_junctions,
     flood_fill_components,
     gaussian_kernel_reference,
+    otsu_threshold_reference,
     zhang_suen_deletes,
     zhang_suen_reference,
 )
@@ -149,6 +150,31 @@ class TestOtsu:
 
     def test_constant_support(self):
         assert otsu_threshold(np.array([0.0, 4.0, 4.0])) == 2.0
+
+    @given(rows=st.lists(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 2.5, 3.0]),
+                                  min_size=6, max_size=6), min_size=1, max_size=5),
+           scales=st.lists(st.floats(1e-3, 1e3), min_size=5, max_size=5),
+           jitter=st.floats(0.0, 1.0))
+    @example(rows=[[0.0] * 6, [3.0, 0, 0, 0, 0, 3.0], [1.0, 2.0, 3.0, 0, 0, 0]],
+             scales=[1.0] * 5, jitter=0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_one_histogram_per_frame(self, rows, scales, jitter):
+        """Each row's threshold is the per-frame np.histogram Otsu's, bit for
+        bit: rows without support, with one value, and values on bin edges
+        (multiples of vmax / 256) included."""
+        values = np.array(rows) * np.array(scales[:len(rows)])[:, None]
+        values[:, 0] += jitter * values.max(axis=1) / 256.0 * np.arange(len(rows))
+        got = otsu_threshold(values)
+        assert got.shape == (len(rows),)
+        assert got.tolist() == [otsu_threshold_reference(r) for r in values]
+        assert otsu_threshold(values[0]) == otsu_threshold_reference(values[0])
+
+    def test_blurred_stack_matches_one_histogram_per_frame(self):
+        rng = np.random.default_rng(4)
+        stack = gaussian_blur(rng.poisson(0.3, (12, 24, 32)), 1.5)
+        stack[3] = 0.0
+        got = otsu_threshold(stack.reshape(12, -1))
+        assert got.tolist() == [otsu_threshold_reference(f) for f in stack]
 
 
 class TestThinning:
@@ -391,13 +417,16 @@ def test_write_metrics_csv_format():
 
 
 def test_import_loads_no_scipy():
-    """scipy is imported where the edge path uses it, so a fresh
-    `import evosc` loads no scipy module, scipy.ndimage included."""
+    """scipy is imported where the edge path uses it, and the block walker's
+    worker threads are made at its first call that splits, so a fresh
+    `import evosc` loads no scipy module (scipy.ndimage included), no
+    concurrent.futures, and starts no thread."""
     import evosc
 
     env = dict(os.environ, PYTHONPATH=str(Path(evosc.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, evosc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "import sys, threading, evosc; print(sorted(m for m in sys.modules if m.split('.')[0] "
+         "in ('scipy', 'concurrent')), threading.active_count())"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 1"
