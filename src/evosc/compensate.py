@@ -5,10 +5,10 @@ subtracting the predicted oscillatory offset at its timestamp. The stream,
 and to_events' packing, are walked in blocks by core.map_blocks, which
 splits them across threads with the same output bit for bit whatever the
 CPU count; within a block the offset is evaluated once per distinct
-timestamp, one cosine per axis, then repeated over the events sharing it. Compensated
-coordinates are kept both real-valued and rounded; rounded coordinates
-falling outside the sensor are clamped and flagged rather than dropped, so
-event count and order are always preserved.
+timestamp, one cosine per axis, then repeated over the events sharing it.
+Compensated coordinates are kept both real-valued and rounded; rounded
+coordinates falling outside the sensor are clamped and flagged rather than
+dropped, so event count and order are always preserved.
 
 Tracking mode maps each event with the filter state after the last sample
 strictly before it, from a table of one phasor per sample. The table is

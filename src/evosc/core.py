@@ -175,8 +175,9 @@ def map_blocks(fn, n: int) -> list:
     into one contiguous span per CPU (fewer when there are fewer blocks): the
     calling thread walks the first span and a worker thread each other one.
     So fn(lo, hi) writes only records [lo, hi) of the arrays it fills, and
-    calls nothing the benchmark traces. An exception from fn reaches the caller,
-    the earliest span's first, once every span has stopped.
+    calls neither map_blocks (a worker would wait on itself) nor anything the
+    benchmark traces. An exception from fn reaches the caller, the earliest
+    span's first, once every span has stopped.
     """
     blocks = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
     spans = min(len(blocks), _cpus())

@@ -1,5 +1,6 @@
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -172,6 +173,50 @@ def test_an_error_reaches_the_caller_once_every_span_has_stopped(monkeypatch, ba
     else:
         # the worker's span was walked to its end before the caller's error was raised
         assert {35, 42, 49, 56, 63} <= set(done)
+
+
+def test_concurrent_callers_share_one_set_of_workers(monkeypatch):
+    """Four callers at once, each splitting into more spans than this box
+    has cores, with a short switch interval: every call gets each of its
+    blocks once and in order, and the worker threads are made once."""
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    split(monkeypatch, 7, 4)
+    monkeypatch.setattr(core, "_pool", None)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    errors = []
+    start = threading.Barrier(4)
+
+    def caller(k):
+        n = 140 + k
+        try:
+            start.wait(timeout=60.0)
+            for _ in range(50):
+                got = map_blocks(lambda lo, hi: (k, lo, hi), n)
+                assert got == [(k, lo, min(lo + 7, n)) for lo in range(0, n, 7)]
+        except (AssertionError, threading.BrokenBarrierError) as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(made) == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
