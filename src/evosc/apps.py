@@ -728,7 +728,7 @@ def compensate_stage(events, init_result: InitResult, t_ref_us: int, traces, geo
     states = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
     comp = compensate_stream(events, *states, geometry, mode="tracking", samples=samples,
                              phasors=trace_phasors(*states, *traces, tracker_tau_s))
-    # the records are built after the CSV, whose formatting is the stage's peak
+    # the stage's peak is compensate_stream's per-block work, not either writer
     write_compensated_csv(out_dir / "compensated.csv", comp)
     records = comp.to_events()
     write_events(out_dir / "compensated.evt", records, geometry)

@@ -13,13 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import closing, contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, core
 from .apps import (
     EstimateSection,
     MetricsSection,
@@ -39,7 +41,7 @@ from .compensate import compensate_stream, states_from_init, write_compensated_c
 from .core import from_section
 from .errors import EvoscError
 from .freqest import SinusoidInit
-from .io import read_events, write_events, write_json
+from .io import _evt_header, read_event_pieces, read_events, write_json
 from .track import PatchSpec, read_samples_csv
 
 
@@ -80,22 +82,51 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_compensate(args) -> int:
-    events, geometry = read_events(args.events)
+    """Fixed-state compensation from file to file in bounded memory: the
+    stream is read, compensated and appended to the output one piece at a
+    time (one block of core.map_blocks per CPU, so each piece still splits)."""
     states = _load_json(args.states)
-    init_u = _init_from_json(states["u"])
-    init_v = _init_from_json(states["v"])
-    state_u, state_v = states_from_init(init_u, init_v, int(states.get("t_ref_us", 0)))
-    comp = compensate_stream(
-        events, state_u, state_v, geometry, mode="fixed_state",
-        lag_tau_s=states.get("tracker_tau_s"),
-    )
-    if args.csv:
-        write_compensated_csv(args.out, comp)
-    else:
-        write_events(args.out, comp.to_events(), geometry)
-    n_oob = int(np.count_nonzero(comp.out_of_bounds))
-    print(f"compensated {len(comp)} events ({n_oob} clamped) to {args.out}")
+    state_u, state_v = states_from_init(_init_from_json(states["u"]), _init_from_json(states["v"]),
+                                        int(states.get("t_ref_us", 0)))
+    lag_tau_s = states.get("tracker_tau_s")
+    n_oob = 0
+    with closing(read_event_pieces(args.events, core._cpus() * core._BLOCK)) as pieces:
+        geometry, count = next(pieces)
+        with _replacing(args.out) as fh:
+            if not args.csv:
+                fh.write(_evt_header(geometry, count))
+            for i, piece in enumerate(pieces):
+                comp = compensate_stream(piece, state_u, state_v, geometry, lag_tau_s=lag_tau_s)
+                if args.csv:
+                    write_compensated_csv(fh, comp, header=i == 0)
+                else:
+                    fh.write(comp.to_events().view(np.uint8))
+                n_oob += int(np.count_nonzero(comp.out_of_bounds))
+    # the CSV keeps the real coordinates; only the .evt records are clamped
+    flagged = "out of bounds" if args.csv else "clamped"
+    print(f"compensated {count} events ({n_oob} {flagged}) to {args.out}")
     return 0
+
+
+@contextmanager
+def _replacing(dest):
+    """A binary file that becomes dest once the block ends without error. It
+    is written beside dest under a temporary name and removed if the block
+    raises, so a failed run leaves no partial file; a pipe or device is
+    written in place."""
+    dest = Path(dest)
+    if dest.exists() and not dest.is_file():
+        with open(dest, "wb") as fh:
+            yield fh
+        return
+    part = dest.with_name(f".{dest.name}.{os.getpid()}.part")
+    try:
+        with open(part, "wb") as fh:
+            yield fh
+        os.replace(part, dest)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def _init_from_json(d: dict) -> SinusoidInit:

@@ -6,9 +6,12 @@ and to_events' packing, are walked in blocks by core.map_blocks, which
 splits them across threads with the same output bit for bit whatever the
 CPU count; within a block the offset is evaluated once per distinct
 timestamp, one cosine per axis, then repeated over the events sharing it.
-Compensated coordinates are kept both real-valued and rounded; rounded
-coordinates falling outside the sensor are clamped and flagged rather than
-dropped, so event count and order are always preserved.
+The result keeps only what is computed, the real-valued coordinates; its
+t and polarity read the caller's records in place, and the rounded
+coordinates are derived block by block where they are read (to_events, or
+xi, yi and out_of_bounds). Rounded coordinates falling outside the sensor
+are clamped and flagged rather than dropped, so event count and order are
+always preserved.
 
 Tracking mode maps each event with the filter state after the last sample
 strictly before it, from a table of one phasor per sample. The table is
@@ -38,41 +41,92 @@ from .track import delag_coefficients
 
 @dataclass
 class CompensatedEvents:
-    """Column store of compensated events, same order as the input stream."""
+    """Compensated events, in the order of the input records they are read
+    from: the real-valued coordinates x and y, and the records' own t and
+    polarity. The rounded coordinates xi and yi (clamped to the sensor) and
+    the out_of_bounds mask are derived block by block where they are read."""
 
-    t: np.ndarray
+    records: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    xi: np.ndarray
-    yi: np.ndarray
-    polarity: np.ndarray
-    out_of_bounds: np.ndarray
+    geometry: SensorGeometry
 
     def __len__(self) -> int:
-        return self.t.shape[0]
+        return self.records.shape[0]
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.records["t"]
+
+    @property
+    def polarity(self) -> np.ndarray:
+        return self.records["p"]
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self._derive(0, np.int32)
+
+    @property
+    def yi(self) -> np.ndarray:
+        return self._derive(1, np.int32)
+
+    @property
+    def out_of_bounds(self) -> np.ndarray:
+        return self._derive(2, bool)
+
+    def _derive(self, k: int, dtype) -> np.ndarray:
+        """Column k of _block over the whole stream, block by block."""
+        out = np.empty(len(self), dtype=dtype)
+
+        def fill(lo, hi):
+            out[lo:hi] = self._block(lo, hi)[k]
+
+        map_blocks(fill, len(self))
+        return out
+
+    def _block(self, lo: int, hi: int):
+        """(xi, yi, out_of_bounds) of records [lo, hi)."""
+        xi, x_out = _rounded(self.x[lo:hi], self.geometry.width)
+        yi, y_out = _rounded(self.y[lo:hi], self.geometry.height)
+        return xi, yi, x_out | y_out
 
     def to_events(self, drop_out_of_bounds: bool = False) -> np.ndarray:
         """Rounded-coordinate event stream (clamped, or filtered when
         dropping), packed block by block through map_blocks."""
-        n, oob = self.t.shape[0], self.out_of_bounds
+        n = len(self)
         if drop_out_of_bounds:
-            kept = map_blocks(lambda lo, hi: hi - lo - int(np.count_nonzero(oob[lo:hi])), n)
+            kept = map_blocks(lambda lo, hi: hi - lo - int(np.count_nonzero(
+                self._block(lo, hi)[2])), n)
             # where each block's kept records start in the output
             starts = np.cumsum([0] + kept).tolist()
         out = np.empty(starts[-1] if drop_out_of_bounds else n, dtype=EVENT_DTYPE)
 
         def pack(lo, hi):
+            xi, yi, oob = self._block(lo, hi)
             if drop_out_of_bounds:
                 i = lo // core._BLOCK
-                dest, keep = out[starts[i]:starts[i + 1]], ~oob[lo:hi]
+                dest, keep = out[starts[i]:starts[i + 1]], ~oob
             else:
                 dest, keep = out[lo:hi], slice(None)
-            for name, column in (("t", self.t), ("x", self.xi), ("y", self.yi),
-                                 ("p", self.polarity)):
-                dest[name] = column[lo:hi][keep]
+            block = self.records[lo:hi]
+            for name, column in (("t", block["t"]), ("x", xi), ("y", yi), ("p", block["p"])):
+                dest[name] = column[keep]
 
         map_blocks(pack, n)
         return out
+
+
+def _rounded(real: np.ndarray, size: int):
+    """(real rounded to int32 and clamped to [0, size), where it was outside).
+    The unsafe cast takes a value that does not fit int32, NaN and the
+    infinities included, to the platform's out-of-range integer (INT32_MIN on
+    x86), so it is clamped and flagged too."""
+    r = np.empty(real.shape[0], dtype=np.int32)
+    with np.errstate(invalid="ignore"):
+        np.rint(real, out=r, casting="unsafe")
+    # viewed unsigned, a negative coordinate is out of range too
+    outside = r.view(np.uint32) >= size
+    return np.clip(r, 0, size - 1, out=r), outside
 
 
 def _delagged_phasor(state: SinusoidState | StateSnapshot, lag_tau_s: float | None):
@@ -94,7 +148,9 @@ def compensate_stream(
     lag_tau_s: float | None = None,
     phasors: np.ndarray | None = None,
 ) -> CompensatedEvents:
-    """Map events into the virtual static frame.
+    """Map events into the virtual static frame. The result reads the
+    caller's records in place (its t and polarity are views of them), and
+    events is neither copied nor changed.
 
     fixed_state mode extrapolates the given filter states across the whole
     stream. tracking mode maps each event with the state after the last
@@ -131,16 +187,11 @@ def compensate_stream(
     else:
         raise ConfigError(f"unknown compensation mode {mode!r}")
     n = events.shape[0]
-    t_all, polarity = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int8)
     x, y = np.empty(n), np.empty(n)
-    xi, yi = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-    oob = np.zeros(n, dtype=bool)
 
     def compensate_block(lo, hi):
         block = events[lo:hi]
-        t = t_all[lo:hi]
-        t[...] = block["t"]
-        polarity[lo:hi] = block["p"]
+        t = block["t"]
         starts = np.flatnonzero(np.concatenate(([True], t[1:] != t[:-1])))
         run_t = t[starts]
         counts = np.diff(starts, append=t.shape[0])
@@ -148,20 +199,13 @@ def compensate_stream(
         # sample j; all events of a run share their timestamp, hence a column
         col = 0 if sample_t is None else np.searchsorted(sample_t, run_t, side="left")
         run_t = run_t.astype(np.float64)
-        for coord, rows, real, rounded, size in (("x", table[:4], x, xi, geometry.width),
-                                                 ("y", table[4:], y, yi, geometry.height)):
+        for coord, rows, real in (("x", table[:4], x), ("y", table[4:], y)):
             real = real[lo:hi]
             real[...] = block[coord]
             real -= np.repeat(phasor_offset(*rows[:, col], run_t), counts)
-            r = rounded[lo:hi]
-            np.rint(real, out=r, casting="unsafe")
-            # viewed unsigned, a negative coordinate is out of range too
-            oob[lo:hi] |= r.view(np.uint32) >= size
-            np.clip(r, 0, size - 1, out=r)
 
     map_blocks(compensate_block, n)
-    return CompensatedEvents(t=t_all, x=x, y=y, xi=xi, yi=yi, polarity=polarity,
-                             out_of_bounds=oob)
+    return CompensatedEvents(records=events, x=x, y=y, geometry=geometry)
 
 
 def _tracking_phasors(state_u, state_v, samples, noise, lag_tau_s):
@@ -210,7 +254,8 @@ def states_from_init(
     return ekf_init(init_u, t_ref_us), ekf_init(init_v, t_ref_us)
 
 
-def write_compensated_csv(dest, comp: CompensatedEvents) -> None:
-    """Real-valued CSV variant: t_us,x,y,p with three decimals."""
-    _write_csv(dest, "t_us,x,y,p", "{},{:.3f},{:.3f},{}",
+def write_compensated_csv(dest, comp: CompensatedEvents, header: bool = True) -> None:
+    """Real-valued CSV variant: t_us,x,y,p with three decimals. Without the
+    header line, the rows of consecutive pieces of a stream append to one file."""
+    _write_csv(dest, "t_us,x,y,p" if header else None, "{},{:.3f},{:.3f},{}",
                [comp.t, comp.x, comp.y, comp.polarity])

@@ -7,13 +7,14 @@ pixel indices, polarity is +1 (brightness increase) or -1 (decrease).
 
 map_blocks walks a stream in cache-sized blocks of _BLOCK records, split
 into one contiguous span per usable CPU: the calling thread walks the first
-and a worker thread each other one. validate_events (so read_events and
-write_events), compensate_stream and CompensatedEvents.to_events walk their
-streams through it. A block writes only its own records and the results come
-back in stream order, so the output is the same bit for bit whatever the CPU
-count; no block calls a function the benchmark traces. Importing evosc
-starts no thread: the workers are made at the first call that splits (again
-in a child made by fork).
+and a worker thread each other one. These calls walk their streams through
+it: first_violations, so validate_events, read_events, write_events and each
+piece of read_event_pieces; compensate_stream; and CompensatedEvents'
+to_events, xi, yi and out_of_bounds. A block writes only its own records
+and the results come back in stream order, so the output is the same bit for
+bit whatever the CPU count; no block calls a function the benchmark traces.
+Importing evosc starts no thread: the workers are made at the first call
+that splits (again in a child made by fork).
 """
 
 from __future__ import annotations
@@ -205,36 +206,56 @@ def validate_events(events: np.ndarray, geometry: SensorGeometry | None = None) 
 
     Raises OrderingError / BoundsError on the first violation: the first
     decreasing timestamp, else the first bad polarity, else the first record
-    out of bounds. Each block of map_blocks finds its own first violations,
-    and they are taken in stream order.
+    out of bounds.
+    """
+    for error in first_violations(events, geometry):
+        if error is not None:
+            raise error
+
+
+def first_violations(events: np.ndarray, geometry: SensorGeometry | None = None,
+                     start: int = 0, t_before: int = 0) -> list:
+    """[the first decreasing timestamp, the first bad polarity, the first
+    record out of bounds] of events, each as the error validate_events raises
+    for it, or None when there is none.
+
+    Records are numbered from start, and t_before is the timestamp of the
+    record before the first, so a stream checked piece by piece gives the
+    errors of one check over the whole. Each block of map_blocks finds its
+    own first violations, and they are taken in stream order.
     """
     if events.dtype != EVENT_DTYPE:
         raise ConfigError(f"expected event dtype {EVENT_DTYPE}, got {events.dtype}")
     t, pol, x, y = events["t"], events["p"], events["x"], events["y"]
 
-    def first_violations(lo, hi):
+    def first_in_block(lo, hi):
         # one record of overlap orders each block after the one before it
         first = max(lo - 1, 0)
         pb = pol[lo:hi]
         masks = [(first + 1, t[first + 1:hi] < t[first:hi - 1]), (lo, (pb != 1) & (pb != -1)),
                  (lo, (x[lo:hi] >= geometry.width) | (y[lo:hi] >= geometry.height)
                   if geometry is not None else np.zeros(0, dtype=bool))]
-        return [start + int(m.argmax()) if m.any() else None for start, m in masks]
+        return [i + int(m.argmax()) if m.any() else None for i, m in masks]
 
-    found = map_blocks(first_violations, events.shape[0])
+    found = map_blocks(first_in_block, events.shape[0])
     bad_t, bad_pol, bad_xy = (min((f[k] for f in found if f[k] is not None), default=None)
                               for k in range(3))
+    if events.shape[0] and t[0] < t_before:
+        bad_t = 0
+    errors = [None, None, None]
     if bad_t is not None:
-        raise OrderingError(
-            f"timestamp decreases at record {bad_t}: {int(t[bad_t])} < {int(t[bad_t - 1])}"
-        )
+        before = int(t[bad_t - 1]) if bad_t else t_before
+        errors[0] = OrderingError(
+            f"timestamp decreases at record {start + bad_t}: {int(t[bad_t])} < {before}")
     if bad_pol is not None:
-        raise BoundsError(f"polarity must be +1 or -1, record {bad_pol} has {int(pol[bad_pol])}")
+        errors[1] = BoundsError(
+            f"polarity must be +1 or -1, record {start + bad_pol} has {int(pol[bad_pol])}")
     if bad_xy is not None:
-        raise BoundsError(
-            f"record {bad_xy} at ({int(x[bad_xy])}, {int(y[bad_xy])}) outside "
+        errors[2] = BoundsError(
+            f"record {start + bad_xy} at ({int(x[bad_xy])}, {int(y[bad_xy])}) outside "
             f"{geometry.width}x{geometry.height} sensor"
         )
+    return errors
 
 
 def window_counts(events: np.ndarray, geometry: SensorGeometry, t_begin: int, t_end: int,

@@ -12,12 +12,15 @@ i8 polarity).
     reserved 6 bytes  zero
 
 The records are the event array's own memory: writing streams it after the
-header, and reading a regular file checks the file's size against the header
-count, then reads straight into the array, so neither direction builds a
-copy of the whole stream. Both directions check the records with
-core.validate_events, whose blocks are split across threads (see core) with
-the same result whatever the CPU count; the file is read and written on the
-calling thread, and no worker calls a function the benchmark traces.
+header, and reading parses the header, checks a regular file's size against
+its count, then reads straight into the array; a pipe, whose size is not
+known in advance, is read the same way and its size checked at its end. So
+neither direction builds a copy of the whole stream. read_event_pieces reads
+a file the same way a piece at a time, in bounded memory. Both directions
+check the records with core.first_violations, whose blocks are split across
+threads (see core) with the same result whatever the CPU count; the file is
+read and written on the calling thread, and no worker calls a function the
+benchmark traces.
 
 JSON artifacts (truth, estimate, report, manifest) all go through write_json.
 """
@@ -29,11 +32,12 @@ import os
 import stat
 import string
 import struct
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
 
-from .core import EVENT_DTYPE, SensorGeometry, validate_events
+from .core import EVENT_DTYPE, SensorGeometry, first_violations, validate_events
 from .errors import ConfigError, FormatError
 
 MAGIC = b"EVST"
@@ -42,6 +46,8 @@ HEADER_FMT = "<4sHHHQ6s"
 HEADER_SIZE = struct.calcsize(HEADER_FMT)
 # rows per block when formatting CSV columns
 _CSV_BLOCK = 1 << 14
+# bytes per read when counting what is left of a stream
+_DRAIN = 1 << 16
 
 assert HEADER_SIZE == 24
 
@@ -49,11 +55,14 @@ assert HEADER_SIZE == 24
 def write_events(dest, events: np.ndarray, geometry: SensorGeometry) -> None:
     """Serialize an event stream as .evt to a path or writable file object."""
     validate_events(events, geometry)
-    header = struct.pack(
-        HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height,
-        events.shape[0], b"\x00" * 6,
-    )
-    _write_bytes(dest, (header, memoryview(np.ascontiguousarray(events).view(np.uint8))))
+    _write_bytes(dest, (_evt_header(geometry, events.shape[0]),
+                        memoryview(np.ascontiguousarray(events).view(np.uint8))))
+
+
+def _evt_header(geometry: SensorGeometry, count: int) -> bytes:
+    """The .evt header of a stream of count records; the records follow it."""
+    return struct.pack(HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height, count,
+                       b"\x00" * 6)
 
 
 def read_events(
@@ -66,9 +75,15 @@ def read_events(
     validated against it.
     """
     if isinstance(source, (str, os.PathLike)):
-        events, file_geom = _read_binary_file(source)
+        fh = open(source, "rb")
+        size = _regular_size(fh)
     else:
-        events, file_geom = _parse_binary(_read_bytes(source))
+        data = _read_bytes(source)
+        fh, size = BytesIO(data), len(data)
+    with fh:
+        reader = _RecordReader(fh, size)
+        events = reader.read(reader.count)
+    file_geom = reader.geometry
     if geometry is not None and (
         file_geom.width != geometry.width or file_geom.height != geometry.height
     ):
@@ -79,6 +94,85 @@ def read_events(
     geometry = geometry or file_geom
     validate_events(events, geometry)
     return events, geometry
+
+
+def read_event_pieces(path, records: int):
+    """read_events of an .evt path in bounded memory, records records at a time.
+
+    Yields (geometry, count) from the header, then the stream's records in
+    order, in arrays of up to records each (one empty array for an empty
+    stream). A piece is yielded before it is validated: the error read_events
+    raises for the file is raised after the last piece, or at the piece that
+    a short record section cuts short, so a caller keeps nothing it made of
+    the pieces until the generator is done.
+    """
+    with open(path, "rb") as fh:
+        reader = _RecordReader(fh, _regular_size(fh))
+        yield reader.geometry, reader.count
+        found, start, t_before = [None, None, None], 0, 0
+        while True:
+            piece = reader.read(records)
+            found = [f or g for f, g in zip(found, first_violations(
+                piece, reader.geometry, start, t_before))]
+            yield piece
+            if not reader.left:
+                break
+            start += piece.shape[0]
+            t_before = int(piece["t"][-1])
+    for error in found:
+        if error is not None:
+            raise error
+
+
+class _RecordReader:
+    """The records of an .evt stream, read in order after its header.
+
+    The header is parsed, and when the stream's size is given the record
+    section's size is checked, before any record is read; otherwise it is
+    checked when the records run out. Either way a bad stream raises the
+    same FormatError, header first, then size, then geometry.
+    """
+
+    def __init__(self, fh, size: int | None):
+        width, height, self.count = _read_header(fh.read(HEADER_SIZE))
+        self.fh, self.left, self.got = fh, self.count, 0
+        if size is not None:
+            _check_body(size - HEADER_SIZE, self.count)
+        try:
+            self.geometry = _header_geometry(width, height)
+        except FormatError:
+            if size is None:
+                self._check_end()
+            raise
+
+    def read(self, n: int) -> np.ndarray:
+        """The next min(n, left) records, read straight into their array."""
+        try:
+            out = np.empty(min(n, self.left), dtype=EVENT_DTYPE)
+        except (MemoryError, ValueError):
+            # no array holds that many records, so neither can the stream
+            self._check_end()
+            raise
+        got = self.fh.readinto(out.view(np.uint8))
+        self.got += got
+        self.left -= out.shape[0]
+        # a short read is the end of a short stream, or of a file that shrank
+        # after its size was checked
+        if got < out.nbytes or not self.left:
+            self._check_end()
+        return out
+
+    def _check_end(self) -> None:
+        # the rest of the stream is counted, not kept
+        while chunk := self.fh.read(_DRAIN):
+            self.got += len(chunk)
+        _check_body(self.got, self.count)
+
+
+def _regular_size(fh) -> int | None:
+    """The size of a regular file; a pipe or device has none to check in advance."""
+    st = os.fstat(fh.fileno())
+    return st.st_size if stat.S_ISREG(st.st_mode) else None
 
 
 def _read_header(head: bytes) -> tuple[int, int, int]:
@@ -112,31 +206,6 @@ def _header_geometry(width: int, height: int) -> SensorGeometry:
         raise FormatError(f"bad header geometry: {exc}", offset=6) from exc
 
 
-def _parse_binary(data: bytes) -> tuple[np.ndarray, SensorGeometry]:
-    width, height, count = _read_header(data)
-    _check_body(len(data) - HEADER_SIZE, count)
-    events = np.frombuffer(data, dtype=EVENT_DTYPE, count=count, offset=HEADER_SIZE).copy()
-    return events, _header_geometry(width, height)
-
-
-def _read_binary_file(path) -> tuple[np.ndarray, SensorGeometry]:
-    """_parse_binary of a file, with the size checked before the records are
-    allocated and the records read straight into their array."""
-    with open(path, "rb") as fh:
-        head = fh.read(HEADER_SIZE)
-        st = os.fstat(fh.fileno())
-        if not stat.S_ISREG(st.st_mode):
-            # a pipe or device has no size to check in advance
-            return _parse_binary(head + fh.read())
-        width, height, count = _read_header(head)
-        _check_body(st.st_size - HEADER_SIZE, count)
-        events = np.empty(count, dtype=EVENT_DTYPE)
-        got = fh.readinto(events.view(np.uint8))
-    # short only if the file shrank after its size was checked
-    _check_body(got, count)
-    return events, _header_geometry(width, height)
-
-
 def write_json(dest, payload: dict) -> None:
     """The package's JSON writer: indent 2, sorted keys, trailing newline.
 
@@ -149,10 +218,11 @@ def write_json(dest, payload: dict) -> None:
         dest.write(text)
 
 
-def _write_csv(dest, header: str, row_format: str, columns) -> None:
-    """The package's text writer: a header, then row i as row_format.format
-    of element i of each column (equal-length arrays), each line ending in a
-    newline. Rows are rendered and written _CSV_BLOCK at a time.
+def _write_csv(dest, header: str | None, row_format: str, columns) -> None:
+    """The package's text writer: a header (none when it is None), then row i
+    as row_format.format of element i of each column (equal-length arrays),
+    each line ending in a newline. Rows are rendered and written _CSV_BLOCK at
+    a time.
 
     When every field is "{}" of an integer column or "{:.3f}" of a float
     column (compensated.csv), a block's rows are built as digits in a uint8
@@ -174,7 +244,8 @@ def _write_csv(dest, header: str, row_format: str, columns) -> None:
     )
 
     def chunks():
-        yield (header + "\n").encode()
+        if header is not None:
+            yield (header + "\n").encode()
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
             block = [c[lo:lo + _CSV_BLOCK] for c in columns]
             yield _fixed_point_rows(fields, block) if fixed else _formatted_rows(row_format, block)

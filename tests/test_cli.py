@@ -1,13 +1,25 @@
+import io
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evosc
+from evosc import core
 from evosc.apps import estimate_motion, run_pipeline
 from evosc.cli import main
-from evosc.errors import ConfigError
-from evosc.io import read_events
+from evosc.compensate import compensate_stream, states_from_init, write_compensated_csv
+from evosc.core import make_events
+from evosc.errors import ConfigError, EvoscError
+from evosc.freqest import SinusoidInit
+from evosc.io import read_events, write_events
 from evosc.sim import (
     Disks,
     MotorParams,
@@ -119,6 +131,173 @@ def test_compensate_binary_and_csv(workdir, capsys):
                  "--out", str(out_csv)]) == 0
     header = out_csv.read_text().splitlines()[0]
     assert header == "t_us,x,y,p"
+
+
+# fixed states with an orbit of about 2.5 px, so events near the edges leave the sensor
+STATES = {"t_ref_us": 1000, "tracker_tau_s": 0.005,
+          "u": {"omega": 100.0 * math.pi, "a": 1.5, "b": -2.0, "c": 0.0},
+          "v": {"omega": 100.0 * math.pi, "a": -0.5, "b": 2.4, "c": 0.0}}
+
+
+def write_stream(path, n, seed=0, geometry=SensorGeometry(64, 64)):
+    """n events in runs of 9 equal timestamps, anywhere on the sensor."""
+    rng = np.random.default_rng(seed)
+    events = make_events((np.arange(n) // 9) * 250, rng.integers(0, geometry.width, n),
+                         rng.integers(0, geometry.height, n), rng.choice([-1, 1], n))
+    write_events(path, events, geometry)
+    return events
+
+
+def whole_stream_outputs(events_path):
+    """(.evt bytes, CSV bytes, events out of bounds) from read_events,
+    compensate_stream and the library writers over the whole stream."""
+    events, geometry = read_events(events_path)
+    states = states_from_init(SinusoidInit(**STATES["u"], residual_rms=0.0),
+                              SinusoidInit(**STATES["v"], residual_rms=0.0), STATES["t_ref_us"])
+    comp = compensate_stream(events, *states, geometry, lag_tau_s=STATES["tracker_tau_s"])
+    evt, csv = io.BytesIO(), io.BytesIO()
+    write_events(evt, comp.to_events(), geometry)
+    write_compensated_csv(csv, comp)
+    return evt.getvalue(), csv.getvalue(), int(np.count_nonzero(comp.out_of_bounds))
+
+
+def compensate_cli(events, out, *flags):
+    return main(["compensate", "--events", str(events), "--states", str(out.parent / "states.json"),
+                 *flags, "--out", str(out)])
+
+
+@pytest.mark.parametrize("n", [0, 5, 100])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_compensate_pieces_equal_the_whole_stream(tmp_path, monkeypatch, capsys, cpus, n):
+    """evosc compensate, walking the file in pieces of one 7-record block per
+    CPU, writes the bytes of the whole-stream path for .evt and --csv, with
+    runs of equal timestamps across piece boundaries; it reports the events
+    whose .evt records are clamped, and says the CSV's are out of bounds."""
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    (tmp_path / "states.json").write_text(json.dumps(STATES))
+    events = write_stream(tmp_path / "in.evt", n)
+    if n > 7 * cpus:
+        assert events["t"][7 * cpus - 1] == events["t"][7 * cpus]
+    evt, csv, n_oob = whole_stream_outputs(tmp_path / "in.evt")
+    assert n_oob > 0 or n < 100
+    for out, flags, want, flagged in ((tmp_path / "out.evt", (), evt, "clamped"),
+                                      (tmp_path / "out.csv", ("--csv",), csv, "out of bounds")):
+        assert compensate_cli(tmp_path / "in.evt", out, *flags) == 0
+        assert out.read_bytes() == want
+        assert capsys.readouterr().out == f"compensated {n} events ({n_oob} {flagged}) to {out}\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "in.evt", "out.csv", "out.evt", "states.json"]
+
+
+def feed_fifo(fifo, payload):
+    """A started thread writing payload into the named pipe fifo."""
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+def test_compensate_reads_and_writes_pipes(tmp_path, monkeypatch, capsys):
+    """A named pipe is read as a stream and written in place."""
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    (tmp_path / "states.json").write_text(json.dumps(STATES))
+    write_stream(tmp_path / "in.evt", 100)
+    evt, _, _ = whole_stream_outputs(tmp_path / "in.evt")
+    for name in ("in.fifo", "out.fifo"):
+        os.mkfifo(tmp_path / name)
+    writer = feed_fifo(tmp_path / "in.fifo", (tmp_path / "in.evt").read_bytes())
+    got = []
+    reader = threading.Thread(target=lambda: got.append((tmp_path / "out.fifo").read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert compensate_cli(tmp_path / "in.fifo", tmp_path / "out.fifo") == 0
+    for thread in (writer, reader):
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert got == [evt]
+
+
+def bad_stream(fault, n=60):
+    """The .evt bytes of n events with one fault after the first pieces."""
+    t, x, p = np.arange(n) * 10, np.arange(n) % 64, np.ones(n, dtype=int)
+    if fault in ("order", "polarity-then-order"):
+        t[45] = 5
+    if fault == "order-across-pieces":
+        t[42] = t[41] - 1  # the first record of the fourth piece
+    if fault in ("polarity", "polarity-then-order"):
+        p[20] = 3
+    if fault == "bounds":
+        x[40] = 64
+    events = make_events(t, x, np.zeros(n), p, validate=False)
+    count = n + 1 if fault == "short" else n
+    return struct.pack("<4sHHHQ6s", b"EVST", 1, 64, 64, count, b"\x00" * 6) + events.tobytes()
+
+
+@pytest.mark.parametrize("fault", ["order", "order-across-pieces", "polarity", "bounds",
+                                   "polarity-then-order", "short"])
+@pytest.mark.parametrize("source", ["file", "fifo"])
+def test_a_bad_record_in_a_later_piece_fails_like_read_events(tmp_path, monkeypatch, capsys,
+                                                               fault, source):
+    """A fault past the first pieces (and a record section cut short, which
+    only a pipe finds at its end) gives read_events' error for the file, and
+    leaves no output file behind."""
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    (tmp_path / "states.json").write_text(json.dumps(STATES))
+    payload = bad_stream(fault)
+    with pytest.raises(EvoscError) as err:
+        read_events(payload)
+    events = tmp_path / "in.evt"
+    if source == "fifo":
+        os.mkfifo(events)
+    else:
+        events.write_bytes(payload)
+    for out, flags in ((tmp_path / "out.evt", ()), (tmp_path / "out.csv", ("--csv",))):
+        writer = feed_fifo(events, payload) if source == "fifo" else None
+        assert compensate_cli(events, out, *flags) == 1
+        assert capsys.readouterr().err == f"[compensate] {err.value}\n"
+        if writer is not None:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["in.evt", "states.json"]
+
+
+# The child's peak resident set. Linux carries the parent's resident set
+# into a child's ru_maxrss at exec, so the peak is read from VmHWM, which
+# counts from the exec.
+CHILD_PEAK = """
+import sys
+from evosc.cli import main
+assert main(sys.argv[1:]) == 0
+with open("/proc/self/status") as fh:
+    print(next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_compensate_runs_in_bounded_memory(tmp_path):
+    """The peak resident set of evosc compensate, each run in a fresh
+    process, grows by less than 20 MB from 1e6 to 4e6 events (52 MB of
+    records), for .evt and for CSV output; the whole-stream path grows by
+    about 180 MB."""
+    (tmp_path / "states.json").write_text(json.dumps(STATES))
+    env = {**os.environ, "PYTHONPATH": str(Path(evosc.__file__).parents[1])}
+    peaks = {}
+    for n in (1_000_000, 4_000_000):
+        write_stream(tmp_path / "in.evt", n, geometry=SensorGeometry(1280, 720))
+        for flags in ((), ("--csv",)):
+            out = subprocess.run(
+                [sys.executable, "-c", CHILD_PEAK, "compensate", "--events",
+                 str(tmp_path / "in.evt"), "--states", str(tmp_path / "states.json"), *flags,
+                 "--out", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True, timeout=300, check=True)
+            peaks[n, flags] = int(out.stdout.split()[-1]) / 1024.0  # KiB on Linux
+    for flags in ((), ("--csv",)):
+        assert peaks[4_000_000, flags] - peaks[1_000_000, flags] < 20.0, peaks
 
 
 def test_metrics_csv(workdir):

@@ -397,6 +397,30 @@ def test_blocks_and_runs_match_the_per_event_reference(case):
         np.testing.assert_array_equal(comp.polarity, ev["p"])
 
 
+def parent_rounding(comp):
+    """(xi, yi, out_of_bounds) as compensate_stream stored them before they
+    were derived: each whole column rounded with np.rint into int32
+    (casting="unsafe"), flagged where the uint32 view is past the sensor, then
+    clipped."""
+    rounded, oob = [], np.zeros(len(comp), dtype=bool)
+    for real, size in ((comp.x, comp.geometry.width), (comp.y, comp.geometry.height)):
+        r = np.empty(real.shape[0], dtype=np.int32)
+        with np.errstate(invalid="ignore"):
+            np.rint(real, out=r, casting="unsafe")
+        oob |= r.view(np.uint32) >= size
+        np.clip(r, 0, size - 1, out=r)
+        rounded.append(r)
+    return rounded[0], rounded[1], oob
+
+
+def compensated(t, x, y, p, geometry=GEOM):
+    """A CompensatedEvents of records (t, 0, 0, p) and real coordinates x, y."""
+    return CompensatedEvents(records=make_events(t, np.zeros(len(t)), np.zeros(len(t)), p,
+                                                 validate=False),
+                             x=np.asarray(x, dtype=np.float64),
+                             y=np.asarray(y, dtype=np.float64), geometry=geometry)
+
+
 @given(st.lists(st.booleans(), max_size=40))
 @example([])
 @example([True] * 15)
@@ -408,15 +432,18 @@ def test_packing_is_the_same_for_every_span_count(oob):
     out of bounds included."""
     n = len(oob)
     rng = np.random.default_rng(n)
-    comp = CompensatedEvents(
-        t=np.sort(rng.integers(0, 2**40, n)).astype(np.uint64), x=rng.random(n),
-        y=rng.random(n), xi=rng.integers(0, 64, n).astype(np.int32),
-        yi=rng.integers(0, 64, n).astype(np.int32),
-        polarity=rng.choice([-1, 1], n).astype(np.int8),
-        out_of_bounds=np.array(oob, dtype=bool))
+    oob = np.array(oob, dtype=bool)
+    # in bounds: within 0.49 px of a pixel; out: past an edge of the 64 px sensor
+    x = rng.integers(0, 64, n) + rng.uniform(-0.49, 0.49, n)
+    x[oob] = rng.choice([-3.7, 64.6, 1e12], np.count_nonzero(oob))
+    comp = compensated(np.sort(rng.integers(0, 2**40, n)).astype(np.uint64), x,
+                       rng.integers(0, 64, n) + rng.uniform(-0.49, 0.49, n),
+                       rng.choice([-1, 1], n).astype(np.int8))
+    xi, yi, ref_oob = parent_rounding(comp)
+    np.testing.assert_array_equal(ref_oob, oob)
     for drop in (False, True):
-        keep = ~comp.out_of_bounds if drop else slice(None)
-        ref = make_events(comp.t[keep], comp.xi[keep], comp.yi[keep], comp.polarity[keep],
+        keep = ~oob if drop else slice(None)
+        ref = make_events(comp.t[keep], xi[keep], yi[keep], comp.polarity[keep],
                           validate=False)
         for cpus in (1, 2, 3):
             with pytest.MonkeyPatch.context() as mp:
@@ -425,6 +452,52 @@ def test_packing_is_the_same_for_every_span_count(oob):
                 got = comp.to_events(drop_out_of_bounds=drop)
             assert got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
+
+
+# rounding ties, signed zeros, the sensor's edges, int32's edges, values no
+# int32 holds and NaN, on the 64 px sensor
+AWKWARD = [np.nan, np.inf, -np.inf, 1e12, -1e12, 0.5, -0.5, -0.51, 0.0, -0.0, 62.5, 63.49,
+           63.5, 2.0**31 - 1, 2.0**31, -2.0**31, -2.0**31 - 1, 31.0]
+
+
+@pytest.mark.parametrize("x", [AWKWARD, [], [np.nan, -1.0, 64.0, -np.inf, 1e12]],
+                         ids=["awkward", "empty", "all-out"])
+def test_derived_columns_equal_the_stored_ones(x):
+    """xi, yi, out_of_bounds and to_events (keeping and dropping), derived
+    block by block over one, two or three spans, equal the columns the result
+    stored before they were derived."""
+    n = len(x)
+    comp = compensated(np.arange(n), x, x[::-1], np.where(np.arange(n) % 2, 1, -1))
+    xi, yi, oob = parent_rounding(comp)
+    for cpus in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(core, "_BLOCK", 4)
+            mp.setattr(core, "_cpus", lambda: cpus)
+            for got, ref in ((comp.xi, xi), (comp.yi, yi), (comp.out_of_bounds, oob)):
+                assert got.dtype == ref.dtype
+                np.testing.assert_array_equal(got, ref)
+            for drop in (False, True):
+                keep = ~oob if drop else slice(None)
+                ref = make_events(comp.t[keep], xi[keep], yi[keep], comp.polarity[keep],
+                                  validate=False)
+                assert comp.to_events(drop_out_of_bounds=drop).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["fixed_state", "tracking"])
+def test_result_reads_the_callers_records_in_place(mode):
+    """compensate_stream neither copies nor changes its input: the result's t
+    and polarity are views of the caller's records, and deriving or packing
+    the rounded coordinates leaves them as they were."""
+    ev = random_events(1000, seed=4)
+    before = ev.tobytes()
+    _, samples, _ = block_case([], [], [], [1, 2, 500], [0.0] * 6, None)
+    kwargs = {"mode": "tracking", "samples": samples, "noise": NoiseConfig()} \
+        if mode == "tracking" else {}
+    comp = compensate_stream(ev, *stale_states(), GEOM, **kwargs)
+    assert comp.records is ev
+    assert np.shares_memory(comp.t, ev) and np.shares_memory(comp.polarity, ev)
+    comp.xi, comp.yi, comp.out_of_bounds, comp.to_events(), comp.to_events(True)
+    assert ev.tobytes() == before
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -470,15 +543,7 @@ def test_throughput_bench_rejects_bad_repeats():
 
 
 def test_write_compensated_csv_format():
-    comp = CompensatedEvents(
-        t=np.array([5, 10], dtype=np.uint64),
-        x=np.array([1.23456, 2.0]),
-        y=np.array([3.5, 4.25]),
-        xi=np.array([1, 2], dtype=np.int32),
-        yi=np.array([4, 4], dtype=np.int32),
-        polarity=np.array([1, -1], dtype=np.int8),
-        out_of_bounds=np.array([False, False]),
-    )
+    comp = compensated([5, 10], [1.23456, 2.0], [3.5, 4.25], [1, -1])
     buf = io.BytesIO()
     write_compensated_csv(buf, comp)
     lines = buf.getvalue().decode().splitlines()
@@ -491,13 +556,8 @@ def test_write_compensated_csv_matches_per_row_formatting(monkeypatch):
     monkeypatch.setattr(evio, "_CSV_BLOCK", 4)
     x = np.array([-0.0004, 0.0005, -3.2, 1e4, 12345.6785, -99999.9995, 2.5e7, 0.0, 1e-12])
     y = x[::-1].copy()
-    n = x.shape[0]
-    comp = CompensatedEvents(
-        t=np.array([0, 1, 2**40, 2**63 + 7, 5, 6, 7, 8, 9], dtype=np.uint64),
-        x=x, y=y, xi=np.zeros(n, dtype=np.int32), yi=np.zeros(n, dtype=np.int32),
-        polarity=np.array([1, -1] * 4 + [1], dtype=np.int8),
-        out_of_bounds=np.zeros(n, dtype=bool),
-    )
+    comp = compensated(np.array([0, 1, 2**40, 2**63 + 7, 5, 6, 7, 8, 9], dtype=np.uint64),
+                       x, y, [1, -1] * 4 + [1])
     buf = io.BytesIO()
     write_compensated_csv(buf, comp)
     rows = [f"{int(t)},{xv:.3f},{yv:.3f},{int(p)}"

@@ -3,6 +3,7 @@ import os
 import struct
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,73 @@ def test_malformed_binary_fails_alike_from_every_source(payload, offset, tmp_pat
     assert errors.count(errors[0]) == 3
 
 
+def read_through_fifo(tmp_path, payload):
+    """read_events of a named pipe a thread writes payload into."""
+    fifo = tmp_path / "events.fifo"
+    if not fifo.exists():
+        os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(payload)
+        except BrokenPipeError:  # the reader stopped at a bad header
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return read_events(fifo)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("payload", [
+    header(3) + stream(3).tobytes(),
+    header(0),
+    header(3) + stream(3).tobytes()[:-5],
+    header(3) + stream(3).tobytes() + b"\x00" * 4,
+    header(1) + stream(3).tobytes(),
+    header(3),
+    header(2**60) + stream(5).tobytes(),
+    header(3, width=0) + stream(3).tobytes(),
+    header(3, width=0) + stream(3).tobytes()[:-1],
+])
+def test_pipe_reads_like_a_regular_file(payload, tmp_path):
+    """A pipe has no size to check before the records are read into their
+    array, yet an exact, short or long record section (or a bad header
+    geometry) gives the regular file's events, or its FormatError and
+    offset."""
+    (tmp_path / "file.evt").write_bytes(payload)
+    results = []
+    for read in (lambda: read_events(tmp_path / "file.evt"),
+                 lambda: read_through_fifo(tmp_path, payload)):
+        try:
+            events, geom = read()
+            results.append((events.tobytes(), geom))
+        except FormatError as err:
+            results.append((str(err), err.offset))
+    assert results[0] == results[1]
+
+
+def test_pipe_read_holds_the_stream_once(tmp_path):
+    """The records of a pipe are read straight into their array: the read
+    allocates little more than the stream itself."""
+    ev = stream(1)[np.zeros(200_000, dtype=int)]
+    payload = header(ev.shape[0]) + ev.tobytes()
+    tracemalloc.start()
+    try:
+        back, _ = read_through_fifo(tmp_path, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == ev.tobytes()
+    # the array and small change; reading the whole body as bytes first
+    # would hold it two or three times
+    assert peak < ev.nbytes + (1 << 20)
+
+
 def test_count_mismatch_surplus_bytes():
     buf = io.BytesIO()
     write_events(buf, stream(3), GEOM)
@@ -241,10 +309,9 @@ def test_fixed_point_csv_matches_format_on_a_million_values():
     y = -x[::-1]
     t = rng.integers(0, 2**64 - 1, n, dtype=np.uint64, endpoint=True)
     t[:4] = [0, 9, 2**64 - 1, 2**63]
-    comp = CompensatedEvents(t=t, x=x, y=y, xi=np.zeros(n, dtype=np.int32),
-                             yi=np.zeros(n, dtype=np.int32),
-                             polarity=rng.choice(np.array([-1, 1], dtype=np.int8), n),
-                             out_of_bounds=np.zeros(n, dtype=bool))
+    records = make_events(t, np.zeros(n), np.zeros(n),
+                          rng.choice(np.array([-1, 1], dtype=np.int8), n), validate=False)
+    comp = CompensatedEvents(records=records, x=x, y=y, geometry=GEOM)
     assert n % evio._CSV_BLOCK != 0
     buf = io.BytesIO()
     write_compensated_csv(buf, comp)
