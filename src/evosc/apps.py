@@ -7,6 +7,9 @@ min_detectable_distance    bisection on the pixel-displacement formula
 absolute_depth    stereo-style depth from a known physical motion baseline
 run_pipeline      every stage in order, writing its artifacts and a manifest
 *_stage           one function per pipeline stage, also behind the CLI subcommands
+
+The applications take the tracker's tau_s and emit_period_s; the rest are the
+pipeline's defaults. estimate_motion and the ekf stage share _filter_axes.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from .freqest import (
     DEFAULT_BAND,
     DEFAULT_GRID_POINTS,
     InitResult,
-    _axis_peaks,
     check_band,
     fit_sinusoid,
-    fuse_axis_peaks,
     initialize,
 )
 from .io import write_events, write_json
@@ -103,33 +104,25 @@ def estimate_motion(
     patch: PatchSpec,
     tau_s: float = DEFAULT_TAU_S,
     emit_period_s: float = DEFAULT_EMIT_PERIOD_S,
-    min_weight: float = DEFAULT_MIN_WEIGHT,
-    band: tuple[float, float] = DEFAULT_BAND,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    noise: NoiseConfig | None = None,
     tracker_id: int = 0,
-    warmup_s: float | None = None,
 ) -> MotionEstimate:
-    """Track one patch, initialize from its spectrum, then filter every sample.
+    """Track one patch, initialize from its spectrum, then filter every sample,
+    each with the pipeline's defaults.
 
-    warmup_s defaults to 3*tau_s: the tracker centroid starts at the patch
-    centre, and samples emitted before it forgets that start would bias both
-    the fit and the first filter updates.
+    The tracker drops its first DEFAULT_WARMUP_TAUS * tau_s of samples: its
+    centroid starts at the patch centre, and samples emitted before it
+    forgets that start would bias both the fit and the first filter updates.
     """
-    noise = noise or NoiseConfig()
-    tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s,
-                              min_weight=min_weight, warmup_s=warmup_s)
-    samples = tracking.tracker(patch, tracker_id).run(events)
+    samples = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s).tracker(
+        patch, tracker_id).run(events)
     if samples.shape[0] < 8:
         raise InsufficientDataError(
             f"patch at ({patch.cx}, {patch.cy}) produced {samples.shape[0]} samples"
         )
-    init_result = initialize(samples, band=band, grid_points=grid_points)
+    init_result = initialize(samples)
     t_ref = int(samples["t"][0])
-    state_u = ekf_init(init_result.init_u, t_ref)
-    state_v = ekf_init(init_result.init_v, t_ref)
-    state_u, trace_u = filter_samples(samples, state_u, noise, axis="u")
-    state_v, trace_v = filter_samples(samples, state_v, noise, axis="v")
+    (state_u, state_v), (trace_u, trace_v) = _filter_axes(samples, init_result, t_ref,
+                                                         NoiseConfig())
     return MotionEstimate(
         omega=init_result.omega,
         init_result=init_result,
@@ -161,13 +154,9 @@ def estimate_scene_frequency(
     events: np.ndarray,
     patch: PatchSpec,
     trials: int = 10,
-    band: tuple[float, float] = DEFAULT_BAND,
-    grid_points: int = DEFAULT_GRID_POINTS,
     tau_s: float = DEFAULT_TAU_S,
     emit_period_s: float = DEFAULT_EMIT_PERIOD_S,
-    min_weight: float = DEFAULT_MIN_WEIGHT,
     truth_hz: float | None = None,
-    warmup_s: float | None = None,
 ) -> FrequencyReport:
     """Dominant motion frequency from disjoint independent trials.
 
@@ -179,8 +168,7 @@ def estimate_scene_frequency(
         raise ConfigError("trials must be at least 1")
     if events.shape[0] == 0:
         raise InsufficientDataError("empty event stream")
-    tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s,
-                              min_weight=min_weight, warmup_s=warmup_s)
+    tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s)
     t0, t1 = int(events["t"][0]), int(events["t"][-1])
     if t1 <= t0:
         raise InsufficientDataError("event stream has zero time span")
@@ -193,9 +181,7 @@ def estimate_scene_frequency(
         samples = tracking.tracker(patch).run(events[bounds[i]:bounds[i + 1]])
         if samples.shape[0] < 8:
             raise InsufficientDataError(f"trial {i} produced {samples.shape[0]} samples")
-        peaks_u = _axis_peaks(samples, "u", band, grid_points)
-        peaks_v = _axis_peaks(samples, "v", band, grid_points)
-        omega = _refine_omega(samples, fuse_axis_peaks(peaks_u, peaks_v), band, grid_points)
+        omega = _refine_omega(samples, initialize(samples).omega)
         hz = omega / (2.0 * math.pi)
         if hz > nyquist_hz:
             aliased = True
@@ -214,24 +200,24 @@ def estimate_scene_frequency(
     return report
 
 
-def _refine_omega(samples, omega, band, grid_points, span_bins: float = 2.0) -> float:
+def _refine_omega(samples, omega) -> float:
     """Polish the peak by minimizing the sinusoid-fit residual around it.
 
     Two error sources pull the raw spectral peak: grid quantization, and on
     short windows the negative-frequency lobe leaking into the positive one.
     The least-squares sinusoid fit models both lobes, so its residual is a
     smooth function of omega with an unbiased minimum. Search within half a
-    Rayleigh width (pi / window span) or span_bins grid steps, whichever is
-    wider, so the leakage bias stays inside the bracket.
+    Rayleigh width (pi / window span) or two grid steps of the default band,
+    whichever is wider, so the leakage bias stays inside the bracket.
     """
     from scipy.optimize import minimize_scalar
 
-    step = (band[1] - band[0]) / (grid_points - 1)
+    step = (DEFAULT_BAND[1] - DEFAULT_BAND[0]) / (DEFAULT_GRID_POINTS - 1)
     t = samples["t"]
     t_span_s = max(float(t[-1] - t[0]) * 1e-6, 1e-9)
-    span = max(span_bins * step, math.pi / t_span_s)
-    lo = max(band[0], omega - span)
-    hi = min(band[1], omega + span)
+    span = max(2.0 * step, math.pi / t_span_s)
+    lo = max(DEFAULT_BAND[0], omega - span)
+    hi = min(DEFAULT_BAND[1], omega + span)
 
     def cost(w: float) -> float:
         ru = fit_sinusoid(samples, "u", w).residual_rms
@@ -297,7 +283,7 @@ def _converged_amplitude(est: MotionEstimate) -> PlaneEstimate:
     )
 
 
-def _plane_amplitude(events, patches, first_id, **estimate_kwargs):
+def _plane_amplitude(events, patches, first_id, tau_s, emit_period_s):
     """Mean converged amplitude across one plane's trackers."""
     if isinstance(patches, PatchSpec):
         patches = [patches]
@@ -305,7 +291,7 @@ def _plane_amplitude(events, patches, first_id, **estimate_kwargs):
         raise ConfigError("each plane needs at least one patch")
     estimates = [
         _converged_amplitude(
-            estimate_motion(events, p, tracker_id=first_id + i, **estimate_kwargs)
+            estimate_motion(events, p, tau_s, emit_period_s, tracker_id=first_id + i)
         )
         for i, p in enumerate(patches)
     ]
@@ -317,15 +303,18 @@ def relative_depth(
     patch_plane_1,
     patch_plane_2,
     truth_ratio: float | None = None,
-    **estimate_kwargs,
+    tau_s: float = DEFAULT_TAU_S,
+    emit_period_s: float = DEFAULT_EMIT_PERIOD_S,
 ) -> DepthRatioReport:
     """Amplitude ratio of two planes; equals the inverse depth ratio Z2/Z1.
 
     Each plane takes a PatchSpec or a sequence of them; per-plane amplitude is
-    the mean over that plane's trackers.
+    the mean over that plane's trackers, each an estimate_motion with tau_s
+    and emit_period_s.
     """
-    amp1, ests1 = _plane_amplitude(events, patch_plane_1, 1, **estimate_kwargs)
-    amp2, ests2 = _plane_amplitude(events, patch_plane_2, 1 + len(ests1), **estimate_kwargs)
+    amp1, ests1 = _plane_amplitude(events, patch_plane_1, 1, tau_s, emit_period_s)
+    amp2, ests2 = _plane_amplitude(events, patch_plane_2, 1 + len(ests1), tau_s,
+                                   emit_period_s)
     if amp2 <= 0:
         raise UnreliableEstimateError("plane 2 amplitude is zero")
     return DepthRatioReport(
@@ -339,11 +328,6 @@ def relative_depth(
 
 # ---------------------------------------------------------------------------
 # detectability and absolute depth
-
-
-def fov_from_geometry(geometry) -> float:
-    """Vertical field of view (rad) of a pinhole sensor: 2*atan((h/2)/f)."""
-    return 2.0 * math.atan2(geometry.height / 2.0, geometry.focal_length_px)
 
 
 def pixel_displacement(distance_m: float, fov_rad: float, resolution_px: int, radius_m: float) -> float:
@@ -361,12 +345,11 @@ def min_detectable_distance(
     resolution_px: int,
     radius_m: float,
     pixel_threshold: float = 1.0,
-    tol_m: float = 1e-9,
 ) -> float:
     """Largest distance whose displacement still reaches pixel_threshold.
 
     Solves pixel_displacement(d) = pixel_threshold by bisection on the
-    monotone-decreasing displacement curve.
+    monotone-decreasing displacement curve, to within 1e-9 m.
     """
     if not (0 < fov_rad < math.pi):
         raise ConfigError(f"fov must be in (0, pi), got {fov_rad}")
@@ -380,7 +363,7 @@ def min_detectable_distance(
         hi *= 2.0
         if hi > 1e9:
             raise ConfigError("displacement never falls below threshold")
-    while hi - lo > tol_m:
+    while hi - lo > 1e-9:
         mid = 0.5 * (lo + hi)
         if pixel_displacement(mid, fov_rad, resolution_px, radius_m) >= pixel_threshold:
             lo = mid
@@ -707,12 +690,20 @@ def estimate_stage(section: EstimateSection, samples: np.ndarray, tracker_tau_s:
 
 def ekf_stage(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfig,
               out_dir: Path):
-    """Filter both axes from the init; writes ekf_trace_{u,v}.csv and returns
-    the final (state_u, state_v) and the (trace_u, trace_v) they came through."""
+    """_filter_axes; writes ekf_trace_{u,v}.csv and returns its (states, traces)."""
+    states, traces = _filter_axes(samples, init_result, t_ref_us, noise)
+    for axis, trace in zip("uv", traces):
+        write_trace_csv(out_dir / f"ekf_trace_{axis}.csv", trace)
+    return states, traces
+
+
+def _filter_axes(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfig):
+    """Filter each axis from its init at t_ref_us through every sample;
+    returns the final (state_u, state_v) and the (trace_u, trace_v) they came
+    through. estimate_motion and the ekf stage both filter through it."""
     states, traces = [], []
     for axis, init in (("u", init_result.init_u), ("v", init_result.init_v)):
         state, trace = filter_samples(samples, ekf_init(init, t_ref_us), noise, axis=axis)
-        write_trace_csv(out_dir / f"ekf_trace_{axis}.csv", trace)
         states.append(state)
         traces.append(trace)
     return tuple(states), tuple(traces)

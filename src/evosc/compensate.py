@@ -31,11 +31,12 @@ import numpy as np
 
 from . import core
 from .core import EVENT_DTYPE, SensorGeometry, map_blocks
-from .ekf import NoiseConfig, SinusoidState, StateSnapshot, phasor, phasor_offset, predict, update
+from .ekf import NoiseConfig, SinusoidState, StateSnapshot, phasor, predict, update
+from .ekf import init as ekf_init
 from .errors import ConfigError
 from .freqest import SinusoidInit
 from .io import _write_csv
-from .sim import OscillatorConfig, wrap_angle
+from .sim import OscillatorConfig, phasor_offset, wrap_angle
 from .track import delag_coefficients
 
 
@@ -249,8 +250,6 @@ def states_from_init(
     init_u: SinusoidInit, init_v: SinusoidInit, t_ref_us: int = 0
 ) -> tuple[SinusoidState, SinusoidState]:
     """Filter states from per-axis least-squares fits (theta = 0 at t_ref)."""
-    from .ekf import init as ekf_init
-
     return ekf_init(init_u, t_ref_us), ekf_init(init_v, t_ref_us)
 
 

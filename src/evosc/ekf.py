@@ -163,17 +163,12 @@ def phasor(state: SinusoidState | StateSnapshot) -> tuple[float, float, float, f
     """(amp, phase0, omega_per_us, t0_us) of the oscillatory part of h(x).
 
     a*sin(theta) + b*cos(theta) = amp*cos(theta - psi) with psi = atan2(a, b),
-    so the offset at time t is phasor_offset(amp, phase0, omega_per_us, t0_us, t).
+    so the offset at time t is sim.phasor_offset(amp, phase0, omega_per_us, t0_us, t).
     Scalar math, so a phasor is the same to the last bit however it is batched.
     """
     amp = math.hypot(state.a, state.b)
     psi = math.atan2(state.a, state.b) if amp > 0 else 0.0
     return amp, state.theta - psi, state.omega * 1e-6, float(state.t_us)
-
-
-def phasor_offset(amp, phase0, omega_per_us, t0_us, t_us):
-    """amp*cos(phase0 + omega_per_us*(t - t0)), t in us; arguments broadcast elementwise."""
-    return amp * np.cos(phase0 + omega_per_us * (t_us - t0_us))
 
 
 def filter_samples(

@@ -12,13 +12,14 @@ i8 polarity).
     reserved 6 bytes  zero
 
 The records are the event array's own memory: writing streams it after the
-header, and reading parses the header, checks a regular file's size against
-its count, then reads straight into the array; a pipe, whose size is not
-known in advance, is read the same way and its size checked at its end. So
-neither direction builds a copy of the whole stream. read_event_pieces reads
-a file the same way a piece at a time, in bounded memory. Both directions
+header, and reading parses the header, checks the size of a regular file or
+byte string against its count, then reads straight into the array; a pipe or
+an open stream, whose size is not known in advance, is read the same way and
+its size checked at its end. So neither direction builds a copy of the whole
+stream. read_event_pieces is the one reader, a piece at a time in bounded
+memory; read_events is its one piece of all the records. Both directions
 check the records with core.first_violations, whose blocks are split across
-threads (see core) with the same result whatever the CPU count; the file is
+threads (see core) with the same result whatever the CPU count; the stream is
 read and written on the calling thread, and no worker calls a function the
 benchmark traces.
 
@@ -32,6 +33,8 @@ import os
 import stat
 import string
 import struct
+import sys
+from contextlib import nullcontext
 from io import BytesIO
 from pathlib import Path
 
@@ -65,49 +68,39 @@ def _evt_header(geometry: SensorGeometry, count: int) -> bytes:
                        b"\x00" * 6)
 
 
-def read_events(
-    source, *, geometry: SensorGeometry | None = None,
-) -> tuple[np.ndarray, SensorGeometry]:
-    """Parse an .evt stream from a path, bytes, or readable file object.
+def read_events(source) -> tuple[np.ndarray, SensorGeometry]:
+    """Parse an .evt stream from a path, bytes, or an open binary stream.
 
-    Returns (events, geometry). The geometry comes from the header, or is the
-    given one, whose size the header must match. Ordering and bounds are
-    validated against it.
+    Returns (events, geometry), the geometry from the header. The stream is
+    read_event_pieces' one piece of all its records, so it is checked the
+    same way: ordering and bounds against the header's geometry.
     """
-    if isinstance(source, (str, os.PathLike)):
-        fh = open(source, "rb")
-        size = _regular_size(fh)
-    else:
-        data = _read_bytes(source)
-        fh, size = BytesIO(data), len(data)
-    with fh:
-        reader = _RecordReader(fh, size)
-        events = reader.read(reader.count)
-    file_geom = reader.geometry
-    if geometry is not None and (
-        file_geom.width != geometry.width or file_geom.height != geometry.height
-    ):
-        raise FormatError(
-            f"header geometry {file_geom.width}x{file_geom.height} does not match "
-            f"expected {geometry.width}x{geometry.height}"
-        )
-    geometry = geometry or file_geom
-    validate_events(events, geometry)
+    pieces = read_event_pieces(source, sys.maxsize)
+    geometry, _ = next(pieces)
+    [events] = pieces
     return events, geometry
 
 
-def read_event_pieces(path, records: int):
-    """read_events of an .evt path in bounded memory, records records at a time.
+def read_event_pieces(source, records: int):
+    """read_events in bounded memory, records records at a time.
 
-    Yields (geometry, count) from the header, then the stream's records in
-    order, in arrays of up to records each (one empty array for an empty
-    stream). A piece is yielded before it is validated: the error read_events
-    raises for the file is raised after the last piece, or at the piece that
-    a short record section cuts short, so a caller keeps nothing it made of
-    the pieces until the generator is done.
+    source is a path, bytes, or an open binary stream, which is read like a
+    pipe and left open. Yields (geometry, count) from the header, then the
+    stream's records in order, in arrays of up to records each (one empty
+    array for an empty stream). A piece is yielded before it is validated:
+    the error read_events raises for the stream is raised after the last
+    piece, or at the piece that a short record section cuts short, so a
+    caller keeps nothing it made of the pieces until the generator is done.
     """
-    with open(path, "rb") as fh:
-        reader = _RecordReader(fh, _regular_size(fh))
+    if isinstance(source, (str, os.PathLike)):
+        opened = open(source, "rb")
+        size = _regular_size(opened)
+    elif isinstance(source, (bytes, bytearray)):
+        opened, size = BytesIO(source), len(source)
+    else:
+        opened, size = nullcontext(source), None
+    with opened as fh:
+        reader = _RecordReader(fh, size)
         yield reader.geometry, reader.count
         found, start, t_before = [None, None, None], 0, 0
         while True:
@@ -134,7 +127,8 @@ class _RecordReader:
     """
 
     def __init__(self, fh, size: int | None):
-        width, height, self.count = _read_header(fh.read(HEADER_SIZE))
+        head = bytearray(HEADER_SIZE)
+        width, height, self.count = _read_header(bytes(head[:_read_into(fh, head)]))
         self.fh, self.left, self.got = fh, self.count, 0
         if size is not None:
             _check_body(size - HEADER_SIZE, self.count)
@@ -153,7 +147,7 @@ class _RecordReader:
             # no array holds that many records, so neither can the stream
             self._check_end()
             raise
-        got = self.fh.readinto(out.view(np.uint8))
+        got = _read_into(self.fh, out.view(np.uint8))
         self.got += got
         self.left -= out.shape[0]
         # a short read is the end of a short stream, or of a file that shrank
@@ -167,6 +161,15 @@ class _RecordReader:
         while chunk := self.fh.read(_DRAIN):
             self.got += len(chunk)
         _check_body(self.got, self.count)
+
+
+def _read_into(fh, buf) -> int:
+    """Bytes read into buf: until it is full or a read returns none, since a
+    raw stream (an unbuffered file, a pipe) may return short before its end."""
+    view, got = memoryview(buf), 0
+    while got < view.nbytes and (n := fh.readinto(view[got:])):
+        got += n
+    return got
 
 
 def _regular_size(fh) -> int | None:

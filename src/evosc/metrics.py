@@ -92,15 +92,16 @@ def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     return ndimage.convolve1d(out, kernel, axis=-1, mode="reflect")
 
 
-def otsu_threshold(values: np.ndarray, bins: int = 256):
+def otsu_threshold(values: np.ndarray):
     """Otsu's threshold over the positive support of a 1-D array of values,
     or of each row (last axis) of a 2-D array. A row without support gets 0,
     one whose support is a single value v gets v / 2.
 
     The rows share one bincount over (row, bin) keys. A row's bins are those
-    np.histogram(support, bins, range=(0, vmax)) makes: the same edges, and
+    np.histogram(support, 256, range=(0, vmax)) makes: the same edges, and
     the same rounding of a value onto its bin.
     """
+    bins = 256
     rows = np.reshape(values, (-1, np.shape(values)[-1])).astype(float, copy=False)
     support = rows > 0
     vmax = np.max(rows, axis=1, initial=0.0)

@@ -197,8 +197,8 @@ def project(
     """
     pw = np.asarray(point_w, dtype=float)
     pc = extrinsics @ np.array([pw[0], pw[1], pw[2], 1.0])
-    x = pc[0] + motion.amp_x_m * math.cos(motion.omega * t_s + motion.phi_x)
-    y = pc[1] + motion.amp_y_m * math.cos(motion.omega * t_s + motion.phi_y)
+    x = pc[0] + phasor_offset(motion.amp_x_m, motion.phi_x, motion.omega, 0.0, t_s)
+    y = pc[1] + phasor_offset(motion.amp_y_m, motion.phi_y, motion.omega, 0.0, t_s)
     z = pc[2]
     if z <= 0:
         raise BehindCameraError(f"point projects behind the camera (z = {z:.6g})")
@@ -259,12 +259,17 @@ class OscillatorConfig:
         }
 
 
+def phasor_offset(amp, phase0, omega, t0, t):
+    """amp*cos(phase0 + omega*(t - t0)), omega in radians per unit of t: the
+    package's one sinusoid evaluator. Arguments broadcast elementwise."""
+    return amp * np.cos(phase0 + omega * (t - t0))
+
+
 def camera_offset(t, cfg: OscillatorConfig):
     """Image-plane camera offset (du, dv) in pixels; vectorized over t (seconds)."""
     t = np.asarray(t, dtype=float)
-    du = cfg.amp_x_px * np.cos(cfg.omega * t + cfg.phi_x)
-    dv = cfg.amp_y_px * np.cos(cfg.omega * t + cfg.phi_y)
-    return du, dv
+    return (phasor_offset(cfg.amp_x_px, cfg.phi_x, cfg.omega, 0.0, t),
+            phasor_offset(cfg.amp_y_px, cfg.phi_y, cfg.omega, 0.0, t))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import math
 from pathlib import Path
@@ -16,7 +17,6 @@ from evosc.apps import (
     absolute_depth,
     estimate_motion,
     estimate_scene_frequency,
-    fov_from_geometry,
     min_detectable_distance,
     pixel_displacement,
     relative_depth,
@@ -24,13 +24,13 @@ from evosc.apps import (
 )
 from evosc.compensate import compensate_stream, states_from_init, write_compensated_csv
 from evosc.core import SensorGeometry, empty_events, from_section
-from evosc.ekf import NoiseConfig, amplitude_phase
+from evosc.ekf import NoiseConfig, amplitude_phase, write_trace_csv
 from evosc.errors import (
     ConfigError,
     InsufficientDataError,
     StageError,
 )
-from evosc.io import write_events
+from evosc.io import read_events, write_events
 from evosc.sim import Checkerboard, Disks, OscillatorConfig, WorldMotion
 from evosc.track import PatchSpec, lowpass_gain
 
@@ -43,10 +43,6 @@ def closed_form_distance(fov_rad, resolution_px, radius_m, threshold=1.0):
 
 
 class TestGeometryHelpers:
-    def test_fov_formula(self):
-        geom = SensorGeometry(width=640, height=480, focal_length_px=400.0)
-        assert fov_from_geometry(geom) == pytest.approx(2.0 * math.atan2(240.0, 400.0))
-
     def test_pixel_displacement_closed_form(self):
         fov, res, r = math.radians(39.0), 720, 1e-3
         for d in (0.1, 0.5, 1.0, 2.0):
@@ -406,6 +402,18 @@ class TestPipeline:
         write_compensated_csv(tmp_path / "compensated.csv", comp)
         for name, want in {**self.FROZEN_SAMPLES, **self.FROZEN_TRACKING}.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    def test_estimate_motion_filters_like_the_ekf_stage(self, tmp_path):
+        """The library's one-patch estimate and the pipeline, on the config's
+        first patch with the pipeline's defaults, write the same traces."""
+        run_pipeline(self.SHORT_CONFIG, tmp_path, seed=3)
+        config = from_section(PipelineConfig, self.SHORT_CONFIG)
+        events, _ = read_events(tmp_path / "events.evt")
+        est = estimate_motion(events, config.tracker.patches[0], tau_s=config.tracker.tau_s)
+        for axis, trace in (("u", est.trace_u), ("v", est.trace_v)):
+            buf = io.BytesIO()
+            write_trace_csv(buf, trace)
+            assert buf.getvalue() == (tmp_path / f"ekf_trace_{axis}.csv").read_bytes(), axis
 
     def test_compensation_reads_the_ekf_stage_traces(self, tmp_path, monkeypatch):
         """The pipeline walks the filter once: one filter_samples pass per

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,13 @@ import pytest
 
 import evosc
 from evosc import core
-from evosc.apps import estimate_motion, run_pipeline
+from evosc.apps import estimate_motion, estimate_scene_frequency, relative_depth, run_pipeline
 from evosc.cli import main
 from evosc.compensate import compensate_stream, states_from_init, write_compensated_csv
 from evosc.core import make_events
 from evosc.errors import ConfigError, EvoscError
 from evosc.freqest import SinusoidInit
-from evosc.io import read_events, write_events
+from evosc.io import read_events, write_events, write_json
 from evosc.sim import (
     Disks,
     MotorParams,
@@ -331,6 +332,26 @@ def test_depth_report(workdir, capsys):
                  "--patch1", "16", "16", "10", "--patch2", "48", "48", "10"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ratio"] == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize("argv, library", [
+    (["freq", "--patch", "16", "16", "10", "--trials", "2", "--truth-hz", "50"],
+     lambda events: estimate_scene_frequency(
+         events, PatchSpec(cx=16.0, cy=16.0, half_size=10), trials=2, tau_s=0.004,
+         emit_period_s=0.002, truth_hz=50.0)),
+    (["depth", "--patch1", "16", "16", "10", "--patch2", "48", "48", "10"],
+     lambda events: relative_depth(
+         events, PatchSpec(cx=16.0, cy=16.0, half_size=10),
+         PatchSpec(cx=48.0, cy=48.0, half_size=10), tau_s=0.004, emit_period_s=0.002)),
+])
+def test_freq_and_depth_print_the_library_report(workdir, capsys, argv, library):
+    """The tracker flags reach the library call: the command prints its report."""
+    assert main([*argv, "--events", str(workdir / "events.evt"),
+                 "--tau", "0.004", "--emit-period", "0.002"]) == 0
+    events, _ = read_events(workdir / "events.evt")
+    want = io.StringIO()
+    write_json(want, asdict(library(events)))
+    assert capsys.readouterr().out == want.getvalue()
 
 
 def test_mindist_frozen_value(capsys):

@@ -17,10 +17,10 @@ from evosc.compensate import (
     write_compensated_csv,
 )
 from evosc.core import SensorGeometry, make_events
-from evosc.ekf import NoiseConfig, filter_samples, phasor, phasor_offset
+from evosc.ekf import NoiseConfig, filter_samples, phasor
 from evosc.errors import ConfigError
 from evosc.freqest import SinusoidInit
-from evosc.sim import OscillatorConfig, camera_offset
+from evosc.sim import OscillatorConfig, camera_offset, phasor_offset
 from evosc.track import SAMPLE_DTYPE, delag_coefficients, lowpass_gain
 
 from timing import throughput_bench

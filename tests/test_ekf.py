@@ -16,7 +16,6 @@ from evosc.ekf import (
     filter_samples,
     init,
     phasor,
-    phasor_offset,
     predict,
     update,
     wrap_theta,
@@ -24,6 +23,7 @@ from evosc.ekf import (
 )
 from evosc.errors import ConfigError, NumericalDegeneracyError, OrderingError
 from evosc.freqest import SinusoidInit
+from evosc.sim import phasor_offset
 
 from oracles import jacobian_fd
 

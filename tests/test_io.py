@@ -184,6 +184,23 @@ def read_through_fifo(tmp_path, payload):
         assert not writer.is_alive()
 
 
+class Trickle(io.RawIOBase):
+    """A raw stream of payload that returns at most 7 bytes per read, as an
+    unbuffered pipe may before its end."""
+
+    def __init__(self, payload):
+        self.data, self.pos = payload, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), 7, len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
 @pytest.mark.parametrize("payload", [
     header(3) + stream(3).tobytes(),
     header(0),
@@ -199,17 +216,18 @@ def test_pipe_reads_like_a_regular_file(payload, tmp_path):
     """A pipe has no size to check before the records are read into their
     array, yet an exact, short or long record section (or a bad header
     geometry) gives the regular file's events, or its FormatError and
-    offset."""
+    offset. So does a raw stream that returns a few bytes per read."""
     (tmp_path / "file.evt").write_bytes(payload)
     results = []
     for read in (lambda: read_events(tmp_path / "file.evt"),
-                 lambda: read_through_fifo(tmp_path, payload)):
+                 lambda: read_through_fifo(tmp_path, payload),
+                 lambda: read_events(Trickle(payload))):
         try:
             events, geom = read()
             results.append((events.tobytes(), geom))
         except FormatError as err:
             results.append((str(err), err.offset))
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
 
 
 def test_pipe_read_holds_the_stream_once(tmp_path):
@@ -229,18 +247,29 @@ def test_pipe_read_holds_the_stream_once(tmp_path):
     assert peak < ev.nbytes + (1 << 20)
 
 
+def test_open_file_read_holds_the_stream_once(tmp_path):
+    """An open file object is read like a pipe, straight into the records'
+    array, and left open."""
+    ev = stream(1)[np.zeros(200_000, dtype=int)]
+    path = tmp_path / "ev.evt"
+    path.write_bytes(header(ev.shape[0]) + ev.tobytes())
+    with open(path, "rb") as fh:
+        tracemalloc.start()
+        try:
+            back, _ = read_events(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not fh.closed
+    assert back.tobytes() == ev.tobytes()
+    assert peak < ev.nbytes + (1 << 20)
+
+
 def test_count_mismatch_surplus_bytes():
     buf = io.BytesIO()
     write_events(buf, stream(3), GEOM)
     with pytest.raises(FormatError, match="record section"):
         read_events(buf.getvalue() + b"\x00" * 4)
-
-
-def test_geometry_mismatch_rejected():
-    buf = io.BytesIO()
-    write_events(buf, stream(), GEOM)
-    with pytest.raises(FormatError, match="does not match"):
-        read_events(buf.getvalue(), geometry=SensorGeometry(width=8, height=8))
 
 
 def test_unsorted_binary_payload_rejected_on_read():
