@@ -29,7 +29,6 @@ from .sim import (  # noqa: F401
     WorldMotion,
     camera_offset,
     motor_speed,
-    project,
     simulate,
     simulate_moving_target,
     steady_state,
@@ -66,7 +65,6 @@ from .metrics import (  # noqa: F401
 from .apps import (  # noqa: F401
     DepthRatioReport,
     FrequencyReport,
-    absolute_depth,
     estimate_motion,
     estimate_scene_frequency,
     min_detectable_distance,

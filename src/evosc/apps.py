@@ -3,8 +3,7 @@
 estimate_motion   tracker -> spectral init -> per-axis EKF over one patch
 estimate_scene_frequency   independent disjoint trials of spectral estimation
 relative_depth    amplitude ratio of two depth planes (ratio = Z2/Z1)
-min_detectable_distance    bisection on the pixel-displacement formula
-absolute_depth    stereo-style depth from a known physical motion baseline
+min_detectable_distance    the pixel-displacement formula solved for distance
 run_pipeline      every stage in order, writing its artifacts and a manifest
 *_stage           one function per pipeline stage, also behind the CLI subcommands
 
@@ -327,17 +326,7 @@ def relative_depth(
 
 
 # ---------------------------------------------------------------------------
-# detectability and absolute depth
-
-
-def pixel_displacement(distance_m: float, fov_rad: float, resolution_px: int, radius_m: float) -> float:
-    """Peak image displacement (px) of a target at the given distance.
-
-    The mount tilts the optical axis by theta = pi/2 - atan(d/r); the image
-    shifts by tan(theta) * (res/2) / tan(fov/2).
-    """
-    theta = math.pi / 2.0 - math.atan2(distance_m, radius_m)
-    return math.tan(theta) * (resolution_px / 2.0) / math.tan(fov_rad / 2.0)
+# detectability
 
 
 def min_detectable_distance(
@@ -346,38 +335,18 @@ def min_detectable_distance(
     radius_m: float,
     pixel_threshold: float = 1.0,
 ) -> float:
-    """Largest distance whose displacement still reaches pixel_threshold.
+    """Largest distance whose peak image displacement still reaches
+    pixel_threshold.
 
-    Solves pixel_displacement(d) = pixel_threshold by bisection on the
-    monotone-decreasing displacement curve, to within 1e-9 m.
+    The mount tilts the optical axis by pi/2 - atan(d/r), which shifts the
+    image by tan(pi/2 - atan(d/r)) * F = (r/d) * F px, F = (res/2) / tan(fov/2);
+    so the distance is r * F / pixel_threshold.
     """
     if not (0 < fov_rad < math.pi):
         raise ConfigError(f"fov must be in (0, pi), got {fov_rad}")
-    if resolution_px <= 0 or radius_m <= 0 or pixel_threshold <= 0:
-        raise ConfigError("resolution, radius and threshold must be positive")
-    lo = radius_m * 1e-6
-    if pixel_displacement(lo, fov_rad, resolution_px, radius_m) < pixel_threshold:
-        raise ConfigError("displacement below threshold even at zero distance")
-    hi = radius_m
-    while pixel_displacement(hi, fov_rad, resolution_px, radius_m) >= pixel_threshold:
-        hi *= 2.0
-        if hi > 1e9:
-            raise ConfigError("displacement never falls below threshold")
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if pixel_displacement(mid, fov_rad, resolution_px, radius_m) >= pixel_threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def absolute_depth(amplitude_px: float, baseline_m: float, focal_px: float) -> float:
-    """Depth from the stereo identity: the physical motion is the baseline and
-    the image amplitude is the disparity, so depth = f * baseline / amplitude."""
-    if amplitude_px <= 0 or baseline_m <= 0 or focal_px <= 0:
-        raise ConfigError("amplitude, baseline and focal length must be positive")
-    return focal_px * baseline_m / amplitude_px
+    if not (resolution_px > 0 and 0 < radius_m < math.inf and 0 < pixel_threshold < math.inf):
+        raise ConfigError("resolution, radius and threshold must be positive and finite")
+    return radius_m * (resolution_px / 2.0) / math.tan(fov_rad / 2.0) / pixel_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +649,6 @@ def primary_samples(samples: np.ndarray) -> np.ndarray:
 def estimate_stage(section: EstimateSection, samples: np.ndarray, tracker_tau_s: float, dest):
     """Spectral init over one tracker's samples; writes the estimate JSON to dest
     (a path or a text stream) and returns (init_result, t_ref_us)."""
-    if samples.shape[0] == 0:
-        raise InsufficientDataError("no tracker samples to estimate from")
     init_result = initialize(samples, band=section.band_rad_s, grid_points=section.grid_points)
     t_ref = int(samples["t"][0])
     write_json(dest, _estimate_json(init_result, t_ref, tracker_tau_s))
@@ -761,7 +728,7 @@ def report_stage(seed: int, init_result: InitResult, states, tracker_tau_s: floa
 
 def _estimate_json(init_result: InitResult, t_ref_us: int, tracker_tau_s: float | None) -> dict:
     def axis(init, peaks):
-        return None if init is None else {**asdict(init), "peaks": [asdict(p) for p in peaks]}
+        return {**asdict(init), "peaks": [asdict(p) for p in peaks]}
 
     return {
         "omega_rad_s": init_result.omega,

@@ -39,7 +39,7 @@ from .apps import (
 )
 from .compensate import compensate_stream, states_from_init, write_compensated_csv
 from .core import from_section
-from .errors import EvoscError
+from .errors import ConfigError, EvoscError
 from .freqest import SinusoidInit
 from .io import _evt_header, read_event_pieces, read_events, write_json
 from .track import PatchSpec, read_samples_csv
@@ -129,7 +129,9 @@ def _replacing(dest):
         raise
 
 
-def _init_from_json(d: dict) -> SinusoidInit:
+def _init_from_json(d) -> SinusoidInit:
+    if not isinstance(d, dict):
+        raise ConfigError(f"a states axis must be an object, got {json.dumps(d)}")
     return SinusoidInit(
         omega=float(d["omega"]), a=float(d["a"]), b=float(d["b"]),
         c=float(d["c"]), residual_rms=float(d.get("residual_rms", 0.0)),

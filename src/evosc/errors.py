@@ -54,10 +54,6 @@ class ResonanceError(EvoscError):
     """Undamped oscillator driven exactly at resonance has no finite response."""
 
 
-class BehindCameraError(EvoscError):
-    """Projected point has non-positive depth in the camera frame."""
-
-
 class UnreliableEstimateError(EvoscError):
     """Estimator failed its convergence gate; the result would be meaningless."""
 

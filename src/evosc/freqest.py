@@ -79,8 +79,8 @@ class SinusoidInit:
 @dataclass
 class InitResult:
     omega: float
-    init_u: SinusoidInit | None
-    init_v: SinusoidInit | None
+    init_u: SinusoidInit
+    init_v: SinusoidInit
     peaks_u: list = field(default_factory=list)
     peaks_v: list = field(default_factory=list)
 
@@ -244,12 +244,13 @@ def initialize(
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> InitResult:
     """Spectral peak search (gridded, DEFAULT_NUM_PEAKS per axis) plus
-    per-axis sinusoid fits at the fused frequency."""
+    per-axis sinusoid fits at the fused frequency. Each fit has three
+    coefficients, so fewer than 3 samples are an InsufficientDataError."""
+    if samples.shape[0] < 3:
+        raise InsufficientDataError(f"need at least 3 samples, got {samples.shape[0]}")
     peaks_u = _axis_peaks(samples, "u", band, grid_points)
     peaks_v = _axis_peaks(samples, "v", band, grid_points)
     omega = fuse_axis_peaks(peaks_u, peaks_v)
-    init_u = fit_sinusoid(samples, "u", omega) if samples.shape[0] >= 3 else None
-    init_v = fit_sinusoid(samples, "v", omega) if samples.shape[0] >= 3 else None
-    return InitResult(
-        omega=omega, init_u=init_u, init_v=init_v, peaks_u=peaks_u, peaks_v=peaks_v
-    )
+    return InitResult(omega=omega, init_u=fit_sinusoid(samples, "u", omega),
+                      init_v=fit_sinusoid(samples, "v", omega), peaks_u=peaks_u,
+                      peaks_v=peaks_v)

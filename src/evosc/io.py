@@ -12,12 +12,14 @@ i8 polarity).
     reserved 6 bytes  zero
 
 The records are the event array's own memory: writing streams it after the
-header, and reading parses the header, checks the size of a regular file or
-byte string against its count, then reads straight into the array; a pipe or
-an open stream, whose size is not known in advance, is read the same way and
-its size checked at its end. So neither direction builds a copy of the whole
-stream. read_event_pieces is the one reader, a piece at a time in bounded
-memory; read_events is its one piece of all the records. Both directions
+header, and reading parses the header, checks the size of a seekable source
+(a regular file, a byte string, an open file) against its count, then reads
+straight into the array; a pipe, whose size is not known in advance, is read
+into an array that grows as its records arrive, and its size is checked at
+its end. So neither direction builds a copy of the whole stream, and a header
+whose count overstates the stream reserves no more than twice what arrives.
+read_event_pieces is the one reader, a piece at a time in bounded memory;
+read_events is its one piece of all the records. Both directions
 check the records with core.first_violations, whose blocks are split across
 threads (see core) with the same result whatever the CPU count; the stream is
 read and written on the calling thread, and no worker calls a function the
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 import string
 import struct
 import sys
@@ -51,6 +52,8 @@ HEADER_SIZE = struct.calcsize(HEADER_FMT)
 _CSV_BLOCK = 1 << 14
 # bytes per read when counting what is left of a stream
 _DRAIN = 1 << 16
+# records in the first array of a stream of unchecked size
+_GROW_FROM = 1 << 14
 
 assert HEADER_SIZE == 24
 
@@ -84,23 +87,22 @@ def read_events(source) -> tuple[np.ndarray, SensorGeometry]:
 def read_event_pieces(source, records: int):
     """read_events in bounded memory, records records at a time.
 
-    source is a path, bytes, or an open binary stream, which is read like a
-    pipe and left open. Yields (geometry, count) from the header, then the
-    stream's records in order, in arrays of up to records each (one empty
-    array for an empty stream). A piece is yielded before it is validated:
+    source is a path, bytes, or an open binary stream, which is left open.
+    Yields (geometry, count) from the header, then the stream's records in
+    order, in arrays of up to records each (one empty array for an empty
+    stream). A piece is yielded before it is validated:
     the error read_events raises for the stream is raised after the last
     piece, or at the piece that a short record section cuts short, so a
     caller keeps nothing it made of the pieces until the generator is done.
     """
     if isinstance(source, (str, os.PathLike)):
         opened = open(source, "rb")
-        size = _regular_size(opened)
     elif isinstance(source, (bytes, bytearray)):
-        opened, size = BytesIO(source), len(source)
+        opened = BytesIO(source)
     else:
-        opened, size = nullcontext(source), None
+        opened = nullcontext(source)
     with opened as fh:
-        reader = _RecordReader(fh, size)
+        reader = _RecordReader(fh)
         yield reader.geometry, reader.count
         found, start, t_before = [None, None, None], 0, 0
         while True:
@@ -120,36 +122,42 @@ def read_event_pieces(source, records: int):
 class _RecordReader:
     """The records of an .evt stream, read in order after its header.
 
-    The header is parsed, and when the stream's size is given the record
-    section's size is checked, before any record is read; otherwise it is
-    checked when the records run out. Either way a bad stream raises the
-    same FormatError, header first, then size, then geometry.
+    The header is parsed, and when the stream is seekable the size of the
+    rest of it is checked, before any record is read; otherwise it is checked
+    when the records run out. Either way a bad stream raises the same
+    FormatError, header first, then size, then geometry.
     """
 
-    def __init__(self, fh, size: int | None):
+    def __init__(self, fh):
         head = bytearray(HEADER_SIZE)
         width, height, self.count = _read_header(bytes(head[:_read_into(fh, head)]))
         self.fh, self.left, self.got = fh, self.count, 0
-        if size is not None:
-            _check_body(size - HEADER_SIZE, self.count)
+        self.sized = fh.seekable()
+        if self.sized:
+            here = fh.tell()
+            _check_body(fh.seek(0, os.SEEK_END) - here, self.count)
+            fh.seek(here)
         try:
             self.geometry = _header_geometry(width, height)
         except FormatError:
-            if size is None:
+            if not self.sized:
                 self._check_end()
             raise
 
     def read(self, n: int) -> np.ndarray:
-        """The next min(n, left) records, read straight into their array."""
-        try:
-            out = np.empty(min(n, self.left), dtype=EVENT_DTYPE)
-        except (MemoryError, ValueError):
-            # no array holds that many records, so neither can the stream
-            self._check_end()
-            raise
+        """The next min(n, left) records, read straight into their array. A
+        stream of unchecked size fills an array of _GROW_FROM records first
+        and doubles it each time it fills, so it reserves no more than twice
+        what has arrived."""
+        n = min(n, self.left)
+        out = np.empty(n if self.sized else min(n, _GROW_FROM), dtype=EVENT_DTYPE)
         got = _read_into(self.fh, out.view(np.uint8))
+        while got == out.nbytes and out.shape[0] < n:
+            # out owns its memory and no view of it is alive
+            out.resize(min(2 * out.shape[0], n), refcheck=False)
+            got += _read_into(self.fh, out.view(np.uint8)[got:])
         self.got += got
-        self.left -= out.shape[0]
+        self.left -= n
         # a short read is the end of a short stream, or of a file that shrank
         # after its size was checked
         if got < out.nbytes or not self.left:
@@ -170,12 +178,6 @@ def _read_into(fh, buf) -> int:
     while got < view.nbytes and (n := fh.readinto(view[got:])):
         got += n
     return got
-
-
-def _regular_size(fh) -> int | None:
-    """The size of a regular file; a pipe or device has none to check in advance."""
-    st = os.fstat(fh.fileno())
-    return st.st_size if stat.S_ISREG(st.st_mode) else None
 
 
 def _read_header(head: bytes) -> tuple[int, int, int]:

@@ -64,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .core import SensorGeometry, empty_events, from_section, make_events
-from .errors import BehindCameraError, ConfigError, ResonanceError
+from .errors import ConfigError, ResonanceError
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,30 +180,6 @@ class WorldMotion:
         phi_x = wrap_angle(phi_y + math.pi / 2.0) if circular else phi_y
         amp_x = amp if circular else 0.0
         return cls(amp_x_m=amp_x, amp_y_m=amp, omega=osc.omega_drive, phi_x=phi_x, phi_y=phi_y)
-
-
-def project(
-    point_w: np.ndarray,
-    extrinsics: np.ndarray,
-    geometry: SensorGeometry,
-    t_s: float,
-    motion: WorldMotion,
-) -> tuple[float, float]:
-    """Project a world point through the oscillating pinhole camera at time t.
-
-    extrinsics is the 4x4 world-to-camera transform at rest; the mount adds an
-    in-plane camera translation, which shifts the camera-frame point by the
-    same amount before the pinhole division.
-    """
-    pw = np.asarray(point_w, dtype=float)
-    pc = extrinsics @ np.array([pw[0], pw[1], pw[2], 1.0])
-    x = pc[0] + phasor_offset(motion.amp_x_m, motion.phi_x, motion.omega, 0.0, t_s)
-    y = pc[1] + phasor_offset(motion.amp_y_m, motion.phi_y, motion.omega, 0.0, t_s)
-    z = pc[2]
-    if z <= 0:
-        raise BehindCameraError(f"point projects behind the camera (z = {z:.6g})")
-    f = geometry.focal_length_px
-    return f * x / z + geometry.cx, f * y / z + geometry.cy
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +427,6 @@ class SimOutput:
 
     events: np.ndarray
     truth: list[OscillatorConfig]
-    geometry: SensorGeometry
-    scene: SceneSpec | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +714,7 @@ def simulate(
         planes, scene.contrast, geometry, duration_s, threshold, step_us, refractory_us,
         np.random.default_rng(seed), noise_rate_hz,
     )
-    return SimOutput(events=events, truth=truth, geometry=geometry, scene=scene)
+    return SimOutput(events=events, truth=truth)
 
 
 def check_moving_target(freq_hz: float, path_radius_px: float) -> None:

@@ -61,16 +61,12 @@ def bernoulli_entropy_reference(q) -> float:
     return float(-(qq * mp.log(qq, 2) + (1 - qq) * mp.log(1 - qq, 2)))
 
 
-def project_reference(point_m, extrinsics, focal_px, cx, cy):
-    """Pinhole projection by explicit homogeneous matrix product."""
-    p = np.asarray([point_m[0], point_m[1], point_m[2], 1.0])
-    cam = np.asarray(extrinsics) @ p
-    if cam[2] <= 0:
-        raise ValueError("behind camera")
-    return (
-        focal_px * cam[0] / cam[2] + cx,
-        focal_px * cam[1] / cam[2] + cy,
-    )
+def pixel_displacement(distance_m, fov_rad, resolution_px, radius_m) -> float:
+    """Peak image displacement (px) of a target at the given distance: the
+    mount tilts the optical axis by theta = pi/2 - atan(d/r), and the image
+    shifts by tan(theta) * (res/2) / tan(fov/2)."""
+    theta = math.pi / 2.0 - math.atan2(distance_m, radius_m)
+    return math.tan(theta) * (resolution_px / 2.0) / math.tan(fov_rad / 2.0)
 
 
 def exponential_centroid(ts_us, xs, ys, tau_s):

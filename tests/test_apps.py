@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosc import apps, compensate, ekf
 from evosc.apps import (
@@ -14,11 +16,9 @@ from evosc.apps import (
     PipelineConfig,
     SceneSection,
     build_scene,
-    absolute_depth,
     estimate_motion,
     estimate_scene_frequency,
     min_detectable_distance,
-    pixel_displacement,
     relative_depth,
     run_pipeline,
 )
@@ -31,10 +31,10 @@ from evosc.errors import (
     StageError,
 )
 from evosc.io import read_events, write_events
-from evosc.sim import Checkerboard, Disks, OscillatorConfig, WorldMotion
+from evosc.sim import Checkerboard, Disks, OscillatorConfig
 from evosc.track import PatchSpec, lowpass_gain
 
-from oracles import MIN_DETECT_D_REF, MOTOR_OMEGA_2V
+from oracles import MIN_DETECT_D_REF, MOTOR_OMEGA_2V, pixel_displacement
 
 
 def closed_form_distance(fov_rad, resolution_px, radius_m, threshold=1.0):
@@ -76,33 +76,22 @@ class TestMinDetectableDistance:
         d2 = min_detectable_distance(self.FOV, 720, 1e-3, pixel_threshold=2.0)
         assert d1 / d2 == pytest.approx(2.0, rel=1e-6)
 
+    @given(st.floats(0.05, 3.0, exclude_min=True, exclude_max=True), st.integers(1, 8192),
+           st.floats(1e-4, 1.0), st.floats(0.1, 100.0))
+    @settings(max_examples=300, deadline=None)
+    def test_displacement_at_the_distance_is_the_threshold(self, fov, res, r, threshold):
+        d = min_detectable_distance(fov, res, r, pixel_threshold=threshold)
+        assert pixel_displacement(d, fov, res, r) == pytest.approx(threshold, rel=1e-9)
+
     def test_bad_arguments(self):
         with pytest.raises(ConfigError):
             min_detectable_distance(0.0, 720, 1e-3)
         with pytest.raises(ConfigError):
             min_detectable_distance(self.FOV, 0, 1e-3)
         with pytest.raises(ConfigError):
-            min_detectable_distance(self.FOV, 720, 1e-3, pixel_threshold=1e12)
-
-
-class TestAbsoluteDepth:
-    def test_formula(self):
-        assert absolute_depth(2.0, 0.01, 100.0) == pytest.approx(0.5)
-
-    def test_round_trip_through_projection(self):
-        # image amplitude of world motion at depth Z is f*A/Z, so inverting
-        # it must recover Z exactly
-        geom = SensorGeometry(width=64, height=64, focal_length_px=120.0)
-        motion = WorldMotion(amp_x_m=0.004, amp_y_m=0.004, omega=80.0)
-        for depth in (0.5, 1.0, 2.5):
-            cfg = OscillatorConfig.from_world(motion, geom, depth)
-            assert absolute_depth(cfg.amp_x_px, 0.004, 120.0) == pytest.approx(depth)
-
-    def test_bad_arguments(self):
+            min_detectable_distance(self.FOV, 720, math.inf)
         with pytest.raises(ConfigError):
-            absolute_depth(0.0, 0.01, 100.0)
-        with pytest.raises(ConfigError):
-            absolute_depth(1.0, -1.0, 100.0)
+            min_detectable_distance(self.FOV, 720, 1e-3, pixel_threshold=math.nan)
 
 
 class TestEstimateMotion:
@@ -557,6 +546,20 @@ class TestEmptyStream:
         with pytest.raises(InsufficientDataError):
             run_pipeline(ZERO_MOTION_CONFIG, tmp_path)
         assert (tmp_path / "events.evt").stat().st_size == 24  # header only
+
+    def test_two_samples_are_insufficient_data(self, tmp_path):
+        # a three-coefficient fit needs three samples: the estimate stage
+        # fails on two, rather than a later stage on an init with no axes
+        config = {"geometry": {"width": 32, "height": 32},
+                  "scene": {"pattern": {"type": "disks", "pitch_px": 1000.0, "offset_px": 16.0},
+                            "contrast": 2.0, "duration_s": 0.025},
+                  "tracker": {"patches": [{"cx": 16.0, "cy": 16.0, "half_size": 8}],
+                              "emit_period_s": 0.008}}
+        with pytest.raises(InsufficientDataError) as err:
+            run_pipeline(config, tmp_path)
+        assert str(err.value) == "need at least 3 samples, got 2"
+        assert len((tmp_path / "samples.csv").read_text().splitlines()) == 3
+        assert not (tmp_path / "estimate.json").exists()
 
     def test_metrics_use_one_unit_window(self, tmp_path):
         rows = apps.metrics_stage(MetricsSection(), empty_events(),

@@ -402,6 +402,26 @@ def test_bad_states_file_is_reported(workdir, tmp_path, capsys, states):
     assert capsys.readouterr().err.startswith("[compensate] ")
 
 
+def test_estimate_of_two_samples_exits_with_an_error(tmp_path, capsys):
+    # two samples whose spectrum has a peak, so only the fit can refuse them
+    two = tmp_path / "two.csv"
+    two.write_text("id,t_us,u,v\n0,15106,14.529524,15.250879\n0,23108,17.344854,16.003243\n")
+    out = tmp_path / "states.json"
+    assert main(["estimate", "--samples", str(two), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "[estimate] need at least 3 samples, got 2\n"
+    assert not out.exists()
+
+
+def test_states_axis_that_is_not_an_object_is_reported(workdir, tmp_path, capsys):
+    states = json.loads((workdir / "states.json").read_text())
+    bad = tmp_path / "x.json"
+    bad.write_text(json.dumps({**states, "u": None}))
+    assert main(["compensate", "--events", str(workdir / "events.evt"),
+                 "--states", str(bad), "--out", str(tmp_path / "c.evt")]) == 1
+    assert capsys.readouterr().err == "[compensate] a states axis must be an object, got null\n"
+    assert not (tmp_path / "c.evt").exists()
+
+
 PHYSICAL = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
             "eccentricity_m": 0.005, "damping": 2.0, "stiffness": 4000.0}
 

@@ -218,3 +218,12 @@ class TestInitialize:
         s["v"] = 7.0
         with pytest.raises(NoPeakError):
             initialize(s)
+
+    def test_two_samples_raise(self):
+        # both axes peak, but a three-coefficient fit needs three samples
+        s = np.zeros(2, dtype=SAMPLE_DTYPE)
+        s["t"] = [15106, 23108]
+        s["u"] = [14.529524, 17.344854]
+        s["v"] = [15.250879, 16.003243]
+        with pytest.raises(InsufficientDataError):
+            initialize(s)

@@ -265,6 +265,35 @@ def test_open_file_read_holds_the_stream_once(tmp_path):
     assert peak < ev.nbytes + (1 << 20)
 
 
+def test_an_overstated_count_reserves_no_more_than_arrives():
+    """A header claiming 2**24 records before one record: a seekable stream is
+    size-checked before any record array is made, and a pipe's array grows
+    only as records arrive; both raise the regular file's FormatError."""
+    payload = header(1 << 24) + stream(1).tobytes()
+    results = []
+    for kind in ("seekable", "pipe"):
+        if kind == "pipe":
+            r, w = os.pipe()
+            os.write(w, payload)
+            os.close(w)
+            fh = os.fdopen(r, "rb")
+        else:
+            fh = io.BytesIO(payload)
+        with fh:
+            tracemalloc.start()
+            try:
+                with pytest.raises(FormatError) as err:
+                    read_events(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 1 << 20, kind
+        results.append((str(err.value), err.value.offset))
+    assert results[0] == results[1] == (
+        f"record section is 13 bytes, header count {1 << 24} requires {13 << 24} "
+        f"(byte offset {HEADER_SIZE + 13})", HEADER_SIZE + 13)
+
+
 def test_count_mismatch_surplus_bytes():
     buf = io.BytesIO()
     write_events(buf, stream(3), GEOM)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from evosc.core import SensorGeometry, make_events, validate_events
-from evosc.errors import BehindCameraError, ConfigError, ResonanceError
+from evosc.errors import ConfigError, ResonanceError
 from evosc.sim import (
     DEFAULT_THRESHOLD,
     Bitmap,
@@ -30,7 +30,6 @@ from evosc.sim import (
     _walk_arrays,
     camera_offset,
     motor_speed,
-    project,
     simulate,
     simulate_moving_target,
     steady_state,
@@ -42,7 +41,6 @@ from oracles import (
     STEADY_AMP_REF,
     STEADY_PHASE_REF,
     crossing_events,
-    project_reference,
     steady_state_reference,
 )
 
@@ -150,41 +148,6 @@ def test_from_steady_state_linear_keeps_one_axis():
     motion = WorldMotion.from_steady_state(OSC, circular=False)
     assert motion.amp_x_m == 0.0
     assert motion.amp_y_m > 0.0
-
-
-class TestProjection:
-    GEOM = SensorGeometry(width=64, height=48, focal_length_px=80.0)
-    MOTION = WorldMotion(amp_x_m=0.002, amp_y_m=0.003, omega=100.0, phi_x=0.3, phi_y=-0.6)
-
-    def rig(self):
-        # camera rotated a little and pushed back 2 m
-        ang = 0.1
-        ext = np.array([
-            [math.cos(ang), 0.0, math.sin(ang), 0.02],
-            [0.0, 1.0, 0.0, -0.01],
-            [-math.sin(ang), 0.0, math.cos(ang), 2.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ])
-        return ext
-
-    @given(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.3, 0.3),
-           st.floats(0.0, 0.1))
-    @settings(max_examples=50)
-    def test_matches_matrix_oracle(self, px, py, pz, t):
-        ext = self.rig()
-        du = self.MOTION.amp_x_m * math.cos(self.MOTION.omega * t + self.MOTION.phi_x)
-        dv = self.MOTION.amp_y_m * math.cos(self.MOTION.omega * t + self.MOTION.phi_y)
-        shifted = ext.copy()
-        shifted[0, 3] += du
-        shifted[1, 3] += dv
-        ref = project_reference((px, py, pz), shifted, 80.0, self.GEOM.cx, self.GEOM.cy)
-        got = project(np.array([px, py, pz]), ext, self.GEOM, t, self.MOTION)
-        assert got == pytest.approx(ref, abs=1e-9)
-
-    def test_behind_camera_rejected(self):
-        ext = np.eye(4)
-        with pytest.raises(BehindCameraError):
-            project(np.array([0.0, 0.0, -1.0]), ext, self.GEOM, 0.0, self.MOTION)
 
 
 class TestOscillatorConfig:

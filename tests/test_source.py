@@ -22,3 +22,38 @@ def test_module_uses_every_name_it_imports(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+ROOT = PACKAGE.parents[1]
+# the pattern behind three frozen simulator digests (bitmap, block_edge_ties
+# and capped_levels in tests/test_sim.py); no config key names it yet
+TEST_ONLY_ALLOWED = {"Bitmap"}
+
+
+def _callers():
+    """Every package module but __init__ (whose imports only re-export), and
+    the benchmark's and the scripts' modules, but not their tests."""
+    yield from (p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    for folder in ("perfbench", "scripts"):
+        yield from (p for p in (ROOT / folder).glob("*.py") if not p.name.startswith("test_"))
+
+
+def test_every_top_level_name_has_a_caller_outside_the_tests():
+    """A function or class that only the tests reach is surface to cut. A
+    name counts as reached where a caller reads it bare, as an attribute, or
+    imports it; its own definition does not count."""
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined |= {node.name for node in tree.body if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    reached = set()
+    for path in _callers():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                reached.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                reached |= {a.name for a in node.names}
+    assert sorted(defined - reached - TEST_ONLY_ALLOWED) == []
