@@ -38,7 +38,7 @@ from .apps import (
     track_stage,
 )
 from .compensate import compensate_stream, states_from_init, write_compensated_csv
-from .core import from_section
+from .core import _read_value, from_section
 from .errors import ConfigError, EvoscError
 from .freqest import SinusoidInit
 from .io import _evt_header, read_event_pieces, read_events, write_json
@@ -85,10 +85,7 @@ def _cmd_compensate(args) -> int:
     """Fixed-state compensation from file to file in bounded memory: the
     stream is read, compensated and appended to the output one piece at a
     time (one block of core.map_blocks per CPU, so each piece still splits)."""
-    states = _load_json(args.states)
-    state_u, state_v = states_from_init(_init_from_json(states["u"]), _init_from_json(states["v"]),
-                                        int(states.get("t_ref_us", 0)))
-    lag_tau_s = states.get("tracker_tau_s")
+    state_u, state_v, lag_tau_s = _read_states(args.states)
     n_oob = 0
     with closing(read_event_pieces(args.events, core._cpus() * core._BLOCK)) as pieces:
         geometry, count = next(pieces)
@@ -99,9 +96,11 @@ def _cmd_compensate(args) -> int:
                 comp = compensate_stream(piece, state_u, state_v, geometry, lag_tau_s=lag_tau_s)
                 if args.csv:
                     write_compensated_csv(fh, comp, header=i == 0)
+                    n_oob += int(np.count_nonzero(comp.out_of_bounds))
                 else:
-                    fh.write(comp.to_events().view(np.uint8))
-                n_oob += int(np.count_nonzero(comp.out_of_bounds))
+                    records, clamped = comp.pack()
+                    fh.write(records.view(np.uint8))
+                    n_oob += clamped
     # the CSV keeps the real coordinates; only the .evt records are clamped
     flagged = "out of bounds" if args.csv else "clamped"
     print(f"compensated {count} events ({n_oob} {flagged}) to {args.out}")
@@ -129,13 +128,38 @@ def _replacing(dest):
         raise
 
 
-def _init_from_json(d) -> SinusoidInit:
+def _read_states(path: str):
+    """(state_u, state_v, tracker_tau_s) of a states file as evosc estimate
+    writes it: an object whose axes u and v each hold omega, a, b and c (and
+    residual_rms, which is optional), with optional t_ref_us (an integer,
+    default 0) and tracker_tau_s (a number or null). Other keys are ignored;
+    a missing key, or a value of the wrong type, is a ConfigError naming it."""
+    d = _load_json(path)
+    if not isinstance(d, dict):
+        raise ConfigError(f"a states file must be an object, got {json.dumps(d)}")
+    t_ref_us = _read_value(int, d.get("t_ref_us", 0), "t_ref_us")
+    lag_tau_s = _read_value(float | None, d.get("tracker_tau_s"), "tracker_tau_s")
+    if lag_tau_s is not None and not 0 <= lag_tau_s < math.inf:
+        raise ConfigError(f"tracker_tau_s: expected a non-negative finite number, got {lag_tau_s}")
+    inits = []
+    for axis in ("u", "v"):
+        if axis not in d:
+            raise ConfigError(f"states: missing key {axis!r}")
+        inits.append(_init_from_json(d[axis], axis))
+    return (*states_from_init(*inits, t_ref_us), lag_tau_s)
+
+
+def _init_from_json(d, axis: str) -> SinusoidInit:
     if not isinstance(d, dict):
         raise ConfigError(f"a states axis must be an object, got {json.dumps(d)}")
-    return SinusoidInit(
-        omega=float(d["omega"]), a=float(d["a"]), b=float(d["b"]),
-        c=float(d["c"]), residual_rms=float(d.get("residual_rms", 0.0)),
-    )
+    values = {}
+    for key in ("omega", "a", "b", "c", "residual_rms"):
+        if key not in d and key != "residual_rms":
+            raise ConfigError(f"{axis}: missing key {key!r}")
+        values[key] = _read_value(float, d.get(key, 0.0), f"{axis}.{key}")
+        if not math.isfinite(values[key]):
+            raise ConfigError(f"{axis}.{key}: expected a finite number, got {values[key]}")
+    return SinusoidInit(**values)
 
 
 def _cmd_metrics(args) -> int:

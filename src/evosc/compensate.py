@@ -6,12 +6,15 @@ and to_events' packing, are walked in blocks by core.map_blocks, which
 splits them across threads with the same output bit for bit whatever the
 CPU count; within a block the offset is evaluated once per distinct
 timestamp, one cosine per axis, then repeated over the events sharing it.
+The sinusoid is evaluated in one offset buffer that both axes reuse; in
+tracking mode each run's phasor parameters are gathered one at a time into
+one more (phasor_offset's at), never as a (4, runs) copy.
 The result keeps only what is computed, the real-valued coordinates; its
 t and polarity read the caller's records in place, and the rounded
-coordinates are derived block by block where they are read (to_events, or
-xi, yi and out_of_bounds). Rounded coordinates falling outside the sensor
-are clamped and flagged rather than dropped, so event count and order are
-always preserved.
+coordinates are derived block by block where they are read (to_events and
+pack, or xi, yi and out_of_bounds). Rounded coordinates falling outside the
+sensor are clamped and flagged rather than dropped, so event count and
+order are always preserved.
 
 Tracking mode maps each event with the filter state after the last sample
 strictly before it, from a table of one phasor per sample. The table is
@@ -94,6 +97,11 @@ class CompensatedEvents:
     def to_events(self, drop_out_of_bounds: bool = False) -> np.ndarray:
         """Rounded-coordinate event stream (clamped, or filtered when
         dropping), packed block by block through map_blocks."""
+        return self.pack(drop_out_of_bounds)[0]
+
+    def pack(self, drop_out_of_bounds: bool = False) -> tuple[np.ndarray, int]:
+        """(to_events(drop_out_of_bounds), the number of events out of
+        bounds), counted in the pass that packs the records."""
         n = len(self)
         if drop_out_of_bounds:
             kept = map_blocks(lambda lo, hi: hi - lo - int(np.count_nonzero(
@@ -102,7 +110,7 @@ class CompensatedEvents:
             starts = np.cumsum([0] + kept).tolist()
         out = np.empty(starts[-1] if drop_out_of_bounds else n, dtype=EVENT_DTYPE)
 
-        def pack(lo, hi):
+        def pack_block(lo, hi):
             xi, yi, oob = self._block(lo, hi)
             if drop_out_of_bounds:
                 i = lo // core._BLOCK
@@ -112,9 +120,9 @@ class CompensatedEvents:
             block = self.records[lo:hi]
             for name, column in (("t", block["t"]), ("x", xi), ("y", yi), ("p", block["p"])):
                 dest[name] = column[keep]
+            return int(np.count_nonzero(oob))
 
-        map_blocks(pack, n)
-        return out
+        return out, sum(map_blocks(pack_block, n))
 
 
 def _rounded(real: np.ndarray, size: int):
@@ -198,12 +206,12 @@ def compensate_stream(
         counts = np.diff(starts, append=t.shape[0])
         # column j serves the events after sample j - 1, up to and including
         # sample j; all events of a run share their timestamp, hence a column
-        col = 0 if sample_t is None else np.searchsorted(sample_t, run_t, side="left")
-        run_t = run_t.astype(np.float64)
+        col = None if sample_t is None else np.searchsorted(sample_t, run_t, side="left")
+        del starts  # freed before the offsets are evaluated: the block's peak
+        run_t, offset = run_t.astype(np.float64), np.empty(run_t.shape[0])
         for coord, rows, real in (("x", table[:4], x), ("y", table[4:], y)):
-            real = real[lo:hi]
-            real[...] = block[coord]
-            real -= np.repeat(phasor_offset(*rows[:, col], run_t), counts)
+            offsets = np.repeat(phasor_offset(*rows, run_t, out=offset, at=col), counts)
+            np.subtract(block[coord], offsets, out=real[lo:hi])
 
     map_blocks(compensate_block, n)
     return CompensatedEvents(records=events, x=x, y=y, geometry=geometry)

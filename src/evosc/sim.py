@@ -33,10 +33,13 @@ rows uy, and its pixels are gathered from it: the per-axis terms, the costly
 part (np.sin for Checkerboard, np.mod for Disks), run on nx + ny values
 instead of two per pixel. Patterns without the attribute are sampled
 per pixel: Triangle and Stripes, whose costly terms mix both axes, Bitmap,
-and user patterns. sample must accept arrays of any broadcast shape: the
-latent image is sampled for a block of 64 steps at once, one row per step (a
-leading time axis on the offsets), with one camera_offset call per plane on
-the block's array of times.
+and user patterns. sample must accept arrays of any broadcast shape and
+return a new float array, which the sampler scales by the contrast in place:
+the latent image is sampled for a block of 64 steps at once, one row per
+step (a leading time axis on the offsets), with one camera_offset call per
+plane on the block's array of times. Checkerboard and Disks compute in
+place in the arrays they make, so a block allocates one (65 x grid) array
+per plane, not one per operation.
 
 Within a block, crossings are found by one search. Its only sequential part
 is the reference walk, a step at a time over the active pixels (at most
@@ -53,7 +56,8 @@ Each block's events are sorted by float time (stably, so equal times keep
 per-step order) and packed as they are produced; the noise events, sorted
 once, are merged into the block whose end follows them, after every event at
 an equal or earlier float time. The stream is the one a single stable time
-sort of all events gives.
+sort of all events gives. Blocks are written into one output array, grown in
+place with ndarray.resize, so the stream is never held twice.
 """
 
 from __future__ import annotations
@@ -235,10 +239,22 @@ class OscillatorConfig:
         }
 
 
-def phasor_offset(amp, phase0, omega, t0, t):
+def phasor_offset(amp, phase0, omega, t0, t, out=None, at=None):
     """amp*cos(phase0 + omega*(t - t0)), omega in radians per unit of t: the
-    package's one sinusoid evaluator. Arguments broadcast elementwise."""
-    return amp * np.cos(phase0 + omega * (t - t0))
+    package's one sinusoid evaluator. Arguments broadcast elementwise; out,
+    when given, is an array of the result's shape that every step is
+    computed in, and is returned. at, when given, is an index array: each
+    parameter p is then read as p[at], gathered as its step comes into one
+    scratch array, so the four are never gathered at once."""
+    scratch = None if at is None else np.empty(np.shape(at))
+
+    def param(p):
+        return p if at is None else np.take(p, at, out=scratch)
+
+    x = np.subtract(t, param(t0), out=out)
+    x = np.multiply(param(omega), x, out=out)
+    x = np.add(param(phase0), x, out=out)
+    return np.multiply(param(amp), np.cos(x, out=out), out=out)
 
 
 def camera_offset(t, cfg: OscillatorConfig):
@@ -253,8 +269,11 @@ def camera_offset(t, cfg: OscillatorConfig):
 
 
 def _edge_ramp(signed_dist, width):
-    """Unit ramp of width `width` centred on a shape boundary."""
-    return np.clip(signed_dist / width + 0.5, 0.0, 1.0)
+    """Unit ramp of width `width` centred on a shape boundary, computed in
+    place in signed_dist (every caller passes an array it made)."""
+    signed_dist /= width
+    signed_dist += 0.5
+    return np.clip(signed_dist, 0.0, 1.0, out=signed_dist)
 
 
 @dataclass(frozen=True)
@@ -267,7 +286,10 @@ class Checkerboard:
         k = TWO_PI / self.period_px
         gx = np.tanh(self.edge_sharpness * np.sin(k * xs))
         gy = np.tanh(self.edge_sharpness * np.sin(k * ys))
-        return 0.5 * (gx * gy + 1.0)
+        v = gx * gy
+        v += 1.0
+        v *= 0.5
+        return v
 
 
 @dataclass(frozen=True)
@@ -300,7 +322,7 @@ class Disks:
 
     def sample(self, xs, ys):
         r = np.hypot(self._wrapped(xs), self._wrapped(ys))
-        return _edge_ramp(self.radius_px - r, self.edge_width_px)
+        return _edge_ramp(np.subtract(self.radius_px, r, out=r), self.edge_width_px)
 
     def bounds(self, xs, ys, rx, ry):
         # Over [c - r, c + r] the wrapped distance |d| to the nearest centre
@@ -506,7 +528,8 @@ def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, pla
         values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         if column is not None:
             values = values.take(column, axis=1)
-        return contrast * values
+        values *= contrast
+        return values
 
     return latent
 
@@ -643,7 +666,9 @@ def _generate(
     l_ref = latent([0.0])[0]
     last_emit = np.full(ys.shape[0], -1e18)
     work = _walk_arrays(ys.shape[0])
-    blocks = []
+    # the stream, grown in place as blocks arrive: a quarter more room at a
+    # time, and cut to length at the end
+    stream, filled = empty_events(), 0
     for b in range(0, n_steps, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, n_steps - b)
         # row r: the latent value after step b + r - 1, row 0 the one before step b
@@ -662,9 +687,13 @@ def _generate(
             events = np.insert(events, np.searchsorted(t, noise_t[merged:end], side="right"),
                                noise[merged:end])
             merged = end
-        blocks.append(events)
-    blocks.append(noise[merged:])
-    return np.concatenate(blocks)
+        if filled + events.shape[0] > stream.shape[0]:
+            stream.resize(max(filled + events.shape[0], stream.shape[0] * 5 // 4))
+        stream[filled:filled + events.shape[0]] = events
+        filled += events.shape[0]
+    stream.resize(filled + noise.shape[0] - merged)
+    stream[filled:] = noise[merged:]
+    return stream
 
 
 def _noise_events(rng: np.random.Generator, noise_rate_hz: float, geometry: SensorGeometry,

@@ -12,8 +12,11 @@ most _CHUNK_TAUS (30) tau; within a chunk starting at t_c, every event's w and
 S scaled by g = exp((t - t_c)/tau) are running sums of g and g*x, plus the
 previous chunk's state times exp(-(t_c - t_prev)/tau). The span keeps g below
 e^30, so the sums cannot overflow. The state carries from chunk to chunk and
-from call to call. Only the emission gate is a Python loop, one step per
-emitted sample.
+from call to call. Each chunk's emissions are picked before the next chunk
+is scanned, so of the per-event arrays only the in-patch times (and
+coordinates) span the stream; weights and centroids exist a chunk at a time,
+and a stream emits about one sample per 200 in-patch events. Only the
+emission gate is a Python loop, one step per emitted sample.
 
 Viewed as a linear system, the kernel is a first-order low pass: a centroid
 oscillating at omega is attenuated by 1/sqrt(1 + (omega*tau)^2) and delayed by
@@ -98,11 +101,12 @@ def check_tracker_params(tau_s: float, emit_period_s: float, min_weight: float,
 class CentroidTracker:
     """Streaming centroid tracker over one patch.
 
-    run scans the in-patch events in chunks of at most _CHUNK_TAUS * tau (see
-    the module docstring). Weight, centroid and the times of the last event,
-    the first event and the last emission carry over between calls, so a
-    stream fed in pieces gives the samples of one call over the whole stream,
-    to rounding. warmup_s, when set, suppresses emissions until that much time has passed
+    run scans the in-patch events in chunks of at most _CHUNK_TAUS * tau,
+    picking each chunk's emissions as it goes (see the module docstring).
+    Weight, centroid and the times of the last event, the first event and
+    the last emission carry over between calls, so a stream fed in pieces
+    gives the samples of one call over the whole stream, to rounding.
+    warmup_s, when set, suppresses emissions until that much time has passed
     since the first in-patch event; the centroid starts at the patch centre
     and needs a few tau to forget it.
     """
@@ -138,30 +142,34 @@ class CentroidTracker:
             return samples_array([])
         if self._t_start is None:
             self._t_start = self._t_last = int(ts[0])
-        w, u, v = self._scan(ts, events["x"][inside], events["y"][inside])
-        ok = w >= self.min_weight
-        if self.warmup_s is not None:
-            ok &= ~((ts - self._t_start) * 1e-6 < self.warmup_s)
-        picks = np.flatnonzero(ok)
-        picks = picks[self._emissions(ts[picks])]
-        out = np.empty(picks.size, dtype=SAMPLE_DTYPE)
-        out["id"], out["t"], out["u"], out["v"] = self.tracker_id, ts[picks], u[picks], v[picks]
+        picked = []
+        for lo, w, u, v in self._scan(ts, events["x"][inside], events["y"][inside]):
+            tc = ts[lo:lo + w.size]
+            ok = w >= self.min_weight
+            if self.warmup_s is not None:
+                ok &= ~((tc - self._t_start) * 1e-6 < self.warmup_s)
+            picks = np.flatnonzero(ok)
+            picks = picks[self._emissions(tc[picks])]
+            picked.append((tc[picks], u[picks], v[picks]))
+        out = np.empty(sum(t.size for t, _, _ in picked), dtype=SAMPLE_DTYPE)
+        out["id"] = self.tracker_id
+        for name, column in zip("tuv", zip(*picked)):
+            out[name] = np.concatenate(column)
         return out
 
     def _scan(self, ts, xs, ys):
-        """Weight and centroid after each in-patch event, from the carried state.
+        """(start, w, u, v) of each chunk of the in-patch events: the weight and
+        centroid after each of its events, from the carried state.
 
         With d = exp(-dt/tau), w <- d*w + 1 and S <- d*S + x give w and S at
         event i as (sum of g_j for j <= i, plus the carried term) / g_i, where
         g_j = exp((t_j - t_c)/tau) and t_c is the chunk's first time. A chunk
         spans at most _CHUNK_TAUS * tau, so g stays below exp(_CHUNK_TAUS).
-        Coordinates are summed relative to the patch centre.
+        Coordinates are summed relative to the patch centre. The tracker's
+        state follows each chunk as it is yielded.
         """
         n = ts.size
-        w, u, v = np.empty(n), np.empty(n), np.empty(n)
         cx, cy = self.patch.cx, self.patch.cy
-        dx = np.subtract(xs, cx, dtype=np.float64)
-        dy = np.subtract(ys, cy, dtype=np.float64)
         rate = 1e-6 / self.tau_s
         span_us = int(_CHUNK_TAUS * self.tau_s * 1e6)
         weight, t_prev = self.weight, self._t_last
@@ -174,20 +182,21 @@ class CentroidTracker:
             carry = math.exp(-(t_c - t_prev) * rate)
             den = np.cumsum(g)
             den += weight * carry
-            num_u = np.cumsum(g * dx[i:j])
+            num_u = np.cumsum(g * np.subtract(xs[i:j], cx, dtype=np.float64))
             num_u += s_u * carry
-            num_v = np.cumsum(g * dy[i:j])
+            num_v = np.cumsum(g * np.subtract(ys[i:j], cy, dtype=np.float64))
             num_v += s_v * carry
-            np.divide(den, g, out=w[i:j])
-            np.divide(num_u, den, out=u[i:j])
-            np.divide(num_v, den, out=v[i:j])
-            weight, s_u, s_v = w[j - 1], num_u[-1] / g[-1], num_v[-1] / g[-1]
-            t_prev, i = int(ts[j - 1]), j
-        u += cx
-        v += cy
-        self.weight, self.cu, self.cv = float(weight), float(u[-1]), float(v[-1])
-        self._t_last = t_prev
-        return w, u, v
+            w = den / g
+            weight, s_u, s_v = w[-1], num_u[-1] / g[-1], num_v[-1] / g[-1]
+            u = np.divide(num_u, den, out=num_u)
+            u += cx
+            v = np.divide(num_v, den, out=num_v)
+            v += cy
+            t_prev = int(ts[j - 1])
+            self.weight, self.cu, self.cv = float(weight), float(u[-1]), float(v[-1])
+            self._t_last = t_prev
+            yield i, w, u, v
+            i = j
 
     def _emissions(self, tc) -> list[int]:
         """Indices into the candidate times tc that emit: the first candidate at

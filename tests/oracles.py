@@ -11,7 +11,7 @@ from collections import deque
 import mpmath as mp
 import numpy as np
 
-from evosc.track import SAMPLE_DTYPE
+from evosc.track import _CHUNK_TAUS, SAMPLE_DTYPE
 
 mp.mp.dps = 30
 
@@ -114,6 +114,66 @@ def tracker_event_loop(tracker, events):
         t_emit = t
         rows.append((tracker.tracker_id, t, cu, cv))
     return np.array(rows, dtype=SAMPLE_DTYPE)
+
+
+class WholeCallTracker:
+    """CentroidTracker as it was before run picked emissions chunk by chunk:
+    a call first scans every in-patch event into stream-long weight and
+    centroid arrays (the same chunked cumulative sums, the same carry from
+    chunk to chunk and from call to call), then gates emissions over all of
+    them, one candidate at a time. Its samples are the reference, bit for
+    bit, for the stream fed whole and fed in pieces."""
+
+    def __init__(self, patch, tau_s, emit_period_s, min_weight, warmup_s, tracker_id=0):
+        self.patch, self.tau_s, self.emit_period_s = patch, tau_s, emit_period_s
+        self.min_weight, self.warmup_s, self.tracker_id = min_weight, warmup_s, tracker_id
+        self.weight, self.cu, self.cv = 0.0, patch.cx, patch.cy
+        self.t_last = self.t_emit = self.t_start = None
+
+    def run(self, events):
+        cx, cy, half = self.patch.cx, self.patch.cy, self.patch.half_size
+        inside = ((np.abs(events["x"].astype(float) - cx) <= half)
+                  & (np.abs(events["y"].astype(float) - cy) <= half))
+        ts = events["t"][inside]
+        if ts.size == 0:
+            return np.empty(0, dtype=SAMPLE_DTYPE)
+        if self.t_start is None:
+            self.t_start = self.t_last = int(ts[0])
+        dx = events["x"][inside].astype(float) - cx
+        dy = events["y"][inside].astype(float) - cy
+        n = ts.size
+        w, u, v = np.empty(n), np.empty(n), np.empty(n)
+        rate = 1e-6 / self.tau_s
+        span_us = int(_CHUNK_TAUS * self.tau_s * 1e6)
+        weight, t_prev = self.weight, self.t_last
+        s_u, s_v = (self.cu - cx) * weight, (self.cv - cy) * weight
+        i = 0
+        while i < n:
+            t_c = int(ts[i])
+            j = int(ts.searchsorted(np.uint64(min(t_c + span_us, 2**64 - 1)), side="right"))
+            g = np.exp((ts[i:j] - t_c) * rate)
+            carry = math.exp(-(t_c - t_prev) * rate)
+            den = np.cumsum(g) + weight * carry
+            num_u = np.cumsum(g * dx[i:j]) + s_u * carry
+            num_v = np.cumsum(g * dy[i:j]) + s_v * carry
+            w[i:j], u[i:j], v[i:j] = den / g, num_u / den, num_v / den
+            weight, s_u, s_v = w[j - 1], num_u[-1] / g[-1], num_v[-1] / g[-1]
+            t_prev, i = int(ts[j - 1]), j
+        u += cx
+        v += cy
+        self.weight, self.cu, self.cv = float(weight), float(u[-1]), float(v[-1])
+        self.t_last = t_prev
+        rows = []
+        for k, t in enumerate(ts.tolist()):
+            if w[k] < self.min_weight:
+                continue
+            if self.warmup_s is not None and (t - self.t_start) * 1e-6 < self.warmup_s:
+                continue
+            if self.t_emit is not None and (t - self.t_emit) * 1e-6 < self.emit_period_s:
+                continue
+            self.t_emit = t
+            rows.append((self.tracker_id, t, u[k], v[k]))
+        return np.array(rows, dtype=SAMPLE_DTYPE)
 
 
 def crossing_events(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import evosc
-from evosc import core
+from evosc import compensate, core
 from evosc.apps import estimate_motion, estimate_scene_frequency, relative_depth, run_pipeline
 from evosc.cli import main
 from evosc.compensate import compensate_stream, states_from_init, write_compensated_csv
@@ -189,6 +189,50 @@ def test_compensate_pieces_equal_the_whole_stream(tmp_path, monkeypatch, capsys,
         assert capsys.readouterr().out == f"compensated {n} events ({n_oob} {flagged}) to {out}\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == [
         "in.evt", "out.csv", "out.evt", "states.json"]
+
+
+def test_compensate_rounds_each_evt_piece_once(tmp_path, monkeypatch, capsys):
+    """The .evt path counts the clamped records in the pass that packs them:
+    each block's coordinates are rounded once per axis, and the bytes and
+    the printed count are those of the whole-stream path."""
+    monkeypatch.setattr(core, "_BLOCK", 7)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
+    (tmp_path / "states.json").write_text(json.dumps(STATES))
+    write_stream(tmp_path / "in.evt", 100)
+    evt, _, n_oob = whole_stream_outputs(tmp_path / "in.evt")
+    calls = []
+    rounded = compensate._rounded
+    monkeypatch.setattr(compensate, "_rounded", lambda *a: calls.append(1) or rounded(*a))
+    assert compensate_cli(tmp_path / "in.evt", tmp_path / "out.evt") == 0
+    assert len(calls) == 2 * -(-100 // 7)
+    assert (tmp_path / "out.evt").read_bytes() == evt
+    out = tmp_path / "out.evt"
+    assert capsys.readouterr().out == f"compensated 100 events ({n_oob} clamped) to {out}\n"
+
+
+AXIS = {"omega": 100.0 * math.pi, "a": 1.5, "b": -2.0, "c": 0.0}
+
+
+@pytest.mark.parametrize("states, message", [
+    ([], "a states file must be an object, got []"),
+    ({"u": {**AXIS, "omega": None}, "v": AXIS}, "u.omega: expected float, got None"),
+    ({"u": AXIS, "v": {**AXIS, "c": "x"}}, "v.c: expected float, got 'x'"),
+    ({"u": AXIS, "v": {k: v for k, v in AXIS.items() if k != "b"}}, "v: missing key 'b'"),
+    ({"u": AXIS}, "states: missing key 'v'"),
+    ({"t_ref_us": [1], "u": AXIS, "v": AXIS}, "t_ref_us: expected int, got [1]"),
+    ({"t_ref_us": "abc", "u": AXIS, "v": AXIS}, "t_ref_us: expected int, got 'abc'"),
+    ({"tracker_tau_s": "x", "u": AXIS, "v": AXIS}, "tracker_tau_s: expected float, got 'x'"),
+    ({"tracker_tau_s": -0.005, "u": AXIS, "v": AXIS},
+     "tracker_tau_s: expected a non-negative finite number, got -0.005"),
+])
+def test_malformed_states_file_names_the_key(tmp_path, capsys, states, message):
+    """A states file is read strictly: each fault exits 1 with a message
+    naming its key, and writes no output."""
+    (tmp_path / "states.json").write_text(json.dumps(states))
+    write_stream(tmp_path / "in.evt", 20)
+    assert compensate_cli(tmp_path / "in.evt", tmp_path / "out.evt") == 1
+    assert capsys.readouterr().err == f"[compensate] {message}\n"
+    assert not (tmp_path / "out.evt").exists()
 
 
 def feed_fifo(fifo, payload):

@@ -238,6 +238,28 @@ class TestThinning:
         np.testing.assert_array_equal(got[2], stack[2])
 
 
+@settings(max_examples=150, deadline=None)
+@given(stack=st.tuples(st.integers(1, 4), st.integers(1, 40), st.integers(1, 40)).flatmap(
+           lambda shape: hnp.arrays(np.int32, shape, elements=st.integers(0, 9))),
+       sigma=st.sampled_from([0.4, 1.0, 1.5, 2.6, 4.0]))
+@example(stack=np.pad([[[3]]], ((0, 0), (0, 39), (6, 3))).astype(np.int32), sigma=1.5)
+@example(stack=np.ones((2, 1, 40), dtype=np.int32), sigma=4.0)
+def test_blur_is_scipy_convolve1d_twice(stack, sigma):
+    """gaussian_blur gives, bit for bit, scipy.ndimage.convolve1d along rows
+    then columns with reflected borders: frames narrower than the radius
+    reflect more than once, and zero borders fall outside the computed box."""
+    from scipy import ndimage
+
+    # the package's taps: gaussian_kernel_reference's differ in the last bit
+    offsets = np.arange(-math.ceil(3.0 * sigma), math.ceil(3.0 * sigma) + 1.0)
+    kernel = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    kernel /= kernel.sum()
+    want = ndimage.convolve1d(stack.astype(float), kernel, axis=-2, mode="reflect")
+    want = ndimage.convolve1d(want, kernel, axis=-1, mode="reflect")
+    assert np.array_equal(gaussian_blur(stack, sigma), want)
+    assert np.array_equal(gaussian_blur(stack[0], sigma), want[0])
+
+
 class TestComponents:
     @given(hnp.arrays(bool, (12, 12)))
     @settings(max_examples=60)
@@ -259,6 +281,26 @@ class TestComponents:
         assert n == 2
         assert set(np.unique(labels[bits])) == {1, 2}
         assert np.all(labels[~bits] == 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 16), st.integers(1, 16)).flatmap(
+    lambda shape: hnp.arrays(bool, shape)))
+def test_stack_labels_are_scipys_and_count_each_frame(stack):
+    """On a stack, each frame holds as many labels as flood fill finds
+    components, and the labels are scipy.ndimage.label's with a structure
+    that never joins frames: numbered in raster order of first pixels."""
+    from scipy import ndimage
+
+    labels, n = label_components(stack)
+    per_frame = [np.unique(frame[frame > 0]).size for frame in labels]
+    assert per_frame == [flood_fill_components(f.astype(np.uint8)) for f in stack]
+    assert n == sum(per_frame)
+    structure = np.zeros((3, 3, 3), dtype=int)
+    structure[1] = 1
+    want, count = ndimage.label(stack, structure=structure)
+    assert count == n
+    assert np.array_equal(labels, want)
 
 
 def test_stack_labels_never_join_frames():
@@ -416,11 +458,11 @@ def test_write_metrics_csv_format():
     assert lines[1] == "0,0.5,1.25,0.75,3,12.5,2"
 
 
-def test_import_loads_no_scipy():
-    """scipy is imported where the edge path uses it, and the block walker's
-    worker threads are made at its first call that splits, so a fresh
-    `import evosc` loads no scipy module (scipy.ndimage included), no
-    concurrent.futures, and starts no thread."""
+def test_import_loads_no_scipy(tmp_path):
+    """The block walker's worker threads are made at its first call that
+    splits, so a fresh `import evosc` loads no concurrent.futures and starts
+    no thread; and neither the import nor a whole run_pipeline with edge
+    metrics loads any scipy module (scipy.ndimage included)."""
     import evosc
 
     env = dict(os.environ, PYTHONPATH=str(Path(evosc.__file__).resolve().parents[1]))
@@ -430,3 +472,17 @@ def test_import_loads_no_scipy():
          "in ('scipy', 'concurrent')), threading.active_count())"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[] 1"
+    config = {"geometry": {"width": 32, "height": 32},
+              "scene": {"pattern": {"type": "disks", "pitch_px": 1000.0, "offset_px": 16.0},
+                        "contrast": 2.0, "duration_s": 0.2},
+              "tracker": {"patches": [{"cx": 16.0, "cy": 16.0, "half_size": 10}]},
+              "metrics": {"window_ms": 10, "edges": True}}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from evosc.apps import run_pipeline; "
+         f"run_pipeline({config!r}, {str(tmp_path)!r}); "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+    rows = (tmp_path / "metrics_compensated.csv").read_text().splitlines()[1:]
+    assert any(int(row.split(",")[4]) > 0 for row in rows)  # edges were scored

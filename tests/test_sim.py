@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from evosc import sim
 from evosc.core import SensorGeometry, make_events, validate_events
 from evosc.errors import ConfigError, ResonanceError
 from evosc.sim import (
@@ -603,6 +604,19 @@ FROZEN_SHA256 = {
 def test_stream_matches_frozen_digest(name):
     events = FROZEN_SCENES[name]().events
     assert hashlib.sha256(events.tobytes()).hexdigest() == FROZEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name, step_us", [("default_disks_noise", 50), ("ragged_last_block", 37)])
+def test_stream_grown_from_two_step_blocks_matches_frozen_digest(name, step_us, monkeypatch):
+    """The stream is one array grown in place, a quarter at a time, as blocks
+    arrive. With blocks of two steps it grows from the first block's few
+    events through more than twenty resizes, with noise merged into many
+    blocks and the rest appended at the end, and still gives the frozen
+    bytes: the stream does not depend on where blocks are cut."""
+    monkeypatch.setattr(sim, "_BLOCK_STEPS", 2)
+    events = FROZEN_SCENES[name]().events
+    assert hashlib.sha256(events.tobytes()).hexdigest() == FROZEN_SHA256[name]
+    assert events.shape[0] > 1.25**20 * max(1, np.count_nonzero(events["t"] < 2 * step_us))
 
 
 def test_active_set_covers_fired_pixels_and_culls_the_rest():

@@ -57,3 +57,26 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
             elif isinstance(node, ast.ImportFrom):
                 reached |= {a.name for a in node.names}
     assert sorted(defined - reached - TEST_ONLY_ALLOWED) == []
+
+
+# scipy's one use: the bounded omega refinement of `evosc freq`
+SCIPY_ALLOWED = {("apps.py", "_refine_omega")}
+
+
+def test_no_module_imports_scipy():
+    """No package module imports scipy, at the top or inside a function,
+    except the named exemptions: the pipeline, and every stage it runs,
+    loads no scipy module."""
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name.split(".")[0] == "scipy" for name in names):
+                inside = [name for name, scope in scopes
+                          if scope.lineno <= node.lineno <= scope.end_lineno]
+                found.add((path.name, inside[-1] if inside else None))
+    assert sorted(found - SCIPY_ALLOWED) == []

@@ -21,7 +21,7 @@ from evosc.track import (
     write_samples_csv,
 )
 
-from oracles import exponential_centroid, tracker_event_loop
+from oracles import WholeCallTracker, exponential_centroid, tracker_event_loop
 from timing import tracker_bench
 
 
@@ -188,6 +188,29 @@ class TestCentroidTracker:
         assert pieces["t"].tolist() == whole["t"].tolist()
         np.testing.assert_allclose(pieces["u"], whole["u"], rtol=0, atol=1e-12)
         np.testing.assert_allclose(pieces["v"], whole["v"], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_samples_are_the_whole_call_scans(self, seed):
+        """Picking emissions chunk by chunk gives, bit for bit, the samples of
+        scanning the whole call first and gating after, for the stream fed
+        whole and fed in pieces cut inside chunks; the warm-up ends inside
+        the second of several chunk spans."""
+        rng = np.random.default_rng(seed)
+        tau = 0.002
+        span_us = int(_CHUNK_TAUS * tau * 1e6)
+        ev = _pixel_events(np.cumsum(rng.integers(0, 60, size=12_000)), rng)
+        assert int(ev["t"][-1] - ev["t"][0]) > 5 * span_us
+        kw = dict(patch=PatchSpec(cx=16.0, cy=16.0, half_size=12), tau_s=tau,
+                  emit_period_s=2e-4, min_weight=3.0, warmup_s=1.5 * span_us * 1e-6)
+        cuts = np.unique(np.concatenate([[0, ev.shape[0]], rng.integers(1, ev.shape[0], 5)]))
+        for bounds in ([0, ev.shape[0]], cuts):
+            tracker, ref = self.make(**kw), WholeCallTracker(**kw)
+            pieces = list(zip(bounds[:-1], bounds[1:]))
+            got = np.concatenate([tracker.run(ev[a:b]) for a, b in pieces])
+            want = np.concatenate([ref.run(ev[a:b]) for a, b in pieces])
+            assert got.shape[0] > 1000
+            assert got.tobytes() == want.tobytes()
+            assert (tracker.weight, tracker.cu, tracker.cv) == (ref.weight, ref.cu, ref.cv)
 
     def test_run_matches_the_oracle_across_chunks(self):
         """Every event emits; centroids match the per-event recursion over a
