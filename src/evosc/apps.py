@@ -8,11 +8,13 @@ run_pipeline      every stage in order, writing its artifacts and a manifest
 *_stage           one function per pipeline stage, also behind the CLI subcommands
 
 The applications take the tracker's tau_s and emit_period_s; the rest are the
-pipeline's defaults. estimate_motion and the ekf stage share _filter_axes.
+pipeline's defaults. estimate_motion and the ekf stage share _filter_axes, which
+starts at the first sample. estimate.json is written and read here alone.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -22,13 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SensorGeometry, from_section
+from .core import SensorGeometry, _read_value, from_section
 from .ekf import (
     NoiseConfig,
     SinusoidState,
     amplitude_phase,
     filter_samples,
-    init as ekf_init,
     write_trace_csv,
 )
 from .errors import ConfigError, InsufficientDataError, StageError, UnreliableEstimateError
@@ -36,6 +37,7 @@ from .freqest import (
     DEFAULT_BAND,
     DEFAULT_GRID_POINTS,
     InitResult,
+    SinusoidInit,
     check_band,
     fit_sinusoid,
     initialize,
@@ -65,6 +67,7 @@ from .track import (
     DEFAULT_WARMUP_TAUS,
     CentroidTracker,
     PatchSpec,
+    check_lag_tau,
     check_tracker_params,
     delag_coefficients,
     lowpass_gain,
@@ -103,7 +106,6 @@ def estimate_motion(
     patch: PatchSpec,
     tau_s: float = DEFAULT_TAU_S,
     emit_period_s: float = DEFAULT_EMIT_PERIOD_S,
-    tracker_id: int = 0,
 ) -> MotionEstimate:
     """Track one patch, initialize from its spectrum, then filter every sample,
     each with the pipeline's defaults.
@@ -112,16 +114,13 @@ def estimate_motion(
     centroid starts at the patch centre, and samples emitted before it
     forgets that start would bias both the fit and the first filter updates.
     """
-    samples = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s).tracker(
-        patch, tracker_id).run(events)
+    samples = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s).tracker(patch).run(events)
     if samples.shape[0] < 8:
         raise InsufficientDataError(
             f"patch at ({patch.cx}, {patch.cy}) produced {samples.shape[0]} samples"
         )
     init_result = initialize(samples)
-    t_ref = int(samples["t"][0])
-    (state_u, state_v), (trace_u, trace_v) = _filter_axes(samples, init_result, t_ref,
-                                                         NoiseConfig())
+    (state_u, state_v), (trace_u, trace_v) = _filter_axes(samples, init_result, NoiseConfig())
     return MotionEstimate(
         omega=init_result.omega,
         init_result=init_result,
@@ -131,7 +130,7 @@ def estimate_motion(
         trace_v=trace_v,
         samples=samples,
         tracker_tau_s=tau_s,
-        t_ref_us=t_ref,
+        t_ref_us=int(samples["t"][0]),
     )
 
 
@@ -282,18 +281,14 @@ def _converged_amplitude(est: MotionEstimate) -> PlaneEstimate:
     )
 
 
-def _plane_amplitude(events, patches, first_id, tau_s, emit_period_s):
+def _plane_amplitude(events, patches, tau_s, emit_period_s):
     """Mean converged amplitude across one plane's trackers."""
     if isinstance(patches, PatchSpec):
         patches = [patches]
     if not patches:
         raise ConfigError("each plane needs at least one patch")
-    estimates = [
-        _converged_amplitude(
-            estimate_motion(events, p, tau_s, emit_period_s, tracker_id=first_id + i)
-        )
-        for i, p in enumerate(patches)
-    ]
+    estimates = [_converged_amplitude(estimate_motion(events, p, tau_s, emit_period_s))
+                 for p in patches]
     return float(np.mean([e.amplitude_px for e in estimates])), estimates
 
 
@@ -311,9 +306,8 @@ def relative_depth(
     the mean over that plane's trackers, each an estimate_motion with tau_s
     and emit_period_s.
     """
-    amp1, ests1 = _plane_amplitude(events, patch_plane_1, 1, tau_s, emit_period_s)
-    amp2, ests2 = _plane_amplitude(events, patch_plane_2, 1 + len(ests1), tau_s,
-                                   emit_period_s)
+    amp1, ests1 = _plane_amplitude(events, patch_plane_1, tau_s, emit_period_s)
+    amp2, ests2 = _plane_amplitude(events, patch_plane_2, tau_s, emit_period_s)
     if amp2 <= 0:
         raise UnreliableEstimateError("plane 2 amplitude is zero")
     return DepthRatioReport(
@@ -578,14 +572,13 @@ def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> 
         samples = primary_samples(
             track_stage(config.tracker, events, geometry, out / "samples.csv"))
     with stage("estimate"):
-        init_result, t_ref_us = estimate_stage(config.estimate, samples, tau_s,
-                                               out / "estimate.json")
+        init_result = estimate_stage(config.estimate, samples, tau_s, out / "estimate.json")
     with stage("ekf"):
-        states, traces = ekf_stage(samples, init_result, t_ref_us,
+        states, traces = ekf_stage(samples, init_result,
                                    NoiseConfig(sigma_r=config.ekf.sigma_r_px), out)
     with stage("compensate"):
-        compensated = compensate_stage(events, init_result, t_ref_us, traces, geometry,
-                                       samples, tau_s, out)
+        compensated = compensate_stage(events, init_result, traces, geometry, samples, tau_s,
+                                       out)
     with stage("metrics"):
         rows_raw = metrics_stage(config.metrics, events, geometry, out / "metrics_raw.csv")
         rows_comp = metrics_stage(config.metrics, compensated, geometry,
@@ -629,61 +622,59 @@ def simulate_stage(section: SceneSection, geometry: SensorGeometry, seed: int, o
 
 def track_stage(section: TrackerSection, events: np.ndarray, geometry: SensorGeometry, dest):
     """One tracker per configured patch (default: the centre quarter of the
-    frame); writes the samples CSV to dest and returns the samples."""
+    frame); writes the samples CSV, with the tracker's tau, to dest and
+    returns the samples."""
     patches = section.patches or (PatchSpec(cx=(geometry.width - 1) / 2.0,
                                             cy=(geometry.height - 1) / 2.0,
                                             half_size=min(geometry.width, geometry.height) // 4),)
     samples = track_events(events, [section.tracker(p, i) for i, p in enumerate(patches)])
-    write_samples_csv(dest, samples)
+    write_samples_csv(dest, samples, section.tau_s)
     return samples
 
 
 def primary_samples(samples: np.ndarray) -> np.ndarray:
-    """The samples of the first tracker id, which the estimate, ekf and
-    compensate stages fit."""
+    """The samples of the lowest tracker id present (the first configured
+    tracker that emitted), which the estimate, ekf and compensate stages fit."""
     if samples.shape[0] == 0:
         return samples
-    return samples[samples["id"] == samples["id"][0]]
+    return samples[samples["id"] == samples["id"].min()]
 
 
 def estimate_stage(section: EstimateSection, samples: np.ndarray, tracker_tau_s: float, dest):
-    """Spectral init over one tracker's samples; writes the estimate JSON to dest
-    (a path or a text stream) and returns (init_result, t_ref_us)."""
+    """Spectral init over one tracker's samples; writes the estimate JSON, with
+    the first sample's time as t_ref_us, to dest (a path or a text stream) and
+    returns the init."""
     init_result = initialize(samples, band=section.band_rad_s, grid_points=section.grid_points)
-    t_ref = int(samples["t"][0])
-    write_json(dest, _estimate_json(init_result, t_ref, tracker_tau_s))
-    return init_result, t_ref
+    write_json(dest, _estimate_json(init_result, int(samples["t"][0]), tracker_tau_s))
+    return init_result
 
 
-def ekf_stage(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfig,
-              out_dir: Path):
+def ekf_stage(samples, init_result: InitResult, noise: NoiseConfig, out_dir: Path):
     """_filter_axes; writes ekf_trace_{u,v}.csv and returns its (states, traces)."""
-    states, traces = _filter_axes(samples, init_result, t_ref_us, noise)
+    states, traces = _filter_axes(samples, init_result, noise)
     for axis, trace in zip("uv", traces):
         write_trace_csv(out_dir / f"ekf_trace_{axis}.csv", trace)
     return states, traces
 
 
-def _filter_axes(samples, init_result: InitResult, t_ref_us: int, noise: NoiseConfig):
-    """Filter each axis from its init at t_ref_us through every sample;
-    returns the final (state_u, state_v) and the (trace_u, trace_v) they came
-    through. estimate_motion and the ekf stage both filter through it."""
-    states, traces = [], []
-    for axis, init in (("u", init_result.init_u), ("v", init_result.init_v)):
-        state, trace = filter_samples(samples, ekf_init(init, t_ref_us), noise, axis=axis)
-        states.append(state)
-        traces.append(trace)
-    return tuple(states), tuple(traces)
+def _filter_axes(samples, init_result: InitResult, noise: NoiseConfig):
+    """Filter each axis from its init at the first sample's time through every
+    sample; returns the final (state_u, state_v) and the (trace_u, trace_v)
+    they came through. estimate_motion and the ekf stage both filter through it."""
+    starts = states_from_init(init_result.init_u, init_result.init_v, int(samples["t"][0]))
+    (state_u, trace_u), (state_v, trace_v) = (
+        filter_samples(samples, start, noise, axis=axis) for axis, start in zip("uv", starts))
+    return (state_u, state_v), (trace_u, trace_v)
 
 
-def compensate_stage(events, init_result: InitResult, t_ref_us: int, traces, geometry,
-                     samples, tracker_tau_s: float, out_dir: Path) -> np.ndarray:
+def compensate_stage(events, init_result: InitResult, traces, geometry, samples,
+                     tracker_tau_s: float, out_dir: Path) -> np.ndarray:
     """Tracking-mode compensation with the tracker lag divided out: every
     event is mapped with the filter's freshest estimate at its time, read from
     the ekf stage's (trace_u, trace_v) of the same samples and init. Writes
     compensated.evt and compensated.csv to out_dir and returns the records
     of compensated.evt."""
-    states = states_from_init(init_result.init_u, init_result.init_v, t_ref_us)
+    states = states_from_init(init_result.init_u, init_result.init_v, int(samples["t"][0]))
     comp = compensate_stream(events, *states, geometry, mode="tracking", samples=samples,
                              phasors=trace_phasors(*states, *traces, tracker_tau_s))
     # the stage's peak is compensate_stream's per-block work, not either writer
@@ -738,3 +729,33 @@ def _estimate_json(init_result: InitResult, t_ref_us: int, tracker_tau_s: float 
         "u": axis(init_result.init_u, init_result.peaks_u),
         "v": axis(init_result.init_v, init_result.peaks_v),
     }
+
+
+def read_estimate(path) -> tuple[SinusoidState, SinusoidState, float | None]:
+    """(state_u, state_v, tracker_tau_s) of an estimate file as _estimate_json
+    writes it: an object whose axes u and v each hold omega, a, b and c (and
+    residual_rms, which is optional), with optional t_ref_us (an integer,
+    default 0) and tracker_tau_s (a number or null). Other keys are ignored;
+    a missing key, or a value of the wrong type, is a ConfigError naming it."""
+    d = json.loads(Path(path).read_text())
+    if not isinstance(d, dict):
+        raise ConfigError(f"a states file must be an object, got {json.dumps(d)}")
+    t_ref_us = _read_value(int, d.get("t_ref_us", 0), "t_ref_us")
+    lag_tau_s = _read_value(float | None, d.get("tracker_tau_s"), "tracker_tau_s")
+    if lag_tau_s is not None:
+        check_lag_tau(lag_tau_s)
+    inits = []
+    for axis in ("u", "v"):
+        if axis not in d:
+            raise ConfigError(f"states: missing key {axis!r}")
+        if not isinstance(d[axis], dict):
+            raise ConfigError(f"a states axis must be an object, got {json.dumps(d[axis])}")
+        values = {}
+        for key in ("omega", "a", "b", "c", "residual_rms"):
+            if key not in d[axis] and key != "residual_rms":
+                raise ConfigError(f"{axis}: missing key {key!r}")
+            values[key] = _read_value(float, d[axis].get(key, 0.0), f"{axis}.{key}")
+            if not math.isfinite(values[key]):
+                raise ConfigError(f"{axis}.{key}: expected a finite number, got {values[key]}")
+        inits.append(SinusoidInit(**values))
+    return (*states_from_init(*inits, t_ref_us), lag_tau_s)

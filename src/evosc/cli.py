@@ -3,9 +3,10 @@
 Subcommands mirror the pipeline stages plus the analysis applications.
 simulate reads a pipeline config file; track, estimate and metrics turn their
 flags into the pipeline's section object for that stage, whose field defaults
-are the flags' defaults. Each runs the pipeline's own stage function. Results
-go to --out (a file or directory depending on the subcommand). Errors print a
-stage-tagged line on stderr and exit 1.
+are the flags' defaults. Each runs the pipeline's own stage function; estimate
+takes the tracker's tau from the samples file. Results go to --out (a file or
+directory depending on the subcommand). Errors print a stage-tagged line on
+stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -32,22 +33,17 @@ from .apps import (
     metrics_stage,
     min_detectable_distance,
     primary_samples,
+    read_estimate,
     relative_depth,
     run_pipeline,
     simulate_stage,
     track_stage,
 )
-from .compensate import compensate_stream, states_from_init, write_compensated_csv
-from .core import _read_value, from_section
-from .errors import ConfigError, EvoscError
-from .freqest import SinusoidInit
+from .compensate import compensate_stream, write_compensated_csv
+from .core import from_section
+from .errors import EvoscError
 from .io import _evt_header, read_event_pieces, read_events, write_json
 from .track import PatchSpec, read_samples_csv
-
-
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _patch(values) -> PatchSpec:
@@ -56,7 +52,7 @@ def _patch(values) -> PatchSpec:
 
 
 def _cmd_simulate(args) -> int:
-    config = from_section(PipelineConfig, _load_json(args.config))
+    config = from_section(PipelineConfig, json.loads(Path(args.config).read_text()))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed = config.seed if args.seed is None else args.seed
@@ -75,9 +71,9 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    samples = primary_samples(read_samples_csv(args.samples))
+    samples, tau_s = read_samples_csv(args.samples)
     section = EstimateSection(band_rad_s=tuple(args.band), grid_points=args.grid_points)
-    estimate_stage(section, samples, args.tau, args.out or sys.stdout)
+    estimate_stage(section, primary_samples(samples), tau_s, args.out or sys.stdout)
     return 0
 
 
@@ -85,7 +81,7 @@ def _cmd_compensate(args) -> int:
     """Fixed-state compensation from file to file in bounded memory: the
     stream is read, compensated and appended to the output one piece at a
     time (one block of core.map_blocks per CPU, so each piece still splits)."""
-    state_u, state_v, lag_tau_s = _read_states(args.states)
+    state_u, state_v, lag_tau_s = read_estimate(args.states)
     n_oob = 0
     with closing(read_event_pieces(args.events, core._cpus() * core._BLOCK)) as pieces:
         geometry, count = next(pieces)
@@ -128,40 +124,6 @@ def _replacing(dest):
         raise
 
 
-def _read_states(path: str):
-    """(state_u, state_v, tracker_tau_s) of a states file as evosc estimate
-    writes it: an object whose axes u and v each hold omega, a, b and c (and
-    residual_rms, which is optional), with optional t_ref_us (an integer,
-    default 0) and tracker_tau_s (a number or null). Other keys are ignored;
-    a missing key, or a value of the wrong type, is a ConfigError naming it."""
-    d = _load_json(path)
-    if not isinstance(d, dict):
-        raise ConfigError(f"a states file must be an object, got {json.dumps(d)}")
-    t_ref_us = _read_value(int, d.get("t_ref_us", 0), "t_ref_us")
-    lag_tau_s = _read_value(float | None, d.get("tracker_tau_s"), "tracker_tau_s")
-    if lag_tau_s is not None and not 0 <= lag_tau_s < math.inf:
-        raise ConfigError(f"tracker_tau_s: expected a non-negative finite number, got {lag_tau_s}")
-    inits = []
-    for axis in ("u", "v"):
-        if axis not in d:
-            raise ConfigError(f"states: missing key {axis!r}")
-        inits.append(_init_from_json(d[axis], axis))
-    return (*states_from_init(*inits, t_ref_us), lag_tau_s)
-
-
-def _init_from_json(d, axis: str) -> SinusoidInit:
-    if not isinstance(d, dict):
-        raise ConfigError(f"a states axis must be an object, got {json.dumps(d)}")
-    values = {}
-    for key in ("omega", "a", "b", "c", "residual_rms"):
-        if key not in d and key != "residual_rms":
-            raise ConfigError(f"{axis}: missing key {key!r}")
-        values[key] = _read_value(float, d.get(key, 0.0), f"{axis}.{key}")
-        if not math.isfinite(values[key]):
-            raise ConfigError(f"{axis}.{key}: expected a finite number, got {values[key]}")
-    return SinusoidInit(**values)
-
-
 def _cmd_metrics(args) -> int:
     events, geometry = read_events(args.events)
     section = MetricsSection(window_ms=args.window_ms, blur_sigma=args.blur_sigma,
@@ -178,7 +140,7 @@ def _cmd_freq(args) -> int:
         tau_s=args.tau, emit_period_s=args.emit_period,
         truth_hz=args.truth_hz,
     )
-    _dump(asdict(report), args.out)
+    write_json(args.out or sys.stdout, asdict(report))
     return 0
 
 
@@ -188,7 +150,7 @@ def _cmd_depth(args) -> int:
         events, _patch(args.patch1), _patch(args.patch2), truth_ratio=args.truth_ratio,
         tau_s=args.tau, emit_period_s=args.emit_period,
     )
-    _dump(asdict(report), args.out)
+    write_json(args.out or sys.stdout, asdict(report))
     return 0
 
 
@@ -199,19 +161,15 @@ def _cmd_mindist(args) -> int:
         radius_m=args.radius_m,
         pixel_threshold=args.pixel_threshold,
     )
-    _dump({"min_detectable_distance_m": distance}, args.out)
+    write_json(args.out or sys.stdout, {"min_detectable_distance_m": distance})
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    config = _load_json(args.config)
+    config = json.loads(Path(args.config).read_text())
     manifest = run_pipeline(config, args.out, seed=args.seed)
     print(f"pipeline stages {manifest['stages']} -> {args.out}")
     return 0
-
-
-def _dump(payload: dict, out: str | None) -> None:
-    write_json(out or sys.stdout, payload)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", required=True, help="samples CSV from `track`")
     p.add_argument("--band", nargs=2, type=float, default=EstimateSection.band_rad_s)
     p.add_argument("--grid-points", type=int, default=EstimateSection.grid_points)
-    p.add_argument("--tau", type=float, default=TrackerSection.tau_s,
-                   help="tracker tau used for the lag correction downstream")
     p.add_argument("--out", default=None, help="JSON path (default stdout)")
     p.set_defaults(func=_cmd_estimate)
 

@@ -253,17 +253,54 @@ def delag_coefficients(a: float, b: float, omega: float, tau_s: float) -> tuple[
     return a - wt * b, b + wt * a
 
 
-def write_samples_csv(dest, samples: np.ndarray) -> None:
-    _write_csv(dest, "id,t_us,u,v", "{},{},{:.6f},{:.6f}",
-               [samples["id"], samples["t"], samples["u"], samples["v"]])
+_TAU_LINE = "# tracker_tau_s="
+_ID_MAX = 2**32 - 1
 
 
-def read_samples_csv(source) -> np.ndarray:
-    lines = [ln for ln in _read_bytes(source).decode().splitlines() if ln.strip()]
-    if not lines or lines[0] != "id,t_us,u,v":
-        raise ConfigError(f"bad samples header: {lines[0] if lines else '(empty)'}")
-    rows = []
-    for ln in lines[1:]:
-        sid, t, u, v = ln.split(",")
-        rows.append((int(sid), int(t), float(u), float(v)))
-    return samples_array(rows)
+def check_lag_tau(tau_s: float) -> float:
+    """tau_s, unless it is negative or not finite (NaN fails): a ConfigError."""
+    if not 0 <= tau_s < math.inf:
+        raise ConfigError(f"tracker_tau_s: expected a non-negative finite number, got {tau_s}")
+    return tau_s
+
+
+def write_samples_csv(dest, samples: np.ndarray, tracker_tau_s: float) -> None:
+    """A `# tracker_tau_s=` line (repr of the tau the samples were tracked
+    with), the `id,t_us,u,v` header, then one row per sample."""
+    _write_csv(dest, f"{_TAU_LINE}{float(tracker_tau_s)!r}\nid,t_us,u,v",
+               "{},{},{:.6f},{:.6f}", [samples["id"], samples["t"], samples["u"], samples["v"]])
+
+
+def read_samples_csv(source) -> tuple[np.ndarray, float]:
+    """(samples, tracker_tau_s) of a file as write_samples_csv writes it; blank
+    rows are skipped. A bad tau line, header or row is a ConfigError naming its
+    1-based line, and a row earlier than the one before it an OrderingError."""
+    lines = _read_bytes(source).decode().splitlines()
+    tau_line, header = (lines + ["", ""])[:2]
+    if not tau_line.startswith(_TAU_LINE):
+        raise ConfigError(f"samples line 1: expected '{_TAU_LINE}<seconds>', got {tau_line!r}")
+    try:
+        tracker_tau_s = check_lag_tau(float(tau_line[len(_TAU_LINE):]))
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"samples line 1: {exc}") from None
+    if header != "id,t_us,u,v":
+        raise ConfigError(f"samples line 2: bad header {header!r}, expected 'id,t_us,u,v'")
+    rows = [(n, _sample_row(n, ln)) for n, ln in enumerate(lines[2:], 3) if ln.strip()]
+    for (_, prev), (n, row) in zip(rows, rows[1:]):
+        if row[1] < prev[1]:
+            raise OrderingError(f"samples line {n}: t_us {row[1]} is before {prev[1]}")
+    return samples_array([row for _, row in rows]), tracker_tau_s
+
+
+def _sample_row(n: int, line: str) -> tuple[int, int, float, float]:
+    """(id, t, u, v) of the row on line n, or a ConfigError naming n."""
+    try:
+        sid, t, u, v = line.split(",")
+        row = int(sid), int(t), float(u), float(v)
+    except ValueError as exc:
+        raise ConfigError(f"samples line {n}: {exc}") from None
+    if not (0 <= row[0] <= _ID_MAX and 0 <= row[1] <= _T_MAX
+            and math.isfinite(row[2]) and math.isfinite(row[3])):
+        raise ConfigError(f"samples line {n}: expected an id in [0, 2**32), a t_us in "
+                          f"[0, 2**64) and finite u and v, got {line!r}")
+    return row

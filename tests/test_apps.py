@@ -35,7 +35,7 @@ from evosc.errors import (
 )
 from evosc.io import read_events, write_events
 from evosc.sim import Checkerboard, Disks, OscillatorConfig
-from evosc.track import PatchSpec, lowpass_gain
+from evosc.track import PatchSpec, lowpass_gain, read_samples_csv
 
 from oracles import MIN_DETECT_D_REF, MOTOR_OMEGA_2V, pixel_displacement
 
@@ -357,9 +357,10 @@ class TestPipeline:
         "compensated.evt": "fc64f81e92c96c35bce6a5d5a04d9f7132356a03ed4ca5da544d4d85f95bd6d4",
         "compensated.csv": "a3fdc4bdb3691284ae6b028d9d588a335c7f432436569d1a4fb514f1cb846a64",
     }
-    # sha256 of the tracker's samples as the per-event loop wrote them, same run
+    # sha256 of the tracker's samples as the per-event loop wrote them, same run;
+    # without its first line, "# tracker_tau_s=0.005", the file hashes to 494ef438...
     FROZEN_SAMPLES = {
-        "samples.csv": "494ef438ebc4f5e93ea8dfb1bb68e21e71c02da42c07ca299abfc6a120279c0d",
+        "samples.csv": "23c5267cb8c9f09a4f03ec456c6f7494533f958c9fa4ea299ff4fa7e45bccc88",
     }
     # sha256 of the metrics path's artifacts as the per-window frame types wrote
     # them, same run
@@ -384,8 +385,8 @@ class TestPipeline:
         events = apps.simulate_stage(config.scene, geometry, 3, tmp_path).events
         samples = apps.primary_samples(apps.track_stage(config.tracker, events, geometry,
                                                         tmp_path / "samples.csv"))
-        init, t_ref = apps.estimate_stage(config.estimate, samples, tau_s,
-                                          tmp_path / "estimate.json")
+        init = apps.estimate_stage(config.estimate, samples, tau_s, tmp_path / "estimate.json")
+        t_ref = int(samples["t"][0])
         comp = compensate_stream(events, *states_from_init(init.init_u, init.init_v, t_ref),
                                  geometry, mode="tracking", samples=samples,
                                  noise=NoiseConfig(sigma_r=config.ekf.sigma_r_px),
@@ -429,6 +430,27 @@ class TestPipeline:
         assert calls == ["filter", "filter", "to_events"]
         for name, want in {**self.FROZEN_SAMPLES, **self.FROZEN_TRACKING}.items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+
+    def test_primary_samples_are_the_first_configured_trackers(self, tmp_path):
+        """On a scene whose second tracker emits first, the stages after the
+        tracker fit the first configured tracker's samples."""
+        config = from_section(PipelineConfig, {
+            "geometry": {"width": 64, "height": 64},
+            "scene": {"duration_s": 0.3, "depth_planes": [
+                {"region": [0, 0, 32, 64],
+                 "pattern": {"type": "stripes", "angle_rad": math.pi / 2.0}},
+                {"region": [32, 0, 64, 64], "pattern": {"type": "stripes", "angle_rad": 0.0}},
+            ]},
+            "tracker": {"patches": [{"cx": 16.0, "cy": 32.0, "half_size": 8},
+                                    {"cx": 48.0, "cy": 32.0, "half_size": 8}]},
+        })
+        events = apps.simulate_stage(config.scene, config.geometry, 1, tmp_path).events
+        samples = apps.track_stage(config.tracker, events, config.geometry,
+                                   tmp_path / "samples.csv")
+        assert samples["id"][0] == 1
+        primary = apps.primary_samples(samples)
+        assert primary.tobytes() == samples[samples["id"] == 0].tobytes()
+        assert primary.shape[0] > 100
 
     @pytest.mark.parametrize("block, message", [
         ({"metrics": {"window_ms": 0.0001}},
@@ -605,7 +627,7 @@ class TestEmptyStream:
         with pytest.raises(InsufficientDataError) as err:
             run_pipeline(config, tmp_path)
         assert str(err.value) == "need at least 3 samples, got 2"
-        assert len((tmp_path / "samples.csv").read_text().splitlines()) == 3
+        assert read_samples_csv(tmp_path / "samples.csv")[0].shape[0] == 2
         assert not (tmp_path / "estimate.json").exists()
 
     def test_metrics_use_one_unit_window(self, tmp_path):

@@ -27,6 +27,7 @@ from evosc.sim import (
     OscillatorConfig,
     PhysicalOscillator,
     WorldMotion,
+    camera_offset,
     motor_speed,
     simulate_moving_target,
 )
@@ -82,7 +83,8 @@ def test_simulate_artifacts(workdir):
 
 
 def test_track_samples(workdir):
-    samples = read_samples_csv(workdir / "samples.csv")
+    samples, tau_s = read_samples_csv(workdir / "samples.csv")
+    assert tau_s == 0.005
     assert samples.shape[0] > 300
     assert np.all(np.abs(samples["u"] - 16.0) < 11.0)
 
@@ -91,7 +93,7 @@ def test_track_drops_the_warmup_like_the_library(workdir):
     events, _ = read_events(workdir / "events.evt")
     patch = PatchSpec(cx=16.0, cy=16.0, half_size=10)
     first_in_patch = int(events["t"][patch.contains(events["x"], events["y"])][0])
-    samples = read_samples_csv(workdir / "samples.csv")
+    samples, _ = read_samples_csv(workdir / "samples.csv")
     assert samples["t"][0] >= first_in_patch + 3 * 0.005 * 1e6
     np.testing.assert_array_equal(samples["t"], estimate_motion(events, patch).samples["t"])
 
@@ -449,11 +451,67 @@ def test_bad_states_file_is_reported(workdir, tmp_path, capsys, states):
 def test_estimate_of_two_samples_exits_with_an_error(tmp_path, capsys):
     # two samples whose spectrum has a peak, so only the fit can refuse them
     two = tmp_path / "two.csv"
-    two.write_text("id,t_us,u,v\n0,15106,14.529524,15.250879\n0,23108,17.344854,16.003243\n")
+    two.write_text("# tracker_tau_s=0.005\nid,t_us,u,v\n"
+                   "0,15106,14.529524,15.250879\n0,23108,17.344854,16.003243\n")
     out = tmp_path / "states.json"
     assert main(["estimate", "--samples", str(two), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "[estimate] need at least 3 samples, got 2\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,-5,16.0,16.0\n", "samples line 3: expected an id in [0, 2**32), a t_us in [0, 2**64) "
+                         "and finite u and v, got '0,-5,16.0,16.0'"),
+    ("0,5000,nan,16.0\n", "samples line 3: expected an id in [0, 2**32), a t_us in [0, 2**64) "
+                          "and finite u and v, got '0,5000,nan,16.0'"),
+    ("0,5000,16.0,16.0\n0,6000,16.0\n",
+     "samples line 4: not enough values to unpack (expected 4, got 3)"),
+    ("0,7000,16.0,16.0\n0,6000,16.0,16.0\n0,5000,16.0,16.0\n",
+     "samples line 4: t_us 6000 is before 7000"),
+], ids=["negative_time", "nan_centroid", "three_fields", "time_order"])
+def test_malformed_samples_row_names_its_line(tmp_path, capsys, rows, message):
+    """A samples row that the tracker cannot have written (a negative time, a
+    NaN centroid, three fields, rows out of time order) exits 1 with an
+    error naming its line, and writes no estimate."""
+    bad = tmp_path / "samples.csv"
+    bad.write_text("# tracker_tau_s=0.005\nid,t_us,u,v\n" + rows)
+    out = tmp_path / "estimate.json"
+    assert main(["estimate", "--samples", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"[estimate] {message}\n"
+    assert not out.exists()
+
+
+def test_estimate_takes_the_tau_the_samples_were_tracked_with(tmp_path, monkeypatch):
+    """A tracker tau other than the default reaches compensation through the
+    samples file: on the demo disk scene (1 s, seed 0), samples tracked with
+    tau 0.002 give an estimate with that tau, and compensation leaves at most
+    0.2 px RMS against the true offset over the second half. When estimate
+    took its tau from a flag that defaulted to 0.005, this was 2.31 px.
+    estimate has no --tau flag."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    from run_demo import DEMO_CONFIG
+
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(DEMO_CONFIG))
+    assert main(["simulate", "--config", str(cfg), "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert main(["track", "--events", str(tmp_path / "events.evt"), "--patch", "32", "32", "14",
+                 "--tau", "0.002", "--out", str(tmp_path / "samples.csv")]) == 0
+    assert main(["estimate", "--samples", str(tmp_path / "samples.csv"),
+                 "--out", str(tmp_path / "estimate.json")]) == 0
+    assert json.loads((tmp_path / "estimate.json").read_text())["tracker_tau_s"] == 0.002
+    assert main(["compensate", "--events", str(tmp_path / "events.evt"), "--states",
+                 str(tmp_path / "estimate.json"), "--csv", "--out", str(tmp_path / "c.csv")]) == 0
+    events, _ = read_events(tmp_path / "events.evt")
+    comp = np.loadtxt(tmp_path / "c.csv", delimiter=",", skiprows=1)
+    osc = DEMO_CONFIG["scene"]["oscillation"]
+    du, dv = camera_offset(comp[:, 0] * 1e-6, OscillatorConfig(
+        osc["amp_x_px"], osc["amp_y_px"], osc["omega_rad_s"], osc["phi_x"], osc["phi_y"]))
+    residual = np.hypot(comp[:, 1] - (events["x"] - du), comp[:, 2] - (events["y"] - dv))
+    second_half = comp[:, 0] >= 0.5e6
+    assert np.sqrt(np.mean(residual[second_half] ** 2)) <= 0.2
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--samples", str(tmp_path / "samples.csv"), "--tau", "0.005"])
+    assert exc.value.code == 2
 
 
 def test_states_axis_that_is_not_an_object_is_reported(workdir, tmp_path, capsys):
@@ -559,7 +617,7 @@ def test_cli_stages_match_the_pipeline(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--seed", "4", "--out", str(cli)]) == 0
     assert main(["track", "--events", str(cli / "events.evt"), "--patch", "16", "16", "10",
                  "--tau", "0.004", "--out", str(cli / "samples.csv")]) == 0
-    assert main(["estimate", "--samples", str(cli / "samples.csv"), "--tau", "0.004",
+    assert main(["estimate", "--samples", str(cli / "samples.csv"),
                  "--out", str(cli / "estimate.json")]) == 0
     for name in ("events.evt", "truth.json", "samples.csv"):
         assert (cli / name).read_bytes() == (tmp_path / "pipe" / name).read_bytes(), name
@@ -572,7 +630,7 @@ def test_cli_estimate_fits_the_first_tracker_only(tmp_path):
            "tracker": {"patches": [{"cx": 16.0, "cy": 16.0, "half_size": 10},
                                    {"cx": 48.0, "cy": 48.0, "half_size": 10}]}}
     run_pipeline(two, tmp_path, seed=5)
-    assert set(read_samples_csv(tmp_path / "samples.csv")["id"]) == {0, 1}
+    assert set(read_samples_csv(tmp_path / "samples.csv")[0]["id"]) == {0, 1}
     assert main(["estimate", "--samples", str(tmp_path / "samples.csv"),
                  "--out", str(tmp_path / "cli.json")]) == 0
     assert_close_json(json.loads((tmp_path / "cli.json").read_text()),

@@ -379,21 +379,51 @@ class TestSamplesCsv:
             (1, 100, 3.125, 7.5), (1, 1100, 3.25, 7.0), (2, 1100, -0.5, 12.0),
         ])
         buf = io.BytesIO()
-        write_samples_csv(buf, samples)
-        back = read_samples_csv(io.StringIO(buf.getvalue().decode()))
+        write_samples_csv(buf, samples, 0.002)
+        back, tau_s = read_samples_csv(io.StringIO(buf.getvalue().decode()))
         assert back.tobytes() == samples.tobytes()
+        assert tau_s == 0.002
 
     def test_header_written(self):
         buf = io.BytesIO()
-        write_samples_csv(buf, samples_array([]))
-        assert buf.getvalue() == b"id,t_us,u,v\n"
+        write_samples_csv(buf, samples_array([]), 0.005)
+        assert buf.getvalue() == b"# tracker_tau_s=0.005\nid,t_us,u,v\n"
+
+    def test_tau_round_trips_exactly(self):
+        buf = io.BytesIO()
+        write_samples_csv(buf, samples_array([]), np.float64(0.1) + 0.2)
+        assert read_samples_csv(buf.getvalue())[1] == 0.1 + 0.2
 
     def test_bad_header_rejected(self):
         with pytest.raises(ConfigError, match="header"):
-            read_samples_csv(io.StringIO("t,u,v\n1,2,3\n"))
+            read_samples_csv(io.StringIO("# tracker_tau_s=0.005\nt,u,v\n1,2,3\n"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,t_us,u,v\n0,5,1.0,2.0\n",
+         "samples line 1: expected '# tracker_tau_s=<seconds>', got 'id,t_us,u,v'"),
+        ("\n\n", "samples line 1: expected '# tracker_tau_s=<seconds>', got ''"),
+        ("# tracker_tau_s=-0.002\nid,t_us,u,v\n",
+         "samples line 1: tracker_tau_s: expected a non-negative finite number, got -0.002"),
+        ("# tracker_tau_s=nan\nid,t_us,u,v\n",
+         "samples line 1: tracker_tau_s: expected a non-negative finite number, got nan"),
+        ("# tracker_tau_s=inf\nid,t_us,u,v\n",
+         "samples line 1: tracker_tau_s: expected a non-negative finite number, got inf"),
+        ("# tracker_tau_s=fast\nid,t_us,u,v\n",
+         "samples line 1: could not convert string to float: 'fast'"),
+    ], ids=["no_tau_line", "blank", "negative", "nan", "inf", "not_a_number"])
+    def test_missing_or_bad_tau_line_is_named(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            read_samples_csv(text.encode())
+        assert str(err.value) == message
+
+    def test_rows_out_of_time_order_are_an_ordering_error(self):
+        text = "# tracker_tau_s=0.005\nid,t_us,u,v\n0,6000,1.0,2.0\n\n0,5000,1.0,2.0\n"
+        with pytest.raises(OrderingError, match="^samples line 5: t_us 5000 is before"):
+            read_samples_csv(text.encode())
 
     def test_file_path_round_trip(self, tmp_path):
         samples = samples_array([(0, 5, 1.0, 2.0)])
         dest = tmp_path / "s.csv"
-        write_samples_csv(dest, samples)
-        assert read_samples_csv(dest).tobytes() == samples.tobytes()
+        write_samples_csv(dest, samples, 0.005)
+        back, tau_s = read_samples_csv(dest)
+        assert back.tobytes() == samples.tobytes() and tau_s == 0.005
