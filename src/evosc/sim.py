@@ -50,14 +50,34 @@ The block's crossings are then emitted together, each at the
 linear-interpolated instant inside its step, clipped to the step (at the
 step start when the latent value does not move), less those that come within
 the refractory period of the pixel's last emission, in per-step order:
-step, level, pixel.
+step, level, pixel. A block in which no pixel crosses more than one level in
+a step, as in every block of the perfbench scenes, skips the level
+expansion (np.repeat).
 
 Each block's events are sorted by float time (stably, so equal times keep
 per-step order) and packed as they are produced; the noise events, sorted
-once, are merged into the block whose end follows them, after every event at
-an equal or earlier float time. The stream is the one a single stable time
-sort of all events gives. Blocks are written into one output array, grown in
-place with ndarray.resize, so the stream is never held twice.
+once, are written into the block whose end follows them, after every event
+at an equal or earlier float time. The stream is the one a single stable
+time sort of all events gives. Blocks are written into one output array,
+grown in place with ndarray.resize, so the stream is never held twice.
+
+The emission, with the packing and the noise, runs on a worker thread of
+core._executor() while the calling thread samples and walks the next block:
+one task at a time, so blocks are emitted in order and one thread at a time
+touches the emission state and the stream, and the walk alternates between
+two buffer sets. The stream is the same byte for byte either way. Two
+threads gain only where the worker runs while the caller has let go of the
+interpreter lock: numpy releases it inside ufunc loops over more than 500
+elements, and the walk is 7 ufunc calls per step on rows as wide as the
+walk. So the emission makes no call that holds the lock for long (no
+np.diff, np.roll or np.insert, and np.repeat only for multi-level blocks),
+and it runs inline, on the calling thread, when one CPU is usable or the
+walk is narrower than _PIPELINE_PIXELS. That break-even comes from a
+sweep of 1 s checkerboard scenes on a 2-CPU machine, inline -> pipelined
+(median of 5 runs, each the best of 3): 1600 px 0.549 -> 0.535 s, 2304 px
+0.662 -> 0.661 s, 2704 px 0.757 -> 0.673 s, 3136 px 0.836 -> 0.684 s,
+4096 px 1.068 -> 0.831 s and 9216 px 2.539 -> 1.840 s. A narrower walk's
+loops are too short to give the worker the time it needs.
 """
 
 from __future__ import annotations
@@ -67,7 +87,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import SensorGeometry, empty_events, from_section, make_events
+from . import core
+from .core import EVENT_DTYPE, SensorGeometry, empty_events, from_section, make_events
 from .errors import ConfigError, ResonanceError
 
 TWO_PI = 2.0 * math.pi
@@ -83,6 +104,9 @@ _BLOCK_STEPS = 64
 _MAX_CROSSINGS = 16
 # most active pixels walked at once: the walk's buffers stay under 17 MB
 _WALK_PIXELS = 16384
+# narrowest walk whose blocks are emitted on a worker thread: the break-even
+# of the sweep in the module docstring
+_PIPELINE_PIXELS = 2500
 
 
 def wrap_angle(phi: float) -> float:
@@ -534,79 +558,109 @@ def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, pla
     return latent
 
 
-def _walk_arrays(n_pix: int):
-    """The reference walk's level counts and references, reused by every
-    block: room for _BLOCK_STEPS and _BLOCK_STEPS + 1 rows of at most
-    _WALK_PIXELS columns."""
-    width = min(n_pix, _WALK_PIXELS)
+def _walk_arrays(width: int):
+    """One set of the reference walk's buffers, level counts and references:
+    room for _BLOCK_STEPS and _BLOCK_STEPS + 1 rows of width columns."""
     return np.empty(_BLOCK_STEPS * width), np.empty((_BLOCK_STEPS + 1) * width)
 
 
-def _crossings(lat, l_ref, last_emit, first_step, threshold, step_us, refractory_us, work):
-    """Crossings of one block, (t_us, pixel, polarity) by step, level, pixel.
+def _walk(lat, ref0, threshold, work):
+    """The reference walk of one block over a chunk of pixel columns: (q, ref),
+    views of the buffer set work.
 
-    lat[r] is the latent value before step first_step + r, one row more than
-    the block has steps. l_ref and last_emit are updated in place. work is
-    _walk_arrays(lat.shape[1]); the pixels are walked in chunks as wide as it
-    has room for.
+    lat[r] is the latent value before step r of the block. q[r] is each
+    pixel's signed level count in step r, trunc((lat - ref) / threshold)
+    capped at _MAX_CROSSINGS either way, and ref[r] its reference before it;
+    ref[0] is ref0.
     """
-    n_rows, n_pix = lat.shape[0] - 1, lat.shape[1]
-    span = max(work[0].size // _BLOCK_STEPS, 1)
+    n_rows, w = lat.shape[0] - 1, lat.shape[1]
+    q = work[0][:n_rows * w].reshape(n_rows, w)
+    ref = work[1][:(n_rows + 1) * w].reshape(n_rows + 1, w)
+    ref[0] = ref0
     # numpy scalars: a ufunc converts a Python number on every call
     th, cap = np.float64(threshold), np.float64(_MAX_CROSSINGS)
-    # (step, pixel, level count, reference before the step) of each
-    # crossing, each pixel's in step order
-    found = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),) * 2]
-    for c in range(0, n_pix, span):
-        w = min(span, n_pix - c)
-        # the reference walk: q[r] is each pixel's signed level count in step
-        # r and ref[r] its reference before it
-        q = work[0][:n_rows * w].reshape(n_rows, w)
-        ref = work[1][:(n_rows + 1) * w].reshape(n_rows + 1, w)
-        ref[0] = l_ref[c:c + w]
-        for now, qr, before, after in zip(lat[1:, c:c + w], q, ref, ref[1:]):
-            np.subtract(now, before, out=qr)
-            np.divide(qr, th, out=qr)
-            np.trunc(qr, out=qr)
-            np.minimum(qr, cap, out=qr)
-            np.maximum(qr, -cap, out=qr)
-            np.multiply(qr, th, out=after)
-            np.add(before, after, out=after)
-        at = np.flatnonzero(q != 0)
-        at = at[np.argsort((at % w).astype(np.min_scalar_type(w)), kind="stable")]
-        row, col = np.divmod(at, w)
-        # only pixels that cross move: a -0.0 reference plus a zero step is +0.0
-        l_ref[c + col] = ref[n_rows, col]
-        found.append((row, c + col, q.ravel()[at], ref.ravel()[at]))
-    row, pixel, q, ref = (np.concatenate(f) for f in zip(*found))
+    for now, qr, before, after in zip(lat[1:], q, ref, ref[1:]):
+        np.subtract(now, before, out=qr)
+        np.divide(qr, th, out=qr)
+        np.trunc(qr, out=qr)
+        np.minimum(qr, cap, out=qr)
+        np.maximum(qr, -cap, out=qr)
+        np.multiply(qr, th, out=after)
+        np.add(before, after, out=after)
+    return q, ref
 
-    # one event per crossed level
-    count = np.abs(q).astype(np.intp)
-    level = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
-    row, pixel, q, ref = (np.repeat(a, count) for a in (row, pixel, q, ref))
-    at = row * n_pix + pixel
-    l_prev, l_now = lat.ravel()[at], lat.ravel()[at + n_pix]
+
+def _extract(q, ref, l_ref, c, n_pix):
+    """Crossings of a walked chunk whose first pixel is c, of n_pix: (step,
+    pixel, index in the block's latent rows, level count, reference before
+    the step) of each, by step then pixel. The pixels that cross take their
+    final reference in l_ref."""
+    n_rows, w = q.shape
+    at = np.flatnonzero(q != 0)
+    row, col = np.divmod(at, w)
+    pixel = col + c if c else col
+    # only pixels that cross move: a -0.0 reference plus a zero step is +0.0
+    l_ref[pixel] = ref[n_rows].take(col)
+    cell = at if w == n_pix else row * n_pix + pixel
+    return row, pixel, cell, q.take(at), ref.take(at)
+
+
+def _emit(found, lat, last_emit, first_step, threshold, step_us, refractory_us):
+    """Events of one block's crossings, (t_us, pixel, polarity) by step, level,
+    pixel; last_emit is updated in place.
+
+    found holds each walked chunk's _extract, in pixel order, and lat is the
+    block's latent values, lat[r] the one before step first_step + r. The
+    level expansion, whose np.repeat holds the interpreter lock for its whole
+    copy, runs only for a block where some pixel crosses several levels in a
+    step; the rest make no call that was seen to stall a walk on another
+    thread (np.diff, np.roll, np.insert).
+    """
+    n_rows, n_pix = lat.shape[0] - 1, lat.shape[1]
+    row, pixel, cell, q, ref = (found[0] if len(found) == 1
+                                else (np.concatenate(f) for f in zip(*found)))
+    level = 1
+    multi = q.size and (q.max() > 1.0 or q.min() < -1.0)
+    if multi:
+        # one event per crossed level
+        count = np.abs(q).astype(np.intp)
+        level = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count) + 1
+        row, pixel, cell, q, ref = (np.repeat(a, count) for a in (row, pixel, cell, q, ref))
+    l_prev, rise = lat.take(cell), lat[1:].take(cell)
+    rise -= l_prev
+    if not rise.all():
+        # a latent value that does not move puts every crossing at the step start
+        rise[rise == 0.0] = np.inf
     pol = np.sign(q)
-    rise = l_now - l_prev
-    # a latent value that does not move puts every crossing at the step start
-    rise[rise == 0.0] = np.inf
-    frac = (ref + pol * (level * threshold) - l_prev) / rise
-    t = (first_step + row) * step_us + np.clip(frac, 0.0, 1.0) * step_us
+    t = pol * (level * threshold)
+    t += ref
+    t -= l_prev
+    t /= rise
+    np.clip(t, 0.0, 1.0, out=t)
+    t *= step_us
+    t += ((first_step + np.arange(n_rows)) * step_us).take(row)
+    key = None
+    if multi or len(found) > 1:
+        key = row * (_MAX_CROSSINGS + 1) + level
+        order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
+        t, pixel, pol, key = t[order], pixel[order], pol[order], key[order]
 
-    # an event refractory_us or more after its pixel's event before it (or
-    # last_emit) is kept whatever came before; when every event is, each
-    # pixel's last one is its last emission
-    head, tail = np.diff(pixel, prepend=-1) != 0, np.diff(pixel, append=-1) != 0
-    free = np.all(t >= np.where(head, last_emit[pixel], np.roll(t, 1)) + refractory_us)
-    if free:
-        last_emit[pixel[tail]] = t[tail]
-    key = row * (_MAX_CROSSINGS + 1) + level
-    order = np.argsort(key.astype(np.min_scalar_type(key.max(initial=0))), kind="stable")
-    t, pixel, pol = t[order], pixel[order], pol[order]
-    if not free:
-        keep = _refractory(t, pixel, key[order], last_emit, refractory_us)
-        t, pixel, pol = t[keep], pixel[keep], pol[keep]
-    return t, pixel, pol
+    # An event refractory_us or more after its pixel's event before it (or
+    # last_emit) is kept whatever came before. Pixel by pixel, each pixel's
+    # events are in time order, so when every event is that far from the one
+    # before it, each is that far from last_emit if the first is.
+    by_pixel = np.argsort(pixel.astype(np.min_scalar_type(n_pix)), kind="stable")
+    tp, pp = t.take(by_pixel), pixel.take(by_pixel)
+    free = tp[1:] >= tp[:-1] + refractory_us
+    free |= pp[1:] != pp[:-1]
+    if free.all() and (t >= last_emit.take(pixel) + refractory_us).all():
+        # each pixel's last event is its last emission
+        np.maximum.at(last_emit, pixel, t)
+        return t, pixel, pol
+    if key is None:
+        key = row * (_MAX_CROSSINGS + 1) + level
+    keep = _refractory(t, pixel, key, last_emit, refractory_us)
+    return t[keep], pixel[keep], pol[keep]
 
 
 def _refractory(t, pixel, key, last_emit, refractory_us):
@@ -638,6 +692,58 @@ def check_sim_params(duration_s: float, threshold: float, step_us: int,
             raise ConfigError(f"{name} must be non-negative and finite, got {value}")
 
 
+def _search(sample, n_steps, l_ref, threshold, emit):
+    """Walk the blocks of n_steps steps and call emit(b, n, lat, found) for
+    each, in block order: the block of the n steps from step b, its latent
+    values lat = sample(b, n) (lat[r] the one before step b + r), and found,
+    the crossings _extract takes from each walked chunk, in pixel order.
+
+    l_ref holds each pixel's reference before step 0 and is updated as the
+    crossings are extracted. When the walk is at least _PIPELINE_PIXELS wide
+    and another CPU is usable, the extraction and emit run on a worker while
+    this thread samples and walks the next chunk. One task is in flight at a
+    time, so blocks are emitted in order and by one thread at a time, and the
+    walk alternates between two buffer sets. An exception from the worker
+    reaches the caller, and no task runs once this returns or raises.
+    """
+    n_pix = l_ref.size
+    width = min(n_pix, _WALK_PIXELS)
+    pool = core._executor() if width >= _PIPELINE_PIXELS and core._cpus() > 1 else None
+    works = [_walk_arrays(width) for _ in range(1 if pool is None else 2)]
+    # the walk's own references, so that it never waits on l_ref; they differ
+    # from l_ref at most in the sign of a zero, which no crossing depends on
+    walk_ref = l_ref.copy()
+    chunks = range(0, max(n_pix, 1), max(width, 1))
+
+    def task(c, q, ref, found, b, n, lat):
+        found.append(_extract(q, ref, l_ref, c, n_pix))
+        if c == chunks[-1]:
+            emit(b, n, lat, found)
+
+    pending, walked = None, 0
+    try:
+        for b in range(0, n_steps, _BLOCK_STEPS):
+            n = min(_BLOCK_STEPS, n_steps - b)
+            lat, found = sample(b, n), []
+            for c in chunks:
+                cols = slice(c, c + width)
+                q, ref = _walk(lat[:, cols], walk_ref[cols], threshold,
+                               works[walked % len(works)])
+                walk_ref[cols] = ref[-1]
+                walked += 1
+                if pool is None:
+                    task(c, q, ref, found, b, n, lat)
+                    continue
+                if pending is not None:
+                    pending.result()
+                pending = pool.submit(task, c, q, ref, found, b, n, lat)
+    finally:
+        if pending is not None:
+            pending.exception()  # waits; the error itself is raised below
+    if pending is not None:
+        pending.result()
+
+
 def _generate(
     planes,
     contrast: float,
@@ -657,41 +763,47 @@ def _generate(
     check_sim_params(duration_s, threshold, step_us, noise_rate_hz, refractory_us)
     ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
     latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
+    xs, ys = xs.astype(EVENT_DTYPE["x"]), ys.astype(EVENT_DTYPE["y"])
 
     # noise is drawn from rng alone, so drawing it before the simulated
     # events changes no value
     noise_t, noise = _noise_events(rng, noise_rate_hz, geometry, duration_s)
-    merged = 0
-    n_steps = int(round(duration_s * 1e6 / step_us))
     l_ref = latent([0.0])[0]
     last_emit = np.full(ys.shape[0], -1e18)
-    work = _walk_arrays(ys.shape[0])
     # the stream, grown in place as blocks arrive: a quarter more room at a
     # time, and cut to length at the end
-    stream, filled = empty_events(), 0
-    for b in range(0, n_steps, _BLOCK_STEPS):
-        n = min(_BLOCK_STEPS, n_steps - b)
-        # row r: the latent value after step b + r - 1, row 0 the one before step b
-        lat = latent([i * step_us * 1e-6 for i in range(b, b + n + 1)])
-        t, pixel, pol = _crossings(lat, l_ref, last_emit, b, threshold, step_us,
-                                   refractory_us, work)
-        order = np.argsort(t, kind="stable")
-        t, pixel = t[order], pixel[order]
-        events = make_events(np.round(t).astype(np.uint64), xs[pixel], ys[pixel], pol[order],
-                             validate=False)
+    stream, filled, merged = empty_events(), 0, 0
+
+    def emit(b, n, lat, found):
+        nonlocal stream, filled, merged
+        t, pixel, pol = _emit(found, lat, last_emit, b, threshold, step_us, refractory_us)
         # Later blocks' events come at or after this block's end, so the noise
-        # before it is placed here: after every event at an equal or earlier
-        # float time, where one stable time sort of the whole stream puts it.
+        # before it is placed here, after every event at an equal or earlier
+        # float time: one stable time sort of the block's events followed by
+        # its noise puts it where a stable sort of the whole stream does.
         end = np.searchsorted(noise_t, (b + n) * step_us)
+        columns = [t, xs.take(pixel), ys.take(pixel), pol]
         if end > merged:
-            events = np.insert(events, np.searchsorted(t, noise_t[merged:end], side="right"),
-                               noise[merged:end])
+            noise_columns = [noise_t[merged:end]] + [noise[f][merged:end] for f in "xyp"]
+            columns = [np.concatenate(pair) for pair in zip(columns, noise_columns)]
             merged = end
-        if filled + events.shape[0] > stream.shape[0]:
-            stream.resize(max(filled + events.shape[0], stream.shape[0] * 5 // 4))
-        stream[filled:filled + events.shape[0]] = events
-        filled += events.shape[0]
-    stream.resize(filled + noise.shape[0] - merged)
+        order = np.argsort(columns[0], kind="stable")
+        size = filled + order.size
+        if size > stream.shape[0]:
+            # no view of the stream is held here, so the resize need not count
+            # references (a tracer's frame would hold one)
+            stream.resize(max(size, stream.shape[0] * 5 // 4), refcheck=False)
+        block = stream[filled:size]
+        np.rint(columns[0].take(order), out=block["t"], casting="unsafe")
+        for name, values in zip("xyp", columns[1:]):
+            # mode="clip" writes straight into the strided field; every index is valid
+            values.take(order, out=block[name], mode="clip")
+        filled = size
+
+    n_steps = int(round(duration_s * 1e6 / step_us))
+    _search(lambda b, n: latent([i * step_us * 1e-6 for i in range(b, b + n + 1)]),
+            n_steps, l_ref, threshold, emit)
+    stream.resize(filled + noise.shape[0] - merged, refcheck=False)
     stream[filled:] = noise[merged:]
     return stream
 

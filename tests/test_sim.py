@@ -1,5 +1,13 @@
+import contextlib
+import cProfile
+import functools
 import hashlib
+import importlib
 import math
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from evosc import sim
+from evosc import core, sim
 from evosc.core import SensorGeometry, make_events, validate_events
 from evosc.errors import ConfigError, ResonanceError
 from evosc.sim import (
@@ -26,8 +34,11 @@ from evosc.sim import (
     _BLOCK_STEPS,
     _MAX_CROSSINGS,
     _active_pixels,
-    _crossings,
+    _emit,
+    _extract,
     _latent_sampler,
+    _search,
+    _walk,
     _walk_arrays,
     camera_offset,
     motor_speed,
@@ -600,6 +611,34 @@ FROZEN_SHA256 = {
 }
 
 
+# the block search's two schedules: each block emitted inline, or on a worker
+# while the next block is walked, also with the walk cut into chunks of 100
+# pixels, each chunk's extraction a task of its own: (_PIPELINE_PIXELS,
+# _WALK_PIXELS or None to keep it)
+SCHEDULES = {"inline": (sys.maxsize, None), "pipelined": (0, None),
+             "pipelined_chunked": (0, 100)}
+
+
+@contextlib.contextmanager
+def _schedule(name):
+    pipeline_pixels, walk_pixels = SCHEDULES[name]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_PIPELINE_PIXELS", pipeline_pixels)
+        if walk_pixels is not None:
+            mp.setattr(sim, "_WALK_PIXELS", walk_pixels)
+        if pipeline_pixels == 0:
+            # a worker also where one CPU is usable
+            cpus = core._cpus
+            mp.setattr(core, "_cpus", lambda: max(cpus(), 2))
+        yield
+
+
+@pytest.fixture(params=sorted(SCHEDULES))
+def schedule(request):
+    with _schedule(request.param):
+        yield request.param
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_SCENES))
 def test_stream_matches_frozen_digest(name):
     events = FROZEN_SCENES[name]().events
@@ -617,6 +656,138 @@ def test_stream_grown_from_two_step_blocks_matches_frozen_digest(name, step_us, 
     events = FROZEN_SCENES[name]().events
     assert hashlib.sha256(events.tobytes()).hexdigest() == FROZEN_SHA256[name]
     assert events.shape[0] > 1.25**20 * max(1, np.count_nonzero(events["t"] < 2 * step_us))
+
+
+def _digest(events):
+    return hashlib.sha256(events.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SCENES))
+def test_each_schedule_gives_the_frozen_digest(name, schedule):
+    """Emitting each block inline, or on the worker while the next block is
+    walked (also in walked chunks of 100 pixels), gives the frozen bytes."""
+    assert _digest(FROZEN_SCENES[name]().events) == FROZEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["default_disks_noise", "ragged_last_block"])
+def test_two_step_blocks_on_each_schedule_give_the_frozen_digest(name, schedule, monkeypatch):
+    monkeypatch.setattr(sim, "_BLOCK_STEPS", 2)
+    assert _digest(FROZEN_SCENES[name]().events) == FROZEN_SHA256[name]
+
+
+@pytest.mark.parametrize("tracer", ["settrace", "cprofile"])
+def test_a_tracer_leaves_the_stream_as_frozen(tracer):
+    """A tracer or profiler holds a reference to the frame growing the stream,
+    which a resize that counts references would refuse."""
+    if tracer == "settrace":
+        before = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: None)
+        try:
+            events = FROZEN_SCENES["disk"]().events
+        finally:
+            sys.settrace(before)
+    else:
+        profile = cProfile.Profile()
+        profile.enable()
+        try:
+            events = FROZEN_SCENES["disk"]().events
+        finally:
+            profile.disable()
+    assert _digest(events) == FROZEN_SHA256["disk"]
+
+
+def _spy_emit(monkeypatch, fail_at=None, delay_s=0.0):
+    """Wrap sim._emit: returns the list of (thread, running emissions at
+    entry) of its calls; the call numbered fail_at raises, and each call
+    sleeps delay_s first."""
+    calls, running, emit = [], [], sim._emit
+
+    def spy(*args):
+        calls.append((threading.get_ident(), len(running)))
+        running.append(1)
+        try:
+            time.sleep(delay_s)
+            if len(calls) == fail_at:
+                raise RuntimeError(f"emission {fail_at} failed")
+            return emit(*args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(sim, "_emit", spy)
+    return calls, running
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    with _schedule("pipelined"):
+        calls, running = _spy_emit(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="emission 3 failed"):
+            FROZEN_SCENES["dense_checker"]()
+    assert len(calls) == 3 and not running
+    assert all(ident != threading.get_ident() for ident, _ in calls)
+
+
+def test_no_emission_runs_once_simulate_returns_or_raises(monkeypatch):
+    """One emission at a time; and when the walk fails while the worker
+    emits the block before, simulate waits for it before raising."""
+    with _schedule("pipelined"):
+        calls, running = _spy_emit(monkeypatch, delay_s=0.02)
+        assert _digest(FROZEN_SCENES["dense_checker"]().events) == FROZEN_SHA256["dense_checker"]
+        assert not running and all(busy == 0 for _, busy in calls)
+        walks, walk = [], sim._walk
+
+        def failing_walk(*args):
+            walks.append(1)
+            if len(walks) == 3:
+                raise RuntimeError("walk 3 failed")
+            return walk(*args)
+
+        monkeypatch.setattr(sim, "_walk", failing_walk)
+        calls.clear()
+        with pytest.raises(RuntimeError, match="walk 3 failed"):
+            FROZEN_SCENES["dense_checker"]()
+        assert len(calls) == 2 and not running
+
+
+def test_one_cpu_makes_no_worker(monkeypatch):
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+    monkeypatch.setattr(core, "_pool", None)
+    monkeypatch.setattr(sim, "_PIPELINE_PIXELS", 0)
+    threads = set(threading.enumerate())
+    calls, _ = _spy_emit(monkeypatch)
+    assert _digest(FROZEN_SCENES["dense_checker"]().events) == FROZEN_SHA256["dense_checker"]
+    assert core._pool is None and set(threading.enumerate()) <= threads
+    assert calls and all(ident == threading.get_ident() for ident, _ in calls)
+
+
+def test_the_worker_calls_nothing_traced_and_no_block_walker(monkeypatch):
+    """A worker calling core.map_blocks would wait on itself, and the
+    benchmark's tracer records spans on one thread."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    threads = []
+
+    def spy(owner, attr):
+        fn = owner.__dict__[attr]
+
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            threads.append((attr, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recorded)
+
+    for owner, attr, _, _ in tracing.TARGETS:
+        spy(owner, attr)
+    spy(core, "map_blocks")
+    with _schedule("pipelined"):
+        calls, _ = _spy_emit(monkeypatch)
+        # the dense_checker scene, through the name the tracer patches
+        events = sim.simulate(SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
+                              _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48),
+                              duration_s=0.02, seed=12, noise_rate_hz=40.0).events
+    assert _digest(events) == FROZEN_SHA256["dense_checker"]
+    assert any(ident != threading.get_ident() for ident, _ in calls)
+    assert threads == [("simulate", threading.get_ident())]
 
 
 def test_active_set_covers_fired_pixels_and_culls_the_rest():
@@ -643,37 +814,37 @@ def _planes(scene, cfg):
             for p in scene.depth_planes]
 
 
-def _search(n_pix):
-    """_crossings with its work arrays, called as the oracle is."""
-    work = _walk_arrays(n_pix)
-    return lambda *args: _crossings(*args, work)
-
-
-def _oracle(*args):
-    return crossing_events(*args, _MAX_CROSSINGS)
-
-
-def _run_blocks(crossings, lat, l_ref, step_us, refractory_us, threshold=DEFAULT_THRESHOLD):
-    """Drive a crossing search over the blocks of lat (one row per step, plus
-    the row before the first); returns each block's (t, pixel, pol) and the
-    final l_ref and last_emit."""
+def _run_blocks(lat, l_ref, step_us, refractory_us, threshold=DEFAULT_THRESHOLD, oracle=False,
+                levels=None):
+    """Drive the block search (or the scalar oracle) over the blocks of lat
+    (one row per step, plus the row before the first); returns each block's
+    (t, pixel, pol) and the final l_ref and last_emit. levels, when given,
+    takes the most levels a pixel crosses in one step of each block."""
     l_ref = l_ref.copy()
     last_emit = np.full(lat.shape[1], -1e18)
-    blocks = [crossings(lat[b:b + _BLOCK_STEPS + 1], l_ref, last_emit, b, threshold, step_us,
-                        refractory_us)
-              for b in range(0, lat.shape[0] - 1, _BLOCK_STEPS)]
+    if oracle:
+        blocks = [crossing_events(lat[b:b + _BLOCK_STEPS + 1], l_ref, last_emit, b, threshold,
+                                  step_us, refractory_us, _MAX_CROSSINGS)
+                  for b in range(0, lat.shape[0] - 1, _BLOCK_STEPS)]
+        return blocks, l_ref, last_emit
+    blocks = []
+
+    def emit(b, n, block, found):
+        if levels is not None:
+            levels.append(max(np.abs(q).max(initial=0.0) for _, _, _, q, _ in found))
+        blocks.append(_emit(found, block, last_emit, b, threshold, step_us, refractory_us))
+
+    _search(lambda b, n: lat[b:b + n + 1], lat.shape[0] - 1, l_ref, threshold, emit)
     return blocks, l_ref, last_emit
 
 
-def _block_crossings(planes, contrast, geometry, n_steps, oracle=False, step_us=50,
-                     refractory_us=100):
-    """Run the search (or the oracle) over a scene's simulator blocks; returns
-    each block's (t, pixel, pol) and the final state."""
+def _block_crossings(planes, contrast, geometry, n_steps, oracle=False, levels=None):
+    """Run the search (or the oracle) over a scene's simulator blocks of 50 us
+    steps; returns each block's (t, pixel, pol) and the final state."""
     ys, xs, plane_of = _active_pixels(planes, contrast, DEFAULT_THRESHOLD, geometry)
     latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
-    lat = latent([i * step_us * 1e-6 for i in range(n_steps + 1)])
-    return _run_blocks(_oracle if oracle else _search(ys.size), lat, lat[0], step_us,
-                       refractory_us)
+    lat = latent([i * 50 * 1e-6 for i in range(n_steps + 1)])
+    return _run_blocks(lat, lat[0], 50, 100, oracle=oracle, levels=levels)
 
 
 def _assert_same(a, b):
@@ -708,26 +879,39 @@ CROSSING_SCENES = {
 @pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
 def test_walk_in_column_chunks(monkeypatch, name):
     """Walking the pixels 300 at a time, the last chunk short, emits what one
-    walk over all of them does."""
-    import evosc.sim as sim_module
-
+    walk over all of them does, inline or with each chunk's extraction on
+    the worker."""
     scene, cfg, geom, n_steps = CROSSING_SCENES[name]
     planes = _planes(scene, cfg)
-    whole = _block_crossings(planes, scene.contrast, geom, n_steps)
-    monkeypatch.setattr(sim_module, "_WALK_PIXELS", 300)
+    with _schedule("inline"):
+        whole = _block_crossings(planes, scene.contrast, geom, n_steps)
+    monkeypatch.setattr(sim, "_WALK_PIXELS", 300)
     assert _active_pixels(planes, scene.contrast, DEFAULT_THRESHOLD, geom)[0].size > 300
-    _assert_same(_block_crossings(planes, scene.contrast, geom, n_steps), whole)
+    for schedule in ("inline", "pipelined"):
+        with _schedule(schedule):
+            _assert_same(_block_crossings(planes, scene.contrast, geom, n_steps), whole)
 
 
 @pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
 def test_crossing_searches_agree(name):
     """The block search emits the scalar oracle's events, floats and order,
-    block by block, and leaves the same references and emission times."""
+    block by block, and leaves the same references and emission times, on
+    either schedule. The capped scene has blocks with multi-level steps,
+    expanded level by level; in the others every pixel crosses at most one
+    level a step, so every block takes the one-level path."""
     scene, cfg, geom, n_steps = CROSSING_SCENES[name]
     planes = _planes(scene, cfg)
-    search = _block_crossings(planes, scene.contrast, geom, n_steps)
-    assert sum(t.size for t, _, _ in search[0]) > 1000
-    _assert_same(search, _block_crossings(planes, scene.contrast, geom, n_steps, oracle=True))
+    oracle = _block_crossings(planes, scene.contrast, geom, n_steps, oracle=True)
+    for schedule in ("inline", "pipelined"):
+        levels = []
+        with _schedule(schedule):
+            search = _block_crossings(planes, scene.contrast, geom, n_steps, levels=levels)
+        assert sum(t.size for t, _, _ in search[0]) > 1000
+        _assert_same(search, oracle)
+        if name == "capped_two_planes":
+            assert max(levels) == _MAX_CROSSINGS
+        else:
+            assert max(levels) == 1
 
 
 # latent moves in quarter thresholds: zero rise, ties with a level, one
@@ -751,8 +935,10 @@ def test_block_search_matches_the_oracle(n_pix, n_steps, step_us, refractory_us,
     lat = np.vstack([start, start + np.cumsum(moves, axis=0)]) * (threshold / 4)
     # a pixel resting at zero holds a -0.0 reference
     l_ref = np.where(lat[0] == 0.0, -0.0, lat[0])
-    _assert_same(_run_blocks(_search(n_pix), lat, l_ref, step_us, refractory_us, threshold),
-                 _run_blocks(_oracle, lat, l_ref, step_us, refractory_us, threshold))
+    oracle = _run_blocks(lat, l_ref, step_us, refractory_us, threshold, oracle=True)
+    for schedule in ("inline", "pipelined"):
+        with _schedule(schedule):
+            _assert_same(_run_blocks(lat, l_ref, step_us, refractory_us, threshold), oracle)
 
 
 @pytest.mark.parametrize("refractory_us, kept", [(0, [4, 2]), (20, [1, 1])])
@@ -764,8 +950,8 @@ def test_levels_of_a_lagging_step_that_fall_before_its_end(refractory_us, kept):
     l_ref = np.array([0.683589447880226, 0.5137349344542055])
     lat = np.array([[-0.06641055211977395, -0.036265065545794534],
                     [0.18358944788022605, 0.21373493445420547]])
-    search = _run_blocks(_search(2), lat, l_ref, 50, refractory_us, threshold=0.1)
-    _assert_same(search, _run_blocks(_oracle, lat, l_ref, 50, refractory_us, threshold=0.1))
+    search = _run_blocks(lat, l_ref, 50, refractory_us, threshold=0.1)
+    _assert_same(search, _run_blocks(lat, l_ref, 50, refractory_us, threshold=0.1, oracle=True))
     t, pixel, _ = search[0][0]
     assert np.bincount(pixel).tolist() == kept
     assert np.all(t == 50.0)
@@ -818,7 +1004,8 @@ def test_zero_rise_crossings_land_at_step_start():
     lat = np.array([[0.5, -0.5, 0.25, 1.0], [0.5, -0.5, 0.25, 1.1]])
     l_ref = np.array([0.0, 0.0, 0.0, 0.0])
     last_emit = np.full(4, -1e18)
-    t, pixel, pol = _search(4)(lat, l_ref, last_emit, 3, thr, 50, 0)
+    q, ref = _walk(lat, l_ref, thr, _walk_arrays(4))
+    t, pixel, pol = _emit([_extract(q, ref, l_ref, 0, 4)], lat, last_emit, 3, thr, 50, 0)
     # emission order: level 1 of every pixel, then level 2, ...
     assert pixel.tolist() == [0, 1, 2, 3, 0, 1, 3, 3, 3]
     assert pol.tolist() == [1, -1, 1, 1, 1, -1, 1, 1, 1]
