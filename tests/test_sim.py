@@ -748,6 +748,36 @@ def test_no_emission_runs_once_simulate_returns_or_raises(monkeypatch):
         assert len(calls) == 2 and not running
 
 
+def test_concurrent_pipelined_simulations_keep_their_bytes(monkeypatch):
+    """Four threads simulate at once through a pool of three workers, with a
+    thread switch forced every microsecond: each stream, handed back and
+    forth between its caller and a worker, keeps its frozen bytes."""
+    names = ["dense_checker", "checkerboard_noise", "default_disks_noise", "ragged_last_block"]
+    monkeypatch.setattr(core, "_pool", None)
+    monkeypatch.setattr(core, "_cpus", lambda: 4)
+    monkeypatch.setattr(sim, "_PIPELINE_PIXELS", 0)
+    digests, errors = {}, []
+
+    def caller(name):
+        try:
+            digests[name] = _digest(FROZEN_SCENES[name]().events)
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller, args=(name,)) for name in names]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert digests == {name: FROZEN_SHA256[name] for name in names}
+
 def test_one_cpu_makes_no_worker(monkeypatch):
     monkeypatch.setattr(core, "_cpus", lambda: 1)
     monkeypatch.setattr(core, "_pool", None)
