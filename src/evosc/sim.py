@@ -74,9 +74,10 @@ np.diff, np.roll or np.insert, and np.repeat only for multi-level blocks),
 and it runs inline, on the calling thread, when one CPU is usable or the
 walk is narrower than _PIPELINE_PIXELS. That break-even comes from a
 sweep of 1 s checkerboard scenes on a 2-CPU machine, inline -> pipelined
-(median of 5 runs, each the best of 3): 1600 px 0.549 -> 0.535 s, 2304 px
-0.662 -> 0.661 s, 2704 px 0.757 -> 0.673 s, 3136 px 0.836 -> 0.684 s,
-4096 px 1.068 -> 0.831 s and 9216 px 2.539 -> 1.840 s. A narrower walk's
+(median of 5 runs, each the best of 3): 256 px 0.160 -> 0.171 s, 576 px
+0.240 -> 0.267 s, 1024 px 0.362 -> 0.369 s, 1600 px 0.549 -> 0.535 s,
+2304 px 0.662 -> 0.661 s, 2704 px 0.757 -> 0.673 s, 3136 px 0.836 -> 0.684
+s, 4096 px 1.068 -> 0.831 s and 9216 px 2.539 -> 1.840 s. A narrower walk's
 loops are too short to give the worker the time it needs.
 """
 
