@@ -1,7 +1,8 @@
 """End-to-end applications built from the toolkit stages.
 
 estimate_motion   tracker -> spectral init -> per-axis EKF over one patch
-estimate_scene_frequency   independent disjoint trials of spectral estimation
+estimate_scene_frequency   disjoint trials, each a spectral peak that a
+                  golden-section search on the sinusoid fit's residual refines
 relative_depth    amplitude ratio of two depth planes (ratio = Z2/Z1)
 min_detectable_distance    the pixel-displacement formula solved for distance
 run_pipeline      every stage in order, writing its artifacts and a manifest
@@ -160,10 +161,13 @@ def estimate_scene_frequency(
 
     The stream's span is cut into `trials` equal segments; each runs a fresh
     tracker, spectral peak search, and a local least-squares refinement of
-    the peak frequency against the raw samples.
+    the peak frequency against the raw samples. A truth_hz, when given, must
+    be positive and finite; the report then has the mean absolute error.
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    if not (truth_hz is None or 0 < truth_hz < math.inf):
+        raise ConfigError(f"truth_hz must be positive and finite, got {truth_hz}")
     if events.shape[0] == 0:
         raise InsufficientDataError("empty event stream")
     tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s)
@@ -206,10 +210,9 @@ def _refine_omega(samples, omega) -> float:
     The least-squares sinusoid fit models both lobes, so its residual is a
     smooth function of omega with an unbiased minimum. Search within half a
     Rayleigh width (pi / window span) or two grid steps of the default band,
-    whichever is wider, so the leakage bias stays inside the bracket.
+    whichever is wider, so the leakage bias stays inside the bracket; the
+    search is golden-section, to a bracket 1e-4 rad/s wide.
     """
-    from scipy.optimize import minimize_scalar
-
     step = (DEFAULT_BAND[1] - DEFAULT_BAND[0]) / (DEFAULT_GRID_POINTS - 1)
     t = samples["t"]
     t_span_s = max(float(t[-1] - t[0]) * 1e-6, 1e-9)
@@ -222,9 +225,28 @@ def _refine_omega(samples, omega) -> float:
         rv = fit_sinusoid(samples, "v", w).residual_rms
         return ru * ru + rv * rv
 
-    res = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-4})
-    return float(res.x) if res.success else omega
+    return _golden_section(cost, lo, hi, xatol=1e-4)
+
+
+def _golden_section(cost, lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of a cost unimodal on [lo, hi], by golden-section search
+    (Kiefer 1953): each evaluation keeps the part of the bracket around the
+    lower of its two inner points, which shrinks it by a factor 1/phi, until
+    it is at most xatol wide. Returns the midpoint of that last bracket.
+    """
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - g * (hi - lo), lo + g * (hi - lo)
+    f1, f2 = cost(x1), cost(x2)
+    while hi - lo > xatol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - g * (hi - lo)
+            f1 = cost(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + g * (hi - lo)
+            f2 = cost(x2)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +326,10 @@ def relative_depth(
 
     Each plane takes a PatchSpec or a sequence of them; per-plane amplitude is
     the mean over that plane's trackers, each an estimate_motion with tau_s
-    and emit_period_s.
+    and emit_period_s. A truth_ratio, when given, must be positive and finite.
     """
+    if not (truth_ratio is None or 0 < truth_ratio < math.inf):
+        raise ConfigError(f"truth_ratio must be positive and finite, got {truth_ratio}")
     amp1, ests1 = _plane_amplitude(events, patch_plane_1, tau_s, emit_period_s)
     amp2, ests2 = _plane_amplitude(events, patch_plane_2, tau_s, emit_period_s)
     if amp2 <= 0:

@@ -39,17 +39,10 @@ SPREAD_WIDTH = 11
 
 @dataclass
 class NormalizedSeries:
-    """Zero-mean sample values with timestamps mapped affinely onto [-pi, pi]."""
+    """Zero-mean sample values and their times in seconds."""
 
     values: np.ndarray
-    phases: np.ndarray
-    t_span_us: tuple[int, int]
-    mean: float
-
-    @property
-    def times_s(self) -> np.ndarray:
-        t0, t1 = self.t_span_us
-        return (t0 + (self.phases + math.pi) * (t1 - t0) / (2.0 * math.pi)) * 1e-6
+    times_s: np.ndarray
 
 
 @dataclass
@@ -86,7 +79,7 @@ class InitResult:
 
 
 def normalize(samples: np.ndarray, axis: str) -> NormalizedSeries:
-    """DC-remove one axis ('u' or 'v') and map timestamps onto [-pi, pi]."""
+    """DC-remove one axis ('u' or 'v') and take its times to seconds."""
     if axis not in ("u", "v"):
         raise ConfigError(f"axis must be 'u' or 'v', got {axis!r}")
     if samples.shape[0] < 2:
@@ -96,9 +89,11 @@ def normalize(samples: np.ndarray, axis: str) -> NormalizedSeries:
     if t1 <= t0:
         raise InsufficientDataError("sample time span is zero")
     vals = samples[axis].astype(float)
-    mean = float(vals.mean())
+    # times go through phases on [-pi, pi] and back: the frozen spectra keep
+    # that round trip's rounding
     phases = -math.pi + (t - t0) * (2.0 * math.pi / (t1 - t0))
-    return NormalizedSeries(values=vals - mean, phases=phases, t_span_us=(t0, t1), mean=mean)
+    times_s = (t0 + (phases + math.pi) * (t1 - t0) / (2.0 * math.pi)) * 1e-6
+    return NormalizedSeries(values=vals - float(vals.mean()), times_s=times_s)
 
 
 def check_band(band: tuple[float, float], grid_points: int) -> None:

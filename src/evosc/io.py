@@ -214,9 +214,11 @@ def _header_geometry(width: int, height: int) -> SensorGeometry:
 def write_json(dest, payload: dict) -> None:
     """The package's JSON writer: indent 2, sorted keys, trailing newline.
 
-    dest is a path or a text stream (the CLI passes stdout).
+    dest is a path or a text stream (the CLI passes stdout). A non-finite
+    number is a ValueError, raised before anything is written: JSON has no
+    NaN or Infinity.
     """
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if isinstance(dest, (str, os.PathLike)):
         Path(dest).write_text(text)
     else:

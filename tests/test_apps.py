@@ -34,7 +34,7 @@ from evosc.errors import (
     StageError,
 )
 from evosc.io import read_events, write_events
-from evosc.sim import Checkerboard, Disks, OscillatorConfig
+from evosc.sim import Checkerboard, Disks, OscillatorConfig, simulate_moving_target
 from evosc.track import PatchSpec, lowpass_gain, read_samples_csv
 
 from oracles import MIN_DETECT_D_REF, MOTOR_OMEGA_2V, pixel_displacement
@@ -167,6 +167,61 @@ class TestSceneFrequency:
         with pytest.raises(InsufficientDataError):
             estimate_scene_frequency(disk_stream.events[:0], patch)
 
+    @pytest.mark.parametrize("truth_hz", [math.nan, math.inf, -10.0, 0.0])
+    def test_truth_must_be_positive_and_finite(self, disk_stream, truth_hz):
+        """A NaN truth would put NaN in the report's JSON, and a negative one
+        an error against a frequency no scene has."""
+        with pytest.raises(ConfigError, match="truth_hz must be positive and finite"):
+            estimate_scene_frequency(disk_stream.events,
+                                     PatchSpec(cx=32.0, cy=32.0, half_size=14),
+                                     truth_hz=truth_hz)
+
+
+def test_golden_section_brackets_the_minimizer():
+    """On a parabola the search stops with a bracket at most xatol wide
+    around the vertex, after 2 + ceil(log(width / xatol) / log(phi))
+    evaluations."""
+    seen = []
+
+    def cost(w):
+        seen.append(w)
+        return (w - 3.3) ** 2
+
+    found = apps._golden_section(cost, 0.0, 10.0, xatol=1e-4)
+    assert abs(found - 3.3) <= 0.5e-4
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    assert len(seen) == 2 + math.ceil(math.log(10.0 / 1e-4) / math.log(phi))
+    assert all(0.0 < w < 10.0 for w in seen)
+
+
+def test_refined_omega_matches_scipy_bounded_minimizer(monkeypatch):
+    """On criterion 01's scenes (seed 3, 2 s, 10 trials each) every trial's
+    golden-section omega is within 1e-4 rad/s of scipy's bounded minimizer
+    on the same cost and bracket, and is the omega the report gives."""
+    from scipy.optimize import minimize_scalar
+
+    searches = []
+    golden = apps._golden_section
+
+    def recording(cost, lo, hi, xatol):
+        omega = golden(cost, lo, hi, xatol)
+        ref = minimize_scalar(cost, bounds=(lo, hi), method="bounded",
+                              options={"xatol": 1e-4})
+        searches.append((omega, float(ref.x)))
+        return omega
+
+    monkeypatch.setattr(apps, "_golden_section", recording)
+    geom = SensorGeometry(width=64, height=64)
+    patch = PatchSpec(cx=31.5, cy=31.5, half_size=20)
+    for freq in (7.5, 10.0, 15.2, 20.0, 22.6):
+        out = simulate_moving_target(freq, 4.0, geom, duration_s=2.0, contrast=2.0, seed=3)
+        report = estimate_scene_frequency(out.events, patch, trials=10)
+        omegas = [omega for omega, _ in searches[-10:]]
+        assert report.per_trial_hz == [w / (2.0 * math.pi) for w in omegas]
+    ours, ref = np.array(searches).T
+    assert ours.shape == (50,)
+    np.testing.assert_allclose(ours, ref, rtol=0.0, atol=1e-4)
+
 
 @pytest.fixture(scope="module")
 def four_disk_stream(geom64):
@@ -204,6 +259,14 @@ class TestRelativeDepth:
         with pytest.raises(ConfigError):
             relative_depth(four_disk_stream.events, [],
                            PatchSpec(cx=48.0, cy=48.0, half_size=10))
+
+    @pytest.mark.parametrize("truth_ratio", [math.nan, math.inf, -0.5, 0.0])
+    def test_truth_must_be_positive_and_finite(self, four_disk_stream, truth_ratio):
+        with pytest.raises(ConfigError, match="truth_ratio must be positive and finite"):
+            relative_depth(four_disk_stream.events,
+                           PatchSpec(cx=16.0, cy=16.0, half_size=10),
+                           PatchSpec(cx=48.0, cy=48.0, half_size=10),
+                           truth_ratio=truth_ratio)
 
 
 G64 = SensorGeometry(width=64, height=64)

@@ -373,6 +373,21 @@ def test_freq_report(workdir, capsys):
     assert report["abs_error_hz"] < 0.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["freq", "--patch", "16", "16", "10", "--truth-hz", "nan"],
+    ["freq", "--patch", "16", "16", "10", "--truth-hz", "-10"],
+    ["depth", "--patch1", "16", "16", "10", "--patch2", "48", "48", "10",
+     "--truth-ratio", "nan"],
+], ids=["freq_nan", "freq_negative", "depth_nan"])
+def test_truth_that_is_not_positive_and_finite_is_reported(workdir, capsys, argv):
+    """A NaN truth would print `NaN`, which is not JSON, and a negative one
+    an error against a frequency no scene has: each exits 1 with no report."""
+    assert main([*argv, "--events", str(workdir / "events.evt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be positive and finite" in captured.err
+
+
 def test_depth_report(workdir, capsys):
     assert main(["depth", "--events", str(workdir / "events.evt"),
                  "--patch1", "16", "16", "10", "--patch2", "48", "48", "10"]) == 0

@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import struct
 import tempfile
@@ -400,3 +401,17 @@ def test_fixed_point_csv_keeps_float32_and_empty_columns():
     empty = io.BytesIO()
     _write_csv(empty, "t,x", "{},{:.3f}", [t[:0], x[:0]])
     assert empty.getvalue() == b"t,x\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_json_rejects_non_finite_numbers(tmp_path, bad):
+    """JSON has no NaN or Infinity: a non-finite number is a ValueError and
+    nothing is written, to a path or to a stream."""
+    dest = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        evio.write_json(dest, {"ok": 1.0, "x": [0.5, bad]})
+    assert not dest.exists()
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        evio.write_json(buf, {"x": bad})
+    assert buf.getvalue() == ""

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import os
 import subprocess
@@ -486,3 +487,59 @@ def test_import_loads_no_scipy(tmp_path):
     assert out.stdout.strip() == "[]"
     rows = (tmp_path / "metrics_compensated.csv").read_text().splitlines()[1:]
     assert any(int(row.split(",")[4]) > 0 for row in rows)  # edges were scored
+
+
+NO_SCIPY_RUN = """
+import json, sys
+from pathlib import Path
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is not installed")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was importable")
+from evosc.cli import main
+
+out = Path(sys.argv[1])
+config = out / "config.json"
+config.write_text(json.dumps({
+    "geometry": {"width": 64, "height": 64},
+    "scene": {"pattern": {"type": "disks", "pitch_px": 32.0, "offset_px": 16.0},
+              "contrast": 2.0, "duration_s": 0.6,
+              "oscillation": {"amp_x_px": 1.5, "amp_y_px": 1.5, "omega_rad_s": 314.159,
+                              "phi_x": 0.0, "phi_y": -1.5708}}}))
+events = str(out / "events.evt")
+codes = [main(["simulate", "--config", str(config), "--seed", "5", "--out", str(out)]),
+         main(["freq", "--events", events, "--patch", "16", "16", "10", "--trials", "2",
+               "--truth-hz", "50", "--out", str(out / "freq.json")]),
+         main(["depth", "--events", events, "--patch1", "16", "16", "10",
+               "--patch2", "48", "48", "10", "--out", str(out / "depth.json")])]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    """With an import hook that makes every scipy import fail, as where only
+    numpy is installed, `evosc simulate`, `freq` and `depth` all exit 0 and
+    write their reports."""
+    import evosc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(evosc.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0] []"
+    freq = json.loads((tmp_path / "freq.json").read_text())
+    assert freq["estimate_hz"] == pytest.approx(50.0, abs=0.5)
+    depth = json.loads((tmp_path / "depth.json").read_text())
+    assert depth["ratio"] == pytest.approx(1.0, abs=0.05)

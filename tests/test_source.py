@@ -59,14 +59,9 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
     assert sorted(defined - reached - TEST_ONLY_ALLOWED) == []
 
 
-# scipy's one use: the bounded omega refinement of `evosc freq`
-SCIPY_ALLOWED = {("apps.py", "_refine_omega")}
-
-
 def test_no_module_imports_scipy():
-    """No package module imports scipy, at the top or inside a function,
-    except the named exemptions: the pipeline, and every stage it runs,
-    loads no scipy module."""
+    """No package module imports scipy, at the top or inside a function:
+    numpy is the package's only runtime dependency."""
     found = set()
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -79,4 +74,4 @@ def test_no_module_imports_scipy():
                 inside = [name for name, scope in scopes
                           if scope.lineno <= node.lineno <= scope.end_lineno]
                 found.add((path.name, inside[-1] if inside else None))
-    assert sorted(found - SCIPY_ALLOWED) == []
+    assert sorted(found) == []
