@@ -21,28 +21,43 @@ in the bound. Patterns without bounds keep every pixel they cover. The
 surviving pixels are stepped as one vector in raster order, so the stream is
 byte-identical to stepping the whole frame.
 
-A pattern may also set the class attribute
+A block of steps covers only part of the orbit, and most active pixels keep
+one value through it, because no edge reaches them. For each
+plane whose pattern has bounds, every block asks bounds about the box of
+the block's camera offsets, widened by _BOX_SLACK_PX either way to cover
+rounding. A pixel with lo == hi, both exactly 0.0 or exactly 1.0, samples
+that value at every step of the block (bounds must be exact where it
+saturates, as the ramps of Disks and Triangle are), so its latent value is
+the constant contrast * lo and it is not sampled, walked or emitted in that
+block. One exception: a pixel whose reference lags a threshold or more
+behind that constant, as after a step capped at _MAX_CROSSINGS, still
+crosses in the block's first step, and is kept. The kept pixels are walked
+in ascending order, so the stream keeps its order; patterns without bounds
+keep every pixel in every block.
 
-    per_axis = True
+A pattern may, in place of sample, define
 
-when sample(xs, ys) evaluates a term of xs and a term of ys separately and
-only then combines them elementwise, so that sample(ux[None, :], uy[:, None])
-equals, bit for bit, sample at each (x, y) of the row x column grid. Such a
-plane is then sampled on the grid of its active pixels' unique columns ux and
-rows uy, and its pixels are gathered from it: the per-axis terms, the costly
-part (np.sin for Checkerboard, np.mod for Disks), run on nx + ny values
-instead of two per pixel. Patterns without the attribute are sampled
-per pixel: Triangle and Stripes, whose costly terms mix both axes, Bitmap,
-and user patterns. sample must accept arrays of any broadcast shape and
-return a new float array, which the sampler scales by the contrast in place:
-the latent image is sampled for a block of 64 steps at once, one row per
-step (a leading time axis on the offsets), with one camera_offset call per
-plane on the block's array of times. Checkerboard and Disks compute in
-place in the arrays they make, so a block allocates one (65 x grid) array
-per plane, not one per operation.
+    axis_term(c) -> array
+    combine(tx, ty, out=None) -> array
+
+when its value is a term of x and a term of y combined elementwise; sample
+(xs, ys) is then combine(axis_term(xs), axis_term(ys)), so the three cannot
+drift apart. Each block computes such a plane's terms on its pixels' unique
+columns and rows, the costly part (np.sin for Checkerboard, np.mod for
+Disks) on nx + ny values instead of two per pixel, gathers them at its kept
+pixels and combines them into the block's buffer; when the kept pixels are
+the plane's whole row x column grid it combines broadcast views of the
+terms, with no gather. Other patterns are sampled per kept pixel: Triangle
+and Stripes, whose costly terms mix both axes, Bitmap, and user patterns.
+sample must accept arrays of any broadcast shape and return a new float
+array. The latent image is sampled for a block of 64 steps at once, one row
+per step (a leading time axis on the offsets), with one camera_offset call
+per plane on the block's array of times, into a (65 x pixels) buffer
+reused from block to block (two, taken in turn, when blocks are emitted on a
+worker), and scaled by the contrast in place.
 
 Within a block, crossings are found by one search. Its only sequential part
-is the reference walk, a step at a time over the active pixels (at most
+is the reference walk, a step at a time over the kept pixels (at most
 _WALK_PIXELS of them at once, which bounds its buffers): a pixel crosses
 trunc((L - l_ref) / threshold) levels in a step, at most _MAX_CROSSINGS
 either way, and its reference moves by that many thresholds.
@@ -72,7 +87,8 @@ elements, and the walk is 7 ufunc calls per step on rows as wide as the
 walk. So the emission makes no call that holds the lock for long (no
 np.diff, np.roll or np.insert, and np.repeat only for multi-level blocks),
 and it runs inline, on the calling thread, when one CPU is usable or the
-walk is narrower than _PIPELINE_PIXELS. That break-even comes from a
+run has fewer active pixels than _PIPELINE_PIXELS, whatever each block
+keeps, so that a run never switches schedule. That break-even comes from a
 sweep of 1 s checkerboard scenes on a 2-CPU machine, inline -> pipelined
 (median of 5 runs, each the best of 3): 256 px 0.160 -> 0.171 s, 576 px
 0.240 -> 0.267 s, 1024 px 0.362 -> 0.369 s, 1600 px 0.549 -> 0.535 s,
@@ -99,6 +115,9 @@ DEFAULT_REFRACTORY_US = 100
 DEFAULT_THRESHOLD = 0.2
 # relative slack on the threshold when culling pixels from pattern bounds
 _CULL_MARGIN = 1e-9
+# slack in pixels either way on a block's box of camera offsets when asking
+# pattern bounds whether a pixel saturates over the block
+_BOX_SLACK_PX = 1e-6
 # steps whose latent values are sampled in one pattern evaluation
 _BLOCK_STEPS = 64
 # most threshold levels one pixel crosses in one step
@@ -301,17 +320,36 @@ def _edge_ramp(signed_dist, width):
     return np.clip(signed_dist, 0.0, 1.0, out=signed_dist)
 
 
-@dataclass(frozen=True)
-class Checkerboard:
-    period_px: float = 16.0
-    edge_sharpness: float = 4.0
-    per_axis = True
+def _check_positive(**values):
+    """ConfigError naming the first of values that is not positive and
+    finite; NaN fails every comparison."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+class _PerAxis:
+    """A pattern whose value combines a term of x and a term of y
+    elementwise: sample is combine(axis_term(xs), axis_term(ys))."""
 
     def sample(self, xs, ys):
+        return self.combine(self.axis_term(xs), self.axis_term(ys))
+
+
+@dataclass(frozen=True)
+class Checkerboard(_PerAxis):
+    period_px: float = 16.0
+    edge_sharpness: float = 4.0
+
+    def __post_init__(self):
+        _check_positive(period_px=self.period_px)
+
+    def axis_term(self, c):
         k = TWO_PI / self.period_px
-        gx = np.tanh(self.edge_sharpness * np.sin(k * xs))
-        gy = np.tanh(self.edge_sharpness * np.sin(k * ys))
-        v = gx * gy
+        return np.tanh(self.edge_sharpness * np.sin(k * c))
+
+    def combine(self, tx, ty, out=None):
+        v = np.multiply(tx, ty, out=out)
         v += 1.0
         v *= 0.5
         return v
@@ -323,6 +361,9 @@ class Stripes:
     angle_rad: float = 0.0
     edge_sharpness: float = 4.0
 
+    def __post_init__(self):
+        _check_positive(period_px=self.period_px)
+
     def sample(self, xs, ys):
         k = TWO_PI / self.period_px
         s = xs * math.cos(self.angle_rad) + ys * math.sin(self.angle_rad)
@@ -330,23 +371,26 @@ class Stripes:
 
 
 @dataclass(frozen=True)
-class Disks:
+class Disks(_PerAxis):
     """Bright disks on a dark background, centred at offset + k*pitch."""
 
     radius_px: float = 6.0
     pitch_px: float = 32.0
     edge_width_px: float = 1.0
     offset_px: float | None = None
-    per_axis = True
 
-    def _wrapped(self, c):
+    def __post_init__(self):
+        _check_positive(radius_px=self.radius_px, pitch_px=self.pitch_px,
+                        edge_width_px=self.edge_width_px)
+
+    def axis_term(self, c):
         """Signed per-axis offset of c from the nearest disk centre."""
         p = self.pitch_px
         off = 0.5 * p if self.offset_px is None else self.offset_px
         return np.mod(c - off + 0.5 * p, p) - 0.5 * p
 
-    def sample(self, xs, ys):
-        r = np.hypot(self._wrapped(xs), self._wrapped(ys))
+    def combine(self, tx, ty, out=None):
+        r = np.hypot(tx, ty, out=out)
         return _edge_ramp(np.subtract(self.radius_px, r, out=r), self.edge_width_px)
 
     def bounds(self, xs, ys, rx, ry):
@@ -354,7 +398,7 @@ class Disks:
         # spans [max(|d| - r, 0), min(|d| + r, pitch/2)]; the radius is
         # monotone in each axis distance, so the box extremes are the corners.
         half = 0.5 * self.pitch_px
-        dx, dy = np.abs(self._wrapped(xs)), np.abs(self._wrapped(ys))
+        dx, dy = np.abs(self.axis_term(xs)), np.abs(self.axis_term(ys))
         near = np.hypot(np.maximum(dx - rx, 0.0), np.maximum(dy - ry, 0.0))
         far = np.hypot(np.minimum(dx + rx, half), np.minimum(dy + ry, half))
         return (_edge_ramp(self.radius_px - far, self.edge_width_px),
@@ -369,6 +413,9 @@ class Triangle:
     center_y: float
     radius_px: float = 12.0
     edge_width_px: float = 1.0
+
+    def __post_init__(self):
+        _check_positive(radius_px=self.radius_px, edge_width_px=self.edge_width_px)
 
     def _inner(self, xs, ys):
         x = xs - self.center_x
@@ -446,6 +493,12 @@ class DepthPlane:
     def __post_init__(self):
         if self.depth_m <= 0:
             raise ConfigError(f"plane depth must be positive, got {self.depth_m}")
+        if self.region is not None:
+            x0, y0, x1, y1 = self.region
+            # a negative bound would wrap round as a slice index
+            if min(x0, y0) < 0 or x1 <= x0 or y1 <= y0:
+                raise ConfigError("region must be (x0, y0, x1, y1) with 0 <= x0 < x1 and "
+                                  f"0 <= y0 < y1, got {self.region}")
 
 
 @dataclass(frozen=True)
@@ -462,8 +515,7 @@ class SceneSpec:
     depth_planes: tuple[DepthPlane, ...] = (DepthPlane(),)
 
     def __post_init__(self):
-        if not 0 < self.contrast < math.inf:
-            raise ConfigError(f"contrast must be positive and finite, got {self.contrast}")
+        _check_positive(contrast=self.contrast)
         if not self.depth_planes:
             raise ConfigError("at least one depth plane is required")
 
@@ -511,58 +563,103 @@ def _active_pixels(planes, contrast: float, threshold: float, geometry: SensorGe
     return ys[active], xs[active], plane_of[active]
 
 
-def _latent_sampler(planes, contrast: float, ys: np.ndarray, xs: np.ndarray, plane_of):
-    """latent(times) -> (len(times), pixels) latent log intensity of the
-    active pixels, one row per time in seconds.
-
-    Each plane samples its pixels, or its row x column grid, for all times at
-    once; one column gather then puts the planes' samples in pixel order.
+def _saturated(pattern, xs, ys, du, dv):
+    """(mask, lo): the pixels at (xs, ys) whose sample is one value, exactly
+    0.0 or 1.0, at every camera offset (du[r], dv[r]), and pattern.bounds's
+    lo of each pixel. bounds is asked about the box of the offsets, widened by
+    _BOX_SLACK_PX either way to cover rounding in the box and in the samples.
     """
+    cu, cv = 0.5 * (du.max() + du.min()), 0.5 * (dv.max() + dv.min())
+    ru = 0.5 * (du.max() - du.min()) + _BOX_SLACK_PX
+    rv = 0.5 * (dv.max() - dv.min()) + _BOX_SLACK_PX
+    lo, hi = pattern.bounds(xs - cu, ys - cv, ru, rv)
+    return (lo == hi) & ((lo == 0.0) | (lo == 1.0)), lo
+
+
+def _latent_sampler(planes, contrast: float, threshold: float, ys: np.ndarray,
+                    xs: np.ndarray, plane_of):
+    """sample(times, ref=None, out=None) -> (lat, live): the latent log
+    intensity of the active pixels, one row per time in seconds.
+
+    With ref None, every pixel is sampled and live is None. Otherwise a
+    pixel of a plane with bounds is dropped when its sample is one saturated
+    value over the times and that value is less than a threshold from ref,
+    the pixel's walk reference: no step of the times moves it. live is then
+    the ascending indices of the pixels kept, or None when every pixel is
+    kept. lat holds the kept pixels' columns; out, when given, is a flat
+    buffer with room for it that lat is written into.
+
+    A per-axis plane computes its terms on its unique columns and rows and
+    combines them gathered at its kept pixels, or, when those are its whole
+    row x column grid, as broadcast views of the terms.
+    """
+    n_pix = ys.shape[0]
+    xs, ys = xs.astype(float), ys.astype(float)
+    # each pixel of a per-axis plane: its index in the plane's unique columns and rows
+    xcol, yrow = np.zeros(n_pix, dtype=np.intp), np.zeros(n_pix, dtype=np.intp)
     members = []
-    # column of each active pixel in the planes' concatenated samples
-    column = np.empty(ys.shape[0], dtype=np.intp)
-    width = 0
     for i, (_, pattern, cfg) in enumerate(planes):
-        idx = np.flatnonzero(plane_of == i)
-        if not idx.size:
+        own = np.flatnonzero(plane_of == i)
+        if not own.size:
             continue
-        px, py, grid = xs[idx], ys[idx], getattr(pattern, "per_axis", False)
-        if grid:
-            ux, col = np.unique(px, return_inverse=True)
-            uy, row = np.unique(py, return_inverse=True)
-            px, py = ux[None, :], uy[:, None]
-            column[idx] = width + row * ux.size + col
-            width += ux.size * uy.size
-        else:
-            column[idx] = width + np.arange(idx.size)
-            width += idx.size
-        members.append((px.astype(float), py.astype(float), grid, pattern, cfg))
-    if width == column.size and np.array_equal(column, np.arange(width)):
-        column = None
+        ux = uy = None
+        if hasattr(pattern, "axis_term"):
+            ux, xcol[own] = np.unique(xs[own], return_inverse=True)
+            uy, yrow[own] = np.unique(ys[own], return_inverse=True)
+        members.append((i, own, pattern, cfg, ux, uy))
+    th = np.float64(threshold)
 
-    def latent(times) -> np.ndarray:
-        if not members:
-            return np.empty((len(times), 0))
-        parts = []
-        for px, py, grid, pattern, cfg in members:
-            du, dv = camera_offset(times, cfg)
-            if grid:
-                du, dv = du[:, None], dv[:, None]
-            values = pattern.sample(px - du[:, None], py - dv[:, None])
-            parts.append(values.reshape(len(times), -1))
-        values = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        if column is not None:
-            values = values.take(column, axis=1)
-        values *= contrast
-        return values
+    def sample(times, ref=None, out=None):
+        offsets = [camera_offset(times, cfg) for _, _, _, cfg, _, _ in members]
+        live = None
+        if ref is not None:
+            keep = np.ones(n_pix, dtype=bool)
+            for (_, own, pattern, _, _, _), (du, dv) in zip(members, offsets):
+                if hasattr(pattern, "bounds"):
+                    dead, lo = _saturated(pattern, xs[own], ys[own], du, dv)
+                    # the walk's first step, as _walk takes it: a reference a
+                    # threshold or more from the constant still crosses
+                    keep[own] = ~dead | (np.trunc((contrast * lo - ref[own]) / th) != 0.0)
+            if not keep.all():
+                live = np.flatnonzero(keep)
+        rows, n = len(times), n_pix if live is None else live.size
+        lat = np.empty((rows, n)) if out is None else out[:rows * n].reshape(rows, n)
+        plane_live = None if live is None else plane_of.take(live)
+        for (i, own, pattern, _, ux, uy), (du, dv) in zip(members, offsets):
+            pos = own if live is None else np.flatnonzero(plane_live == i)
+            if not pos.size:
+                continue
+            at = pos if live is None else live.take(pos)
+            # a plane whose pixels are one run of columns is written in place
+            dst = lat[:, pos[0]:pos[-1] + 1] if pos[-1] - pos[0] + 1 == pos.size else None
+            if ux is None:
+                values = pattern.sample(xs.take(at) - du[:, None], ys.take(at) - dv[:, None])
+            else:
+                tx = pattern.axis_term(ux - du[:, None])
+                ty = pattern.axis_term(uy - dv[:, None])
+                if pos.size == ux.size * uy.size:
+                    # splitting dst's contiguous last axis is always a view
+                    grid = None if dst is None else dst.reshape(rows, uy.size, ux.size)
+                    values = pattern.combine(tx[:, None, :], ty[:, :, None], out=grid)
+                else:
+                    values = pattern.combine(tx.take(xcol.take(at), axis=1),
+                                             ty.take(yrow.take(at), axis=1), out=dst)
+            if dst is None:
+                lat[:, pos] = values.reshape(rows, -1)
+            elif ux is None:
+                dst[...] = values
+        lat *= contrast
+        return lat, live
 
-    return latent
+    return sample
 
 
 def _walk_arrays(width: int):
-    """One set of the reference walk's buffers, level counts and references:
-    room for _BLOCK_STEPS and _BLOCK_STEPS + 1 rows of width columns."""
-    return np.empty(_BLOCK_STEPS * width), np.empty((_BLOCK_STEPS + 1) * width)
+    """One set of the reference walk's buffers, level counts, references and
+    the crossing mask: room for _BLOCK_STEPS and _BLOCK_STEPS + 1 rows of
+    width columns."""
+    return (np.empty(_BLOCK_STEPS * width), np.empty((_BLOCK_STEPS + 1) * width),
+            np.empty(_BLOCK_STEPS * width, dtype=bool))
 
 
 def _walk(lat, ref0, threshold, work):
@@ -591,18 +688,21 @@ def _walk(lat, ref0, threshold, work):
     return q, ref
 
 
-def _extract(q, ref, l_ref, c, n_pix):
-    """Crossings of a walked chunk whose first pixel is c, of n_pix: (step,
-    pixel, index in the block's latent rows, level count, reference before
-    the step) of each, by step then pixel. The pixels that cross take their
-    final reference in l_ref."""
+def _extract(q, ref, work, l_ref, live, c, n_cols):
+    """Crossings of a chunk walked in the buffer set work, whose first
+    column is c of the block's n_cols: (step, pixel, index in the block's
+    latent rows, level count, reference before the step) of each, by step
+    then pixel. Column j of the block is pixel live[j], or j when live is
+    None. The pixels that cross take their final reference in l_ref."""
     n_rows, w = q.shape
-    at = np.flatnonzero(q != 0)
+    hit = np.not_equal(q, 0.0, out=work[2][:q.size].reshape(q.shape))
+    at = np.flatnonzero(hit)
     row, col = np.divmod(at, w)
-    pixel = col + c if c else col
+    column = col + c if c else col
+    pixel = column if live is None else live.take(column)
     # only pixels that cross move: a -0.0 reference plus a zero step is +0.0
     l_ref[pixel] = ref[n_rows].take(col)
-    cell = at if w == n_pix else row * n_pix + pixel
+    cell = at if w == n_cols else row * n_cols + column
     return row, pixel, cell, q.take(at), ref.take(at)
 
 
@@ -611,13 +711,14 @@ def _emit(found, lat, last_emit, first_step, threshold, step_us, refractory_us):
     pixel; last_emit is updated in place.
 
     found holds each walked chunk's _extract, in pixel order, and lat is the
-    block's latent values, lat[r] the one before step first_step + r. The
+    block's latent values of the pixels it kept, lat[r] the one before step
+    first_step + r. The
     level expansion, whose np.repeat holds the interpreter lock for its whole
     copy, runs only for a block where some pixel crosses several levels in a
     step; the rest make no call that was seen to stall a walk on another
     thread (np.diff, np.roll, np.insert).
     """
-    n_rows, n_pix = lat.shape[0] - 1, lat.shape[1]
+    n_rows, n_pix = lat.shape[0] - 1, last_emit.size
     row, pixel, cell, q, ref = (found[0] if len(found) == 1
                                 else (np.concatenate(f) for f in zip(*found)))
     level = 1
@@ -684,10 +785,7 @@ def check_sim_params(duration_s: float, threshold: float, step_us: int,
     """ConfigError unless duration_s, threshold and step_us are positive and
     finite, and noise_rate_hz and refractory_us non-negative and finite; NaN
     fails every comparison."""
-    for name, value in (("duration_s", duration_s), ("threshold", threshold),
-                        ("step_us", step_us)):
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
+    _check_positive(duration_s=duration_s, threshold=threshold, step_us=step_us)
     for name, value in (("noise_rate_hz", noise_rate_hz), ("refractory_us", refractory_us)):
         if not 0 <= value < math.inf:
             raise ConfigError(f"{name} must be non-negative and finite, got {value}")
@@ -696,48 +794,56 @@ def check_sim_params(duration_s: float, threshold: float, step_us: int,
 def _search(sample, n_steps, l_ref, threshold, emit):
     """Walk the blocks of n_steps steps and call emit(b, n, lat, found) for
     each, in block order: the block of the n steps from step b, its latent
-    values lat = sample(b, n) (lat[r] the one before step b + r), and found,
-    the crossings _extract takes from each walked chunk, in pixel order.
+    values (lat, live) = sample(b, n, ref, out) (lat[r] the one before step
+    b + r, of the pixels live or of every pixel when live is None; ref the
+    walk's references, out a flat buffer with room for the block), and
+    found, the crossings _extract takes from each walked chunk, in pixel
+    order. Pixels left out of a block must not cross in it.
 
     l_ref holds each pixel's reference before step 0 and is updated as the
-    crossings are extracted. When the walk is at least _PIPELINE_PIXELS wide
+    crossings are extracted. When there are at least _PIPELINE_PIXELS pixels
     and another CPU is usable, the extraction and emit run on a worker while
     this thread samples and walks the next chunk. One task is in flight at a
     time, so blocks are emitted in order and by one thread at a time, and the
-    walk alternates between two buffer sets. An exception from the worker
-    reaches the caller, and no task runs once this returns or raises.
+    walk and the blocks' latent values alternate between two buffer sets. An
+    exception from the worker reaches the caller, and no task runs once this
+    returns or raises.
     """
     n_pix = l_ref.size
     width = min(n_pix, _WALK_PIXELS)
     pool = core._executor() if width >= _PIPELINE_PIXELS and core._cpus() > 1 else None
     works = [_walk_arrays(width) for _ in range(1 if pool is None else 2)]
+    lats = [np.empty((_BLOCK_STEPS + 1) * n_pix) for _ in works]
     # the walk's own references, so that it never waits on l_ref; they differ
     # from l_ref at most in the sign of a zero, which no crossing depends on
     walk_ref = l_ref.copy()
-    chunks = range(0, max(n_pix, 1), max(width, 1))
 
-    def task(c, q, ref, found, b, n, lat):
-        found.append(_extract(q, ref, l_ref, c, n_pix))
-        if c == chunks[-1]:
+    def task(c, last, q, ref, work, found, b, n, lat, live):
+        found.append(_extract(q, ref, work, l_ref, live, c, lat.shape[1]))
+        if last:
             emit(b, n, lat, found)
 
     pending, walked = None, 0
     try:
-        for b in range(0, n_steps, _BLOCK_STEPS):
+        for k, b in enumerate(range(0, n_steps, _BLOCK_STEPS)):
             n = min(_BLOCK_STEPS, n_steps - b)
-            lat, found = sample(b, n), []
+            lat, live = sample(b, n, walk_ref, lats[k % len(lats)])
+            found, n_cols = [], lat.shape[1]
+            chunks = range(0, max(n_cols, 1), max(width, 1))
             for c in chunks:
                 cols = slice(c, c + width)
-                q, ref = _walk(lat[:, cols], walk_ref[cols], threshold,
-                               works[walked % len(works)])
-                walk_ref[cols] = ref[-1]
+                at = cols if live is None else live[cols]
+                work = works[walked % len(works)]
+                q, ref = _walk(lat[:, cols], walk_ref[at], threshold, work)
+                walk_ref[at] = ref[-1]
                 walked += 1
+                args = (c, c == chunks[-1], q, ref, work, found, b, n, lat, live)
                 if pool is None:
-                    task(c, q, ref, found, b, n, lat)
+                    task(*args)
                     continue
                 if pending is not None:
                     pending.result()
-                pending = pool.submit(task, c, q, ref, found, b, n, lat)
+                pending = pool.submit(task, *args)
     finally:
         if pending is not None:
             pending.exception()  # waits; the error itself is raised below
@@ -763,13 +869,13 @@ def _generate(
     """
     check_sim_params(duration_s, threshold, step_us, noise_rate_hz, refractory_us)
     ys, xs, plane_of = _active_pixels(planes, contrast, threshold, geometry)
-    latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
+    latent = _latent_sampler(planes, contrast, threshold, ys, xs, plane_of)
     xs, ys = xs.astype(EVENT_DTYPE["x"]), ys.astype(EVENT_DTYPE["y"])
 
     # noise is drawn from rng alone, so drawing it before the simulated
     # events changes no value
     noise_t, noise = _noise_events(rng, noise_rate_hz, geometry, duration_s)
-    l_ref = latent([0.0])[0]
+    l_ref = latent([0.0])[0][0]
     last_emit = np.full(ys.shape[0], -1e18)
     # the stream, grown in place as blocks arrive: a quarter more room at a
     # time, and cut to length at the end
@@ -802,7 +908,8 @@ def _generate(
         filled = size
 
     n_steps = int(round(duration_s * 1e6 / step_us))
-    _search(lambda b, n: latent([i * step_us * 1e-6 for i in range(b, b + n + 1)]),
+    _search(lambda b, n, ref, out: latent([i * step_us * 1e-6 for i in range(b, b + n + 1)],
+                                          ref, out),
             n_steps, l_ref, threshold, emit)
     stream.resize(filled + noise.shape[0] - merged, refcheck=False)
     stream[filled:] = noise[merged:]

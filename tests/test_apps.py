@@ -577,6 +577,17 @@ class TestPipeline:
          "tracker.patches[1]: cx and cy must be finite, got (8.0, -inf)"),
         ({"metrics": {"blur_sigma": -2}},
          "metrics: blur_sigma must be non-negative (0 is no blur), got -2.0"),
+        # a zero edge width divided by zero, a zero pitch gave no events and a
+        # zero period raised ZeroDivisionError; a negative region bound wrapped
+        ({"scene": {"pattern": {"type": "disks", "edge_width_px": 0}}},
+         "scene.pattern: edge_width_px must be positive and finite, got 0.0"),
+        ({"scene": {"pattern": {"type": "disks", "pitch_px": 0}}},
+         "scene.pattern: pitch_px must be positive and finite, got 0.0"),
+        ({"scene": {"pattern": {"period_px": 0}}},
+         "scene.pattern: period_px must be positive and finite, got 0.0"),
+        ({"scene": {"depth_planes": [{"region": [-4, 0, 16, 16]}]}},
+         "scene.depth_planes[0]: region must be (x0, y0, x1, y1) with 0 <= x0 < x1 and "
+         "0 <= y0 < y1, got (-4, 0, 16, 16)"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:

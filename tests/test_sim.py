@@ -37,6 +37,7 @@ from evosc.sim import (
     _emit,
     _extract,
     _latent_sampler,
+    _saturated,
     _search,
     _walk,
     _walk_arrays,
@@ -263,7 +264,7 @@ def test_triangle_bright_inside_dark_outside():
     assert p.sample(np.array([0.0]), np.array([-20.0]))[0] == 0.0
 
 
-# patterns that opt in to row x column grid sampling
+# patterns that combine a term of x and a term of y
 axis_values = st.lists(st.floats(-60.0, 120.0), min_size=1, max_size=12)
 per_axis_patterns = st.one_of(
     st.builds(Checkerboard, period_px=st.floats(2.0, 40.0), edge_sharpness=st.floats(0.5, 8.0)),
@@ -276,15 +277,24 @@ per_axis_patterns = st.one_of(
 @given(pattern=per_axis_patterns, ux=axis_values, uy=axis_values,
        keep=st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_grid_sampling_matches_per_pixel_bit_for_bit(pattern, ux, uy, keep):
-    assert pattern.per_axis
+def test_gathered_combine_equals_sample_per_pixel(pattern, ux, uy, keep):
+    """The simulator computes a per-axis plane's terms on its unique columns
+    and rows, then combines them into a buffer, gathered at its pixels or as
+    broadcast views of the whole grid: either equals sample at each pixel,
+    bit for bit."""
     ux, uy = np.array(ux), np.array(uy)
-    grid = pattern.sample(ux[None, :], uy[:, None])
-    # any subset of the grid, sampled per pixel, as the simulator's active set
+    tx, ty = pattern.axis_term(ux), pattern.axis_term(uy)
+    grid = np.full((uy.size, ux.size), np.nan)
+    assert pattern.combine(tx[None, :], ty[:, None], out=grid) is grid
+    # any subset of the grid, sampled per pixel, as the simulator's live set
     mask = np.random.default_rng(keep).random(grid.shape) < 0.7
     rows, cols = np.nonzero(mask)
     per_pixel = pattern.sample(ux[cols], uy[rows])
+    gathered = np.full(rows.size, np.nan)
+    assert pattern.combine(tx.take(cols), ty.take(rows), out=gathered) is gathered
+    assert gathered.tobytes() == per_pixel.tobytes()
     assert grid[mask].tobytes() == per_pixel.tobytes()
+    assert pattern.combine(tx.take(cols), ty.take(rows)).tobytes() == per_pixel.tobytes()
 
 
 # rounding slack between a bound and a sample, well inside the simulator's
@@ -326,6 +336,73 @@ def test_disks_bounds_are_attained_on_the_box():
         v = p.sample(x - du, y - dv)
         assert v.min() == pytest.approx(lo[0], abs=1e-6)
         assert v.max() == pytest.approx(hi[0], abs=1e-6)
+
+
+bounded_patterns = st.one_of(
+    st.builds(Disks, radius_px=st.floats(0.2, 30.0), pitch_px=st.floats(2.0, 80.0),
+              edge_width_px=st.floats(0.05, 8.0),
+              offset_px=st.one_of(st.none(), st.floats(-100.0, 100.0))),
+    st.builds(Triangle, center_x=st.floats(-10.0, 40.0), center_y=st.floats(-10.0, 40.0),
+              radius_px=st.floats(1.0, 30.0), edge_width_px=st.floats(0.05, 8.0)),
+)
+amplitude = st.one_of(st.just(0.0), st.floats(0.0, 12.0))
+
+
+@given(pattern=bounded_patterns, amp_x=amplitude, amp_y=amplitude, omega=st.floats(0.0, 5e3),
+       phase=st.floats(-math.pi, math.pi), first=st.integers(0, 10**5),
+       x0=st.integers(-20, 40), y0=st.integers(-20, 40))
+@settings(max_examples=200, deadline=None)
+def test_culled_pixels_hold_their_saturated_value(pattern, amp_x, amp_y, omega, phase, first,
+                                                  x0, y0):
+    """A pixel that the per-block cull drops samples exactly the value,
+    0.0 or 1.0, that the cull gave it, at each of the block's times; also
+    when the camera does not move."""
+    cfg = OscillatorConfig(amp_x_px=amp_x, amp_y_px=amp_y, omega=omega,
+                           phi_x=phase, phi_y=phase - math.pi / 2.0)
+    du, dv = camera_offset([i * 50 * 1e-6 for i in range(first, first + _BLOCK_STEPS + 1)], cfg)
+    ys, xs = (a.ravel().astype(float) for a in np.mgrid[y0:y0 + 24, x0:x0 + 24])
+    dead, lo = _saturated(pattern, xs, ys, du, dv)
+    held = lo[dead]
+    assert np.all((held == 0.0) | (held == 1.0))
+    for u, v in zip(du, dv):
+        assert pattern.sample(xs[dead] - u, ys[dead] - v).tobytes() == held.tobytes()
+
+
+@pytest.mark.parametrize("pattern", [Disks(radius_px=6.0, pitch_px=16.0, offset_px=8.0),
+                                     Triangle(center_x=12.0, center_y=12.0, radius_px=14.0)])
+def test_the_cull_drops_both_saturated_values_and_keeps_the_edges(pattern):
+    du, dv = camera_offset([i * 50 * 1e-6 for i in range(_BLOCK_STEPS + 1)], _circular(1.5))
+    ys, xs = (a.ravel().astype(float) for a in np.mgrid[0:24, 0:24])
+    dead, lo = _saturated(pattern, xs, ys, du, dv)
+    assert set(lo[dead].tolist()) == {0.0, 1.0}
+    # every pixel whose value moves over the block is kept
+    values = np.array([pattern.sample(xs - u, ys - v) for u, v in zip(du, dv)])
+    moving = values.min(axis=0) < values.max(axis=0)
+    assert moving.any() and not np.any(dead & moving)
+
+
+@pytest.mark.parametrize("pattern, name", [
+    (Checkerboard, "period_px"), (Stripes, "period_px"), (Disks, "radius_px"),
+    (Disks, "pitch_px"), (Disks, "edge_width_px"), (Triangle, "radius_px"),
+    (Triangle, "edge_width_px"),
+])
+@pytest.mark.parametrize("value", [0.0, -2.0, math.inf, math.nan])
+def test_pattern_lengths_must_be_positive_and_finite(pattern, name, value):
+    """A zero edge width used to divide by zero, a zero pitch to give no
+    events and a zero checkerboard period a bare ZeroDivisionError."""
+    where = {"center_x": 0.0, "center_y": 0.0} if pattern is Triangle else {}
+    with pytest.raises(ConfigError, match=f"^{name} must be positive and finite, got {value}$"):
+        pattern(**where, **{name: value})
+
+
+@pytest.mark.parametrize("region", [(-4, 0, 16, 16), (0, -1, 16, 16), (8, 0, 4, 16),
+                                    (0, 8, 16, 8), (3, 3, 3, 9)])
+def test_a_plane_region_must_be_a_nonempty_box_of_the_frame(region):
+    """A negative bound used to wrap round as a slice index, and an empty
+    region to cover nothing without a word."""
+    with pytest.raises(ConfigError, match="region must be"):
+        DepthPlane(region=region)
+    assert DepthPlane(region=(0, 0, 1, 1)).region == (0, 0, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +556,9 @@ def test_simulate_rejects_bad_duration_and_threshold():
 
 # ---------------------------------------------------------------------------
 # frozen streams: sha256 of simulate output as full-frame, per-pixel stepping
-# produced it; stepping only the active pixels, and sampling per_axis patterns
-# on the row x column grid, must reproduce every byte. Any change to event
+# produced it; stepping only the active pixels, culling each block to the
+# pixels that can move in it, and combining per-axis terms gathered from the
+# unique columns and rows, must reproduce every byte. Any change to event
 # order, timing or noise draws changes a digest.
 
 
@@ -845,11 +923,12 @@ def _planes(scene, cfg):
 
 
 def _run_blocks(lat, l_ref, step_us, refractory_us, threshold=DEFAULT_THRESHOLD, oracle=False,
-                levels=None):
+                levels=None, sample=None):
     """Drive the block search (or the scalar oracle) over the blocks of lat
     (one row per step, plus the row before the first); returns each block's
     (t, pixel, pol) and the final l_ref and last_emit. levels, when given,
-    takes the most levels a pixel crosses in one step of each block."""
+    takes the most levels a pixel crosses in one step of each block. sample,
+    when given, is the search's sampler in place of the blocks of lat."""
     l_ref = l_ref.copy()
     last_emit = np.full(lat.shape[1], -1e18)
     if oracle:
@@ -864,17 +943,26 @@ def _run_blocks(lat, l_ref, step_us, refractory_us, threshold=DEFAULT_THRESHOLD,
             levels.append(max(np.abs(q).max(initial=0.0) for _, _, _, q, _ in found))
         blocks.append(_emit(found, block, last_emit, b, threshold, step_us, refractory_us))
 
-    _search(lambda b, n: lat[b:b + n + 1], lat.shape[0] - 1, l_ref, threshold, emit)
+    if sample is None:
+        def sample(b, n, ref, out):
+            return lat[b:b + n + 1], None
+    _search(sample, lat.shape[0] - 1, l_ref, threshold, emit)
     return blocks, l_ref, last_emit
 
 
 def _block_crossings(planes, contrast, geometry, n_steps, oracle=False, levels=None):
-    """Run the search (or the oracle) over a scene's simulator blocks of 50 us
-    steps; returns each block's (t, pixel, pol) and the final state."""
+    """Run the search over a scene's simulator blocks of 50 us steps, each
+    culled to the pixels that can move in it as simulate culls it, or the
+    oracle over every pixel of every step; returns each block's (t, pixel,
+    pol) and the final state."""
     ys, xs, plane_of = _active_pixels(planes, contrast, DEFAULT_THRESHOLD, geometry)
-    latent = _latent_sampler(planes, contrast, ys, xs, plane_of)
-    lat = latent([i * 50 * 1e-6 for i in range(n_steps + 1)])
-    return _run_blocks(lat, lat[0], 50, 100, oracle=oracle, levels=levels)
+    latent = _latent_sampler(planes, contrast, DEFAULT_THRESHOLD, ys, xs, plane_of)
+    lat = latent([i * 50 * 1e-6 for i in range(n_steps + 1)])[0]
+
+    def sample(b, n, ref, out):
+        return latent([i * 50 * 1e-6 for i in range(b, b + n + 1)], ref, out)
+
+    return _run_blocks(lat, lat[0], 50, 100, oracle=oracle, levels=levels, sample=sample)
 
 
 def _assert_same(a, b):
@@ -903,32 +991,49 @@ CROSSING_SCENES = {
     # 2304 active pixels, most of them firing
     "dense_checker": (SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
                       _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48), 300),
+    # a sharp disk edge crosses 50 thresholds in a step, more than the cap,
+    # then moves on: pixels end a block with their reference lagging and
+    # saturate for the next, which must still take their pending crossings
+    "capped_saturating_disk": (
+        SceneSpec(pattern=Disks(radius_px=9.0, pitch_px=1000.0, offset_px=16.0,
+                                edge_width_px=0.05), contrast=10.0),
+        OscillatorConfig(amp_x_px=2.0, amp_y_px=2.0, omega=2.0 * math.pi * 50.0, phi_x=0.3,
+                         phi_y=0.3 - math.pi / 2.0), G32, 600),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
 def test_walk_in_column_chunks(monkeypatch, name):
-    """Walking the pixels 300 at a time, the last chunk short, emits what one
-    walk over all of them does, inline or with each chunk's extraction on
-    the worker."""
+    """Walking each block's pixels 100 at a time, the last chunk short,
+    emits what one walk over all of them does, inline or with each chunk's
+    extraction on the worker."""
     scene, cfg, geom, n_steps = CROSSING_SCENES[name]
     planes = _planes(scene, cfg)
     with _schedule("inline"):
         whole = _block_crossings(planes, scene.contrast, geom, n_steps)
-    monkeypatch.setattr(sim, "_WALK_PIXELS", 300)
-    assert _active_pixels(planes, scene.contrast, DEFAULT_THRESHOLD, geom)[0].size > 300
+    monkeypatch.setattr(sim, "_WALK_PIXELS", 100)
+    widths, walk = [], sim._walk
+
+    def spy(lat, *args):
+        widths.append(lat.shape[1])
+        return walk(lat, *args)
+
+    monkeypatch.setattr(sim, "_walk", spy)
     for schedule in ("inline", "pipelined"):
+        widths.clear()
         with _schedule(schedule):
             _assert_same(_block_crossings(planes, scene.contrast, geom, n_steps), whole)
+        assert len(widths) > len(whole[0]) and any(0 < w < 100 for w in widths)
 
 
 @pytest.mark.parametrize("name", sorted(CROSSING_SCENES))
 def test_crossing_searches_agree(name):
     """The block search emits the scalar oracle's events, floats and order,
     block by block, and leaves the same references and emission times, on
-    either schedule. The capped scene has blocks with multi-level steps,
-    expanded level by level; in the others every pixel crosses at most one
-    level a step, so every block takes the one-level path."""
+    either schedule, each block culled as simulate culls it. The capped
+    scenes have blocks with multi-level steps, expanded level by level; in
+    the others every pixel crosses at most one level a step, so every block
+    takes the one-level path."""
     scene, cfg, geom, n_steps = CROSSING_SCENES[name]
     planes = _planes(scene, cfg)
     oracle = _block_crossings(planes, scene.contrast, geom, n_steps, oracle=True)
@@ -938,7 +1043,7 @@ def test_crossing_searches_agree(name):
             search = _block_crossings(planes, scene.contrast, geom, n_steps, levels=levels)
         assert sum(t.size for t, _, _ in search[0]) > 1000
         _assert_same(search, oracle)
-        if name == "capped_two_planes":
+        if name.startswith("capped"):
             assert max(levels) == _MAX_CROSSINGS
         else:
             assert max(levels) == 1
@@ -1018,12 +1123,25 @@ def test_block_sampling_equals_per_time_sampling(name):
     scene, geom = scenes[name]
     planes = _planes(scene, _circular(2.5, phase=0.9))
     ys, xs, plane_of = _active_pixels(planes, scene.contrast, DEFAULT_THRESHOLD, geom)
-    latent = _latent_sampler(planes, scene.contrast, ys, xs, plane_of)
+    latent = _latent_sampler(planes, scene.contrast, DEFAULT_THRESHOLD, ys, xs, plane_of)
     times = [i * 50 * 1e-6 for i in range(37, 37 + _BLOCK_STEPS + 1)]
-    block = latent(times)
-    assert block.shape == (len(times), ys.size) and ys.size > 0
+    block, live = latent(times)
+    assert block.shape == (len(times), ys.size) and ys.size > 0 and live is None
     for row, t in zip(block, times):
-        assert row.tobytes() == latent([t])[0].tobytes()
+        assert row.tobytes() == latent([t])[0][0].tobytes()
+    # culled to the pixels that can move, into a buffer: the same columns,
+    # and each pixel left out holds one value
+    out = np.full(block.size, np.nan)
+    culled, live = latent(times, block[0], out)
+    assert np.shares_memory(culled, out)
+    if live is None:
+        assert name in ("bitmap", "stripes")
+        assert culled.tobytes() == block.tobytes()
+    else:
+        assert 0 < live.size < ys.size
+        assert culled.tobytes() == block[:, live].tobytes()
+        dropped = np.delete(block, live, axis=1)
+        assert np.all(dropped == dropped[0])
 
 
 def test_zero_rise_crossings_land_at_step_start():
@@ -1034,8 +1152,10 @@ def test_zero_rise_crossings_land_at_step_start():
     lat = np.array([[0.5, -0.5, 0.25, 1.0], [0.5, -0.5, 0.25, 1.1]])
     l_ref = np.array([0.0, 0.0, 0.0, 0.0])
     last_emit = np.full(4, -1e18)
-    q, ref = _walk(lat, l_ref, thr, _walk_arrays(4))
-    t, pixel, pol = _emit([_extract(q, ref, l_ref, 0, 4)], lat, last_emit, 3, thr, 50, 0)
+    work = _walk_arrays(4)
+    q, ref = _walk(lat, l_ref, thr, work)
+    t, pixel, pol = _emit([_extract(q, ref, work, l_ref, None, 0, 4)], lat, last_emit, 3, thr,
+                          50, 0)
     # emission order: level 1 of every pixel, then level 2, ...
     assert pixel.tolist() == [0, 1, 2, 3, 0, 1, 3, 3, 3]
     assert pol.tolist() == [1, -1, 1, 1, 1, -1, 1, 1, 1]
