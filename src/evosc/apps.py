@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import SensorGeometry, _read_value, from_section
+from .core import (SensorGeometry, _read_value, check_finite, check_non_negative, check_positive,
+                   from_section)
 from .ekf import (
     NoiseConfig,
     SinusoidState,
@@ -54,7 +55,6 @@ from .sim import (
     PhysicalOscillator,
     SceneSpec,
     WorldMotion,
-    check_moving_target,
     check_sim_params,
     motor_speed,
     read_pattern,
@@ -68,7 +68,6 @@ from .track import (
     DEFAULT_WARMUP_TAUS,
     CentroidTracker,
     PatchSpec,
-    check_lag_tau,
     check_tracker_params,
     delag_coefficients,
     lowpass_gain,
@@ -166,8 +165,8 @@ def estimate_scene_frequency(
     """
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    if not (truth_hz is None or 0 < truth_hz < math.inf):
-        raise ConfigError(f"truth_hz must be positive and finite, got {truth_hz}")
+    if truth_hz is not None:
+        check_positive(truth_hz=truth_hz)
     if events.shape[0] == 0:
         raise InsufficientDataError("empty event stream")
     tracking = TrackerSection(tau_s=tau_s, emit_period_s=emit_period_s)
@@ -328,8 +327,8 @@ def relative_depth(
     the mean over that plane's trackers, each an estimate_motion with tau_s
     and emit_period_s. A truth_ratio, when given, must be positive and finite.
     """
-    if not (truth_ratio is None or 0 < truth_ratio < math.inf):
-        raise ConfigError(f"truth_ratio must be positive and finite, got {truth_ratio}")
+    if truth_ratio is not None:
+        check_positive(truth_ratio=truth_ratio)
     amp1, ests1 = _plane_amplitude(events, patch_plane_1, tau_s, emit_period_s)
     amp2, ests2 = _plane_amplitude(events, patch_plane_2, tau_s, emit_period_s)
     if amp2 <= 0:
@@ -362,8 +361,8 @@ def min_detectable_distance(
     """
     if not (0 < fov_rad < math.pi):
         raise ConfigError(f"fov must be in (0, pi), got {fov_rad}")
-    if not (resolution_px > 0 and 0 < radius_m < math.inf and 0 < pixel_threshold < math.inf):
-        raise ConfigError("resolution, radius and threshold must be positive and finite")
+    check_positive(resolution_px=resolution_px, radius_m=radius_m,
+                   pixel_threshold=pixel_threshold)
     return radius_m * (resolution_px / 2.0) / math.tan(fov_rad / 2.0) / pixel_threshold
 
 
@@ -383,7 +382,7 @@ class OscillationSection:
     phi_y: float = -math.pi / 2.0
 
     def __post_init__(self):
-        self.oscillator()  # OscillatorConfig holds the amplitude and omega range rules
+        self.oscillator()  # OscillatorConfig holds the amplitude, omega and phase rules
 
     def oscillator(self) -> OscillatorConfig:
         return OscillatorConfig(self.amp_x_px, self.amp_y_px, self.omega_rad_s,
@@ -409,15 +408,16 @@ class PhysicalSection:
     def __post_init__(self):
         if self.omega_rad_s is None and self.voltage is None:
             raise ConfigError("physical config needs omega_rad_s or voltage")
+        check_positive(depth_m=self.depth_m)
+        self.motion()  # PhysicalOscillator and steady_state hold the mount's rules
 
-    def oscillator(self, geometry: SensorGeometry) -> OscillatorConfig:
-        """The steady state's image-plane oscillation through geometry's focal length."""
+    def motion(self) -> WorldMotion:
+        """The mount's steady-state motion in metres."""
         omega = (motor_speed(self.voltage, self.motor) if self.omega_rad_s is None
                  else self.omega_rad_s)
         osc = PhysicalOscillator(self.mass_kg, self.eccentric_mass_kg, self.eccentricity_m,
                                  self.damping, self.stiffness, omega_drive=omega)
-        motion = WorldMotion.from_steady_state(osc, circular=self.circular)
-        return OscillatorConfig.from_world(motion, geometry, self.depth_m)
+        return WorldMotion.from_steady_state(osc, circular=self.circular)
 
 
 @dataclass(frozen=True)
@@ -428,7 +428,7 @@ class MovingTargetSection:
     radius_px: float
 
     def __post_init__(self):
-        check_moving_target(self.freq_hz, self.radius_px)
+        check_positive(freq_hz=self.freq_hz, radius_px=self.radius_px)
 
 
 @dataclass(frozen=True)
@@ -476,7 +476,8 @@ class TrackerSection:
     warmup_s: float | None = None
 
     def __post_init__(self):
-        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight, self.warmup_s)
+        check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight,
+                             0.0 if self.warmup_s is None else self.warmup_s)
 
     def tracker(self, patch: PatchSpec, tracker_id: int = 0) -> CentroidTracker:
         """A tracker on patch; warmup_s defaults to DEFAULT_WARMUP_TAUS * tau_s."""
@@ -510,14 +511,11 @@ class MetricsSection:
     edges: bool = True
 
     def __post_init__(self):
-        if not math.isfinite(self.window_ms) or self.window_ms < 0.001:
+        check_finite(window_ms=self.window_ms)
+        if self.window_ms < 0.001:
             raise ConfigError(f"window_ms must be finite and at least 0.001 (1 us), "
                               f"got {self.window_ms}")
-        if not math.isfinite(self.blur_sigma):
-            raise ConfigError(f"blur_sigma must be finite, got {self.blur_sigma}")
-        if self.blur_sigma < 0:
-            raise ConfigError(f"blur_sigma must be non-negative (0 is no blur), "
-                              f"got {self.blur_sigma}")
+        check_non_negative(blur_sigma=self.blur_sigma)
 
     @property
     def window_us(self) -> int:
@@ -548,8 +546,8 @@ def build_scene(section: SceneSection, geometry: SensorGeometry
                   ("duration_s", "threshold", "noise_rate_hz", "step_us", "refractory_us")}
     if section.moving_target is not None:
         return scene, None, sim_kwargs
-    if section.physical is not None:
-        return scene, section.physical.oscillator(geometry), sim_kwargs
+    if (phys := section.physical) is not None:
+        return scene, OscillatorConfig.from_world(phys.motion(), geometry, phys.depth_m), sim_kwargs
     return scene, (section.oscillation or OscillationSection()).oscillator(), sim_kwargs
 
 
@@ -767,7 +765,7 @@ def read_estimate(path) -> tuple[SinusoidState, SinusoidState, float | None]:
     t_ref_us = _read_value(int, d.get("t_ref_us", 0), "t_ref_us")
     lag_tau_s = _read_value(float | None, d.get("tracker_tau_s"), "tracker_tau_s")
     if lag_tau_s is not None:
-        check_lag_tau(lag_tau_s)
+        check_non_negative(tracker_tau_s=lag_tau_s)
     inits = []
     for axis in ("u", "v"):
         if axis not in d:
@@ -779,7 +777,5 @@ def read_estimate(path) -> tuple[SinusoidState, SinusoidState, float | None]:
             if key not in d[axis] and key != "residual_rms":
                 raise ConfigError(f"{axis}: missing key {key!r}")
             values[key] = _read_value(float, d[axis].get(key, 0.0), f"{axis}.{key}")
-            if not math.isfinite(values[key]):
-                raise ConfigError(f"{axis}.{key}: expected a finite number, got {values[key]}")
         inits.append(SinusoidInit(**values))
     return (*states_from_init(*inits, t_ref_us), lag_tau_s)

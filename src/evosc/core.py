@@ -20,6 +20,7 @@ that splits (again in a child made by fork).
 from __future__ import annotations
 
 import bisect
+import math
 import numbers
 import os
 import threading
@@ -53,17 +54,40 @@ class SensorGeometry:
     cy: float | None = None
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ConfigError(f"sensor dimensions must be positive, got {self.width}x{self.height}")
-        if self.focal_length_px <= 0:
-            raise ConfigError(f"focal length must be positive, got {self.focal_length_px}")
+        check_positive(width=self.width, height=self.height, focal_length_px=self.focal_length_px)
         if self.cx is None:
             object.__setattr__(self, "cx", (self.width - 1) / 2.0)
         if self.cy is None:
             object.__setattr__(self, "cy", (self.height - 1) / 2.0)
+        check_finite(cx=self.cx, cy=self.cy)
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# The range rules, each a ConfigError naming the first of values that breaks
+# it. NaN fails every comparison, so each rule is written as what must hold.
+
+
+def check_positive(**values) -> None:
+    """ConfigError unless each of values is positive and finite."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def check_non_negative(**values) -> None:
+    """ConfigError unless each of values is non-negative and finite."""
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"{name} must be non-negative and finite, got {value}")
+
+
+def check_finite(**values) -> None:
+    """ConfigError unless each of values is finite."""
+    for name, value in values.items():
+        if not -math.inf < value < math.inf:
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 def from_section(cls, d, section: str = ""):
@@ -99,7 +123,7 @@ def from_section(cls, d, section: str = ""):
 
 
 def _read_value(tp, value, path: str):
-    """value as type tp: a float cast, a bool only from a boolean, an int from
+    """value as type tp: a finite float, a bool only from a boolean, an int from
     an integer or an integral float (never a boolean), a dataclass read as a
     sub-block, a tuple element by element from a list, None kept for X | None."""
     args = typing.get_args(tp)
@@ -124,9 +148,13 @@ def _read_value(tp, value, path: str):
             return int(value)
     elif tp is float:
         try:
-            return float(value)
+            value = float(value)
         except (TypeError, ValueError):
             pass
+        else:
+            if -math.inf < value < math.inf:
+                return value
+            raise ConfigError(f"{path}: expected a finite number, got {value}")
     else:
         return value
     raise ConfigError(f"{path}: expected {tp.__name__}, got {value!r}")
@@ -263,8 +291,7 @@ def window_counts(events: np.ndarray, geometry: SensorGeometry, t_begin: int, t_
     """Per-pixel event counts of the disjoint windows [t, t + window_us)
     tiling [t_begin, t_end), as an (n, H, W) stack; the last window may end
     past t_end. Each window is one bincount into the stack."""
-    if window_us <= 0:
-        raise ConfigError(f"window length must be positive, got {window_us}")
+    check_positive(window_us=window_us)
     if t_end <= t_begin:
         raise ConfigError(f"window range must satisfy t_end > t_begin, got [{t_begin}, {t_end})")
     n = len(range(t_begin, t_end, window_us))

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import check_positive
 from .errors import ConfigError, NumericalDegeneracyError, OrderingError
 from .freqest import SinusoidInit
 from .io import _write_csv
@@ -56,8 +57,7 @@ class NoiseConfig:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (5, 5):
             raise ConfigError(f"Q must be 5x5, got {q.shape}")
-        if not 0 < self.sigma_r < math.inf:
-            raise ConfigError(f"sigma_r must be positive and finite, got {self.sigma_r}")
+        check_positive(sigma_r=self.sigma_r)
         object.__setattr__(self, "q", q)
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import check_finite
 from .errors import (
     ConfigError,
     DegenerateFitError,
@@ -98,10 +99,11 @@ def normalize(samples: np.ndarray, axis: str) -> NormalizedSeries:
 
 def check_band(band: tuple[float, float], grid_points: int) -> None:
     """ConfigError unless band is finite and increasing and grid_points is at
-    least 4; NaN fails every comparison."""
+    least 4."""
     if not grid_points >= 4:
         raise ConfigError(f"grid_points must be at least 4, got {grid_points}")
-    if not -math.inf < float(band[0]) < float(band[1]) < math.inf:
+    check_finite(band_low=band[0], band_high=band[1])
+    if band[0] >= band[1]:
         raise ConfigError(f"band must be finite and increasing, got {tuple(band)}")
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SensorGeometry, window_counts
+from .core import SensorGeometry, check_positive, window_counts
 from .errors import ConfigError
 from .io import _write_csv
 
@@ -340,8 +340,7 @@ def stream_metrics(
 ) -> list[WindowMetrics]:
     """Per-window metrics over disjoint windows tiling [t_begin, t_end),
     scored on one stack of window counts per block of _BLOCK_PX pixels."""
-    if window_us <= 0:
-        raise ConfigError(f"window length must be positive, got {window_us}")
+    check_positive(window_us=window_us)
     windows = range(int(t_begin), int(t_end), int(window_us))
     per_block = max(1, _BLOCK_PX // (geometry.width * geometry.height))
     out = []

@@ -105,7 +105,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core
-from .core import EVENT_DTYPE, SensorGeometry, empty_events, from_section, make_events
+from .core import (EVENT_DTYPE, SensorGeometry, check_finite, check_non_negative, check_positive,
+                   empty_events, from_section, make_events)
 from .errors import ConfigError, ResonanceError
 
 TWO_PI = 2.0 * math.pi
@@ -147,15 +148,19 @@ class MotorParams:
     resistance_ohm: float = 3.75
     load_torque_nm: float = 0.216e-3
 
+    def __post_init__(self):
+        check_positive(k_phi=self.k_phi)
+        check_non_negative(resistance_ohm=self.resistance_ohm, load_torque_nm=self.load_torque_nm)
+
 
 def motor_speed(voltage: float, motor: MotorParams) -> float:
     """Steady motor speed in rad/s under a resistive-drop load model.
 
     omega = V/k_phi - (R/k_phi^2) * T_load, floored at zero (the rotor does
-    not run backwards under load).
+    not run backwards under load). A voltage that is not finite is a
+    ConfigError.
     """
-    if motor.k_phi <= 0:
-        raise ConfigError(f"k_phi must be positive, got {motor.k_phi}")
+    check_finite(voltage=voltage)
     omega = voltage / motor.k_phi - (motor.resistance_ohm / motor.k_phi**2) * motor.load_torque_nm
     return max(0.0, omega)
 
@@ -178,11 +183,9 @@ class PhysicalOscillator:
     omega_drive: float
 
     def __post_init__(self):
-        for name in ("mass_kg", "eccentric_mass_kg", "eccentricity_m", "stiffness"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        if self.damping < 0 or self.omega_drive < 0:
-            raise ConfigError("damping and omega_drive must be non-negative")
+        check_positive(mass_kg=self.mass_kg, eccentric_mass_kg=self.eccentric_mass_kg,
+                       eccentricity_m=self.eccentricity_m, stiffness=self.stiffness)
+        check_non_negative(damping=self.damping, omega_drive=self.omega_drive)
 
 
 def steady_state(osc: PhysicalOscillator) -> tuple[float, float]:
@@ -245,12 +248,8 @@ class OscillatorConfig:
     phi_y: float = 0.0
 
     def __post_init__(self):
-        # NaN fails every comparison, so each rule is written as what must hold
-        if not (0 <= self.amp_x_px < math.inf and 0 <= self.amp_y_px < math.inf):
-            raise ConfigError("amplitudes must be non-negative and finite, got "
-                              f"({self.amp_x_px}, {self.amp_y_px})")
-        if not 0 <= self.omega < math.inf:
-            raise ConfigError(f"omega must be non-negative and finite, got {self.omega}")
+        check_non_negative(amp_x_px=self.amp_x_px, amp_y_px=self.amp_y_px, omega=self.omega)
+        check_finite(phi_x=self.phi_x, phi_y=self.phi_y)
         object.__setattr__(self, "phi_x", wrap_angle(self.phi_x))
         object.__setattr__(self, "phi_y", wrap_angle(self.phi_y))
 
@@ -262,8 +261,7 @@ class OscillatorConfig:
         cls, motion: WorldMotion, geometry: SensorGeometry, depth_m: float
     ) -> "OscillatorConfig":
         """Image amplitude of a world oscillation seen at depth Z: A = f*amp/Z."""
-        if depth_m <= 0:
-            raise ConfigError(f"depth must be positive, got {depth_m}")
+        check_positive(depth_m=depth_m)
         f = geometry.focal_length_px
         return cls(
             amp_x_px=f * motion.amp_x_m / depth_m,
@@ -320,14 +318,6 @@ def _edge_ramp(signed_dist, width):
     return np.clip(signed_dist, 0.0, 1.0, out=signed_dist)
 
 
-def _check_positive(**values):
-    """ConfigError naming the first of values that is not positive and
-    finite; NaN fails every comparison."""
-    for name, value in values.items():
-        if not 0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value}")
-
-
 class _PerAxis:
     """A pattern whose value combines a term of x and a term of y
     elementwise: sample is combine(axis_term(xs), axis_term(ys))."""
@@ -342,7 +332,7 @@ class Checkerboard(_PerAxis):
     edge_sharpness: float = 4.0
 
     def __post_init__(self):
-        _check_positive(period_px=self.period_px)
+        check_positive(period_px=self.period_px)
 
     def axis_term(self, c):
         k = TWO_PI / self.period_px
@@ -362,7 +352,7 @@ class Stripes:
     edge_sharpness: float = 4.0
 
     def __post_init__(self):
-        _check_positive(period_px=self.period_px)
+        check_positive(period_px=self.period_px)
 
     def sample(self, xs, ys):
         k = TWO_PI / self.period_px
@@ -380,8 +370,8 @@ class Disks(_PerAxis):
     offset_px: float | None = None
 
     def __post_init__(self):
-        _check_positive(radius_px=self.radius_px, pitch_px=self.pitch_px,
-                        edge_width_px=self.edge_width_px)
+        check_positive(radius_px=self.radius_px, pitch_px=self.pitch_px,
+                       edge_width_px=self.edge_width_px)
 
     def axis_term(self, c):
         """Signed per-axis offset of c from the nearest disk centre."""
@@ -415,7 +405,7 @@ class Triangle:
     edge_width_px: float = 1.0
 
     def __post_init__(self):
-        _check_positive(radius_px=self.radius_px, edge_width_px=self.edge_width_px)
+        check_positive(radius_px=self.radius_px, edge_width_px=self.edge_width_px)
 
     def _inner(self, xs, ys):
         x = xs - self.center_x
@@ -491,8 +481,7 @@ class DepthPlane:
     pattern: object | None = field(default=None, metadata={"read": read_pattern})
 
     def __post_init__(self):
-        if self.depth_m <= 0:
-            raise ConfigError(f"plane depth must be positive, got {self.depth_m}")
+        check_positive(depth_m=self.depth_m)
         if self.region is not None:
             x0, y0, x1, y1 = self.region
             # a negative bound would wrap round as a slice index
@@ -515,7 +504,7 @@ class SceneSpec:
     depth_planes: tuple[DepthPlane, ...] = (DepthPlane(),)
 
     def __post_init__(self):
-        _check_positive(contrast=self.contrast)
+        check_positive(contrast=self.contrast)
         if not self.depth_planes:
             raise ConfigError("at least one depth plane is required")
 
@@ -783,12 +772,9 @@ def _refractory(t, pixel, key, last_emit, refractory_us):
 def check_sim_params(duration_s: float, threshold: float, step_us: int,
                      noise_rate_hz: float, refractory_us: int) -> None:
     """ConfigError unless duration_s, threshold and step_us are positive and
-    finite, and noise_rate_hz and refractory_us non-negative and finite; NaN
-    fails every comparison."""
-    _check_positive(duration_s=duration_s, threshold=threshold, step_us=step_us)
-    for name, value in (("noise_rate_hz", noise_rate_hz), ("refractory_us", refractory_us)):
-        if not 0 <= value < math.inf:
-            raise ConfigError(f"{name} must be non-negative and finite, got {value}")
+    finite, and noise_rate_hz and refractory_us non-negative and finite."""
+    check_positive(duration_s=duration_s, threshold=threshold, step_us=step_us)
+    check_non_negative(noise_rate_hz=noise_rate_hz, refractory_us=refractory_us)
 
 
 def _search(sample, n_steps, l_ref, threshold, emit):
@@ -966,14 +952,6 @@ def simulate(
     return SimOutput(events=events, truth=truth)
 
 
-def check_moving_target(freq_hz: float, path_radius_px: float) -> None:
-    """ConfigError unless a moving target's path frequency and radius are
-    positive and finite."""
-    if not (0 < freq_hz < math.inf and 0 < path_radius_px < math.inf):
-        raise ConfigError("freq_hz and path_radius_px must be positive and finite, "
-                          f"got ({freq_hz}, {path_radius_px})")
-
-
 def simulate_moving_target(
     freq_hz: float,
     path_radius_px: float,
@@ -993,7 +971,7 @@ def simulate_moving_target(
     and the circular path is a per-axis cosine with the y axis a quarter turn
     behind, which truth records.
     """
-    check_moving_target(freq_hz, path_radius_px)
+    check_positive(freq_hz=freq_hz, path_radius_px=path_radius_px)
     if pattern is None:
         pattern = Triangle(center_x=(geometry.width - 1) / 2.0,
                            center_y=(geometry.height - 1) / 2.0)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import check_finite, check_non_negative, check_positive
 from .errors import ConfigError, OrderingError
 from .io import _read_bytes, _write_csv
 
@@ -57,10 +58,8 @@ class PatchSpec:
     half_size: int = 12
 
     def __post_init__(self):
-        if not (-math.inf < self.cx < math.inf and -math.inf < self.cy < math.inf):
-            raise ConfigError(f"cx and cy must be finite, got ({self.cx}, {self.cy})")
-        if self.half_size <= 0:
-            raise ConfigError(f"half_size must be positive, got {self.half_size}")
+        check_finite(cx=self.cx, cy=self.cy)
+        check_positive(half_size=self.half_size)
 
     def contains(self, x, y):
         """Mask of the coordinates inside the patch (see _near)."""
@@ -85,16 +84,15 @@ class PatchSpec:
 
 
 def check_tracker_params(tau_s: float, emit_period_s: float, min_weight: float,
-                         warmup_s: float | None = None) -> None:
+                         warmup_s: float) -> None:
     """ConfigError unless tau_s and emit_period_s are positive and finite,
-    min_weight is finite and at least 1, and warmup_s is None or non-negative
-    and finite; NaN fails every comparison."""
-    if not (0 < tau_s < math.inf and 0 < emit_period_s < math.inf):
-        raise ConfigError("tau_s and emit_period_s must be positive and finite")
-    if not 1 <= min_weight < math.inf:
+    min_weight is finite and at least 1, and warmup_s is non-negative and
+    finite."""
+    check_positive(tau_s=tau_s, emit_period_s=emit_period_s)
+    check_finite(min_weight=min_weight)
+    if min_weight < 1:
         raise ConfigError(f"min_weight must be finite and at least 1, got {min_weight}")
-    if warmup_s is not None and not 0 <= warmup_s < math.inf:
-        raise ConfigError(f"warmup_s must be non-negative and finite, got {warmup_s}")
+    check_non_negative(warmup_s=warmup_s)
 
 
 @dataclass
@@ -106,9 +104,9 @@ class CentroidTracker:
     Weight, centroid and the times of the last event, the first event and
     the last emission carry over between calls, so a stream fed in pieces
     gives the samples of one call over the whole stream, to rounding.
-    warmup_s, when set, suppresses emissions until that much time has passed
-    since the first in-patch event; the centroid starts at the patch centre
-    and needs a few tau to forget it.
+    warmup_s suppresses emissions until that much time has passed since the
+    first in-patch event (0 suppresses none); the centroid starts at the
+    patch centre and needs a few tau to forget it.
     """
 
     patch: PatchSpec
@@ -116,7 +114,7 @@ class CentroidTracker:
     emit_period_s: float = DEFAULT_EMIT_PERIOD_S
     min_weight: float = DEFAULT_MIN_WEIGHT
     tracker_id: int = 0
-    warmup_s: float | None = None
+    warmup_s: float = 0.0
 
     def __post_init__(self):
         check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight, self.warmup_s)
@@ -146,8 +144,7 @@ class CentroidTracker:
         for lo, w, u, v in self._scan(ts, events["x"][inside], events["y"][inside]):
             tc = ts[lo:lo + w.size]
             ok = w >= self.min_weight
-            if self.warmup_s is not None:
-                ok &= ~((tc - self._t_start) * 1e-6 < self.warmup_s)
+            ok &= ~((tc - self._t_start) * 1e-6 < self.warmup_s)
             picks = np.flatnonzero(ok)
             picks = picks[self._emissions(tc[picks])]
             picked.append((tc[picks], u[picks], v[picks]))
@@ -257,13 +254,6 @@ _TAU_LINE = "# tracker_tau_s="
 _ID_MAX = 2**32 - 1
 
 
-def check_lag_tau(tau_s: float) -> float:
-    """tau_s, unless it is negative or not finite (NaN fails): a ConfigError."""
-    if not 0 <= tau_s < math.inf:
-        raise ConfigError(f"tracker_tau_s: expected a non-negative finite number, got {tau_s}")
-    return tau_s
-
-
 def write_samples_csv(dest, samples: np.ndarray, tracker_tau_s: float) -> None:
     """A `# tracker_tau_s=` line (repr of the tau the samples were tracked
     with), the `id,t_us,u,v` header, then one row per sample."""
@@ -280,7 +270,8 @@ def read_samples_csv(source) -> tuple[np.ndarray, float]:
     if not tau_line.startswith(_TAU_LINE):
         raise ConfigError(f"samples line 1: expected '{_TAU_LINE}<seconds>', got {tau_line!r}")
     try:
-        tracker_tau_s = check_lag_tau(float(tau_line[len(_TAU_LINE):]))
+        tracker_tau_s = float(tau_line[len(_TAU_LINE):])
+        check_non_negative(tracker_tau_s=tracker_tau_s)
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"samples line 1: {exc}") from None
     if header != "id,t_us,u,v":

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +33,11 @@ from evosc.ekf import NoiseConfig, amplitude_phase, write_trace_csv
 from evosc.errors import (
     ConfigError,
     InsufficientDataError,
+    ResonanceError,
     StageError,
 )
 from evosc.io import read_events, write_events
-from evosc.sim import Checkerboard, Disks, OscillatorConfig, simulate_moving_target
+from evosc.sim import PATTERNS, Checkerboard, Disks, OscillatorConfig, simulate_moving_target
 from evosc.track import PatchSpec, lowpass_gain, read_samples_csv
 
 from oracles import MIN_DETECT_D_REF, MOTOR_OMEGA_2V, pixel_displacement
@@ -270,6 +273,8 @@ class TestRelativeDepth:
 
 
 G64 = SensorGeometry(width=64, height=64)
+PHYSICAL = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
+            "eccentricity_m": 0.005, "damping": 2.0, "stiffness": 4000.0}
 
 
 def scene_of(section: dict, geometry: SensorGeometry = G64):
@@ -325,9 +330,7 @@ class TestBuildScene:
         assert scene.depth_planes[1].pattern is not None
 
     def test_physical_voltage_drives_motor_model(self):
-        physical = {"voltage": 2.0, "mass_kg": 0.1, "eccentric_mass_kg": 0.01,
-                    "eccentricity_m": 0.005, "damping": 2.0, "stiffness": 4000.0,
-                    "depth_m": 1.0}
+        physical = {**PHYSICAL, "depth_m": 1.0}
         scene, osc, _ = scene_of({"physical": physical})
         assert osc.omega == pytest.approx(MOTOR_OMEGA_2V, rel=1e-9)
         assert osc.amp_x_px == osc.amp_y_px > 0
@@ -519,64 +522,60 @@ class TestPipeline:
         ({"metrics": {"window_ms": 0.0001}},
          "metrics: window_ms must be finite and at least 0.001 (1 us), got 0.0001"),
         ({"metrics": {"window_ms": math.nan}},
-         "metrics: window_ms must be finite and at least 0.001 (1 us), got nan"),
+         "metrics.window_ms: expected a finite number, got nan"),
         ({"metrics": {"window_ms": "Infinity"}},
-         "metrics: window_ms must be finite and at least 0.001 (1 us), got inf"),
-        ({"tracker": {"tau_s": 0}},
-         "tracker: tau_s and emit_period_s must be positive and finite"),
-        ({"tracker": {"tau_s": "nan"}},
-         "tracker: tau_s and emit_period_s must be positive and finite"),
+         "metrics.window_ms: expected a finite number, got inf"),
+        ({"tracker": {"tau_s": 0}}, "tracker: tau_s must be positive and finite, got 0.0"),
+        ({"tracker": {"tau_s": "nan"}}, "tracker.tau_s: expected a finite number, got nan"),
         ({"tracker": {"emit_period_s": -0.001}},
-         "tracker: tau_s and emit_period_s must be positive and finite"),
+         "tracker: emit_period_s must be positive and finite, got -0.001"),
         ({"tracker": {"emit_period_s": math.inf}},
-         "tracker: tau_s and emit_period_s must be positive and finite"),
+         "tracker.emit_period_s: expected a finite number, got inf"),
         ({"tracker": {"min_weight": 0.5}},
          "tracker: min_weight must be finite and at least 1, got 0.5"),
         ({"tracker": {"min_weight": math.nan}},
-         "tracker: min_weight must be finite and at least 1, got nan"),
+         "tracker.min_weight: expected a finite number, got nan"),
         ({"estimate": {"grid_points": 3}}, "estimate: grid_points must be at least 4, got 3"),
         ({"estimate": {"band_rad_s": [500.0, 30.0]}},
          "estimate: band must be finite and increasing, got (500.0, 30.0)"),
         ({"estimate": {"band_rad_s": [30.0, "nan"]}},
-         "estimate: band must be finite and increasing, got (30.0, nan)"),
+         "estimate.band_rad_s[1]: expected a finite number, got nan"),
         ({"scene": {"step_us": 0}}, "scene: step_us must be positive and finite, got 0"),
         ({"scene": {"duration_s": -1.0}},
          "scene: duration_s must be positive and finite, got -1.0"),
         ({"scene": {"threshold": "Infinity"}},
-         "scene: threshold must be positive and finite, got inf"),
-        ({"metrics": {"blur_sigma": math.nan}}, "metrics: blur_sigma must be finite, got nan"),
+         "scene.threshold: expected a finite number, got inf"),
+        ({"metrics": {"blur_sigma": math.nan}},
+         "metrics.blur_sigma: expected a finite number, got nan"),
         ({"ekf": {"sigma_r_px": 0}}, "ekf: sigma_r must be positive and finite, got 0.0"),
         # SceneSpec's and OscillatorConfig's own rules, applied when the config is read
         ({"scene": {"contrast": 0}}, "scene: contrast must be positive and finite, got 0.0"),
         ({"scene": {"oscillation": {"amp_x_px": -1}}},
-         "scene.oscillation: amplitudes must be non-negative and finite, got (-1.0, 3.0)"),
+         "scene.oscillation: amp_x_px must be non-negative and finite, got -1.0"),
         ({"scene": {"noise_rate_hz": -1.0}},
          "scene: noise_rate_hz must be non-negative and finite, got -1.0"),
         ({"scene": {"refractory_us": -5}},
          "scene: refractory_us must be non-negative and finite, got -5"),
-        # NaN fails every comparison; the rules are written so that it fails them
-        ({"scene": {"contrast": "nan"}}, "scene: contrast must be positive and finite, got nan"),
+        # the reader refuses a NaN or infinite float (which JSON readers accept)
+        ({"scene": {"contrast": "nan"}}, "scene.contrast: expected a finite number, got nan"),
         ({"scene": {"oscillation": {"amp_y_px": "nan"}}},
-         "scene.oscillation: amplitudes must be non-negative and finite, got (3.0, nan)"),
+         "scene.oscillation.amp_y_px: expected a finite number, got nan"),
         ({"scene": {"oscillation": {"omega_rad_s": "nan"}}},
-         "scene.oscillation: omega must be non-negative and finite, got nan"),
+         "scene.oscillation.omega_rad_s: expected a finite number, got nan"),
         ({"scene": {"moving_target": {"freq_hz": 0, "radius_px": 2}}},
-         "scene.moving_target: freq_hz and path_radius_px must be positive and finite, "
-         "got (0.0, 2.0)"),
+         "scene.moving_target: freq_hz must be positive and finite, got 0.0"),
         ({"scene": {"moving_target": {"freq_hz": 10, "radius_px": "nan"}}},
-         "scene.moving_target: freq_hz and path_radius_px must be positive and finite, "
-         "got (10.0, nan)"),
+         "scene.moving_target.radius_px: expected a finite number, got nan"),
         # a NaN warm-up would switch it off; a NaN or infinite centre leaves the patch empty
         ({"tracker": {"warmup_s": -0.001}},
          "tracker: warmup_s must be non-negative and finite, got -0.001"),
-        ({"tracker": {"warmup_s": "nan"}},
-         "tracker: warmup_s must be non-negative and finite, got nan"),
+        ({"tracker": {"warmup_s": "nan"}}, "tracker.warmup_s: expected a finite number, got nan"),
         ({"tracker": {"patches": [{"cx": "nan", "cy": 32.0}]}},
-         "tracker.patches[0]: cx and cy must be finite, got (nan, 32.0)"),
+         "tracker.patches[0].cx: expected a finite number, got nan"),
         ({"tracker": {"patches": [{"cx": 32.0, "cy": 32.0}, {"cx": 8.0, "cy": "-Infinity"}]}},
-         "tracker.patches[1]: cx and cy must be finite, got (8.0, -inf)"),
+         "tracker.patches[1].cy: expected a finite number, got -inf"),
         ({"metrics": {"blur_sigma": -2}},
-         "metrics: blur_sigma must be non-negative (0 is no blur), got -2.0"),
+         "metrics: blur_sigma must be non-negative and finite, got -2.0"),
         # a zero edge width divided by zero, a zero pitch gave no events and a
         # zero period raised ZeroDivisionError; a negative region bound wrapped
         ({"scene": {"pattern": {"type": "disks", "edge_width_px": 0}}},
@@ -588,6 +587,16 @@ class TestPipeline:
         ({"scene": {"depth_planes": [{"region": [-4, 0, 16, 16]}]}},
          "scene.depth_planes[0]: region must be (x0, y0, x1, y1) with 0 <= x0 < x1 and "
          "0 <= y0 < y1, got (-4, 0, 16, 16)"),
+        # the physical block's rules, which used to run only in the simulate
+        # stage (its NaN and infinite values are in the float-key test below)
+        ({"scene": {"physical": {**PHYSICAL, "mass_kg": -1}}},
+         "scene.physical: mass_kg must be positive and finite, got -1.0"),
+        ({"scene": {"physical": {**PHYSICAL, "depth_m": 0}}},
+         "scene.physical: depth_m must be positive and finite, got 0.0"),
+        ({"scene": {"physical": {**PHYSICAL, "motor": {"k_phi": 0}}}},
+         "scene.physical.motor: k_phi must be positive and finite, got 0.0"),
+        ({"scene": {"physical": {**PHYSICAL, "motor": {"load_torque_nm": -1e-3}}}},
+         "scene.physical.motor: load_torque_nm must be non-negative and finite, got -0.001"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:
@@ -631,6 +640,80 @@ class TestPipeline:
         assert truth["amp_x_px"] == truth["amp_y_px"] == 3.0
         for key in ("state_u", "state_v"):
             assert report[key]["amplitude_px"] == pytest.approx(3.0, abs=0.15), key
+
+
+def test_undamped_drive_at_resonance_fails_before_any_stage(tmp_path):
+    # it used to pass the read and fail in the simulate stage, after out_dir was made
+    # (omega_rad_s, when given, drives the mount instead of the motor's voltage)
+    physical = {**PHYSICAL, "omega_rad_s": 10.0, "damping": 0.0, "mass_kg": 1.0,
+                "stiffness": 100.0}
+    with pytest.raises(ResonanceError):
+        run_pipeline({**PIPELINE_CONFIG, "scene": {"physical": physical}}, tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+# stands for the value of the key under test in a config block built by _float_keys
+VALUE = "<value>"
+
+
+def _float_keys(cls):
+    """(label, key, block) for every float key under the dataclass cls: key is
+    the dotted path the reader names, label is key with the pattern type it
+    belongs to, and block is a config block of cls holding VALUE at that key
+    and a placeholder for every required key on the way."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    base = {f.name: 16 if hints[f.name] is int else 1.0 for f in fields
+            if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING}
+    for f in fields:
+        name, tp = f.name, hints[f.name]
+        if type(None) in typing.get_args(tp):
+            tp = typing.get_args(tp)[0]
+        args = typing.get_args(tp)
+        if "read" in f.metadata:  # a pattern block, one class per type
+            for kind, pattern in PATTERNS.items():
+                for label, key, block in _float_keys(pattern):
+                    yield (f"{name}({kind}).{label}", f"{name}.{key}",
+                           {**base, name: {"type": kind, **block}})
+        elif tp is float:
+            yield name, name, {**base, name: VALUE}
+        elif typing.get_origin(tp) is tuple and args[0] is float:
+            for i in range(len(args)):
+                items = [VALUE if j == i else 1.0 for j in range(len(args))]
+                yield f"{name}[{i}]", f"{name}[{i}]", {**base, name: items}
+        elif typing.get_origin(tp) is tuple and dataclasses.is_dataclass(args[0]):
+            for label, key, block in _float_keys(args[0]):
+                yield f"{name}[0].{label}", f"{name}[0].{key}", {**base, name: [block]}
+        elif dataclasses.is_dataclass(tp):
+            for label, key, block in _float_keys(tp):
+                yield f"{name}.{label}", f"{name}.{key}", {**base, name: block}
+
+
+FLOAT_KEYS = list(_float_keys(PipelineConfig))
+
+
+def test_the_float_key_walk_reaches_every_block():
+    keys = {key for _, key, _ in FLOAT_KEYS}
+    assert {"geometry.focal_length_px", "geometry.cx", "scene.pattern.edge_sharpness",
+            "scene.pattern.offset_px", "scene.pattern.angle_rad", "scene.pattern.center_y",
+            "scene.depth_planes[0].depth_m", "scene.depth_planes[0].pattern.center_x",
+            "scene.contrast", "scene.oscillation.phi_x", "scene.physical.voltage",
+            "scene.physical.motor.load_torque_nm", "scene.moving_target.radius_px",
+            "tracker.patches[0].cy", "tracker.warmup_s", "estimate.band_rad_s[1]",
+            "ekf.sigma_r_px", "metrics.blur_sigma"} <= keys
+
+
+@pytest.mark.parametrize("key, block", [(key, block) for _, key, block in FLOAT_KEYS],
+                         ids=[label for label, _, _ in FLOAT_KEYS])
+def test_every_float_key_refuses_a_non_finite_value(tmp_path, key, block):
+    """Python's JSON reader accepts NaN and Infinity; the config reader
+    refuses them in every float key, naming it, before any stage runs."""
+    for text, shown in (("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")):
+        config = json.loads(json.dumps(block).replace(json.dumps(VALUE), text))
+        with pytest.raises(ConfigError) as err:
+            run_pipeline(config, tmp_path / "run")
+        assert str(err.value) == f"{key}: expected a finite number, got {shown}"
+        assert not (tmp_path / "run").exists()
 
 
 ZERO_MOTION_CONFIG = {

@@ -225,7 +225,7 @@ AXIS = {"omega": 100.0 * math.pi, "a": 1.5, "b": -2.0, "c": 0.0}
     ({"t_ref_us": "abc", "u": AXIS, "v": AXIS}, "t_ref_us: expected int, got 'abc'"),
     ({"tracker_tau_s": "x", "u": AXIS, "v": AXIS}, "tracker_tau_s: expected float, got 'x'"),
     ({"tracker_tau_s": -0.005, "u": AXIS, "v": AXIS},
-     "tracker_tau_s: expected a non-negative finite number, got -0.005"),
+     "tracker_tau_s must be non-negative and finite, got -0.005"),
 ])
 def test_malformed_states_file_names_the_key(tmp_path, capsys, states, message):
     """A states file is read strictly: each fault exits 1 with a message
@@ -439,6 +439,19 @@ def test_pipeline_command(tmp_path):
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert manifest["seed"] == 2
     assert "report" in manifest["artifacts"]
+
+
+@pytest.mark.parametrize("text, shown", [("Infinity", "inf"), ("NaN", "nan")])
+def test_pipeline_names_a_phase_that_is_not_finite(tmp_path, capsys, text, shown):
+    """An infinite phase used to end in an OverflowError traceback from
+    wrap_angle, and a NaN one in a message that named no key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"scene": {"oscillation": {"phi_x": %s}}}' % text)
+    run_dir = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(run_dir)]) == 1
+    assert capsys.readouterr().err == (
+        f"[pipeline] scene.oscillation.phi_x: expected a finite number, got {shown}\n")
+    assert not run_dir.exists()
 
 
 def test_missing_file_exits_nonzero(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import json
+import math
 import os
 import signal
 import sys
@@ -13,6 +15,9 @@ from evosc import core
 from evosc.core import (
     EVENT_DTYPE,
     SensorGeometry,
+    check_finite,
+    check_non_negative,
+    check_positive,
     empty_events,
     from_section,
     make_events,
@@ -267,10 +272,41 @@ class TestGeometry:
         {"width": 0, "height": 4},
         {"width": 4, "height": -1},
         {"width": 4, "height": 4, "focal_length_px": 0.0},
+        {"width": 4, "height": 4, "focal_length_px": math.nan},
+        {"width": 4, "height": 4, "cx": math.inf},
     ])
     def test_invalid_geometry(self, kwargs):
         with pytest.raises(ConfigError):
             SensorGeometry(**kwargs)
+
+
+@pytest.mark.parametrize("check, rule, good, bad", [
+    (check_positive, "positive and finite", [5e-324, 1, 1e308],
+     [0, -0.0, -1.0, math.nan, math.inf, -math.inf]),
+    (check_non_negative, "non-negative and finite", [0, -0.0, 1e308],
+     [-5e-324, math.nan, math.inf, -math.inf]),
+    (check_finite, "finite", [-1e308, 0, 1e308], [math.nan, math.inf, -math.inf]),
+])
+def test_range_rules_name_the_first_value_that_breaks_them(check, rule, good, bad):
+    for value in good:
+        check(a=value, b=value)
+    for value in bad:
+        with pytest.raises(ConfigError) as err:
+            check(a=good[-1], b=value, c=math.nan)
+        assert str(err.value) == f"b must be {rule}, got {value}"
+
+
+@pytest.mark.parametrize("text, shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e999", "inf"),
+    ('"nan"', "nan"), ('"-inf"', "-inf"),
+])
+def test_reader_refuses_a_float_key_that_is_not_finite(text, shown):
+    """Python's JSON reader takes NaN, Infinity and an overflowing literal,
+    and float() takes their spellings as strings."""
+    block = json.loads(f'{{"width": 4, "height": 4, "focal_length_px": {text}}}')
+    with pytest.raises(ConfigError) as err:
+        from_section(SensorGeometry, block, "geometry")
+    assert str(err.value) == f"geometry.focal_length_px: expected a finite number, got {shown}"
 
 
 @st.composite

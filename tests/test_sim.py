@@ -92,6 +92,28 @@ class TestMotor:
         with pytest.raises(ConfigError):
             motor_speed(2.0, MotorParams(k_phi=0.0))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: motor_speed(math.nan, MotorParams()), "voltage must be finite, got nan"),
+        (lambda: MotorParams(k_phi=math.nan), "k_phi must be positive and finite, got nan"),
+        (lambda: MotorParams(resistance_ohm=math.nan),
+         "resistance_ohm must be non-negative and finite, got nan"),
+        (lambda: MotorParams(load_torque_nm=math.inf),
+         "load_torque_nm must be non-negative and finite, got inf"),
+        (lambda: MotorParams(load_torque_nm=-1e-3),
+         "load_torque_nm must be non-negative and finite, got -0.001"),
+    ], ids=["nan_voltage", "nan_k_phi", "nan_resistance", "inf_load", "negative_load"])
+    def test_values_out_of_range_are_named(self, make, message):
+        """Each of these used to run a stopped motor (0 rad/s) without a word."""
+        with pytest.raises(ConfigError) as err:
+            make()
+        assert str(err.value) == message
+
+    def test_negative_mass_is_named(self):
+        with pytest.raises(ConfigError) as err:
+            PhysicalOscillator(mass_kg=-1.0, eccentric_mass_kg=0.01, eccentricity_m=0.005,
+                               damping=2.0, stiffness=4000.0, omega_drive=150.0)
+        assert str(err.value) == "mass_kg must be positive and finite, got -1.0"
+
 
 class TestSteadyState:
     def test_matches_high_precision_reference(self):
@@ -189,6 +211,14 @@ class TestOscillatorConfig:
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ConfigError):
             OscillatorConfig(amp_x_px=-1.0, amp_y_px=0.0, omega=1.0)
+
+    @pytest.mark.parametrize("phase", [math.inf, -math.inf, math.nan])
+    def test_phase_that_is_not_finite_is_named(self, phase):
+        # wrap_angle used to raise OverflowError on an infinite phase and a
+        # ValueError naming no value on NaN
+        with pytest.raises(ConfigError) as err:
+            OscillatorConfig(amp_x_px=1.0, amp_y_px=1.0, omega=1.0, phi_y=phase)
+        assert str(err.value) == f"phi_y must be finite, got {phase}"
 
     def test_bad_depth_rejected(self):
         motion = WorldMotion(amp_x_m=0.01, amp_y_m=0.01, omega=10.0)

@@ -59,6 +59,23 @@ def test_every_top_level_name_has_a_caller_outside_the_tests():
     assert sorted(defined - reached - TEST_ONLY_ALLOWED) == []
 
 
+def test_only_core_compares_with_infinity():
+    """Range rules are core's check_positive, check_non_negative and
+    check_finite: no other package module compares a value with math.inf or
+    np.inf, so a rule cannot be written out again with NaN let through."""
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare):
+                for side in (node.left, *node.comparators):
+                    side = side.operand if isinstance(side, ast.UnaryOp) else side
+                    if isinstance(side, ast.Attribute) and side.attr == "inf":
+                        found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_imports_scipy():
     """No package module imports scipy, at the top or inside a function:
     numpy is the package's only runtime dependency."""

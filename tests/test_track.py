@@ -232,7 +232,7 @@ class TestCentroidTracker:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), tau=st.floats(1e-4, 0.02),
            period=st.floats(1e-6, 5e-3), min_weight=st.floats(1.0, 20.0),
-           warmup=st.one_of(st.none(), st.floats(0.0, 0.02)))
+           warmup=st.one_of(st.just(0.0), st.floats(0.0, 0.02)))
     def test_emissions_match_the_event_loop(self, seed, tau, period, min_weight, warmup):
         """Same samples as the per-event loop: emission times exactly, centroids
         within 1e-12 px, for any period, weight floor and warm-up."""
@@ -403,11 +403,11 @@ class TestSamplesCsv:
          "samples line 1: expected '# tracker_tau_s=<seconds>', got 'id,t_us,u,v'"),
         ("\n\n", "samples line 1: expected '# tracker_tau_s=<seconds>', got ''"),
         ("# tracker_tau_s=-0.002\nid,t_us,u,v\n",
-         "samples line 1: tracker_tau_s: expected a non-negative finite number, got -0.002"),
+         "samples line 1: tracker_tau_s must be non-negative and finite, got -0.002"),
         ("# tracker_tau_s=nan\nid,t_us,u,v\n",
-         "samples line 1: tracker_tau_s: expected a non-negative finite number, got nan"),
+         "samples line 1: tracker_tau_s must be non-negative and finite, got nan"),
         ("# tracker_tau_s=inf\nid,t_us,u,v\n",
-         "samples line 1: tracker_tau_s: expected a non-negative finite number, got inf"),
+         "samples line 1: tracker_tau_s must be non-negative and finite, got inf"),
         ("# tracker_tau_s=fast\nid,t_us,u,v\n",
          "samples line 1: could not convert string to float: 'fast'"),
     ], ids=["no_tau_line", "blank", "negative", "nan", "inf", "not_a_number"])
