@@ -11,7 +11,7 @@ import csv
 import sys
 
 from evosc.apps import estimate_scene_frequency
-from evosc.sim import SensorGeometry, simulate_moving_target
+from evosc.sim import SensorGeometry, moving_target, simulate
 from evosc.track import PatchSpec
 
 
@@ -33,9 +33,8 @@ def main(argv=None):
     rows = []
     print(f"{'truth Hz':>9} {'estimate':>9} {'MAE Hz':>8} {'3sigma':>8} {'events':>9}")
     for freq in args.frequencies:
-        out = simulate_moving_target(freq, args.radius, geom,
-                                     duration_s=args.duration,
-                                     contrast=args.contrast, seed=args.seed)
+        out = simulate(*moving_target(freq, args.radius, geom, contrast=args.contrast), geom,
+                       duration_s=args.duration, seed=args.seed)
         rep = estimate_scene_frequency(out.events, patch, trials=args.trials,
                                        truth_hz=freq)
         print(f"{freq:9.2f} {rep.estimate_hz:9.4f} {rep.abs_error_hz:8.4f} "

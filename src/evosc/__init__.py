@@ -29,8 +29,8 @@ from .sim import (  # noqa: F401
     WorldMotion,
     camera_offset,
     motor_speed,
+    moving_target,
     simulate,
-    simulate_moving_target,
     steady_state,
 )
 from .track import CentroidTracker, PatchSpec, lowpass_gain, track_events  # noqa: F401

@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (SensorGeometry, _read_value, check_finite, check_non_negative, check_positive,
-                   from_section)
+from .core import SensorGeometry, check_finite, check_non_negative, check_positive, from_section
 from .ekf import (
     NoiseConfig,
     SinusoidState,
@@ -40,6 +39,7 @@ from .freqest import (
     DEFAULT_GRID_POINTS,
     InitResult,
     SinusoidInit,
+    SpectrumPeak,
     check_band,
     fit_sinusoid,
     initialize,
@@ -57,9 +57,9 @@ from .sim import (
     WorldMotion,
     check_sim_params,
     motor_speed,
+    moving_target,
     read_pattern,
     simulate,
-    simulate_moving_target,
 )
 from .track import (
     DEFAULT_EMIT_PERIOD_S,
@@ -409,12 +409,17 @@ class PhysicalSection:
         if self.omega_rad_s is None and self.voltage is None:
             raise ConfigError("physical config needs omega_rad_s or voltage")
         check_positive(depth_m=self.depth_m)
-        self.motion()  # PhysicalOscillator and steady_state hold the mount's rules
+        self.motion()  # it, PhysicalOscillator and steady_state hold the mount's rules
 
     def motion(self) -> WorldMotion:
-        """The mount's steady-state motion in metres."""
-        omega = (motor_speed(self.voltage, self.motor) if self.omega_rad_s is None
-                 else self.omega_rad_s)
+        """The mount's steady-state motion in metres, at a drive speed that
+        must be positive: a stalled motor leaves the mount still."""
+        if self.omega_rad_s is not None:
+            omega = self.omega_rad_s
+            check_positive(omega_rad_s=omega)
+        elif not (omega := motor_speed(self.voltage, self.motor)) > 0:
+            raise ConfigError(f"voltage {self.voltage} drives the motor at {omega} rad/s; "
+                              f"the drive speed must be positive")
         osc = PhysicalOscillator(self.mass_kg, self.eccentric_mass_kg, self.eccentricity_m,
                                  self.damping, self.stiffness, omega_drive=omega)
         return WorldMotion.from_steady_state(osc, circular=self.circular)
@@ -478,6 +483,9 @@ class TrackerSection:
     def __post_init__(self):
         check_tracker_params(self.tau_s, self.emit_period_s, self.min_weight,
                              0.0 if self.warmup_s is None else self.warmup_s)
+        if self.warmup_s is None:  # the warm-up tracker() uses
+            check_finite(**{f"the default warm-up {DEFAULT_WARMUP_TAUS:g} * tau_s":
+                            DEFAULT_WARMUP_TAUS * self.tau_s})
 
     def tracker(self, patch: PatchSpec, tracker_id: int = 0) -> CentroidTracker:
         """A tracker on patch; warmup_s defaults to DEFAULT_WARMUP_TAUS * tau_s."""
@@ -538,14 +546,15 @@ class PipelineConfig:
 
 
 def build_scene(section: SceneSection, geometry: SensorGeometry
-                ) -> tuple[SceneSpec, OscillatorConfig | None, dict]:
-    """(scene, oscillation, sim kwargs) of a scene section on the run's sensor;
-    the oscillation is None for a moving target."""
-    scene = section.spec()
+                ) -> tuple[SceneSpec, OscillatorConfig, dict]:
+    """(scene, oscillation, sim kwargs) of a scene section on the run's sensor,
+    simulate's arguments."""
     sim_kwargs = {k: getattr(section, k) for k in
                   ("duration_s", "threshold", "noise_rate_hz", "step_us", "refractory_us")}
-    if section.moving_target is not None:
-        return scene, None, sim_kwargs
+    if (target := section.moving_target) is not None:
+        return (*moving_target(target.freq_hz, target.radius_px, geometry, section.pattern,
+                               section.contrast), sim_kwargs)
+    scene = section.spec()
     if (phys := section.physical) is not None:
         return scene, OscillatorConfig.from_world(phys.motion(), geometry, phys.depth_m), sim_kwargs
     return scene, (section.oscillation or OscillationSection()).oscillator(), sim_kwargs
@@ -624,14 +633,7 @@ def run_pipeline(config: dict, out_dir: str | Path, seed: int | None = None) -> 
 def simulate_stage(section: SceneSection, geometry: SensorGeometry, seed: int, out_dir: Path):
     """Simulate the scene section; writes events.evt and truth.json to out_dir."""
     scene, osc, sim_kwargs = build_scene(section, geometry)
-    if section.moving_target is not None:
-        sim_out = simulate_moving_target(
-            freq_hz=section.moving_target.freq_hz,
-            path_radius_px=section.moving_target.radius_px, geometry=geometry,
-            pattern=section.pattern, seed=seed, contrast=scene.contrast, **sim_kwargs,
-        )
-    else:
-        sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)
+    sim_out = simulate(scene, osc, geometry, seed=seed, **sim_kwargs)
     write_events(out_dir / "events.evt", sim_out.events, geometry)
     write_json(out_dir / "truth.json", {
         "seed": seed,
@@ -667,7 +669,11 @@ def estimate_stage(section: EstimateSection, samples: np.ndarray, tracker_tau_s:
     the first sample's time as t_ref_us, to dest (a path or a text stream) and
     returns the init."""
     init_result = initialize(samples, band=section.band_rad_s, grid_points=section.grid_points)
-    write_json(dest, _estimate_json(init_result, int(samples["t"][0]), tracker_tau_s))
+    u, v = (EstimateAxis(**asdict(init), peaks=tuple(peaks)) for init, peaks in (
+        (init_result.init_u, init_result.peaks_u), (init_result.init_v, init_result.peaks_v)))
+    write_json(dest, asdict(EstimateFile(
+        u, v, omega_rad_s=init_result.omega, frequency_hz=init_result.omega / (2.0 * math.pi),
+        t_ref_us=int(samples["t"][0]), tracker_tau_s=tracker_tau_s)))
     return init_result
 
 
@@ -739,43 +745,35 @@ def report_stage(seed: int, init_result: InitResult, states, tracker_tau_s: floa
     return report
 
 
-def _estimate_json(init_result: InitResult, t_ref_us: int, tracker_tau_s: float | None) -> dict:
-    def axis(init, peaks):
-        return {**asdict(init), "peaks": [asdict(p) for p in peaks]}
+@dataclass(frozen=True)
+class EstimateAxis(SinusoidInit):
+    """One axis of an estimate file: the fit (residual_rms may be left out)
+    and the spectrum peaks it started from."""
 
-    return {
-        "omega_rad_s": init_result.omega,
-        "frequency_hz": init_result.omega / (2.0 * math.pi),
-        "t_ref_us": t_ref_us,
-        "tracker_tau_s": tracker_tau_s,
-        "u": axis(init_result.init_u, init_result.peaks_u),
-        "v": axis(init_result.init_v, init_result.peaks_v),
-    }
+    residual_rms: float = 0.0
+    peaks: tuple[SpectrumPeak, ...] = ()
+
+
+@dataclass(frozen=True)
+class EstimateFile:
+    """estimate.json, written by estimate_stage with asdict and read by
+    read_estimate with core.from_section."""
+
+    u: EstimateAxis
+    v: EstimateAxis
+    omega_rad_s: float | None = None
+    frequency_hz: float | None = None
+    t_ref_us: int = 0
+    tracker_tau_s: float | None = None
+
+    def __post_init__(self):
+        if self.tracker_tau_s is not None:
+            check_non_negative(tracker_tau_s=self.tracker_tau_s)
 
 
 def read_estimate(path) -> tuple[SinusoidState, SinusoidState, float | None]:
-    """(state_u, state_v, tracker_tau_s) of an estimate file as _estimate_json
-    writes it: an object whose axes u and v each hold omega, a, b and c (and
-    residual_rms, which is optional), with optional t_ref_us (an integer,
-    default 0) and tracker_tau_s (a number or null). Other keys are ignored;
-    a missing key, or a value of the wrong type, is a ConfigError naming it."""
-    d = json.loads(Path(path).read_text())
-    if not isinstance(d, dict):
-        raise ConfigError(f"a states file must be an object, got {json.dumps(d)}")
-    t_ref_us = _read_value(int, d.get("t_ref_us", 0), "t_ref_us")
-    lag_tau_s = _read_value(float | None, d.get("tracker_tau_s"), "tracker_tau_s")
-    if lag_tau_s is not None:
-        check_non_negative(tracker_tau_s=lag_tau_s)
-    inits = []
-    for axis in ("u", "v"):
-        if axis not in d:
-            raise ConfigError(f"states: missing key {axis!r}")
-        if not isinstance(d[axis], dict):
-            raise ConfigError(f"a states axis must be an object, got {json.dumps(d[axis])}")
-        values = {}
-        for key in ("omega", "a", "b", "c", "residual_rms"):
-            if key not in d[axis] and key != "residual_rms":
-                raise ConfigError(f"{axis}: missing key {key!r}")
-            values[key] = _read_value(float, d[axis].get(key, 0.0), f"{axis}.{key}")
-        inits.append(SinusoidInit(**values))
-    return (*states_from_init(*inits, t_ref_us), lag_tau_s)
+    """(state_u, state_v, tracker_tau_s) of an estimate file, read strictly as
+    an EstimateFile: an unknown or missing key, or a value of the wrong type
+    or out of range, is a ConfigError naming it."""
+    est = from_section(EstimateFile, json.loads(Path(path).read_text()))
+    return (*states_from_init(est.u, est.v, est.t_ref_us), est.tracker_tau_s)

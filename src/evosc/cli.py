@@ -1,12 +1,14 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages plus the analysis applications.
-simulate reads a pipeline config file; track, estimate and metrics turn their
-flags into the pipeline's section object for that stage, whose field defaults
-are the flags' defaults. Each runs the pipeline's own stage function; estimate
-takes the tracker's tau from the samples file. Results go to --out (a file or
-directory depending on the subcommand). Errors print a stage-tagged line on
-stderr and exit 1.
+simulate, track, estimate and metrics run the pipeline stage of that name,
+and pipeline runs every stage; compensate is fixed-state compensation of an
+event file with the states file from estimate, and freq, depth and mindist
+run the analysis applications. simulate reads a pipeline config file; track,
+estimate and metrics turn their flags into the pipeline's section object for
+that stage, whose field defaults are the flags' defaults. Each runs the
+pipeline's own stage function; estimate takes the tracker's tau from the
+samples file. Results go to --out (a file or directory depending on the
+subcommand). Errors print a stage-tagged line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .apps import (
 from .compensate import compensate_stream, write_compensated_csv
 from .core import from_section
 from .errors import EvoscError
-from .io import _evt_header, read_event_pieces, read_events, write_json
+from .io import read_event_pieces, read_events, write_event_pieces, write_json
 from .track import PatchSpec, read_samples_csv
 
 
@@ -83,20 +85,24 @@ def _cmd_compensate(args) -> int:
     time (one block of core.map_blocks per CPU, so each piece still splits)."""
     state_u, state_v, lag_tau_s = read_estimate(args.states)
     n_oob = 0
+
+    def packed(comp):
+        nonlocal n_oob
+        records, clamped = comp.pack()
+        n_oob += clamped
+        return records
+
     with closing(read_event_pieces(args.events, core._cpus() * core._BLOCK)) as pieces:
         geometry, count = next(pieces)
+        comps = (compensate_stream(piece, state_u, state_v, geometry, lag_tau_s=lag_tau_s)
+                 for piece in pieces)
         with _replacing(args.out) as fh:
-            if not args.csv:
-                fh.write(_evt_header(geometry, count))
-            for i, piece in enumerate(pieces):
-                comp = compensate_stream(piece, state_u, state_v, geometry, lag_tau_s=lag_tau_s)
-                if args.csv:
+            if args.csv:
+                for i, comp in enumerate(comps):
                     write_compensated_csv(fh, comp, header=i == 0)
                     n_oob += int(np.count_nonzero(comp.out_of_bounds))
-                else:
-                    records, clamped = comp.pack()
-                    fh.write(records.view(np.uint8))
-                    n_oob += clamped
+            else:
+                write_event_pieces(fh, geometry, count, map(packed, comps))
     # the CSV keeps the real coordinates; only the .evt records are clamped
     flagged = "out of bounds" if args.csv else "clamped"
     print(f"compensated {count} events ({n_oob} {flagged}) to {args.out}")

@@ -29,7 +29,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import BoundsError, ConfigError, OrderingError
+from .errors import BoundsError, ConfigError, OrderingError, ResonanceError
 
 # Packed little-endian record layout, 13 bytes per event. This dtype is also
 # the on-disk binary record format, so streams round-trip via tobytes().
@@ -95,10 +95,11 @@ def from_section(cls, d, section: str = ""):
     keys, types and defaults.
 
     section is the block's path ("" at the top level): errors name it, and
-    sub-blocks extend it (`tracker.patches[0]`). An unknown or missing key, a
-    value that is not of its field's type (see _read_value), or a ConfigError from
-    cls's own checks is a ConfigError naming the block. A field whose metadata
-    holds "read" is read by read(value, path) instead.
+    sub-blocks extend it (`tracker.patches[0]`). An unknown or missing key, or a
+    value that is not of its field's type (see _read_value), is a ConfigError
+    naming the block, and a ConfigError or ResonanceError from cls's own checks
+    is raised again naming it. A field whose metadata holds "read" is read by
+    read(value, path) instead.
     """
     where = section or "config"
     if not isinstance(d, dict):
@@ -118,8 +119,8 @@ def from_section(cls, d, section: str = ""):
         values[key] = read(value, path) if read else _read_value(hints[key], value, path)
     try:
         return cls(**values)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    except (ConfigError, ResonanceError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _read_value(tp, value, path: str):

@@ -18,12 +18,12 @@ straight into the array; a pipe, whose size is not known in advance, is read
 into an array that grows as its records arrive, and its size is checked at
 its end. So neither direction builds a copy of the whole stream, and a header
 whose count overstates the stream reserves no more than twice what arrives.
-read_event_pieces is the one reader, a piece at a time in bounded memory;
-read_events is its one piece of all the records. Both directions
-check the records with core.first_violations, whose blocks are split across
-threads (see core) with the same result whatever the CPU count; the stream is
-read and written on the calling thread, and no worker calls a function the
-benchmark traces.
+read_event_pieces and write_event_pieces are the one reader and writer, a
+piece at a time in bounded memory; read_events and write_events are their
+one piece. These check the records with core.first_violations (the writer
+of pieces does not), whose blocks are split across threads (see core) with
+the same result whatever the CPU count; the stream is read and written on
+the calling thread, and no worker calls a function the benchmark traces.
 
 JSON artifacts (truth, estimate, report, manifest) all go through write_json.
 """
@@ -59,16 +59,26 @@ assert HEADER_SIZE == 24
 
 
 def write_events(dest, events: np.ndarray, geometry: SensorGeometry) -> None:
-    """Serialize an event stream as .evt to a path or writable file object."""
+    """Validate an event stream, then write it as write_event_pieces' one piece."""
     validate_events(events, geometry)
-    _write_bytes(dest, (_evt_header(geometry, events.shape[0]),
-                        memoryview(np.ascontiguousarray(events).view(np.uint8))))
+    write_event_pieces(dest, geometry, events.shape[0], (events,))
 
 
-def _evt_header(geometry: SensorGeometry, count: int) -> bytes:
-    """The .evt header of a stream of count records; the records follow it."""
-    return struct.pack(HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height, count,
-                       b"\x00" * 6)
+def write_event_pieces(dest, geometry: SensorGeometry, count: int, pieces) -> None:
+    """The mirror of read_event_pieces: the .evt header of a stream of count
+    records, then each piece's records (arrays of EVENT_DTYPE, unchecked) in
+    order, to a path or a binary stream, which is left open. Pieces that do
+    not add up to count are a FormatError, raised once the last is written."""
+    def chunks():
+        yield struct.pack(HEADER_FMT, MAGIC, VERSION, geometry.width, geometry.height, count,
+                          b"\x00" * 6)
+        body = 0
+        for piece in pieces:
+            body += piece.nbytes
+            yield memoryview(np.ascontiguousarray(piece).view(np.uint8))
+        _check_body(body, count)
+
+    _write_bytes(dest, chunks())
 
 
 def read_events(source) -> tuple[np.ndarray, SensorGeometry]:

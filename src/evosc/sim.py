@@ -952,35 +952,16 @@ def simulate(
     return SimOutput(events=events, truth=truth)
 
 
-def simulate_moving_target(
-    freq_hz: float,
-    path_radius_px: float,
-    geometry: SensorGeometry,
-    duration_s: float,
-    pattern: object | None = None,
-    contrast: float = 0.5,
-    threshold: float = DEFAULT_THRESHOLD,
-    seed: int = 0,
-    step_us: int = DEFAULT_STEP_US,
-    refractory_us: int = DEFAULT_REFRACTORY_US,
-    noise_rate_hz: float = 0.0,
-) -> SimOutput:
-    """Static camera watching an object translating on a circular path.
-
-    A preset over simulate: the default object is a triangle at frame centre,
-    and the circular path is a per-axis cosine with the y axis a quarter turn
-    behind, which truth records.
-    """
+def moving_target(freq_hz: float, path_radius_px: float, geometry: SensorGeometry,
+                  pattern: object | None = None, contrast: float = SceneSpec.contrast
+                  ) -> tuple[SceneSpec, OscillatorConfig]:
+    """simulate's (scene, cfg) for a static camera watching an object on a
+    circular path: the default object is a triangle at frame centre, and the
+    path is a per-axis cosine with the y axis a quarter turn behind."""
     check_positive(freq_hz=freq_hz, path_radius_px=path_radius_px)
     if pattern is None:
         pattern = Triangle(center_x=(geometry.width - 1) / 2.0,
                            center_y=(geometry.height - 1) / 2.0)
-    cfg = OscillatorConfig(
+    return SceneSpec(pattern=pattern, contrast=contrast), OscillatorConfig(
         amp_x_px=path_radius_px, amp_y_px=path_radius_px,
-        omega=TWO_PI * freq_hz, phi_x=0.0, phi_y=-math.pi / 2.0,
-    )
-    return simulate(
-        SceneSpec(pattern=pattern, contrast=contrast), cfg, geometry, duration_s,
-        threshold=threshold, seed=seed, step_us=step_us, refractory_us=refractory_us,
-        noise_rate_hz=noise_rate_hz,
-    )
+        omega=TWO_PI * freq_hz, phi_x=0.0, phi_y=-math.pi / 2.0)

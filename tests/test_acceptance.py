@@ -35,8 +35,8 @@ from evosc.sim import (
     OscillatorConfig,
     SceneSpec,
     camera_offset,
+    moving_target,
     simulate,
-    simulate_moving_target,
 )
 from evosc.track import SAMPLE_DTYPE, PatchSpec
 
@@ -72,8 +72,8 @@ def test_criterion_01_frequency_estimation():
         geom = SensorGeometry(width=64, height=64)
         patch = PatchSpec(cx=31.5, cy=31.5, half_size=20)
         for freq in (7.5, 10.0, 15.2, 20.0, 22.6):
-            out = simulate_moving_target(freq, 4.0, geom, duration_s=2.0,
-                                         contrast=2.0, seed=3)
+            out = simulate(*moving_target(freq, 4.0, geom, contrast=2.0), geom,
+                           duration_s=2.0, seed=3)
             report = estimate_scene_frequency(out.events, patch, trials=10,
                                               truth_hz=freq)
             assert report.abs_error_hz <= 0.15, (freq, report.abs_error_hz)

@@ -37,7 +37,8 @@ from evosc.errors import (
     StageError,
 )
 from evosc.io import read_events, write_events
-from evosc.sim import PATTERNS, Checkerboard, Disks, OscillatorConfig, simulate_moving_target
+from evosc.sim import (PATTERNS, Checkerboard, Disks, OscillatorConfig, Triangle, moving_target,
+                       simulate)
 from evosc.track import PatchSpec, lowpass_gain, read_samples_csv
 
 from oracles import MIN_DETECT_D_REF, MOTOR_OMEGA_2V, pixel_displacement
@@ -217,7 +218,8 @@ def test_refined_omega_matches_scipy_bounded_minimizer(monkeypatch):
     geom = SensorGeometry(width=64, height=64)
     patch = PatchSpec(cx=31.5, cy=31.5, half_size=20)
     for freq in (7.5, 10.0, 15.2, 20.0, 22.6):
-        out = simulate_moving_target(freq, 4.0, geom, duration_s=2.0, contrast=2.0, seed=3)
+        out = simulate(*moving_target(freq, 4.0, geom, contrast=2.0), geom, duration_s=2.0,
+                       seed=3)
         report = estimate_scene_frequency(out.events, patch, trials=10)
         omegas = [omega for omega, _ in searches[-10:]]
         assert report.per_trial_hz == [w / (2.0 * math.pi) for w in omegas]
@@ -307,9 +309,13 @@ class TestBuildScene:
         with pytest.raises(ConfigError):
             scene_of({"pattern": {"type": "plasma"}})
 
-    def test_moving_target_has_no_oscillation(self):
-        scene, osc, _ = scene_of({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0}})
-        assert osc is None
+    def test_moving_target_is_the_preset(self):
+        scene, osc, _ = scene_of({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
+                                  "contrast": 0.8})
+        assert (scene, osc) == moving_target(10.0, 3.0, G64, contrast=0.8)
+        assert scene.pattern == Triangle(center_x=31.5, center_y=31.5)
+        assert osc == OscillatorConfig(amp_x_px=3.0, amp_y_px=3.0, omega=20.0 * math.pi,
+                                       phi_x=0.0, phi_y=-math.pi / 2.0)
 
     def test_moving_target_rejects_depth_planes(self):
         with pytest.raises(ConfigError, match="depth_planes"):
@@ -597,6 +603,19 @@ class TestPipeline:
          "scene.physical.motor: k_phi must be positive and finite, got 0.0"),
         ({"scene": {"physical": {**PHYSICAL, "motor": {"load_torque_nm": -1e-3}}}},
          "scene.physical.motor: load_torque_nm must be non-negative and finite, got -0.001"),
+        # a drive that does not turn leaves the mount still, and the run short of
+        # samples two stages later; the default motor stalls below about 0.217 V
+        ({"scene": {"physical": {**PHYSICAL, "voltage": 0.1}}},
+         "scene.physical: voltage 0.1 drives the motor at 0.0 rad/s; "
+         "the drive speed must be positive"),
+        ({"scene": {"physical": {**PHYSICAL, "voltage": -3.0}}},
+         "scene.physical: voltage -3.0 drives the motor at 0.0 rad/s; "
+         "the drive speed must be positive"),
+        ({"scene": {"physical": {**PHYSICAL, "omega_rad_s": 0}}},
+         "scene.physical: omega_rad_s must be positive and finite, got 0.0"),
+        # the default warm-up, 3 * tau_s, overflows to inf
+        ({"tracker": {"tau_s": 1e308}},
+         "tracker: the default warm-up 3 * tau_s must be finite, got inf"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:
@@ -647,8 +666,10 @@ def test_undamped_drive_at_resonance_fails_before_any_stage(tmp_path):
     # (omega_rad_s, when given, drives the mount instead of the motor's voltage)
     physical = {**PHYSICAL, "omega_rad_s": 10.0, "damping": 0.0, "mass_kg": 1.0,
                 "stiffness": 100.0}
-    with pytest.raises(ResonanceError):
+    with pytest.raises(ResonanceError) as err:
         run_pipeline({**PIPELINE_CONFIG, "scene": {"physical": physical}}, tmp_path / "run")
+    assert str(err.value) == ("scene.physical: undamped drive at resonance "
+                              "(k = m*w^2 = 100.0) has no steady state")
     assert not (tmp_path / "run").exists()
 
 

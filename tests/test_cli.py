@@ -29,7 +29,8 @@ from evosc.sim import (
     WorldMotion,
     camera_offset,
     motor_speed,
-    simulate_moving_target,
+    moving_target,
+    simulate,
 )
 from evosc.core import SensorGeometry
 from evosc.track import PatchSpec, read_samples_csv
@@ -216,20 +217,25 @@ AXIS = {"omega": 100.0 * math.pi, "a": 1.5, "b": -2.0, "c": 0.0}
 
 
 @pytest.mark.parametrize("states, message", [
-    ([], "a states file must be an object, got []"),
+    ([], "config: expected a block of keys, got []"),
     ({"u": {**AXIS, "omega": None}, "v": AXIS}, "u.omega: expected float, got None"),
     ({"u": AXIS, "v": {**AXIS, "c": "x"}}, "v.c: expected float, got 'x'"),
     ({"u": AXIS, "v": {k: v for k, v in AXIS.items() if k != "b"}}, "v: missing key 'b'"),
-    ({"u": AXIS}, "states: missing key 'v'"),
+    ({"u": AXIS}, "config: missing key 'v'"),
     ({"t_ref_us": [1], "u": AXIS, "v": AXIS}, "t_ref_us: expected int, got [1]"),
     ({"t_ref_us": "abc", "u": AXIS, "v": AXIS}, "t_ref_us: expected int, got 'abc'"),
     ({"tracker_tau_s": "x", "u": AXIS, "v": AXIS}, "tracker_tau_s: expected float, got 'x'"),
     ({"tracker_tau_s": -0.005, "u": AXIS, "v": AXIS},
-     "tracker_tau_s must be non-negative and finite, got -0.005"),
+     "config: tracker_tau_s must be non-negative and finite, got -0.005"),
+    ({"t_ref": 1000, "u": AXIS, "v": AXIS}, "config: unknown key 't_ref'"),
+    ({"u": {**AXIS, "phase": 0.0}, "v": AXIS}, "u: unknown key 'phase'"),
+    ({"u": {**AXIS, "peaks": [{"omega": 314.0, "magnitude": 1.0}]}, "v": AXIS},
+     "u.peaks[0]: missing key 'bin_index'"),
 ])
 def test_malformed_states_file_names_the_key(tmp_path, capsys, states, message):
-    """A states file is read strictly: each fault exits 1 with a message
-    naming its key, and writes no output."""
+    """A states file is read strictly, as every config block is: each fault,
+    an unknown key too, exits 1 with a message naming its key, and writes no
+    output."""
     (tmp_path / "states.json").write_text(json.dumps(states))
     write_stream(tmp_path / "in.evt", 20)
     assert compensate_cli(tmp_path / "in.evt", tmp_path / "out.evt") == 1
@@ -548,7 +554,7 @@ def test_states_axis_that_is_not_an_object_is_reported(workdir, tmp_path, capsys
     bad.write_text(json.dumps({**states, "u": None}))
     assert main(["compensate", "--events", str(workdir / "events.evt"),
                  "--states", str(bad), "--out", str(tmp_path / "c.evt")]) == 1
-    assert capsys.readouterr().err == "[compensate] a states axis must be an object, got null\n"
+    assert capsys.readouterr().err == "[compensate] u: expected a block of keys, got None\n"
     assert not (tmp_path / "c.evt").exists()
 
 
@@ -680,8 +686,9 @@ def test_pipeline_moving_target_is_the_library_preset(tmp_path):
     code, out = simulate_config(tmp_path, {"geometry": {"width": 32, "height": 32},
                                            "scene": scene}, seed=2)
     assert code == 0
-    want = simulate_moving_target(10.0, 3.0, SensorGeometry(width=32, height=32),
-                                  duration_s=0.1, contrast=0.8, noise_rate_hz=0.5, seed=2)
+    g32 = SensorGeometry(width=32, height=32)
+    want = simulate(*moving_target(10.0, 3.0, g32, contrast=0.8), g32, duration_s=0.1,
+                    noise_rate_hz=0.5, seed=2)
     events, _ = read_events(out / "events.evt")
     assert events.tobytes() == want.events.tobytes()
     truth = json.loads((out / "truth.json").read_text())
@@ -697,10 +704,11 @@ def test_pipeline_moving_target_draws_the_configured_pattern(tmp_path):
                                            "scene": scene}, seed=1)
     assert code == 0
     events, _ = read_events(out / "events.evt")
-    want = simulate_moving_target(10.0, 3.0, g32, duration_s=0.05, contrast=1.0, seed=1,
-                                  pattern=Disks(pitch_px=1000.0, offset_px=16.0))
+    want = simulate(*moving_target(10.0, 3.0, g32, Disks(pitch_px=1000.0, offset_px=16.0),
+                                   contrast=1.0), g32, duration_s=0.05, seed=1)
     assert events.tobytes() == want.events.tobytes()
-    triangle = simulate_moving_target(10.0, 3.0, g32, duration_s=0.05, contrast=1.0, seed=1)
+    triangle = simulate(*moving_target(10.0, 3.0, g32, contrast=1.0), g32, duration_s=0.05,
+                        seed=1)
     assert events.tobytes() != triangle.events.tobytes()
 
 

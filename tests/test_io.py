@@ -16,7 +16,8 @@ from evosc import io as evio
 from evosc.compensate import CompensatedEvents, write_compensated_csv
 from evosc.core import SensorGeometry, empty_events, make_events
 from evosc.errors import FormatError
-from evosc.io import HEADER_SIZE, MAGIC, _write_csv, read_events, write_events
+from evosc.io import (HEADER_SIZE, MAGIC, _write_csv, read_events, write_event_pieces,
+                      write_events)
 
 GEOM = SensorGeometry(width=32, height=24)
 
@@ -92,6 +93,31 @@ def test_strided_stream_written_as_its_records():
     buf = io.BytesIO()
     write_events(buf, ev, GEOM)
     assert buf.getvalue() == header(5) + ev.tobytes()
+
+
+def test_pieces_are_written_as_one_stream():
+    """write_event_pieces writes the header, then each piece's records in
+    order, empty and strided pieces too: the bytes write_events writes for
+    the stream they make up."""
+    ev = stream(9)
+    whole, buf = io.BytesIO(), io.BytesIO()
+    write_events(whole, ev, GEOM)
+    write_event_pieces(buf, GEOM, 9, (ev[:4], ev[4:4], ev[4:9:2], ev[5:9:2]))
+    assert whole.getvalue() == header(9) + ev.tobytes()
+    assert buf.getvalue() == (header(9) + ev[:4].tobytes() + ev[4::2].tobytes()
+                              + ev[5::2].tobytes())
+
+
+@pytest.mark.parametrize("count", [10, 8])
+def test_pieces_that_miss_the_count_are_a_format_error(count):
+    """Pieces short of the count, or over it, fail once the last is written."""
+    ev = stream(9)
+    buf = io.BytesIO()
+    with pytest.raises(FormatError) as err:
+        write_event_pieces(buf, GEOM, count, (ev[:4], ev[4:]))
+    assert str(err.value) == (f"record section is 117 bytes, header count {count} requires "
+                              f"{13 * count} (byte offset {HEADER_SIZE + 13 * min(9, count)})")
+    assert buf.getvalue() == header(count) + ev.tobytes()
 
 
 def test_file_path_round_trip(tmp_path):

@@ -43,8 +43,8 @@ from evosc.sim import (
     _walk_arrays,
     camera_offset,
     motor_speed,
+    moving_target,
     simulate,
-    simulate_moving_target,
     steady_state,
     wrap_angle,
 )
@@ -554,7 +554,7 @@ def test_depth_planes_scale_truth_amplitudes():
 
 def test_moving_target_truth_is_circular_path():
     geom = SensorGeometry(width=32, height=32)
-    out = simulate_moving_target(10.0, 3.0, geom, duration_s=0.05)
+    out = simulate(*moving_target(10.0, 3.0, geom), geom, duration_s=0.05)
     truth = out.truth[0]
     assert truth.amp_x_px == 3.0
     assert truth.omega == pytest.approx(2.0 * math.pi * 10.0)
@@ -564,7 +564,7 @@ def test_moving_target_truth_is_circular_path():
 def test_moving_target_rejects_bad_args():
     geom = SensorGeometry(width=32, height=32)
     with pytest.raises(ConfigError):
-        simulate_moving_target(0.0, 3.0, geom, duration_s=0.1)
+        moving_target(0.0, 3.0, geom)
 
 
 def test_simulate_rejects_bad_duration_and_threshold():
@@ -655,7 +655,8 @@ FROZEN_SCENES = {
                                 offset_px=16.0), contrast=0.84),
         OscillatorConfig(amp_x_px=1.0, amp_y_px=0.0, omega=100.0 * math.pi), G32,
         duration_s=0.1, seed=0),
-    "moving_triangle": lambda: simulate_moving_target(10.0, 3.0, G32, duration_s=0.1, seed=0),
+    "moving_triangle": lambda: simulate(*moving_target(10.0, 3.0, G32), G32, duration_s=0.1,
+                                        seed=0),
     "bitmap": lambda: simulate(
         SceneSpec(pattern=Bitmap(image=_step_edge()), contrast=1.0),
         OscillatorConfig(amp_x_px=3.0, amp_y_px=0.0, omega=2.0 * math.pi * 20.0), G32,

@@ -76,6 +76,24 @@ def test_only_core_compares_with_infinity():
     assert found == []
 
 
+def test_only_io_knows_the_evt_header():
+    """The .evt header is io's: no other package module names its layout
+    (HEADER_FMT, HEADER_SIZE, MAGIC, VERSION) or a packer of it
+    (_evt_header), so no second writer can drift from io's."""
+    names = {"_evt_header", "HEADER_FMT", "HEADER_SIZE", "MAGIC", "VERSION"}
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = ([node.id] if isinstance(node, ast.Name)
+                     else [node.attr] if isinstance(node, ast.Attribute)
+                     else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {name}" for name in named if name in names]
+    assert found == []
+
+
 def test_no_module_imports_scipy():
     """No package module imports scipy, at the top or inside a function:
     numpy is the package's only runtime dependency."""
