@@ -617,6 +617,32 @@ SMALL_DISKS = Disks(radius_px=4.0, pitch_px=16.0, offset_px=8.0)
 # in steps where the latent value does not move
 TIE_SCENE = SceneSpec(pattern=Bitmap(image=_square()), contrast=10.0)
 TIE_CFG = OscillatorConfig(amp_x_px=3.5, amp_y_px=1.75, omega=2.0 * math.pi * 550.0, phi_y=1.0)
+MOUNT = {"mass_kg": 0.1, "eccentric_mass_kg": 0.01, "eccentricity_m": 0.005,
+         "damping": 2.0, "stiffness": 4000.0}
+# two mounts read from scene blocks, as a config file gives them: a long
+# focal length makes their sub-millimetre swing a few pixels on the sensor
+MOUNT_SCENES = {
+    "mount_voltage_two_planes": (
+        {"pattern": {"type": "disks", "radius_px": 3.0, "pitch_px": 12.0, "offset_px": 6.0},
+         "contrast": 2.0, "duration_s": 0.05, "noise_rate_hz": 20.0,
+         "depth_planes": [{"depth_m": 1.0, "region": [0, 0, 16, 32]},
+                          {"depth_m": 2.0, "region": [16, 0, 32, 32]}],
+         "physical": {**MOUNT, "voltage": 2.0}},
+        SensorGeometry(width=32, height=32, focal_length_px=3300.0), 13),
+    "mount_linear_omega": (
+        {"pattern": {"type": "checkerboard", "period_px": 10.0}, "contrast": 1.5,
+         "duration_s": 0.05, "depth_planes": [{"depth_m": 1.0}],
+         "physical": {**MOUNT, "omega_rad_s": 300.0, "circular": False}},
+        SensorGeometry(width=32, height=32, focal_length_px=3000.0), 14),
+}
+
+
+def _mount_scene(name):
+    from evosc.apps import SceneSection, build_scene
+
+    block, geometry, seed = MOUNT_SCENES[name]
+    scene, cfg, kwargs = build_scene(core.from_section(SceneSection, block, "scene"), geometry)
+    return simulate(scene, cfg, geometry, seed=seed, **kwargs)
 
 FROZEN_SCENES = {
     "disk": lambda: simulate(
@@ -696,6 +722,7 @@ FROZEN_SCENES = {
         SceneSpec(pattern=Checkerboard(period_px=12.0), contrast=2.0),
         _circular(2.0, phase=-1.9), SensorGeometry(width=48, height=48),
         duration_s=0.02, seed=12, noise_rate_hz=40.0),
+    **{name: functools.partial(_mount_scene, name) for name in MOUNT_SCENES},
 }
 
 FROZEN_SHA256 = {
@@ -707,6 +734,9 @@ FROZEN_SHA256 = {
     "dense_checker": "4d12a5755b065df4646ef304687a39922184dac44bce1f38133b128388b1f94b",
     "disk": "2970d35e2de4de9523aec23113358351469371d0521b67e7472de12d509c6e5a",
     "large_ring": "c2fd38af70f64c40849f3892a4dd1cbac955f44fd2f8c20b3991aad93cd1a0cb",
+    "mount_linear_omega": "bd3b6b367e9755f167c78a9e42e9865c51a2844eeefb322dde7f40c3ac778e2d",
+    "mount_voltage_two_planes":
+        "a185c248e967241654cb13f30b8d55756cb9c6f63f2db2c66707f0829413fa72",
     "moving_triangle": "419866e8aaa8c28e2950e604546c83a52f697aad710d507079eb3d14643c6450",
     "near_threshold": "8408d6ec5e05910c103a7a538a64ebb69917d516db2c2e7c3967d97a28c25eac",
     "overlapping_planes": "8c39bd6056d64cc6c44dc8b8d136870dc7dfa85262da6c09f47d2a7b930898a5",
@@ -718,6 +748,26 @@ FROZEN_SHA256 = {
     "uncovered_region": "aae659aac47623a6ea16ecfa3efb0264633a21be1ff6dd29b45afd6b7f8335ec",
     "zero_amplitude": "cd963b4e036d02b4054039b4ddd349a453315e37b99c739f5a7f33839fa386dd",
 }
+
+
+# truth.json's planes of the mount scenes, bit for bit
+FROZEN_MOUNT_TRUTH = {
+    "mount_voltage_two_planes": [
+        {"amp_x_px": 1.9996245116201963, "amp_y_px": 1.9996245116201963,
+         "omega_rad_s": 476.8509251050931, "phi_x": -3.0907417051371366,
+         "phi_y": 1.621647275247553},
+        {"amp_x_px": 0.9998122558100981, "amp_y_px": 0.9998122558100981,
+         "omega_rad_s": 476.8509251050931, "phi_x": -3.0907417051371366,
+         "phi_y": 1.621647275247553}],
+    "mount_linear_omega": [
+        {"amp_x_px": 0.0, "amp_y_px": 2.6807674639146897, "omega_rad_s": 300.0,
+         "phi_x": 1.690225252813235, "phi_y": 1.690225252813235}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_MOUNT_TRUTH))
+def test_mount_truth_matches_frozen_planes(name):
+    assert [t.to_dict() for t in FROZEN_SCENES[name]().truth] == FROZEN_MOUNT_TRUTH[name]
 
 
 # the block search's two schedules: each block emitted inline, or on a worker
