@@ -21,17 +21,15 @@ from .sim import (  # noqa: F401
     DepthPlane,
     Disks,
     MotorParams,
+    Mount,
+    MovingTarget,
     OscillatorConfig,
-    PhysicalOscillator,
     SceneSpec,
     Stripes,
     Triangle,
-    WorldMotion,
     camera_offset,
     motor_speed,
-    moving_target,
     simulate,
-    steady_state,
 )
 from .track import CentroidTracker, PatchSpec, lowpass_gain, track_events  # noqa: F401
 from .freqest import (  # noqa: F401

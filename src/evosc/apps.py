@@ -50,14 +50,11 @@ from .sim import (
     DEFAULT_STEP_US,
     DEFAULT_THRESHOLD,
     DepthPlane,
-    MotorParams,
+    Mount,
+    MovingTarget,
     OscillatorConfig,
-    PhysicalOscillator,
     SceneSpec,
-    WorldMotion,
     check_sim_params,
-    motor_speed,
-    moving_target,
     read_pattern,
     simulate,
 )
@@ -84,6 +81,9 @@ from .metrics import stream_metrics, write_metrics_csv
 
 CONVERGENCE_RMS_PX = 1.0
 CONVERGENCE_SPAN = 100
+# how far an estimate file's omega_rad_s and frequency_hz may stray from its
+# axes' omega; estimate_stage writes one float, so its own files agree exactly
+OMEGA_REL_TOL = 1e-9
 
 
 @dataclass
@@ -390,56 +390,10 @@ class OscillationSection:
 
 
 @dataclass(frozen=True)
-class PhysicalSection:
-    """`scene.physical`: the spring mount driven at omega_rad_s or by the motor
-    at voltage, seen at depth_m."""
-
-    mass_kg: float
-    eccentric_mass_kg: float
-    eccentricity_m: float
-    damping: float
-    stiffness: float
-    omega_rad_s: float | None = None
-    voltage: float | None = None
-    motor: MotorParams = MotorParams()
-    circular: bool = True
-    depth_m: float = 1.0
-
-    def __post_init__(self):
-        if self.omega_rad_s is None and self.voltage is None:
-            raise ConfigError("physical config needs omega_rad_s or voltage")
-        check_positive(depth_m=self.depth_m)
-        self.motion()  # it, PhysicalOscillator and steady_state hold the mount's rules
-
-    def motion(self) -> WorldMotion:
-        """The mount's steady-state motion in metres, at a drive speed that
-        must be positive: a stalled motor leaves the mount still."""
-        if self.omega_rad_s is not None:
-            omega = self.omega_rad_s
-            check_positive(omega_rad_s=omega)
-        elif not (omega := motor_speed(self.voltage, self.motor)) > 0:
-            raise ConfigError(f"voltage {self.voltage} drives the motor at {omega} rad/s; "
-                              f"the drive speed must be positive")
-        osc = PhysicalOscillator(self.mass_kg, self.eccentric_mass_kg, self.eccentricity_m,
-                                 self.damping, self.stiffness, omega_drive=omega)
-        return WorldMotion.from_steady_state(osc, circular=self.circular)
-
-
-@dataclass(frozen=True)
-class MovingTargetSection:
-    """`scene.moving_target`: a static camera, the pattern on a circular path."""
-
-    freq_hz: float
-    radius_px: float
-
-    def __post_init__(self):
-        check_positive(freq_hz=self.freq_hz, radius_px=self.radius_px)
-
-
-@dataclass(frozen=True)
 class SceneSection:
-    """`scene`: moved by one of oscillation (the default), physical and
-    moving_target. pattern and depth_planes left unset take SceneSpec's
+    """`scene`: moved by one of oscillation (the default), physical (a
+    sim.Mount, seen at plane 0's depth) and moving_target (a
+    sim.MovingTarget). pattern and depth_planes left unset take SceneSpec's
     defaults; a moving target's pattern defaults to a centred triangle."""
 
     pattern: object | None = field(default=None, metadata={"read": read_pattern})
@@ -451,8 +405,8 @@ class SceneSection:
     step_us: int = DEFAULT_STEP_US
     refractory_us: int = DEFAULT_REFRACTORY_US
     oscillation: OscillationSection | None = None
-    physical: PhysicalSection | None = None
-    moving_target: MovingTargetSection | None = None
+    physical: Mount | None = None
+    moving_target: MovingTarget | None = None
 
     def __post_init__(self):
         check_sim_params(self.duration_s, self.threshold, self.step_us,
@@ -552,11 +506,10 @@ def build_scene(section: SceneSection, geometry: SensorGeometry
     sim_kwargs = {k: getattr(section, k) for k in
                   ("duration_s", "threshold", "noise_rate_hz", "step_us", "refractory_us")}
     if (target := section.moving_target) is not None:
-        return (*moving_target(target.freq_hz, target.radius_px, geometry, section.pattern,
-                               section.contrast), sim_kwargs)
+        return (*target.preset(geometry, section.pattern, section.contrast), sim_kwargs)
     scene = section.spec()
-    if (phys := section.physical) is not None:
-        return scene, OscillatorConfig.from_world(phys.motion(), geometry, phys.depth_m), sim_kwargs
+    if (mount := section.physical) is not None:
+        return scene, mount.oscillator(geometry, scene.depth_planes[0].depth_m), sim_kwargs
     return scene, (section.oscillation or OscillationSection()).oscillator(), sim_kwargs
 
 
@@ -757,7 +710,9 @@ class EstimateAxis(SinusoidInit):
 @dataclass(frozen=True)
 class EstimateFile:
     """estimate.json, written by estimate_stage with asdict and read by
-    read_estimate with core.from_section."""
+    read_estimate with core.from_section. omega_rad_s and frequency_hz, when
+    given, restate each axis's omega (in rad/s and Hz) and must agree with it
+    to a relative OMEGA_REL_TOL: compensation reads the axes alone."""
 
     u: EstimateAxis
     v: EstimateAxis
@@ -769,6 +724,13 @@ class EstimateFile:
     def __post_init__(self):
         if self.tracker_tau_s is not None:
             check_non_negative(tracker_tau_s=self.tracker_tau_s)
+        for key, per_rad_s in (("omega_rad_s", 1.0), ("frequency_hz", 2.0 * math.pi)):
+            value = getattr(self, key)
+            for name, axis in (("u", self.u), ("v", self.v)):
+                stated = axis.omega / per_rad_s
+                if value is not None and not math.isclose(value, stated, rel_tol=OMEGA_REL_TOL):
+                    raise ConfigError(f"{key} is {value}, but {name}.omega gives {stated} "
+                                      f"(relative tolerance {OMEGA_REL_TOL:g})")
 
 
 def read_estimate(path) -> tuple[SinusoidState, SinusoidState, float | None]:

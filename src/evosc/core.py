@@ -34,6 +34,8 @@ from .errors import BoundsError, ConfigError, OrderingError, ResonanceError
 # Packed little-endian record layout, 13 bytes per event. This dtype is also
 # the on-disk binary record format, so streams round-trip via tobytes().
 EVENT_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "<i1")])
+# widest and tallest sensor: an .evt file's header and coordinates are u16
+MAX_SENSOR_PX = 65535
 # records per block of map_blocks
 _BLOCK = 1 << 16
 # (pid, executor) of the worker threads of map_blocks, made at the first call
@@ -55,6 +57,10 @@ class SensorGeometry:
 
     def __post_init__(self):
         check_positive(width=self.width, height=self.height, focal_length_px=self.focal_length_px)
+        for name, size in (("width", self.width), ("height", self.height)):
+            if size > MAX_SENSOR_PX:
+                raise ConfigError(f"{name} must be at most {MAX_SENSOR_PX}, the largest an "
+                                  f".evt file holds, got {size}")
         if self.cx is None:
             object.__setattr__(self, "cx", (self.width - 1) / 2.0)
         if self.cy is None:

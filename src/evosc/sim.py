@@ -166,13 +166,21 @@ def motor_speed(voltage: float, motor: MotorParams) -> float:
 
 
 @dataclass(frozen=True)
-class PhysicalOscillator:
-    """Mass-spring-damper driven by a rotating eccentric mass.
+class Mount:
+    """The camera's spring mount, shaken by a rotating eccentric mass: the
+    `scene.physical` block.
 
     mass_kg: oscillating mass entering the resonance denominator
     eccentric_mass_kg, eccentricity_m: the rotating imbalance (force m*e*w^2)
     damping, stiffness: viscous damping c (N*s/m) and spring constant k (N/m)
-    omega_drive: rotation rate in rad/s
+    omega_rad_s, voltage: the drive, one of them: the rotation rate, or the
+        motor's supply voltage, which turns at motor_speed(voltage, motor)
+    circular: the imbalance shakes both in-plane axes with equal amplitudes,
+        x a quarter turn ahead; otherwise y alone
+
+    The drive speed must be positive (a stalled motor leaves the mount
+    still), and an undamped drive at resonance, which has no steady state,
+    is a ResonanceError.
     """
 
     mass_kg: float
@@ -180,57 +188,62 @@ class PhysicalOscillator:
     eccentricity_m: float
     damping: float
     stiffness: float
-    omega_drive: float
+    omega_rad_s: float | None = None
+    voltage: float | None = None
+    motor: MotorParams = MotorParams()
+    circular: bool = True
 
     def __post_init__(self):
+        if self.omega_rad_s is None and self.voltage is None:
+            raise ConfigError("physical config needs omega_rad_s or voltage")
+        if self.omega_rad_s is not None and self.voltage is not None:
+            raise ConfigError("physical config takes one of omega_rad_s and voltage, not both")
         check_positive(mass_kg=self.mass_kg, eccentric_mass_kg=self.eccentric_mass_kg,
                        eccentricity_m=self.eccentricity_m, stiffness=self.stiffness)
-        check_non_negative(damping=self.damping, omega_drive=self.omega_drive)
+        check_non_negative(damping=self.damping)
+        if self.omega_rad_s is not None:
+            check_positive(omega_rad_s=self.omega_rad_s)
+        elif not (omega := self.omega) > 0:
+            raise ConfigError(f"voltage {self.voltage} drives the motor at {omega} rad/s; "
+                              f"the drive speed must be positive")
+        self.steady_state()
 
+    @property
+    def omega(self) -> float:
+        """The drive speed in rad/s."""
+        if self.omega_rad_s is not None:
+            return self.omega_rad_s
+        return motor_speed(self.voltage, self.motor)
 
-def steady_state(osc: PhysicalOscillator) -> tuple[float, float]:
-    """Steady-state response (amplitude_m, phase_rad) of the driven mount.
+    def steady_state(self) -> tuple[float, float]:
+        """Steady-state response (amplitude_m, phase_rad) of the driven mount.
 
-    amplitude = m e w^2 / sqrt((k - m w^2)^2 + (c w)^2)
-    phase     = atan2(c w, k - m w^2)
+        amplitude = m e w^2 / sqrt((k - m w^2)^2 + (c w)^2)
+        phase     = atan2(c w, k - m w^2)
 
-    so the displacement is amplitude * sin(w t - phase). At resonance with no
-    damping the response is unbounded and ResonanceError is raised.
-    """
-    m, w = osc.mass_kg, osc.omega_drive
-    force = osc.eccentric_mass_kg * osc.eccentricity_m * w * w
-    elastic = osc.stiffness - m * w * w
-    dissip = osc.damping * w
-    denom_sq = elastic * elastic + dissip * dissip
-    if denom_sq == 0.0:
-        raise ResonanceError(
-            f"undamped drive at resonance (k = m*w^2 = {osc.stiffness}) has no steady state"
-        )
-    return force / math.sqrt(denom_sq), math.atan2(dissip, elastic)
-
-
-@dataclass(frozen=True)
-class WorldMotion:
-    """Camera translation in metres: axis i moves as amp_i*cos(omega*t + phi_i)."""
-
-    amp_x_m: float
-    amp_y_m: float
-    omega: float
-    phi_x: float = 0.0
-    phi_y: float = 0.0
-
-    @classmethod
-    def from_steady_state(cls, osc: PhysicalOscillator, circular: bool = True) -> "WorldMotion":
-        """Map the sin(w t - phase) steady state onto the cos convention.
-
-        A rotating imbalance shakes both in-plane axes; circular mode uses
-        equal amplitudes with the x axis a quarter turn ahead.
+        so the displacement is amplitude * sin(w t - phase).
         """
-        amp, phase = steady_state(osc)
+        m, w = self.mass_kg, self.omega
+        force = self.eccentric_mass_kg * self.eccentricity_m * w * w
+        elastic = self.stiffness - m * w * w
+        dissip = self.damping * w
+        denom_sq = elastic * elastic + dissip * dissip
+        if denom_sq == 0.0:
+            raise ResonanceError(
+                f"undamped drive at resonance (k = m*w^2 = {self.stiffness}) has no steady state"
+            )
+        return force / math.sqrt(denom_sq), math.atan2(dissip, elastic)
+
+    def oscillator(self, geometry: SensorGeometry, depth_m: float) -> OscillatorConfig:
+        """The image motion of a plane at depth_m: the steady state
+        amp*sin(w t - phase) as cosines, seen at A = f*amp/Z px."""
+        check_positive(depth_m=depth_m)
+        amp, phase = self.steady_state()
         phi_y = wrap_angle(-phase - math.pi / 2.0)
-        phi_x = wrap_angle(phi_y + math.pi / 2.0) if circular else phi_y
-        amp_x = amp if circular else 0.0
-        return cls(amp_x_m=amp_x, amp_y_m=amp, omega=osc.omega_drive, phi_x=phi_x, phi_y=phi_y)
+        phi_x = wrap_angle(phi_y + math.pi / 2.0) if self.circular else phi_y
+        amp_px = geometry.focal_length_px * amp / depth_m
+        return OscillatorConfig(amp_x_px=amp_px if self.circular else 0.0, amp_y_px=amp_px,
+                                omega=self.omega, phi_x=phi_x, phi_y=phi_y)
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +268,6 @@ class OscillatorConfig:
 
     def scaled(self, s: float) -> "OscillatorConfig":
         return replace(self, amp_x_px=self.amp_x_px * s, amp_y_px=self.amp_y_px * s)
-
-    @classmethod
-    def from_world(
-        cls, motion: WorldMotion, geometry: SensorGeometry, depth_m: float
-    ) -> "OscillatorConfig":
-        """Image amplitude of a world oscillation seen at depth Z: A = f*amp/Z."""
-        check_positive(depth_m=depth_m)
-        f = geometry.focal_length_px
-        return cls(
-            amp_x_px=f * motion.amp_x_m / depth_m,
-            amp_y_px=f * motion.amp_y_m / depth_m,
-            omega=motion.omega,
-            phi_x=motion.phi_x,
-            phi_y=motion.phi_y,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -952,16 +950,25 @@ def simulate(
     return SimOutput(events=events, truth=truth)
 
 
-def moving_target(freq_hz: float, path_radius_px: float, geometry: SensorGeometry,
-                  pattern: object | None = None, contrast: float = SceneSpec.contrast
-                  ) -> tuple[SceneSpec, OscillatorConfig]:
-    """simulate's (scene, cfg) for a static camera watching an object on a
-    circular path: the default object is a triangle at frame centre, and the
-    path is a per-axis cosine with the y axis a quarter turn behind."""
-    check_positive(freq_hz=freq_hz, path_radius_px=path_radius_px)
-    if pattern is None:
-        pattern = Triangle(center_x=(geometry.width - 1) / 2.0,
-                           center_y=(geometry.height - 1) / 2.0)
-    return SceneSpec(pattern=pattern, contrast=contrast), OscillatorConfig(
-        amp_x_px=path_radius_px, amp_y_px=path_radius_px,
-        omega=TWO_PI * freq_hz, phi_x=0.0, phi_y=-math.pi / 2.0)
+@dataclass(frozen=True)
+class MovingTarget:
+    """A static camera watching an object move on a circular path of
+    radius_px at freq_hz: the `scene.moving_target` block."""
+
+    freq_hz: float
+    radius_px: float
+
+    def __post_init__(self):
+        check_positive(freq_hz=self.freq_hz, radius_px=self.radius_px)
+
+    def preset(self, geometry: SensorGeometry, pattern: object | None = None,
+               contrast: float = SceneSpec.contrast) -> tuple[SceneSpec, OscillatorConfig]:
+        """simulate's (scene, cfg): the default object is a triangle at frame
+        centre, and the path is a per-axis cosine with the y axis a quarter
+        turn behind."""
+        if pattern is None:
+            pattern = Triangle(center_x=(geometry.width - 1) / 2.0,
+                               center_y=(geometry.height - 1) / 2.0)
+        return SceneSpec(pattern=pattern, contrast=contrast), OscillatorConfig(
+            amp_x_px=self.radius_px, amp_y_px=self.radius_px,
+            omega=TWO_PI * self.freq_hz, phi_x=0.0, phi_y=-math.pi / 2.0)

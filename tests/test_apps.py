@@ -37,7 +37,7 @@ from evosc.errors import (
     StageError,
 )
 from evosc.io import read_events, write_events
-from evosc.sim import (PATTERNS, Checkerboard, Disks, OscillatorConfig, Triangle, moving_target,
+from evosc.sim import (PATTERNS, Checkerboard, Disks, MovingTarget, OscillatorConfig, Triangle,
                        simulate)
 from evosc.track import PatchSpec, lowpass_gain, read_samples_csv
 
@@ -218,8 +218,8 @@ def test_refined_omega_matches_scipy_bounded_minimizer(monkeypatch):
     geom = SensorGeometry(width=64, height=64)
     patch = PatchSpec(cx=31.5, cy=31.5, half_size=20)
     for freq in (7.5, 10.0, 15.2, 20.0, 22.6):
-        out = simulate(*moving_target(freq, 4.0, geom, contrast=2.0), geom, duration_s=2.0,
-                       seed=3)
+        out = simulate(*MovingTarget(freq, 4.0).preset(geom, contrast=2.0), geom,
+                       duration_s=2.0, seed=3)
         report = estimate_scene_frequency(out.events, patch, trials=10)
         omegas = [omega for omega, _ in searches[-10:]]
         assert report.per_trial_hz == [w / (2.0 * math.pi) for w in omegas]
@@ -312,7 +312,7 @@ class TestBuildScene:
     def test_moving_target_is_the_preset(self):
         scene, osc, _ = scene_of({"moving_target": {"freq_hz": 10.0, "radius_px": 3.0},
                                   "contrast": 0.8})
-        assert (scene, osc) == moving_target(10.0, 3.0, G64, contrast=0.8)
+        assert (scene, osc) == MovingTarget(10.0, 3.0).preset(G64, contrast=0.8)
         assert scene.pattern == Triangle(center_x=31.5, center_y=31.5)
         assert osc == OscillatorConfig(amp_x_px=3.0, amp_y_px=3.0, omega=20.0 * math.pi,
                                        phi_x=0.0, phi_y=-math.pi / 2.0)
@@ -336,12 +336,12 @@ class TestBuildScene:
         assert scene.depth_planes[1].pattern is not None
 
     def test_physical_voltage_drives_motor_model(self):
-        physical = {**PHYSICAL, "depth_m": 1.0}
-        scene, osc, _ = scene_of({"physical": physical})
+        section = {"physical": PHYSICAL, "depth_planes": [{"depth_m": 1.0}]}
+        scene, osc, _ = scene_of(section)
         assert osc.omega == pytest.approx(MOTOR_OMEGA_2V, rel=1e-9)
         assert osc.amp_x_px == osc.amp_y_px > 0
         # the amplitude scales with the focal length of the geometry passed in
-        _, osc_f200, _ = scene_of({"physical": physical},
+        _, osc_f200, _ = scene_of(section,
                                   SensorGeometry(width=64, height=64, focal_length_px=200.0))
         assert osc_f200.amp_x_px == pytest.approx(2.0 * osc.amp_x_px, rel=1e-12)
 
@@ -597,8 +597,9 @@ class TestPipeline:
         # stage (its NaN and infinite values are in the float-key test below)
         ({"scene": {"physical": {**PHYSICAL, "mass_kg": -1}}},
          "scene.physical: mass_kg must be positive and finite, got -1.0"),
-        ({"scene": {"physical": {**PHYSICAL, "depth_m": 0}}},
-         "scene.physical: depth_m must be positive and finite, got 0.0"),
+        # a drive speed and a voltage together: the voltage used to be ignored
+        ({"scene": {"physical": {**PHYSICAL, "omega_rad_s": 300}}},
+         "scene.physical: physical config takes one of omega_rad_s and voltage, not both"),
         ({"scene": {"physical": {**PHYSICAL, "motor": {"k_phi": 0}}}},
          "scene.physical.motor: k_phi must be positive and finite, got 0.0"),
         ({"scene": {"physical": {**PHYSICAL, "motor": {"load_torque_nm": -1e-3}}}},
@@ -611,11 +612,16 @@ class TestPipeline:
         ({"scene": {"physical": {**PHYSICAL, "voltage": -3.0}}},
          "scene.physical: voltage -3.0 drives the motor at 0.0 rad/s; "
          "the drive speed must be positive"),
-        ({"scene": {"physical": {**PHYSICAL, "omega_rad_s": 0}}},
+        ({"scene": {"physical": {**PHYSICAL, "voltage": None, "omega_rad_s": 0}}},
          "scene.physical: omega_rad_s must be positive and finite, got 0.0"),
         # the default warm-up, 3 * tau_s, overflows to inf
         ({"tracker": {"tau_s": 1e308}},
          "tracker: the default warm-up 3 * tau_s must be finite, got inf"),
+        ({"scene": {"physical": {**PHYSICAL, "omega_rad_s": 300, "voltage": -50.0}}},
+         "scene.physical: physical config takes one of omega_rad_s and voltage, not both"),
+        # plane 0's depth is the physical scene's depth, one key for one value
+        ({"scene": {"physical": PHYSICAL, "depth_planes": [{"depth_m": 0}]}},
+         "scene.depth_planes[0]: depth_m must be positive and finite, got 0.0"),
     ])
     def test_out_of_range_values_fail_before_any_stage(self, tmp_path, block, message):
         with pytest.raises(ConfigError) as err:
@@ -663,9 +669,8 @@ class TestPipeline:
 
 def test_undamped_drive_at_resonance_fails_before_any_stage(tmp_path):
     # it used to pass the read and fail in the simulate stage, after out_dir was made
-    # (omega_rad_s, when given, drives the mount instead of the motor's voltage)
-    physical = {**PHYSICAL, "omega_rad_s": 10.0, "damping": 0.0, "mass_kg": 1.0,
-                "stiffness": 100.0}
+    physical = {**PHYSICAL, "voltage": None, "omega_rad_s": 10.0, "damping": 0.0,
+                "mass_kg": 1.0, "stiffness": 100.0}
     with pytest.raises(ResonanceError) as err:
         run_pipeline({**PIPELINE_CONFIG, "scene": {"physical": physical}}, tmp_path / "run")
     assert str(err.value) == ("scene.physical: undamped drive at resonance "

@@ -24,12 +24,11 @@ from evosc.io import read_events, write_events, write_json
 from evosc.sim import (
     Disks,
     MotorParams,
+    Mount,
+    MovingTarget,
     OscillatorConfig,
-    PhysicalOscillator,
-    WorldMotion,
     camera_offset,
     motor_speed,
-    moving_target,
     simulate,
 )
 from evosc.core import SensorGeometry
@@ -548,6 +547,43 @@ def test_estimate_takes_the_tau_the_samples_were_tracked_with(tmp_path, monkeypa
     assert exc.value.code == 2
 
 
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """The seed-0 demo run's directory."""
+    out = tmp_path_factory.mktemp("demo")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+        from run_demo import DEMO_CONFIG
+    run_pipeline(DEMO_CONFIG, out, seed=0)
+    return out
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("omega_rad_s", 1.0, "omega_rad_s is 1.0, but u.omega gives {omega}"),
+    ("frequency_hz", 60.0, "frequency_hz is 60.0, but u.omega gives {hz}"),
+])
+def test_states_whose_omegas_disagree_are_refused(demo_run, tmp_path, capsys, key, value,
+                                                  message):
+    """A states file restating its axes' omega in omega_rad_s and
+    frequency_hz used to be compensated with the axes' whatever the two said.
+    The demo's own file passes: it writes one float three times."""
+    events = str(demo_run / "events.evt")
+    assert main(["compensate", "--events", events, "--states",
+                 str(demo_run / "estimate.json"), "--out", str(tmp_path / "ok.evt")]) == 0
+    states = json.loads((demo_run / "estimate.json").read_text())
+    omega = states["u"]["omega"]
+    assert states["omega_rad_s"] == states["v"]["omega"] == omega
+    bad = tmp_path / "estimate.json"
+    bad.write_text(json.dumps({**states, key: value}))
+    capsys.readouterr()
+    assert main(["compensate", "--events", events, "--states", str(bad),
+                 "--out", str(tmp_path / "c.evt")]) == 1
+    shown = message.format(omega=omega, hz=omega / (2.0 * math.pi))
+    assert capsys.readouterr().err == (f"[compensate] config: {shown} "
+                                       f"(relative tolerance 1e-09)\n")
+    assert not (tmp_path / "c.evt").exists()
+
+
 def test_states_axis_that_is_not_an_object_is_reported(workdir, tmp_path, capsys):
     states = json.loads((workdir / "states.json").read_text())
     bad = tmp_path / "x.json"
@@ -687,7 +723,7 @@ def test_pipeline_moving_target_is_the_library_preset(tmp_path):
                                            "scene": scene}, seed=2)
     assert code == 0
     g32 = SensorGeometry(width=32, height=32)
-    want = simulate(*moving_target(10.0, 3.0, g32, contrast=0.8), g32, duration_s=0.1,
+    want = simulate(*MovingTarget(10.0, 3.0).preset(g32, contrast=0.8), g32, duration_s=0.1,
                     noise_rate_hz=0.5, seed=2)
     events, _ = read_events(out / "events.evt")
     assert events.tobytes() == want.events.tobytes()
@@ -704,24 +740,24 @@ def test_pipeline_moving_target_draws_the_configured_pattern(tmp_path):
                                            "scene": scene}, seed=1)
     assert code == 0
     events, _ = read_events(out / "events.evt")
-    want = simulate(*moving_target(10.0, 3.0, g32, Disks(pitch_px=1000.0, offset_px=16.0),
-                                   contrast=1.0), g32, duration_s=0.05, seed=1)
+    target = MovingTarget(10.0, 3.0)
+    want = simulate(*target.preset(g32, Disks(pitch_px=1000.0, offset_px=16.0), contrast=1.0),
+                    g32, duration_s=0.05, seed=1)
     assert events.tobytes() == want.events.tobytes()
-    triangle = simulate(*moving_target(10.0, 3.0, g32, contrast=1.0), g32, duration_s=0.05,
-                        seed=1)
+    triangle = simulate(*target.preset(g32, contrast=1.0), g32, duration_s=0.05, seed=1)
     assert events.tobytes() != triangle.events.tobytes()
 
 
 def test_pipeline_physical_scene_projects_with_the_run_geometry(tmp_path):
     geometry = SensorGeometry(width=32, height=32, focal_length_px=250.0)
-    scene = {"physical": {**PHYSICAL, "depth_m": 2.0}, "duration_s": 0.02}
+    scene = {"physical": PHYSICAL, "depth_planes": [{"depth_m": 2.0}], "duration_s": 0.02}
     code, out = simulate_config(tmp_path, {"geometry": geometry.to_dict(), "scene": scene},
                                 seed=1)
     assert code == 0
     omega = motor_speed(PHYSICAL["voltage"], MotorParams())
-    osc = PhysicalOscillator(mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
-                             damping=2.0, stiffness=4000.0, omega_drive=omega)
-    want = OscillatorConfig.from_world(WorldMotion.from_steady_state(osc), geometry, 2.0)
+    mount = Mount(mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
+                  damping=2.0, stiffness=4000.0, omega_rad_s=omega)
+    want = mount.oscillator(geometry, 2.0)
     truth = json.loads((out / "truth.json").read_text())
     assert truth["planes"][0]["amp_x_px"] == want.amp_x_px
 
@@ -734,6 +770,15 @@ def test_pipeline_moving_target_rejects_depth_planes(tmp_path, capsys):
     assert code == 1
     assert "depth_planes" in capsys.readouterr().err
     assert not (out / "events.evt").exists()
+
+
+def test_simulate_rejects_a_sensor_wider_than_the_evt_format(tmp_path, capsys):
+    # it used to simulate, then die in the .evt writer with a struct.error
+    code, out = simulate_config(tmp_path, {"geometry": {"width": 65536, "height": 4}}, seed=0)
+    assert code == 1
+    assert capsys.readouterr().err == ("[simulate] geometry: width must be at most 65535, "
+                                       "the largest an .evt file holds, got 65536\n")
+    assert not out.exists()
 
 
 def test_simulate_rejects_a_zero_step(tmp_path, capsys):

@@ -279,6 +279,16 @@ class TestGeometry:
         with pytest.raises(ConfigError):
             SensorGeometry(**kwargs)
 
+    def test_largest_sensor_is_the_largest_an_evt_file_holds(self):
+        # only constructed: the .evt header and coordinates are u16
+        g = SensorGeometry(width=65535, height=65535)
+        assert (g.width, g.height, g.cx) == (65535, 65535, 32767.0)
+        for name in ("width", "height"):
+            with pytest.raises(ConfigError) as err:
+                SensorGeometry(**{"width": 4, "height": 4, name: 65536})
+            assert str(err.value) == (f"{name} must be at most 65535, the largest an .evt "
+                                      f"file holds, got 65536")
+
 
 @pytest.mark.parametrize("check, rule, good, bad", [
     (check_positive, "positive and finite", [5e-324, 1, 1e308],

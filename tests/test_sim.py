@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,12 @@ from evosc.sim import (
     DepthPlane,
     Disks,
     MotorParams,
+    Mount,
+    MovingTarget,
     OscillatorConfig,
-    PhysicalOscillator,
     SceneSpec,
     Stripes,
     Triangle,
-    WorldMotion,
     _BLOCK_STEPS,
     _MAX_CROSSINGS,
     _active_pixels,
@@ -43,9 +44,7 @@ from evosc.sim import (
     _walk_arrays,
     camera_offset,
     motor_speed,
-    moving_target,
     simulate,
-    steady_state,
     wrap_angle,
 )
 
@@ -57,9 +56,9 @@ from oracles import (
     steady_state_reference,
 )
 
-OSC = PhysicalOscillator(
+OSC = Mount(
     mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
-    damping=2.0, stiffness=4000.0, omega_drive=150.0,
+    damping=2.0, stiffness=4000.0, omega_rad_s=150.0,
 )
 
 
@@ -110,14 +109,30 @@ class TestMotor:
 
     def test_negative_mass_is_named(self):
         with pytest.raises(ConfigError) as err:
-            PhysicalOscillator(mass_kg=-1.0, eccentric_mass_kg=0.01, eccentricity_m=0.005,
-                               damping=2.0, stiffness=4000.0, omega_drive=150.0)
+            Mount(mass_kg=-1.0, eccentric_mass_kg=0.01, eccentricity_m=0.005,
+                  damping=2.0, stiffness=4000.0, omega_rad_s=150.0)
         assert str(err.value) == "mass_kg must be positive and finite, got -1.0"
+
+    @pytest.mark.parametrize("drive, message", [
+        ({"omega_rad_s": 0.0}, "omega_rad_s must be positive and finite, got 0.0"),
+        ({"voltage": 0.1}, "voltage 0.1 drives the motor at 0.0 rad/s; "
+                           "the drive speed must be positive"),
+        ({}, "physical config needs omega_rad_s or voltage"),
+        ({"omega_rad_s": 300.0, "voltage": 2.0},
+         "physical config takes one of omega_rad_s and voltage, not both"),
+    ], ids=["still", "stalled", "no_drive", "two_drives"])
+    def test_mount_refuses_the_drives_the_config_refuses(self, drive, message):
+        """The library's mount is the config's: a still drive used to be
+        accepted here and refused in a config."""
+        with pytest.raises(ConfigError) as err:
+            Mount(mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
+                  damping=2.0, stiffness=4000.0, **drive)
+        assert str(err.value) == message
 
 
 class TestSteadyState:
     def test_matches_high_precision_reference(self):
-        amp, phase = steady_state(OSC)
+        amp, phase = OSC.steady_state()
         ref_amp, ref_phase = steady_state_reference(0.1, 0.01, 0.005, 2.0, 4000.0, 150.0)
         assert amp == pytest.approx(ref_amp, rel=1e-12)
         assert phase == pytest.approx(ref_phase, rel=1e-12)
@@ -128,8 +143,8 @@ class TestSteadyState:
     def test_matches_time_integration(self):
         """The closed form equals the long-run limit of the equation of motion."""
         m, c, k = OSC.mass_kg, OSC.damping, OSC.stiffness
-        fe = OSC.eccentric_mass_kg * OSC.eccentricity_m * OSC.omega_drive**2
-        w = OSC.omega_drive
+        fe = OSC.eccentric_mass_kg * OSC.eccentricity_m * OSC.omega_rad_s**2
+        w = OSC.omega_rad_s
 
         def rhs(t, s):
             x, v = s
@@ -139,26 +154,23 @@ class TestSteadyState:
         sol = solve_ivp(rhs, (0.0, 10.0), [0.0, 0.0], t_eval=tail, rtol=1e-10, atol=1e-12)
         design = np.column_stack([np.sin(w * tail), np.cos(w * tail)])
         coef, *_ = np.linalg.lstsq(design, sol.y[0], rcond=None)
-        amp, phase = steady_state(OSC)
+        amp, phase = OSC.steady_state()
         # displacement is amp*sin(w t - phase)
         assert math.hypot(*coef) == pytest.approx(amp, rel=1e-6)
         assert math.atan2(-coef[1], coef[0]) == pytest.approx(phase, abs=1e-6)
 
     def test_undamped_resonance_rejected(self):
-        osc = PhysicalOscillator(
-            mass_kg=1.0, eccentric_mass_kg=0.01, eccentricity_m=0.01,
-            damping=0.0, stiffness=100.0, omega_drive=10.0,
-        )
         with pytest.raises(ResonanceError):
-            steady_state(osc)
+            Mount(mass_kg=1.0, eccentric_mass_kg=0.01, eccentricity_m=0.01,
+                  damping=0.0, stiffness=100.0, omega_rad_s=10.0)
 
     def test_high_drive_amplitude_approaches_me_over_m(self):
         # far above resonance the response tends to m*e/M
-        osc = PhysicalOscillator(
+        osc = Mount(
             mass_kg=0.1, eccentric_mass_kg=0.01, eccentricity_m=0.005,
-            damping=2.0, stiffness=4000.0, omega_drive=5000.0,
+            damping=2.0, stiffness=4000.0, omega_rad_s=5000.0,
         )
-        amp, _ = steady_state(osc)
+        amp, _ = osc.steady_state()
         assert amp == pytest.approx(0.01 * 0.005 / 0.1, rel=1e-2)
 
 
@@ -174,24 +186,24 @@ def test_sin_to_cos_convention(t, phase):
 
 
 def test_from_steady_state_circular_quarter_turn():
-    motion = WorldMotion.from_steady_state(OSC, circular=True)
-    assert motion.amp_x_m == motion.amp_y_m
+    motion = OSC.oscillator(SensorGeometry(width=8, height=8), 1.0)
+    assert motion.amp_x_px == motion.amp_y_px
     assert wrap_angle(motion.phi_x - motion.phi_y) == pytest.approx(math.pi / 2.0)
 
 
 def test_from_steady_state_linear_keeps_one_axis():
-    motion = WorldMotion.from_steady_state(OSC, circular=False)
-    assert motion.amp_x_m == 0.0
-    assert motion.amp_y_m > 0.0
+    motion = replace(OSC, circular=False).oscillator(SensorGeometry(width=8, height=8), 1.0)
+    assert motion.amp_x_px == 0.0
+    assert motion.amp_y_px > 0.0
 
 
 class TestOscillatorConfig:
     def test_image_amplitude_scales_inverse_depth(self):
-        motion = WorldMotion(amp_x_m=0.02, amp_y_m=0.02, omega=100.0)
         geom = SensorGeometry(width=64, height=64, focal_length_px=100.0)
-        near = OscillatorConfig.from_world(motion, geom, depth_m=1.5)
-        far = OscillatorConfig.from_world(motion, geom, depth_m=3.0)
-        assert near.amp_x_px == pytest.approx(1.33333333333, rel=1e-9)
+        near = OSC.oscillator(geom, depth_m=1.5)
+        far = OSC.oscillator(geom, depth_m=3.0)
+        # A = f * amp / Z, amp the mount's swing in metres
+        assert near.amp_x_px == pytest.approx(100.0 * STEADY_AMP_REF / 1.5, rel=1e-9)
         assert near.amp_x_px / far.amp_x_px == pytest.approx(3.0 / 1.5, rel=1e-12)
 
     def test_scaled(self):
@@ -221,9 +233,8 @@ class TestOscillatorConfig:
         assert str(err.value) == f"phi_y must be finite, got {phase}"
 
     def test_bad_depth_rejected(self):
-        motion = WorldMotion(amp_x_m=0.01, amp_y_m=0.01, omega=10.0)
         with pytest.raises(ConfigError):
-            OscillatorConfig.from_world(motion, SensorGeometry(width=8, height=8), 0.0)
+            OSC.oscillator(SensorGeometry(width=8, height=8), 0.0)
 
 
 def test_camera_offset_matches_scalar_formula():
@@ -554,7 +565,7 @@ def test_depth_planes_scale_truth_amplitudes():
 
 def test_moving_target_truth_is_circular_path():
     geom = SensorGeometry(width=32, height=32)
-    out = simulate(*moving_target(10.0, 3.0, geom), geom, duration_s=0.05)
+    out = simulate(*MovingTarget(10.0, 3.0).preset(geom), geom, duration_s=0.05)
     truth = out.truth[0]
     assert truth.amp_x_px == 3.0
     assert truth.omega == pytest.approx(2.0 * math.pi * 10.0)
@@ -564,7 +575,7 @@ def test_moving_target_truth_is_circular_path():
 def test_moving_target_rejects_bad_args():
     geom = SensorGeometry(width=32, height=32)
     with pytest.raises(ConfigError):
-        moving_target(0.0, 3.0, geom)
+        MovingTarget(0.0, 3.0).preset(geom)
 
 
 def test_simulate_rejects_bad_duration_and_threshold():
@@ -681,8 +692,8 @@ FROZEN_SCENES = {
                                 offset_px=16.0), contrast=0.84),
         OscillatorConfig(amp_x_px=1.0, amp_y_px=0.0, omega=100.0 * math.pi), G32,
         duration_s=0.1, seed=0),
-    "moving_triangle": lambda: simulate(*moving_target(10.0, 3.0, G32), G32, duration_s=0.1,
-                                        seed=0),
+    "moving_triangle": lambda: simulate(*MovingTarget(10.0, 3.0).preset(G32), G32,
+                                        duration_s=0.1, seed=0),
     "bitmap": lambda: simulate(
         SceneSpec(pattern=Bitmap(image=_step_edge()), contrast=1.0),
         OscillatorConfig(amp_x_px=3.0, amp_y_px=0.0, omega=2.0 * math.pi * 20.0), G32,
